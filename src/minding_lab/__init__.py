@@ -9,29 +9,4 @@ metrics to isothermic coordinates, and develop conformal factors into
 the Poincare disk.
 """
 
-from .grid import (
-    Grid2D,
-    GridError,
-    ScalarField,
-    TestFunction,
-    VectorField3,
-    fd_laplacian,
-    fd_partial,
-    interior_abs_max,
-    quadrature,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Grid2D",
-    "GridError",
-    "ScalarField",
-    "TestFunction",
-    "VectorField3",
-    "fd_laplacian",
-    "fd_partial",
-    "interior_abs_max",
-    "quadrature",
-    "__version__",
-]

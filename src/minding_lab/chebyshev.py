@@ -24,6 +24,7 @@ from .grid import (
     GridError,
     ScalarField,
     VectorField3,
+    _partial_values,
     fd_partial,
     interior_abs_max,
 )
@@ -443,12 +444,6 @@ class CorollaryReport:
         return max(self.as_dict().values())
 
 
-def _partial_vec(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
-    ax = 1 if axis == "x" else 0
-    d = grid.dx if axis == "x" else grid.dy
-    return np.gradient(values, d, axis=ax, edge_order=2)
-
-
 def corollary_conditions(surface: ChebyshevSurface) -> CorollaryReport:
     """Residuals of the constant-curvature characterization, by FD."""
     grid = surface.grid
@@ -457,11 +452,11 @@ def corollary_conditions(surface: ChebyshevSurface) -> CorollaryReport:
     theta = surface.theta.theta.values
     cos = np.cos(theta)
 
-    f_x = _partial_vec(f, grid, "x")
-    f_y = _partial_vec(f, grid, "y")
-    N_x = _partial_vec(N, grid, "x")
-    N_y = _partial_vec(N, grid, "y")
-    N_xy = _partial_vec(N_x, grid, "y")
+    f_x = _partial_values(f, grid, "x")
+    f_y = _partial_values(f, grid, "y")
+    N_x = _partial_values(N, grid, "x")
+    N_y = _partial_values(N, grid, "y")
+    N_xy = _partial_values(N_x, grid, "y")
 
     # vector residuals are reported through their Euclidean length per
     # node so the numbers are invariant under rigid motions

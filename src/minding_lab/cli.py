@@ -316,6 +316,18 @@ def _store_surface(run: _Run, surface) -> None:
     )
 
 
+def _store_developing(run: _Run, dev) -> None:
+    run.artifacts["developing.json"] = (
+        dev.grid,
+        {
+            "phi_re": dev.phi.real,
+            "phi_im": dev.phi.imag,
+            "dphi_re": dev.dphi.real,
+            "dphi_im": dev.dphi.imag,
+        },
+    )
+
+
 def _embedded_metric_stages(run: _Run, surface):
     """Induced metric plus the pointwise curvature precondition."""
     import numpy as np
@@ -441,15 +453,7 @@ def _factor_stages(run: _Run, h_img, gates: dict):
     except (DevelopError, GridError) as exc:
         run.fail("develop", exc)
         return None
-    run.artifacts["developing.json"] = (
-        dev.grid,
-        {
-            "phi_re": dev.phi.real,
-            "phi_im": dev.phi.imag,
-            "dphi_re": dev.dphi.real,
-            "dphi_im": dev.dphi.imag,
-        },
-    )
+    _store_developing(run, dev)
     pull = pullback_isometry_check(dev, u)
     if not run.gate("pullback_isometry", pull, gates["pullback"] * scale):
         return None
@@ -641,15 +645,7 @@ def cmd_develop(config: PipelineConfig) -> int:
     except (DevelopError, GridError) as exc:
         run.fail("develop", exc)
         return _emit(run)
-    run.artifacts["developing.json"] = (
-        dev.grid,
-        {
-            "phi_re": dev.phi.real,
-            "phi_im": dev.phi.imag,
-            "dphi_re": dev.dphi.real,
-            "dphi_im": dev.dphi.imag,
-        },
-    )
+    _store_developing(run, dev)
     run.gate("pullback_isometry", pullback_isometry_check(dev, u),
              50.0 * h2 * config.tol_scale)
     run.extra["calibration"] = _calibration_block(dev, u)
@@ -806,19 +802,25 @@ _CONFIG_KEYS = (
 )
 
 
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's flag defaults, or none without one."""
+    if args.config is None:
+        return {}
+    path = Path(args.config)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {args.config}")
+    try:
+        defaults = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
+    unknown = set(defaults) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
+    return defaults
+
+
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    defaults: dict = {}
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {args.config}")
-        try:
-            defaults = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
-        unknown = set(defaults) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
+    defaults = _config_defaults(args)
 
     def pick(key, fallback=None):
         flag = getattr(args, key)
@@ -837,20 +839,6 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         out_dir=pick("out"),
         seed=pick("seed"),
     )
-
-
-def _resolve_out(args: argparse.Namespace) -> str | None:
-    if args.out is not None:
-        return args.out
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {args.config}")
-        try:
-            return json.loads(path.read_text()).get("out")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
-    return None
 
 
 def _apply_thread_cap() -> None:
@@ -886,7 +874,8 @@ def main(argv=None) -> int:
         _apply_thread_cap()
         if args.command == "export-plots":
             # reads a prior run; no surface source of its own
-            return cmd_export_plots(_resolve_out(args), args.force)
+            out = args.out if args.out is not None else _config_defaults(args).get("out")
+            return cmd_export_plots(out, args.force)
         return _COMMANDS[args.command](_resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid2D, GridError, ScalarField
+from .grid import Grid2D, GridError, ScalarField, _partial_values
 from .chebyshev import _interp_midpoints
 
 __all__ = [
@@ -36,18 +36,12 @@ class DevelopError(ValueError):
     """Map validation failure or undevelopable input."""
 
 
-def _grad(arr: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
-    if axis == "x":
-        return np.gradient(arr, grid.dx, axis=1, edge_order=2)
-    return np.gradient(arr, grid.dy, axis=0, edge_order=2)
-
-
 def _dz(arr: np.ndarray, grid: Grid2D) -> np.ndarray:
-    return 0.5 * (_grad(arr, grid, "x") - 1j * _grad(arr, grid, "y"))
+    return 0.5 * (_partial_values(arr, grid, "x") - 1j * _partial_values(arr, grid, "y"))
 
 
 def _dbar(arr: np.ndarray, grid: Grid2D) -> np.ndarray:
-    return 0.5 * (_grad(arr, grid, "x") + 1j * _grad(arr, grid, "y"))
+    return 0.5 * (_partial_values(arr, grid, "x") + 1j * _partial_values(arr, grid, "y"))
 
 
 def _second(arr: np.ndarray, step: float, axis: int) -> np.ndarray:
@@ -165,7 +159,7 @@ def holomorphic_invariant(u: ScalarField) -> HolomorphicInvariant:
     # interior truncation constant.
     uxx = _second(vals, g.dx, axis=1)
     uyy = _second(vals, g.dy, axis=0)
-    uxy = _grad(_grad(vals, g, "x"), g, "y")
+    uxy = _partial_values(_partial_values(vals, g, "x"), g, "y")
     uzz = 0.25 * (uxx - uyy - 2j * uxy)
     T = uzz - uz**2
     res = np.abs(_dbar(T, g))

@@ -46,7 +46,9 @@ def _flatten(grid: Grid2D, channels: dict[str, np.ndarray]) -> tuple[list[str], 
 def write_field(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray]) -> None:
     """Write named components on one grid to a JSON field file."""
     names, flat = _flatten(grid, channels)
-    values = [None if np.isnan(v) else float(v) for v in flat]
+    values = flat.tolist()
+    for k in np.flatnonzero(np.isnan(flat)):
+        values[k] = None
     doc = {
         "nx": grid.nx,
         "ny": grid.ny,
@@ -69,11 +71,11 @@ def read_field(path: str | Path) -> tuple[Grid2D, dict[str, np.ndarray]]:
     try:
         grid = Grid2D(doc["x0"], doc["y0"], doc["nx"], doc["ny"], doc["dx"], doc["dy"])
         names = list(doc["components"])
-        flat = np.array(
-            [np.nan if v is None else float(v) for v in doc["values"]], dtype=float
-        )
+        flat = np.array(doc["values"], dtype=float)  # null -> NaN
     except (KeyError, TypeError, ValueError) as exc:
         raise GridError(f"{path}: malformed field file ({exc})") from exc
+    if flat.ndim != 1:
+        raise GridError(f"{path}: values must be a flat list of numbers")
     ncomp = len(names)
     if flat.size != grid.nx * grid.ny * ncomp:
         raise GridError(
@@ -87,13 +89,13 @@ def write_csv(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray]) -
     """Write one row per node with columns x, y and the channel values."""
     names, flat = _flatten(grid, channels)
     cube = flat.reshape(grid.ny, grid.nx, len(names))
-    xs = grid.x()
-    ys = grid.y()
+    # one grid row at a time; csv writes floats through repr
+    rows = np.empty((grid.nx, 2 + len(names)))
+    rows[:, 0] = grid.x()
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x", "y", *names])
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                writer.writerow(
-                    [repr(float(xs[i])), repr(float(ys[j])), *(repr(float(v)) for v in cube[j, i])]
-                )
+        for y, plane in zip(grid.y(), cube):
+            rows[:, 1] = y
+            rows[:, 2:] = plane
+            writer.writerows(rows.tolist())

@@ -29,6 +29,7 @@ from .grid import (
     GridError,
     ScalarField,
     VectorField3,
+    _partial_values,
     fd_laplacian,
     fd_partial,
 )
@@ -148,17 +149,11 @@ def _as_matrices(M, grid: Grid2D, name: str) -> np.ndarray:
     return arr
 
 
-def _partial_vec(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
-    ax = 1 if axis == "x" else 0
-    d = grid.dx if axis == "x" else grid.dy
-    return np.gradient(values, d, axis=ax, edge_order=2)
-
-
 def induced_metric(f: VectorField3) -> MetricField:
     """E, F, G of an immersion by finite differences."""
     grid = f.grid
-    f_x = _partial_vec(f.values, grid, "x")
-    f_y = _partial_vec(f.values, grid, "y")
+    f_x = _partial_values(f.values, grid, "x")
+    f_y = _partial_values(f.values, grid, "y")
     dot = lambda a, b: np.einsum("jki,jki->jk", a, b)
     return MetricField(grid, dot(f_x, f_x), dot(f_x, f_y), dot(f_y, f_y))
 
@@ -171,16 +166,16 @@ def normal_and_second_form(f: VectorField3) -> tuple[VectorField3, SecondForm]:
     on), with the mixed coefficient measured both ways and averaged.
     """
     grid = f.grid
-    f_x = _partial_vec(f.values, grid, "x")
-    f_y = _partial_vec(f.values, grid, "y")
+    f_x = _partial_values(f.values, grid, "x")
+    f_y = _partial_values(f.values, grid, "y")
     cross = np.cross(f_x, f_y)
     norm = np.linalg.norm(cross, axis=2)
     if norm.min() <= 0.0:
         raise DegenerateMetricError("tangent planes degenerate; cannot form a normal")
     N = cross / norm[:, :, None]
 
-    N_x = _partial_vec(N, grid, "x")
-    N_y = _partial_vec(N, grid, "y")
+    N_x = _partial_values(N, grid, "x")
+    N_y = _partial_values(N, grid, "y")
     dot = lambda a, b: np.einsum("jki,jki->jk", a, b)
     ell = -dot(N_x, f_x)
     m1 = -dot(N_x, f_y)
@@ -251,8 +246,8 @@ def zero_curvature_entries(A, B, grid: Grid2D) -> np.ndarray:
     B = _as_matrices(B, grid, "B")
     if grid.nx < 5 or grid.ny < 5:
         raise GridError("zero-curvature check needs at least a 5x5 grid")
-    A_y = np.gradient(A, grid.dy, axis=0, edge_order=2)
-    B_x = np.gradient(B, grid.dx, axis=1, edge_order=2)
+    A_y = _partial_values(A, grid, "y")
+    B_x = _partial_values(B, grid, "x")
     R = A_y - B_x - (A @ B - B @ A)
     R[:2, :] = np.nan
     R[-2:, :] = np.nan

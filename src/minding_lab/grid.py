@@ -3,8 +3,10 @@
 Every quantity in this package lives on a uniform :class:`Grid2D` as a
 scalar, vector, or matrix sample array.  Arrays are indexed ``[j, i]``
 (y index first) so that the C-order flattening is node-major with x
-fastest.  Derivatives use second-order stencils (central inside,
-one-sided on the boundary); integrals use tensor-product trapezoid
+fastest.  Every first derivative in the package, of fields and of raw
+arrays with trailing component axes alike, goes through the one kernel
+``_partial_values``: second-order stencils, central inside and
+one-sided on the boundary.  Integrals use tensor-product trapezoid
 sums.  Second-derivative outputs are only defined on interior nodes and
 carry NaN on the boundary ring; norms therefore come in interior-only
 flavours.
@@ -171,7 +173,7 @@ class ScalarField:
         return self.values[1:-1, 1:-1]
 
     def interior_abs_max(self) -> float:
-        return float(np.nanmax(np.abs(self.interior())))
+        return interior_abs_max(self.values)
 
     def abs_max(self) -> float:
         return float(np.abs(self.values).max())
@@ -257,6 +259,7 @@ class TestFunction:
 
 
 def _partial_values(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
+    """Second-order partial of a raw ``(ny, nx, ...)`` array along ``axis``."""
     if axis == "x":
         return np.gradient(values, grid.dx, axis=1, edge_order=2)
     if axis == "y":

@@ -7,7 +7,9 @@ Each checker below integrates both sides of an identity against a
 family of bumps and reports the residuals.  Gradients of the test
 functions are always closed-form, never finite differences, so a
 nonzero residual points at the field under test (or at quadrature
-error, which shrinks at second order).
+error, which shrinks at second order).  Every checker is a list of
+signed terms handed to the one pairing kernel ``_pair``, which samples
+each bump once and integrates each term through ``quadrature``.
 
 The residual for the curvature equation is the weak form
 
@@ -28,6 +30,7 @@ from .grid import (
     GridError,
     ScalarField,
     TestFunction,
+    _partial_values,
     fd_partial,
     quadrature,
 )
@@ -105,16 +108,38 @@ def bump_lattice(grid: Grid2D, centers_per_axis: int = 5, radii_fractions=(0.1, 
     return tests
 
 
-def _check_tests(grid: Grid2D, tests) -> list:
-    tests = list(tests)
-    if not tests:
-        raise GridError("empty test family")
+def _pair(grid: Grid2D, tests, rows) -> WeakResidualReport:
+    """Weak residuals of ``rows`` against every test, test-major.
+
+    Each row is a list of terms ``(sign, integrand)``; its residual is
+    the running sum of ``sign * quadrature(integrand(t))`` in list
+    order, where ``t`` maps ``"v"``, ``"x"`` and ``"y"`` to the bump's
+    samples and analytic partials, taken once per bump.  Terms stay
+    separate quadratures: the trapezoid rule is linear only in exact
+    arithmetic, so merging them would move residuals at rounding level.
+    """
+    X, Y = grid.mesh()
+    residuals = []
+    normalizers = []
     for v in tests:
         if not v.supported_inside(grid):
             raise GridError(
                 f"test support touches the boundary: center ({v.cx}, {v.cy}) radius {v.r}"
             )
-    return tests
+        gx, gy = v.grad(X, Y)
+        t = {"v": v.value(X, Y), "x": gx, "y": gy}
+        for terms in rows:
+            r = None
+            for sign, integrand in terms:
+                q = sign * quadrature(ScalarField(grid, integrand(t)))
+                r = q if r is None else r + q
+            residuals.append(r)
+            normalizers.append(v.exact_integral())
+    return WeakResidualReport(tuple(residuals), tuple(normalizers))
+
+
+def _mixed_terms(Wx: np.ndarray, Wy: np.ndarray) -> list:
+    return [(-1.0, lambda t: Wx * t["y"]), (1.0, lambda t: Wy * t["x"])]
 
 
 def mixed_partials_check(W, tests) -> WeakResidualReport:
@@ -126,40 +151,18 @@ def mixed_partials_check(W, tests) -> WeakResidualReport:
     derivatives onto v, where symmetry is classical).  Accepts a scalar
     field or a matrix field; matrix residuals report the worst entry.
     """
-    if isinstance(W, FrameField):
-        grid = W.grid
-        tests = _check_tests(grid, tests)
-        Wx = np.gradient(W.values, grid.dx, axis=1, edge_order=2)
-        Wy = np.gradient(W.values, grid.dy, axis=0, edge_order=2)
-        residuals = []
-        normalizers = []
-        for v in tests:
-            gx, gy = v.grad_sample(grid)
-            worst = 0.0
-            for p in range(3):
-                for q in range(3):
-                    r = -quadrature(
-                        ScalarField(grid, Wx[:, :, p, q] * gy)
-                    ) + quadrature(ScalarField(grid, Wy[:, :, p, q] * gx))
-                    worst = max(worst, abs(r))
-            residuals.append(worst)
-            normalizers.append(v.exact_integral())
-        return WeakResidualReport(tuple(residuals), tuple(normalizers))
-
     grid = W.grid
-    tests = _check_tests(grid, tests)
-    Wx = fd_partial(W, "x").values
-    Wy = fd_partial(W, "y").values
-    residuals = []
-    normalizers = []
-    for v in tests:
-        gx, gy = v.grad_sample(grid)
-        r = -quadrature(ScalarField(grid, Wx * gy)) + quadrature(
-            ScalarField(grid, Wy * gx)
+    if isinstance(W, FrameField):
+        Wx = _partial_values(W.values, grid, "x")
+        Wy = _partial_values(W.values, grid, "y")
+        entries = _pair(grid, tests, [
+            _mixed_terms(Wx[:, :, p, q], Wy[:, :, p, q]) for p in range(3) for q in range(3)
+        ])
+        return WeakResidualReport(
+            tuple(max(map(abs, entries.residuals[k:k + 9])) for k in range(0, entries.count, 9)),
+            entries.normalizers[::9],
         )
-        residuals.append(r)
-        normalizers.append(v.exact_integral())
-    return WeakResidualReport(tuple(residuals), tuple(normalizers))
+    return _pair(grid, tests, [_mixed_terms(fd_partial(W, "x").values, fd_partial(W, "y").values)])
 
 
 def product_rule_check(P: ScalarField, L: ScalarField, tests, axis: str = "x") -> WeakResidualReport:
@@ -182,23 +185,14 @@ def product_rule_check(P: ScalarField, L: ScalarField, tests, axis: str = "x") -
     discontinuous L.
     """
     P.grid.require_matches(L.grid)
-    grid = P.grid
-    tests = _check_tests(grid, tests)
+    Pv, Lv = P.values, L.values
     Pd = fd_partial(P, axis).values
-    residuals = []
-    normalizers = []
-    for v in tests:
-        vals = v.sample(grid).values
-        gx, gy = v.grad_sample(grid)
-        dv = gx if axis == "x" else gy
-        r = (
-            -quadrature(ScalarField(grid, P.values * L.values * dv))
-            - quadrature(ScalarField(grid, Pd * L.values * vals))
-            + quadrature(ScalarField(grid, L.values * (Pd * vals + P.values * dv)))
-        )
-        residuals.append(r)
-        normalizers.append(v.exact_integral())
-    return WeakResidualReport(tuple(residuals), tuple(normalizers))
+    PL, PdL = Pv * Lv, Pd * Lv
+    return _pair(P.grid, tests, [[
+        (-1.0, lambda t: PL * t[axis]),
+        (-1.0, lambda t: PdL * t["v"]),
+        (1.0, lambda t: Lv * (Pd * t["v"] + Pv * t[axis])),
+    ]])
 
 
 def product_rule_pointwise_residual(P: ScalarField, L: ScalarField, axis: str = "x") -> float:
@@ -227,22 +221,30 @@ def liouville_weak_residual(u: ScalarField, tests) -> WeakResidualReport:
     quadrature error) exactly when u = ln h is a weak solution of
     lap(u) = e^{2u}, i.e. when h^2(dx^2+dy^2) has curvature -1.
     """
-    grid = u.grid
-    tests = _check_tests(grid, tests)
     ux = fd_partial(u, "x").values
     uy = fd_partial(u, "y").values
     source = np.exp(2.0 * u.values)
-    residuals = []
-    normalizers = []
-    for v in tests:
-        vals = v.sample(grid).values
-        gx, gy = v.grad_sample(grid)
-        r = quadrature(ScalarField(grid, ux * gx + uy * gy)) + quadrature(
-            ScalarField(grid, source * vals)
-        )
-        residuals.append(r)
-        normalizers.append(v.exact_integral())
-    return WeakResidualReport(tuple(residuals), tuple(normalizers))
+    return _pair(u.grid, tests, [[
+        (1.0, lambda t: ux * t["x"] + uy * t["y"]),
+        (1.0, lambda t: source * t["v"]),
+    ]])
+
+
+def _connection_arrays(A, B, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    A_vals = A.values if isinstance(A, FrameField) else np.asarray(A, dtype=float)
+    B_vals = B.values if isinstance(B, FrameField) else np.asarray(B, dtype=float)
+    if A_vals.shape != grid.shape + (3, 3) or B_vals.shape != A_vals.shape:
+        raise GridError("connection matrices must be sampled as (ny, nx, 3, 3)")
+    return A_vals, B_vals
+
+
+def _entry_terms(A: np.ndarray, B: np.ndarray, commutator: np.ndarray, p: int, q: int) -> list:
+    a, b, c = A[:, :, p, q], B[:, :, p, q], commutator[:, :, p, q]
+    return [
+        (-1.0, lambda t: a * t["y"]),
+        (1.0, lambda t: b * t["x"]),
+        (-1.0, lambda t: c * t["v"]),
+    ]
 
 
 def frame_weak_entry_residual(A, B, grid: Grid2D, p: int, q: int, tests) -> WeakResidualReport:
@@ -253,29 +255,11 @@ def frame_weak_entry_residual(A, B, grid: Grid2D, p: int, q: int, tests) -> Weak
         r(w) = -integral(A_pq w_y) + integral(B_pq w_x)
                - integral((AB - BA)_pq w)
     """
-    A_vals = A.values if isinstance(A, FrameField) else np.asarray(A, dtype=float)
-    B_vals = B.values if isinstance(B, FrameField) else np.asarray(B, dtype=float)
-    if A_vals.shape != grid.shape + (3, 3) or B_vals.shape != A_vals.shape:
-        raise GridError("connection matrices must be sampled as (ny, nx, 3, 3)")
+    A_vals, B_vals = _connection_arrays(A, B, grid)
     if not (0 <= p < 3 and 0 <= q < 3):
         raise GridError("entry indices must lie in 0..2")
-    tests = _check_tests(grid, tests)
-    commutator = (A_vals @ B_vals - B_vals @ A_vals)[:, :, p, q]
-    a = A_vals[:, :, p, q]
-    b = B_vals[:, :, p, q]
-    residuals = []
-    normalizers = []
-    for w in tests:
-        vals = w.sample(grid).values
-        gx, gy = w.grad_sample(grid)
-        r = (
-            -quadrature(ScalarField(grid, a * gy))
-            + quadrature(ScalarField(grid, b * gx))
-            - quadrature(ScalarField(grid, commutator * vals))
-        )
-        residuals.append(r)
-        normalizers.append(w.exact_integral())
-    return WeakResidualReport(tuple(residuals), tuple(normalizers))
+    commutator = A_vals @ B_vals - B_vals @ A_vals
+    return _pair(grid, tests, [_entry_terms(A_vals, B_vals, commutator, p, q)])
 
 
 def frame_weak_compatibility(A, B, grid: Grid2D, tests) -> WeakResidualReport:
@@ -284,16 +268,8 @@ def frame_weak_compatibility(A, B, grid: Grid2D, tests) -> WeakResidualReport:
     One residual per (test, entry) pair, ordered test-major with the
     entry index q fastest.
     """
-    residuals = []
-    normalizers = []
-    per_entry = [
-        frame_weak_entry_residual(A, B, grid, p, q, tests)
-        for p in range(3)
-        for q in range(3)
-    ]
-    n_tests = per_entry[0].count
-    for t in range(n_tests):
-        for rep in per_entry:
-            residuals.append(rep.residuals[t])
-            normalizers.append(rep.normalizers[t])
-    return WeakResidualReport(tuple(residuals), tuple(normalizers))
+    A_vals, B_vals = _connection_arrays(A, B, grid)
+    commutator = A_vals @ B_vals - B_vals @ A_vals
+    return _pair(grid, tests, [
+        _entry_terms(A_vals, B_vals, commutator, p, q) for p in range(3) for q in range(3)
+    ])

@@ -1,10 +1,15 @@
 """Command driver: exit codes, reports, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minding_lab
 from minding_lab.cli import (
     EXIT_PASS,
     EXIT_SOLVER,
@@ -212,6 +217,17 @@ class TestArtifactsAndExport:
         assert run_cli(capsys, "export-plots", "--out", str(out))[0] == EXIT_USAGE
         assert run_cli(capsys, "export-plots", "--out", str(out), "--force")[0] == EXIT_PASS
 
+    def test_export_out_from_config(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere",
+                "--n", "33", "--out", str(out))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(out)}))
+        assert run_cli(capsys, "export-plots", "--config", str(cfg))[0] == EXIT_PASS
+        assert (out / "plots" / "u.csv").is_file()
+        cfg.write_text(json.dumps({"out": str(out), "outdir": "elsewhere"}))
+        assert run_cli(capsys, "export-plots", "--config", str(cfg), "--force")[0] == EXIT_USAGE
+
     def test_export_needs_prior_run(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "export-plots", "--out", str(tmp_path / "nothing"))
         assert code == EXIT_USAGE
@@ -259,6 +275,17 @@ class TestUsage:
         code, _ = run_cli(capsys, "liouville-check", "--catalog",
                           "half_plane_pseudosphere", "--n", "33")
         assert code == EXIT_PASS
+
+    def test_cli_import_loads_no_numpy(self):
+        # numpy sizes its BLAS thread pool when it is first imported, so
+        # the MINDING_LAB_THREADS cap only reaches it if importing the
+        # CLI leaves numpy unloaded until a command body runs
+        src = str(Path(minding_lab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, minding_lab.cli; sys.exit('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe],
+                                env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert result.returncode == 0
 
     def test_config_file_defaults_and_flag_wins(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

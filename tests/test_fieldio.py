@@ -15,13 +15,15 @@ def grid():
 def test_round_trip_bit_exact(tmp_path, grid):
     rng = np.random.default_rng(3)
     u = rng.standard_normal(grid.shape)
+    u.flat[:6] = [np.nan, -0.0, 5e-324, 1e300, -1e300, 0.0]
     f = rng.standard_normal(grid.shape + (3,))
     path = tmp_path / "field.json"
     write_field(path, grid, {"u": u, "f": f})
     grid2, channels = read_field(path)
     assert grid2.matches(grid)
     assert sorted(channels) == ["f_0", "f_1", "f_2", "u"]
-    assert (channels["u"] == u).all()
+    # compare bit patterns: -0.0 == 0.0 and NaN != NaN under ==
+    assert (channels["u"].view(np.int64) == u.view(np.int64)).all()
     for k in range(3):
         assert (channels[f"f_{k}"] == f[:, :, k]).all()
 
@@ -52,13 +54,21 @@ def test_interleaved_node_major_layout(tmp_path, grid):
 
 
 def test_read_rejects_malformed(tmp_path):
+    import json
+
+    header = {"nx": 3, "ny": 3, "x0": 0, "y0": 0, "dx": 1, "dy": 1, "components": ["u"]}
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(GridError):
-        read_field(path)
-    path.write_text('{"nx": 3}')
-    with pytest.raises(GridError):
-        read_field(path)
+    for text in (
+        "{not json",
+        '{"nx": 3}',
+        # nested values: np.array accepts them, the reader must not; the
+        # second list even holds the nine values the header asks for
+        json.dumps({**header, "values": [[1.0, 2.0], [3.0, 4.0]]}),
+        json.dumps({**header, "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]}),
+    ):
+        path.write_text(text)
+        with pytest.raises(GridError):
+            read_field(path)
 
 
 def test_read_rejects_wrong_length(tmp_path, grid):

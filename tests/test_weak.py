@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minding_lab.grid import Grid2D, GridError, ScalarField, TestFunction, quadrature
+from minding_lab.grid import Grid2D, GridError, ScalarField, TestFunction, fd_partial, quadrature
 from minding_lab.forms import FrameField, SecondForm, isothermic_connection
 from minding_lab.weak import (
     WeakResidualReport,
@@ -231,3 +231,136 @@ class TestFrameWeak:
         g, A, B = half_plane_connection(33)
         with pytest.raises(GridError):
             frame_weak_entry_residual(A, B, g, 3, 0, bump_lattice(g))
+
+
+# Reference implementations: the per-check loops the pairing kernel
+# replaced, kept verbatim so the kernel can be held to exact equality.
+
+
+def ref_mixed_partials(W, tests):
+    grid = W.grid
+    if isinstance(W, FrameField):
+        Wx = np.gradient(W.values, grid.dx, axis=1, edge_order=2)
+        Wy = np.gradient(W.values, grid.dy, axis=0, edge_order=2)
+        residuals = []
+        for v in tests:
+            gx, gy = v.grad_sample(grid)
+            worst = 0.0
+            for p in range(3):
+                for q in range(3):
+                    r = -quadrature(
+                        ScalarField(grid, Wx[:, :, p, q] * gy)
+                    ) + quadrature(ScalarField(grid, Wy[:, :, p, q] * gx))
+                    worst = max(worst, abs(r))
+            residuals.append(worst)
+        return residuals
+    Wx = fd_partial(W, "x").values
+    Wy = fd_partial(W, "y").values
+    residuals = []
+    for v in tests:
+        gx, gy = v.grad_sample(grid)
+        r = -quadrature(ScalarField(grid, Wx * gy)) + quadrature(
+            ScalarField(grid, Wy * gx)
+        )
+        residuals.append(r)
+    return residuals
+
+
+def ref_product_rule(P, L, tests, axis):
+    grid = P.grid
+    Pd = fd_partial(P, axis).values
+    residuals = []
+    for v in tests:
+        vals = v.sample(grid).values
+        gx, gy = v.grad_sample(grid)
+        dv = gx if axis == "x" else gy
+        r = (
+            -quadrature(ScalarField(grid, P.values * L.values * dv))
+            - quadrature(ScalarField(grid, Pd * L.values * vals))
+            + quadrature(ScalarField(grid, L.values * (Pd * vals + P.values * dv)))
+        )
+        residuals.append(r)
+    return residuals
+
+
+def ref_liouville(u, tests):
+    grid = u.grid
+    ux = fd_partial(u, "x").values
+    uy = fd_partial(u, "y").values
+    source = np.exp(2.0 * u.values)
+    residuals = []
+    for v in tests:
+        vals = v.sample(grid).values
+        gx, gy = v.grad_sample(grid)
+        r = quadrature(ScalarField(grid, ux * gx + uy * gy)) + quadrature(
+            ScalarField(grid, source * vals)
+        )
+        residuals.append(r)
+    return residuals
+
+
+def ref_frame_entry(A, B, grid, p, q, tests):
+    commutator = (A.values @ B.values - B.values @ A.values)[:, :, p, q]
+    a = A.values[:, :, p, q]
+    b = B.values[:, :, p, q]
+    residuals = []
+    for w in tests:
+        vals = w.sample(grid).values
+        gx, gy = w.grad_sample(grid)
+        r = (
+            -quadrature(ScalarField(grid, a * gy))
+            + quadrature(ScalarField(grid, b * gx))
+            - quadrature(ScalarField(grid, commutator * vals))
+        )
+        residuals.append(r)
+    return residuals
+
+
+class TestKernelEquivalence:
+    """The pairing kernel reproduces the reference loops bit for bit.
+
+    The grid has nx != ny and dx != dy, so a swapped axis or spacing
+    cannot hide behind the x<->y symmetry of the square oracles.
+    """
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        g = Grid2D.from_bounds(0.0, 1.3, 1.4, 2.4, 57, 45)
+        _, Y = g.mesh()
+        root = np.sqrt(Y**2 - 1.0)
+        II = SecondForm(g, root / Y**2, 0.1 * np.sin(3.0 * Y), -1.0 / (Y**2 * root))
+        A, B = isothermic_connection(ScalarField(g, 1.0 / Y), II)
+        tests = bump_lattice(g)
+        assert g.dx != g.dy and len(tests) > 1
+        return g, A, B, tests
+
+    def test_scalar_checks(self, setup):
+        g, _, _, tests = setup
+        W = ScalarField.from_function(g, lambda X, Y: np.sin(1.3 * X) * np.exp(0.4 * Y) + X * Y**2)
+        P = ScalarField.from_function(g, lambda X, Y: np.cos(X + 0.3 * Y))
+        L = ScalarField.from_function(g, lambda X, Y: np.abs(Y - 1.9) + X**2)
+        u = ScalarField.from_function(g, lambda X, Y: -np.log(Y) + 0.05 * X)
+        assert mixed_partials_check(W, tests).residuals == tuple(ref_mixed_partials(W, tests))
+        for axis in ("x", "y"):
+            rep = product_rule_check(P, L, tests, axis=axis)
+            assert rep.residuals == tuple(ref_product_rule(P, L, tests, axis))
+        rep = liouville_weak_residual(u, tests)
+        assert rep.residuals == tuple(ref_liouville(u, tests))
+        assert rep.normalizers == tuple(v.exact_integral() for v in tests)
+
+    def test_frame_checks(self, setup):
+        g, A, B, tests = setup
+        assert mixed_partials_check(A, tests).residuals == tuple(ref_mixed_partials(A, tests))
+        per_entry = {}
+        for p in range(3):
+            for q in range(3):
+                per_entry[p, q] = ref_frame_entry(A, B, g, p, q, tests)
+                rep = frame_weak_entry_residual(A, B, g, p, q, tests)
+                assert rep.residuals == tuple(per_entry[p, q])
+        # test-major with the entry index fastest, as perfbench/audit.py
+        # slices it with [1::9]
+        full = frame_weak_compatibility(A, B, g, tests)
+        expected = [per_entry[p, q][t] for t in range(len(tests)) for p in range(3) for q in range(3)]
+        assert full.residuals == tuple(expected)
+        assert full.normalizers == tuple(v.exact_integral() for v in tests for _ in range(9))
+        assert full.residuals[1::9] == tuple(per_entry[0, 1])
