@@ -813,6 +813,8 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         defaults = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
+    if not isinstance(defaults, dict):
+        raise ConfigError(f"{args.config}: config must be a JSON object of flag defaults")
     unknown = set(defaults) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")

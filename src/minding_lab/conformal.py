@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import RectBivariateSpline
 from scipy.sparse.linalg import spsolve
+from scipy.spatial import cKDTree
 
 from .grid import Grid2D, GridError, ScalarField, fd_laplacian, fd_partial
 from .forms import MetricField
@@ -272,27 +273,22 @@ def rescale_to_liouville(h: ScalarField) -> tuple[ScalarField, float]:
 
 
 def _boundary_polygon(chart: Chart) -> np.ndarray:
-    Xv, Yv = chart.X.values, chart.Y.values
-    idx = []
-    ny, nx = chart.grid.shape
-    idx += [(0, i) for i in range(nx)]
-    idx += [(j, nx - 1) for j in range(1, ny)]
-    idx += [(ny - 1, i) for i in range(nx - 2, -1, -1)]
-    idx += [(j, 0) for j in range(ny - 2, 0, -1)]
-    return np.array([(Xv[j, i], Yv[j, i]) for j, i in idx])
+    # node images counter-clockwise in index space from the first node:
+    # bottom row, right column, top row back, left column down
+    def ring(a: np.ndarray) -> np.ndarray:
+        return np.concatenate([a[0, :], a[1:, -1], a[-1, -2::-1], a[-2:0:-1, 0]])
+
+    return np.column_stack([ring(chart.X.values), ring(chart.Y.values)])
 
 
 def _points_in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    # even-odd ray casting, vectorized over query points
-    x0, y0 = poly[:, 0], poly[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    inside = np.zeros(px.shape, dtype=bool)
-    for ax, ay, bx, by in zip(x0, y0, x1, y1):
-        crosses = (ay > py) != (by > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcut = ax + (py - ay) * (bx - ax) / (by - ay)
-        inside ^= crosses & (px < xcut)
-    return inside
+    # even-odd ray casting: one (edges x points) crossing table, XOR over edges
+    ax, ay = poly[:, :1], poly[:, 1:]
+    bx, by = np.roll(ax, -1, axis=0), np.roll(ay, -1, axis=0)
+    crosses = (ay > py) != (by > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xcut = ax + (py - ay) * (bx - ax) / (by - ay)
+    return np.logical_xor.reduce(crosses & (px < xcut), axis=0)
 
 
 def inner_image_grid(chart: Chart, n: int = 65, margin: float = 0.12) -> Grid2D:
@@ -333,13 +329,45 @@ def inner_image_grid(chart: Chart, n: int = 65, margin: float = 0.12) -> Grid2D:
     return Grid2D.from_bounds(cx - w, cx + w, cy - hh, cy + hh, n, n)
 
 
+def _nearest_seed(px: np.ndarray, py: np.ndarray,
+                  qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+    """Index of the point ``(px, py)`` nearest to each query ``(qx, qy)``.
+
+    Equal to ``np.argmin`` along the points axis of the dense squared
+    distance ``(qx - px)**2 + (qy - py)**2``, lowest index on exact ties
+    included, in memory linear in queries plus points.  A KD-tree
+    proposes ``k`` candidates per query and that same formula ranks
+    them.  A query whose farthest candidate lies within rounding of its
+    nearest one may have a tied point outside the set, so it is asked
+    again with twice as many candidates.
+    """
+    tree = cKDTree(np.column_stack([px, py]))
+    seed = np.empty(qx.size, dtype=np.intp)
+    rows = np.arange(qx.size)
+    k = min(8, px.size)
+    while rows.size:
+        _, cand = tree.query(np.column_stack([qx[rows], qy[rows]]), k=k)
+        cand = cand.reshape(rows.size, k)
+        d2 = (qx[rows, None] - px[cand]) ** 2 + (qy[rows, None] - py[cand]) ** 2
+        best = d2.min(axis=1, keepdims=True)
+        seed[rows] = np.where(d2 == best, cand, px.size).min(axis=1)
+        settled = (d2.max(axis=1) > best[:, 0] * (1.0 + 1e-9)) | (k == px.size)
+        rows = rows[~settled]
+        k = min(2 * k, px.size)
+    return seed
+
+
 def chart_preimage(chart: Chart, image_grid: Grid2D,
                    tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
     """Source coordinates of every node of ``image_grid`` under the chart.
 
     Spline-interpolates ``(X, Y)`` and runs a vectorized Newton solve
-    per image node, seeded from the nearest sampled node image.  Nodes
-    must lie inside the image; use ``inner_image_grid`` to stay there.
+    per image node.  Each node starts from the source point of its
+    nearest node image on a subsampled source grid, found through a
+    KD-tree, so memory stays O(n^2) on n x n grids (linear in nodes);
+    the seeds, ties included, are those of a dense argmin over every
+    (image node, sampled node) pair.  Nodes must lie inside the image;
+    use ``inner_image_grid`` to stay there.
     """
     g = chart.grid
     sx = RectBivariateSpline(g.y(), g.x(), chart.X.values)
@@ -349,14 +377,12 @@ def chart_preimage(chart: Chart, image_grid: Grid2D,
 
     # coarse nearest-image seed
     step = max(1, min(g.nx, g.ny) // 48)
-    Xs = chart.X.values[::step, ::step].ravel()
-    Ys = chart.Y.values[::step, ::step].ravel()
     Xg, Yg = g.mesh()
     xs = Xg[::step, ::step].ravel()
     ys = Yg[::step, ::step].ravel()
-    d2 = (xt[:, None] - Xs[None, :]) ** 2 + (yt[:, None] - Ys[None, :]) ** 2
-    seed = np.argmin(d2, axis=1)
-    x, y = xs[seed].copy(), ys[seed].copy()
+    seed = _nearest_seed(chart.X.values[::step, ::step].ravel(),
+                         chart.Y.values[::step, ::step].ravel(), xt, yt)
+    x, y = xs[seed], ys[seed]
 
     for _ in range(60):
         rx = sx.ev(y, x) - xt

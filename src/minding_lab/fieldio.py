@@ -72,7 +72,7 @@ def read_field(path: str | Path) -> tuple[Grid2D, dict[str, np.ndarray]]:
         grid = Grid2D(doc["x0"], doc["y0"], doc["nx"], doc["ny"], doc["dx"], doc["dy"])
         names = list(doc["components"])
         flat = np.array(doc["values"], dtype=float)  # null -> NaN
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise GridError(f"{path}: malformed field file ({exc})") from exc
     if flat.ndim != 1:
         raise GridError(f"{path}: values must be a flat list of numbers")

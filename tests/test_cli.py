@@ -303,3 +303,22 @@ class TestUsage:
         cfg.write_text(json.dumps({"surface": "one_soliton"}))
         code, _ = run_cli(capsys, "liouville-check", "--config", str(cfg))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"x"'])
+    def test_config_file_not_an_object(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        for argv in (["liouville-check", "--config", str(cfg)],
+                     ["export-plots", "--config", str(cfg)]):
+            assert main(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert str(cfg) in err and "JSON object" in err
+
+    def test_factor_file_float_overflow(self, capsys, tmp_path):
+        path = tmp_path / "u.json"
+        write_factor(path, 0.0, n=17)
+        doc = json.loads(path.read_text())
+        doc["values"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err

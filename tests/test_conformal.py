@@ -1,8 +1,11 @@
 """Catalog charts and the least-squares conformal flattener."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import minding_lab.conformal as conformal
 from minding_lab.grid import Grid2D, GridError, ScalarField, fd_partial
 from minding_lab.forms import MetricField, gauss_curvature_isothermic
 from minding_lab.conformal import (
@@ -21,6 +24,26 @@ def soliton_metric(n):
     g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, n, n)
     X, Y = g.mesh()
     return g, MetricField.chebyshev(4.0 * np.arctan(np.exp(X + Y)), g)
+
+
+def dense_seed(px, py, qx, qy):
+    """The preimage seed before the KD-tree: argmin over one dense
+    (queries x points) squared-distance matrix."""
+    d2 = (qx[:, None] - px[None, :]) ** 2 + (qy[:, None] - py[None, :]) ** 2
+    return np.argmin(d2, axis=1)
+
+
+def loop_points_in_polygon(px, py, poly):
+    """Even-odd ray casting one polygon edge at a time."""
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    inside = np.zeros(px.shape, dtype=bool)
+    for ax, ay, bx, by in zip(x0, y0, x1, y1):
+        crosses = (ay > py) != (by > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcut = ax + (py - ay) * (bx - ax) / (by - ay)
+        inside ^= crosses & (px < xcut)
+    return inside
 
 
 def chart_jacobian(chart):
@@ -208,6 +231,102 @@ class TestImageResampling:
         ig = inner_image_grid(chart, 9)
         with pytest.raises(GridError):
             resample_to_image(ScalarField(other, np.ones(other.shape)), chart, ig)
+
+
+@pytest.fixture(scope="module")
+def asymmetric_soliton_chart():
+    # nx != ny and dx != dy, so no x<->y symmetry hides a transposition
+    g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.4, 65, 49)
+    X, Y = g.mesh()
+    return flatten_conformal(MetricField.chebyshev(4.0 * np.arctan(np.exp(X + Y)), g))
+
+
+class TestPreimageSeed:
+    """``chart_preimage`` seeds Newton through a KD-tree; the seeds and
+    hence the preimages must be exactly those of the dense argmin."""
+
+    @pytest.mark.parametrize("source", ["soliton", "poincare_disk_patch"])
+    def test_preimage_equals_dense_seed_reference(self, monkeypatch, request, source):
+        if source == "soliton":
+            chart = request.getfixturevalue("asymmetric_soliton_chart")
+        else:
+            # n = 129 subsamples the seed nodes with step 2
+            chart = catalog_chart(source, 129)[1]
+        box = inner_image_grid(chart, 33)
+        image = Grid2D.from_bounds(box.x0, box.x1, box.y0, box.y1, 41, 29)
+        XT, YT = image.mesh()
+        qx, qy = XT.ravel(), YT.ravel()
+        for step in (1, 2, 3):
+            px = chart.X.values[::step, ::step].ravel()
+            py = chart.Y.values[::step, ::step].ravel()
+            assert np.array_equal(conformal._nearest_seed(px, py, qx, qy),
+                                  dense_seed(px, py, qx, qy))
+        x, y = chart_preimage(chart, image)
+        monkeypatch.setattr(conformal, "_nearest_seed", dense_seed)
+        xd, yd = chart_preimage(chart, image)
+        assert np.array_equal(x, xd) and np.array_equal(y, yd)
+
+    def test_exact_ties_pick_lowest_index(self):
+        # twelve lattice points at squared distance exactly 25 from the
+        # origin, more than the first candidate batch, shuffled among
+        # farther points so index order and tree order disagree
+        ring = [(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (4, 3),
+                (-3, 4), (-4, 3), (3, -4), (4, -3), (-3, -4), (-4, -3)]
+        far = [(6, 1), (-6, 2), (1, -7), (7, 7), (-8, 0), (2, 9)]
+        pts = np.array(ring + far, dtype=float)
+        order = np.random.default_rng(3).permutation(len(pts))
+        pts = pts[order]
+        tied = np.flatnonzero(order < len(ring))
+        # the origin, the two-way tie between (3, 4) and (4, 3), and an
+        # exact hit on (4, 3)
+        qx = np.array([0.0, 3.5, 4.0])
+        qy = np.array([0.0, 3.5, 3.0])
+        seed = conformal._nearest_seed(pts[:, 0], pts[:, 1], qx, qy)
+        assert seed[0] == tied.min()
+        assert np.array_equal(seed, dense_seed(pts[:, 0], pts[:, 1], qx, qy))
+        # four equidistant lattice nodes around every cell centre
+        lat = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), -1).reshape(-1, 2)
+        lat = lat[np.random.default_rng(4).permutation(len(lat))]
+        cx, cy = (c.ravel() + 0.5 for c in np.meshgrid(np.arange(5.0), np.arange(4.0)))
+        assert np.array_equal(conformal._nearest_seed(lat[:, 0], lat[:, 1], cx, cy),
+                              dense_seed(lat[:, 0], lat[:, 1], cx, cy))
+
+    def test_preimage_memory_is_quadratic(self):
+        # a dense seed holds (129^2 image nodes) x (65^2 seed nodes)
+        # doubles, about 0.5 GB before temporaries
+        chart = catalog_chart("poincare_disk_patch", 129)[1]
+        image = inner_image_grid(chart, 129)
+        tracemalloc.start()
+        try:
+            chart_preimage(chart, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+class TestImageGridKernels:
+    def test_boundary_polygon_walks_the_frame(self, asymmetric_soliton_chart):
+        chart = asymmetric_soliton_chart
+        ny, nx = chart.grid.shape
+        idx = ([(0, i) for i in range(nx)] + [(j, nx - 1) for j in range(1, ny)]
+               + [(ny - 1, i) for i in range(nx - 2, -1, -1)]
+               + [(j, 0) for j in range(ny - 2, 0, -1)])
+        expected = np.array([(chart.X.values[j, i], chart.Y.values[j, i]) for j, i in idx])
+        assert np.array_equal(conformal._boundary_polygon(chart), expected)
+
+    def test_points_in_polygon_equals_edge_loop(self, asymmetric_soliton_chart):
+        chart = asymmetric_soliton_chart
+        poly = conformal._boundary_polygon(chart)
+        rng = np.random.default_rng(5)
+        X, Y = chart.X.values, chart.Y.values
+        # random points around the image plus the polygon's own vertices,
+        # where the crossing test sits on its ties
+        px = np.concatenate([rng.uniform(X.min() - 0.1, X.max() + 0.1, 3000), poly[:, 0]])
+        py = np.concatenate([rng.uniform(Y.min() - 0.1, Y.max() + 0.1, 3000), poly[:, 1]])
+        inside = conformal._points_in_polygon(px, py, poly)
+        assert np.array_equal(inside, loop_points_in_polygon(px, py, poly))
+        assert inside.any() and not inside.all()
 
 
 class TestRescale:

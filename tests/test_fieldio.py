@@ -65,6 +65,8 @@ def test_read_rejects_malformed(tmp_path):
         # second list even holds the nine values the header asks for
         json.dumps({**header, "values": [[1.0, 2.0], [3.0, 4.0]]}),
         json.dumps({**header, "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]}),
+        # an integer no float can hold: float() raises OverflowError
+        json.dumps({**header, "values": [10**400] + [0.0] * 8}),
     ):
         path.write_text(text)
         with pytest.raises(GridError):
