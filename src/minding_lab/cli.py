@@ -7,7 +7,8 @@ fixed key order and no timestamps, so identical configurations produce
 byte-identical output.
 
 Exit codes: 0 all gates passed, 2 unusable configuration or missing
-input, 3 a residual exceeded its gate, 4 a solver gave up.
+input, 3 a residual exceeded its gate, 4 a solver gave up.  Any other
+exception is a programming error and propagates with its traceback.
 
 Only the standard library is imported at module level: numpy reads its
 threading environment once at import time, so the MINDING_LAB_THREADS
@@ -869,6 +870,23 @@ _COMMANDS = {
 }
 
 
+def _solver_errors() -> tuple:
+    """The package's solver breakdowns, reported with exit 4.
+
+    Imported on demand because they live next to numpy code.  Anything
+    else escaping a command, apart from usage errors, is a bug and keeps
+    its traceback.
+    """
+    from minding_lab.chebyshev import IncompatibleAngleError, SingularAngleError
+    from minding_lab.conformal import ConformalError
+    from minding_lab.developing import DevelopError
+    from minding_lab.elliptic import EllipticError
+    from minding_lab.forms import DegenerateMetricError
+
+    return (EllipticError, ConformalError, DevelopError, IncompatibleAngleError,
+            SingularAngleError, DegenerateMetricError)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -882,14 +900,21 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # solver-level surprise: report, do not traceback
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
         from minding_lab.grid import GridError
 
         if isinstance(exc, GridError):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        if isinstance(exc, _solver_errors()):
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+        raise  # a programming error, not a verdict: keep the traceback
 
 
 if __name__ == "__main__":

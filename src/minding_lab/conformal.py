@@ -150,15 +150,19 @@ def catalog_chart(name: str, n: int = 65, alpha: float | None = None):
 
 
 def _triangle_rows(metric: MetricField):
-    """Conformality residual rows, two per triangle, two triangles per cell.
+    """Complex conformality residual rows, one per triangle, two
+    triangles per cell.
 
     Each grid cell is split along its main diagonal.  A triangle is laid
     out isometrically (w.r.t. the metric averaged over its vertices) in
     the plane; the affine map from that layout to the unknown images
-    must be a similarity, which gives two linear equations in the six
-    vertex unknowns.  Rows are weighted by the square root of the
-    triangle's metric area so the stack discretizes the conformal
-    energy integral.
+    ``w = X + iY`` must be a similarity, which is one complex linear
+    equation ``k1 (w1 - w0) + k2 (w2 - w0) = 0`` in the three vertex
+    unknowns; its real and imaginary parts are the two real conditions.
+    Rows are weighted by the square root of the triangle's metric area
+    so that ``|A w|^2`` discretizes the conformal energy integral: the
+    least-squares conformal map energy (Levy, Petitjean, Ray, Maillot,
+    SIGGRAPH 2002).  Returns the M x N complex ``A`` in CSC form.
     """
     g = metric.grid
     nx, ny = g.nx, g.ny
@@ -189,59 +193,49 @@ def _triangle_rows(metric: MetricField):
     s = np.sqrt(disc) / sq_a
     w = np.sqrt(0.5 * np.sqrt(disc))
 
-    c1 = w / sq_a
-    cs = w / s
-    cb = w * b / (a * s)
+    k1 = w / sq_a - 1j * (w * b / (a * s))
+    k2 = 1j * (w / s)
     M = v0.size
-    N = nx * ny
-    rows1 = np.repeat(2 * np.arange(M), 5)
-    cols1 = np.stack([v1, v0, N + v1, N + v2, N + v0], axis=1).ravel()
-    vals1 = np.stack([c1, -c1, cb, -cs, cs - cb], axis=1).ravel()
-    rows2 = np.repeat(2 * np.arange(M) + 1, 5)
-    cols2 = np.stack([v1, v2, v0, N + v1, N + v0], axis=1).ravel()
-    vals2 = np.stack([-cb, cs, cb - cs, c1, -c1], axis=1).ravel()
-    return sp.coo_matrix(
+    return sp.csc_matrix(
         (
-            np.concatenate([vals1, vals2]),
-            (np.concatenate([rows1, rows2]), np.concatenate([cols1, cols2])),
+            np.stack([k1, k2, -(k1 + k2)], axis=1).ravel(),
+            (np.repeat(np.arange(M), 3), np.stack([v1, v2, v0], axis=1).ravel()),
         ),
-        shape=(2 * M, 2 * N),
-    ).tocsr()
+        shape=(M, nx * ny),
+    )
 
 
 def flatten_conformal(metric: MetricField, *, anisotropy_tol: float = 1e-3) -> Chart:
     """Least-squares conformal chart for an arbitrary positive metric.
 
-    Minimizes the per-triangle conformal energy of ``_triangle_rows``;
-    the overdetermined stack leaves exactly the similarity group free.
-    Gauge: the first node of the bottom row maps to the origin and the
-    last one to ``(L, 0)`` where ``L`` is the metric length of that
-    row, which kills translation, rotation, and scale.  The result is
-    flagged ``converged`` when the pushed-forward metric is isothermic
-    within ``anisotropy_tol``.
+    Minimizes the conformal energy ``|A w|^2`` of ``_triangle_rows``
+    over the node images ``w = X + iY``; the energy leaves exactly the
+    complex similarity group free.  Gauge: the first node of the bottom
+    row maps to ``w = 0`` and the last one to ``w = L``, where ``L`` is
+    the metric length of that row, which kills translation, rotation,
+    and scale.  The two pinned unknowns are eliminated, so the
+    stationarity equations are one N-2 square complex system
+    ``H_ff w_f = -L H_fp`` with ``H = A^H A`` Hermitian positive
+    definite on the 7-point stencil of the triangulation.  The result
+    is flagged ``converged`` when the pushed-forward metric is
+    isothermic within ``anisotropy_tol``.
     """
     g = metric.grid
-    nx, ny = g.nx, g.ny
-    N = nx * ny
+    nx, N = g.nx, g.nx * g.ny
     A = _triangle_rows(metric)
-
     L = float(np.trapezoid(np.sqrt(metric.E[0, :]), dx=g.dx))
-    pins = sp.lil_matrix((4, 2 * N))
-    pins[0, 0] = 1.0  # X at the bottom-left node
-    pins[1, N] = 1.0  # Y there
-    pins[2, nx - 1] = 1.0  # X at the bottom-right node
-    pins[3, N + nx - 1] = 1.0  # Y there
-    targets = np.array([0.0, 0.0, L, 0.0])
 
-    # exact pin enforcement through the stationarity system
-    K = sp.bmat([[A.T @ A, pins.T], [pins, None]], format="csc")
-    rhs = np.concatenate([np.zeros(2 * N), targets])
-    sol = spsolve(K, rhs)
-    if not np.isfinite(sol).all():
+    free = np.r_[1 : nx - 1, nx:N]  # all nodes but the pins 0 and nx - 1
+    Af = A[:, free]
+    AfH = Af.conj().T
+    z = np.zeros(N, dtype=complex)
+    z[nx - 1] = L
+    z[free] = spsolve((AfH @ Af).tocsc(), -L * (AfH @ A[:, nx - 1]).toarray().ravel())
+    if not np.isfinite(z).all():
         raise ConformalError("flattening system is singular")
 
-    X = ScalarField(g, sol[:N].reshape(g.shape))
-    Y = ScalarField(g, sol[N : 2 * N].reshape(g.shape))
+    X = ScalarField(g, z.real.reshape(g.shape))
+    Y = ScalarField(g, z.imag.reshape(g.shape))
     Ep, Fp, Gp = _pushforward(metric, X, Y)
     if np.min(Ep) <= 0.0 or np.min(Gp) <= 0.0:
         raise ConformalError("pushed-forward metric lost positivity")

@@ -322,3 +322,40 @@ class TestUsage:
         path.write_text(json.dumps(doc))
         assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
+
+
+class TestFailureClassification:
+    """Only the package's solver errors mean exit 4; a bug keeps its
+    traceback instead of passing as a solver failure."""
+
+    def test_programming_error_propagates(self, capsys, monkeypatch):
+        import minding_lab.conformal
+
+        def broken(metric, **kwargs):
+            raise TypeError("complex assembly got the wrong dtype")
+
+        monkeypatch.setattr(minding_lab.conformal, "flatten_conformal", broken)
+        with pytest.raises(TypeError, match="wrong dtype"):
+            main(["flatten", "--catalog", "flat_plane", "--n", "17"])
+
+    def test_solver_error_outside_a_stage_exits_4(self, capsys, monkeypatch):
+        import minding_lab.weak
+        from minding_lab.elliptic import EllipticError
+
+        def gives_up(*args, **kwargs):
+            raise EllipticError("quadrature gave up")
+
+        monkeypatch.setattr(minding_lab.weak, "liouville_weak_residual", gives_up)
+        code = main(["liouville-check", "--catalog", "half_plane_pseudosphere", "--n", "17"])
+        assert code == EXIT_SOLVER
+        assert "solver failure: quadrature gave up" in capsys.readouterr().err
+
+    def test_out_under_a_regular_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "run"
+        code = main(["verify-minding", "--catalog", "half_plane_pseudosphere",
+                     "--n", "17", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {out}" in err and "solver failure" not in err

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import minding_lab.conformal as conformal
 from minding_lab.grid import Grid2D, GridError, ScalarField, fd_partial
@@ -44,6 +46,73 @@ def loop_points_in_polygon(px, py, poly):
             xcut = ax + (py - ay) * (bx - ax) / (by - ay)
         inside ^= crosses & (px < xcut)
     return inside
+
+
+def real_triangle_rows(metric):
+    """The conformality rows before the complex form: two real rows per
+    triangle over the 2N unknowns ``(X, Y)``."""
+    g = metric.grid
+    nx, ny = g.nx, g.ny
+    idx = np.arange(nx * ny).reshape(g.shape)
+    n00 = idx[:-1, :-1].ravel()
+    n10 = idx[:-1, 1:].ravel()
+    n01 = idx[1:, :-1].ravel()
+    n11 = idx[1:, 1:].ravel()
+    v0 = np.concatenate([n00, n00])
+    v1 = np.concatenate([n10, n11])
+    v2 = np.concatenate([n11, n01])
+
+    Xg, Yg = g.mesh()
+    xf, yf = Xg.ravel(), Yg.ravel()
+    e1x, e1y = xf[v1] - xf[v0], yf[v1] - yf[v0]
+    e2x, e2y = xf[v2] - xf[v0], yf[v2] - yf[v0]
+    Ec, Fc, Gc = (
+        (arr.ravel()[v0] + arr.ravel()[v1] + arr.ravel()[v2]) / 3.0
+        for arr in (metric.E, metric.F, metric.G)
+    )
+    a = Ec * e1x**2 + 2.0 * Fc * e1x * e1y + Gc * e1y**2
+    b = Ec * e1x * e2x + Fc * (e1x * e2y + e1y * e2x) + Gc * e1y * e2y
+    c = Ec * e2x**2 + 2.0 * Fc * e2x * e2y + Gc * e2y**2
+    disc = a * c - b * b
+    sq_a = np.sqrt(a)
+    s = np.sqrt(disc) / sq_a
+    w = np.sqrt(0.5 * np.sqrt(disc))
+
+    c1 = w / sq_a
+    cs = w / s
+    cb = w * b / (a * s)
+    M = v0.size
+    N = nx * ny
+    rows1 = np.repeat(2 * np.arange(M), 5)
+    cols1 = np.stack([v1, v0, N + v1, N + v2, N + v0], axis=1).ravel()
+    vals1 = np.stack([c1, -c1, cb, -cs, cs - cb], axis=1).ravel()
+    rows2 = np.repeat(2 * np.arange(M) + 1, 5)
+    cols2 = np.stack([v1, v2, v0, N + v1, N + v0], axis=1).ravel()
+    vals2 = np.stack([-cb, cs, cb - cs, c1, -c1], axis=1).ravel()
+    return sp.coo_matrix(
+        (
+            np.concatenate([vals1, vals2]),
+            (np.concatenate([rows1, rows2]), np.concatenate([cols1, cols2])),
+        ),
+        shape=(2 * M, 2 * N),
+    ).tocsr()
+
+
+def kkt_chart(metric):
+    """Node images ``(X, Y)`` from the real (2N+4) x (2N+4) KKT system
+    with the four pinned unknowns as Lagrange constraints."""
+    g = metric.grid
+    nx, N = g.nx, g.nx * g.ny
+    A = real_triangle_rows(metric)
+    L = float(np.trapezoid(np.sqrt(metric.E[0, :]), dx=g.dx))
+    pins = sp.lil_matrix((4, 2 * N))
+    pins[0, 0] = 1.0
+    pins[1, N] = 1.0
+    pins[2, nx - 1] = 1.0
+    pins[3, N + nx - 1] = 1.0
+    K = sp.bmat([[A.T @ A, pins.T], [pins, None]], format="csc")
+    sol = spsolve(K, np.concatenate([np.zeros(2 * N), [0.0, 0.0, L, 0.0]]))
+    return sol[:N].reshape(g.shape), sol[N : 2 * N].reshape(g.shape)
 
 
 def chart_jacobian(chart):
@@ -199,6 +268,62 @@ class TestFlatten:
         assert similarity_residual(chart, moved) <= 1e-9
 
 
+@pytest.fixture(scope="module")
+def asymmetric_soliton_metric():
+    # nx != ny and dx != dy, so no x<->y symmetry hides a transposition
+    g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.4, 65, 49)
+    X, Y = g.mesh()
+    return MetricField.chebyshev(4.0 * np.arctan(np.exp(X + Y)), g)
+
+
+class TestComplexFlatten:
+    """The flattener solves one complex Hermitian system; the real rows
+    and the KKT solve it replaced are the references."""
+
+    def test_hermitian_form_matches_real_normal_matrix(self, asymmetric_soliton_metric):
+        A = conformal._triangle_rows(asymmetric_soliton_metric)
+        assert np.iscomplexobj(A.data)
+        H = (A.conj().T @ A).toarray()
+        R = real_triangle_rows(asymmetric_soliton_metric)
+        AtA = (R.T @ R).toarray()
+        N = H.shape[0]
+        tol = 1e-13 * np.max(np.abs(AtA))
+        assert np.max(np.abs(H.real - AtA[:N, :N])) <= tol
+        assert np.max(np.abs(H.real - AtA[N:, N:])) <= tol
+        assert np.max(np.abs(-H.imag - AtA[:N, N:])) <= tol
+        assert np.max(np.abs(H.imag - AtA[N:, :N])) <= tol
+
+    def test_solve_is_one_hermitian_system(self, asymmetric_soliton_metric, monkeypatch):
+        seen = []
+
+        def capture(K, rhs):
+            seen.append(K)
+            return spsolve(K, rhs)
+
+        monkeypatch.setattr(conformal, "spsolve", capture)
+        flatten_conformal(asymmetric_soliton_metric)
+        (K,) = seen
+        N = asymmetric_soliton_metric.grid.nx * asymmetric_soliton_metric.grid.ny
+        assert K.shape == (N - 2, N - 2)
+        assert np.iscomplexobj(K.data)
+        assert (K != K.conj().T).nnz == 0
+        assert K.nnz <= 7 * (N - 2)
+
+    def test_chart_matches_kkt_reference(self, asymmetric_soliton_metric):
+        chart = flatten_conformal(asymmetric_soliton_metric)
+        X, Y = kkt_chart(asymmetric_soliton_metric)
+        assert np.max(np.abs(chart.X.values - X)) <= 1e-8
+        assert np.max(np.abs(chart.Y.values - Y)) <= 1e-8
+
+    def test_pins_hold_exactly(self, asymmetric_soliton_metric):
+        metric = asymmetric_soliton_metric
+        g = metric.grid
+        chart = flatten_conformal(metric)
+        L = float(np.trapezoid(np.sqrt(metric.E[0, :]), dx=g.dx))
+        assert chart.X.values[0, 0] == 0.0 and chart.Y.values[0, 0] == 0.0
+        assert chart.X.values[0, g.nx - 1] == L and chart.Y.values[0, g.nx - 1] == 0.0
+
+
 class TestImageResampling:
     def test_identity_chart_roundtrip(self):
         _, chart, _ = catalog_chart("half_plane_pseudosphere", 65)
@@ -234,11 +359,8 @@ class TestImageResampling:
 
 
 @pytest.fixture(scope="module")
-def asymmetric_soliton_chart():
-    # nx != ny and dx != dy, so no x<->y symmetry hides a transposition
-    g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.4, 65, 49)
-    X, Y = g.mesh()
-    return flatten_conformal(MetricField.chebyshev(4.0 * np.arctan(np.exp(X + Y)), g))
+def asymmetric_soliton_chart(asymmetric_soliton_metric):
+    return flatten_conformal(asymmetric_soliton_metric)
 
 
 class TestPreimageSeed:
