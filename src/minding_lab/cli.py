@@ -109,7 +109,11 @@ class PipelineConfig:
 
 
 class _Run:
-    """Accumulates stage results and artifact files for one command."""
+    """Accumulates stage results and artifact files for one command.
+
+    Creates the ``--out`` directory up front, so an unusable one fails
+    before the first stage.
+    """
 
     def __init__(self, command: str, config: PipelineConfig) -> None:
         self.command = command
@@ -118,6 +122,8 @@ class _Run:
         self.artifacts: dict[str, tuple] = {}
         self.solver_error = False
         self.extra: dict = {}
+        if config.out_dir is not None:
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
 
     def gate(self, name: str, measured: float, gate: float, **info) -> bool:
         entry = {
@@ -180,7 +186,6 @@ def _emit(run: _Run) -> int:
         print(line, file=sys.stderr)
     if run.config.out_dir is not None:
         out = Path(run.config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(text)
         from minding_lab.fieldio import write_field
 

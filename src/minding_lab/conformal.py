@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import RectBivariateSpline
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .grid import Grid2D, GridError, ScalarField, fd_laplacian, fd_partial
@@ -205,6 +205,26 @@ def _triangle_rows(metric: MetricField):
     )
 
 
+def spsolve(A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+    """Solve the Hermitian positive definite flatten system ``A x = b``.
+
+    SuperLU runs in symmetric mode: a minimum-degree ordering of the
+    pattern of ``A + A^T``, applied to rows and columns alike, and
+    elimination on the diagonal with no pivoting.  Gaussian elimination
+    without pivoting is backward stable on Hermitian positive definite
+    matrices (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 10), so row interchanges would only spoil the symmetric ordering
+    and add fill.  A zero pivot means a singular system and raises
+    ``ConformalError``.
+    """
+    try:
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise ConformalError(f"flattening system is singular ({exc})") from exc
+    return lu.solve(b)
+
+
 def flatten_conformal(metric: MetricField, *, anisotropy_tol: float = 1e-3) -> Chart:
     """Least-squares conformal chart for an arbitrary positive metric.
 
@@ -216,9 +236,12 @@ def flatten_conformal(metric: MetricField, *, anisotropy_tol: float = 1e-3) -> C
     and scale.  The two pinned unknowns are eliminated, so the
     stationarity equations are one N-2 square complex system
     ``H_ff w_f = -L H_fp`` with ``H = A^H A`` Hermitian positive
-    definite on the 7-point stencil of the triangulation.  The result
-    is flagged ``converged`` when the pushed-forward metric is
-    isothermic within ``anisotropy_tol``.
+    definite on the 7-point stencil of the triangulation.  ``spsolve``
+    factors it without pivoting: positive definiteness makes that
+    stable, and it keeps the fill of a symmetric ordering, which
+    partial pivoting would destroy.  The result is flagged
+    ``converged`` when the pushed-forward metric is isothermic within
+    ``anisotropy_tol``.
     """
     g = metric.grid
     nx, N = g.nx, g.nx * g.ny

@@ -7,6 +7,8 @@ in node-major order (x fastest, components interleaved per node):
      "components": ["u"], "values": [...]}
 
 ``values[(j*nx + i)*ncomp + k]`` is component ``k`` at node ``(i, j)``.
+The reader takes exactly these eight keys, integer node counts and
+distinct string component names, and refuses anything else.
 Floats survive a write/read cycle bit-exactly (shortest-repr JSON
 floats); NaN entries are stored as ``null`` to stay standard JSON.
 CSV export is one node per row with x, y and the components as columns.
@@ -39,6 +41,8 @@ def _flatten(grid: Grid2D, channels: dict[str, np.ndarray]) -> tuple[list[str], 
                 planes.append(arr[:, :, k])
         else:
             raise GridError(f"channel {name!r} has shape {arr.shape}, grid is {grid.shape}")
+    if len(set(names)) != len(names):
+        raise GridError(f"component names collide: {names}")
     stacked = np.stack(planes, axis=-1)  # (ny, nx, ncomp)
     return names, stacked.reshape(-1)
 
@@ -62,17 +66,52 @@ def write_field(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray])
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
+_HEADER_INTS = ("nx", "ny")
+_HEADER_REALS = ("x0", "y0", "dx", "dy")
+_KEYS = frozenset(_HEADER_INTS + _HEADER_REALS + ("components", "values"))
+
+
+def _header(doc) -> tuple[Grid2D, list[str]]:
+    """Grid and component names of a parsed field document.
+
+    Checks the header and the component list only; ``values`` is left
+    to one vectorized conversion, so the cost does not grow per value.
+    """
+    if not isinstance(doc, dict):
+        raise GridError("top level must be a JSON object")
+    if doc.keys() != _KEYS:
+        raise GridError(
+            f"missing keys {sorted(_KEYS - doc.keys())}, "
+            f"unknown keys {sorted(doc.keys() - _KEYS)}"
+        )
+    for key in _HEADER_INTS:
+        if type(doc[key]) is not int:
+            raise GridError(f"{key} must be an integer, got {type(doc[key]).__name__}")
+    for key in _HEADER_REALS:
+        if type(doc[key]) not in (int, float):
+            raise GridError(f"{key} must be a number, got {type(doc[key]).__name__}")
+    names = doc["components"]
+    if not isinstance(names, list) or not all(type(name) is str for name in names):
+        raise GridError("components must be a list of strings")
+    if len(set(names)) != len(names):
+        raise GridError("component names must be distinct")
+    grid = Grid2D(float(doc["x0"]), float(doc["y0"]), doc["nx"], doc["ny"],
+                  float(doc["dx"]), float(doc["dy"]))
+    return grid, names
+
+
 def read_field(path: str | Path) -> tuple[Grid2D, dict[str, np.ndarray]]:
-    """Read a JSON field file back into a grid and per-component arrays."""
+    """Read a JSON field file back into a grid and per-component arrays.
+
+    Any malformed file, including one that is not UTF-8 or not JSON,
+    raises ``GridError`` naming the path.
+    """
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise GridError(f"{path}: not a valid field file ({exc})") from exc
-    try:
-        grid = Grid2D(doc["x0"], doc["y0"], doc["nx"], doc["ny"], doc["dx"], doc["dy"])
-        names = list(doc["components"])
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        grid, names = _header(doc)
         flat = np.array(doc["values"], dtype=float)  # null -> NaN
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (OverflowError, RecursionError, TypeError, ValueError) as exc:
+        # ValueError covers GridError, JSONDecodeError and UnicodeDecodeError
         raise GridError(f"{path}: malformed field file ({exc})") from exc
     if flat.ndim != 1:
         raise GridError(f"{path}: values must be a flat list of numbers")

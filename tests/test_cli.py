@@ -323,6 +323,28 @@ class TestUsage:
         assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.update(nx=float(doc["nx"])),
+        lambda doc: doc.update(components=[doc["components"]]),
+        lambda doc: doc.update(components="u"),
+        lambda doc: doc.update(note="extra"),
+    ], ids=["float_nx", "nested_name", "string_components", "unknown_key"])
+    def test_malformed_factor_file(self, capsys, tmp_path, mutate):
+        path = tmp_path / "u.json"
+        write_factor(path, 0.0, n=17)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
+        assert f"error: {path}" in capsys.readouterr().err
+
+    def test_factor_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "u.json"
+        write_factor(path, 0.0, n=17)
+        path.write_bytes(path.read_bytes().replace(b'"u"', b'"\xff"'))
+        assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
+        assert f"error: {path}" in capsys.readouterr().err
+
 
 class TestFailureClassification:
     """Only the package's solver errors mean exit 4; a bug keeps its
@@ -357,5 +379,8 @@ class TestFailureClassification:
         code = main(["verify-minding", "--catalog", "half_plane_pseudosphere",
                      "--n", "17", "--out", str(out)])
         assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert f"error: {out}" in err and "solver failure" not in err
+        captured = capsys.readouterr()
+        assert f"error: {out}" in captured.err and "solver failure" not in captured.err
+        # found before the first stage: no report, no stage lines
+        assert captured.out == ""
+        assert "ok]" not in captured.err

@@ -203,6 +203,14 @@ class TestFlatten:
         assert np.max(np.abs(chart.Y.values - exact.Y.values)) <= 1e-6
         assert np.max(np.abs(chart.h.values - 1.0)) <= 1e-6
 
+    def test_flat_angle_chart_accuracy_at_129(self):
+        # the symmetric factorization recovers the exact chart at the
+        # accuracy of the conditioning; partial pivoting lost about 4x
+        metric, exact, _ = catalog_chart("flat_constant_angle", 129, alpha=np.pi / 3)
+        chart = flatten_conformal(metric)
+        assert np.max(np.abs(chart.X.values - exact.X.values)) <= 2.5e-8
+        assert np.max(np.abs(chart.Y.values - exact.Y.values)) <= 2.5e-8
+
     def test_isothermic_input_is_left_alone(self):
         metric, _, _ = catalog_chart("half_plane_pseudosphere", 65)
         chart = flatten_conformal(metric)
@@ -322,6 +330,36 @@ class TestComplexFlatten:
         L = float(np.trapezoid(np.sqrt(metric.E[0, :]), dx=g.dx))
         assert chart.X.values[0, 0] == 0.0 and chart.Y.values[0, 0] == 0.0
         assert chart.X.values[0, g.nx - 1] == L and chart.Y.values[0, g.nx - 1] == 0.0
+
+
+class TestFlattenKernel:
+    """``conformal.spsolve`` factors the Hermitian system in symmetric
+    mode: minimum-degree ordering and no pivoting."""
+
+    def test_fill_stays_symmetric(self, monkeypatch):
+        # the CLI's sphere_patch control metric at n = 129
+        g = Grid2D.from_bounds(-0.35, 0.35, -0.35, 0.35, 129, 129)
+        X, Y = g.mesh()
+        h = 2.0 / (1.0 + X**2 + Y**2)
+        metric = MetricField(g, h**2, np.zeros(g.shape), h**2)
+        fills = []
+        factor = conformal.splu
+
+        def measure(A, **kwargs):
+            lu = factor(A, **kwargs)
+            fills.append((lu.L.nnz + lu.U.nnz) / A.nnz)
+            return lu
+
+        monkeypatch.setattr(conformal, "splu", measure)
+        flatten_conformal(metric)
+        # symmetric mode measures 9.3; COLAMD with partial pivoting 15.0
+        (fill,) = fills
+        assert fill <= 11.0
+
+    def test_singular_system_is_a_conformal_error(self):
+        K = sp.csc_matrix(np.array([[1.0, 1j, 0.0], [-1j, 1.0, 0.0], [0.0, 0.0, 2.0]]))
+        with pytest.raises(ConformalError, match="singular"):
+            conformal.spsolve(K, np.ones(3, dtype=complex))
 
 
 class TestImageResampling:

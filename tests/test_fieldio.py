@@ -55,22 +55,50 @@ def test_interleaved_node_major_layout(tmp_path, grid):
 
 def test_read_rejects_malformed(tmp_path):
     import json
+    import re
 
     header = {"nx": 3, "ny": 3, "x0": 0, "y0": 0, "dx": 1, "dy": 1, "components": ["u"]}
+    nine = [0.0] * 9
     path = tmp_path / "bad.json"
     for text in (
         "{not json",
         '{"nx": 3}',
+        json.dumps([header]),
+        "[" * 100_000 + "]" * 100_000,  # deeper than the JSON parser recurses
+        b'{"nx": 3, "components": ["\xff"]}',  # not UTF-8
         # nested values: np.array accepts them, the reader must not; the
         # second list even holds the nine values the header asks for
         json.dumps({**header, "values": [[1.0, 2.0], [3.0, 4.0]]}),
         json.dumps({**header, "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]}),
         # an integer no float can hold: float() raises OverflowError
         json.dumps({**header, "values": [10**400] + [0.0] * 8}),
+        json.dumps({**header, "dx": 10**400, "values": nine}),
+        # node counts must be JSON integers
+        json.dumps({**header, "nx": 3.0, "values": nine}),
+        json.dumps({**header, "nx": 3.5, "values": nine}),
+        json.dumps({**header, "nx": True, "ny": 9, "values": nine}),
+        json.dumps({**header, "dy": "1", "values": nine}),
+        # components must be a list of distinct strings
+        json.dumps({**header, "components": [["u"]], "values": nine}),
+        json.dumps({**header, "components": "u", "values": nine}),
+        json.dumps({**header, "components": [1], "values": nine}),
+        json.dumps({**header, "components": ["u", "u"], "values": nine * 2}),
+        # no keys beyond the format's eight
+        json.dumps({**header, "values": nine, "units": "m"}),
     ):
-        path.write_text(text)
-        with pytest.raises(GridError):
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(GridError, match=re.escape(str(path))):
             read_field(path)
+
+
+def test_write_rejects_colliding_names(tmp_path, grid):
+    # a vector channel "f" expands to f_0..f_2, which must not shadow "f_1"
+    with pytest.raises(GridError, match="f_1"):
+        write_field(tmp_path / "field.json", grid,
+                    {"f": np.zeros(grid.shape + (3,)), "f_1": np.zeros(grid.shape)})
 
 
 def test_read_rejects_wrong_length(tmp_path, grid):
