@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import shutil
 import sys
@@ -81,8 +82,8 @@ class PipelineConfig:
             )
         if self.n < 9:
             raise ConfigError("grid needs at least 9 nodes per side")
-        if not self.tol_scale > 0.0:
-            raise ConfigError("tolerance scale must be positive")
+        if not 0.0 < self.tol_scale < math.inf:
+            raise ConfigError("tolerance scale must be positive and finite")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         for name in ("theta_file", "surface_file", "metric_file", "factor_file"):
@@ -123,7 +124,10 @@ class _Run:
         self.solver_error = False
         self.extra: dict = {}
         if config.out_dir is not None:
-            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+            try:
+                Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+            except ValueError as exc:  # a NUL or lone surrogate, as JSON can hold
+                raise ConfigError(f"unusable --out path {config.out_dir!r}: {exc}") from exc
 
     def gate(self, name: str, measured: float, gate: float, **info) -> bool:
         entry = {
@@ -795,36 +799,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "catalog",
-    "theta_file",
-    "surface_file",
-    "metric_file",
-    "factor_file",
-    "n",
-    "tol_scale",
-    "out",
-    "seed",
-)
+# the JSON types each --config key takes; null leaves the key unset
+_CONFIG_TYPES = {
+    **dict.fromkeys(("catalog", "theta_file", "surface_file", "metric_file",
+                     "factor_file", "out"), ((str,), "a string")),
+    "n": ((int,), "an integer"),
+    "tol_scale": ((int, float), "a number"),
+    "seed": ((int,), "an integer"),
+}
 
 
 def _config_defaults(args: argparse.Namespace) -> dict:
-    """The ``--config`` file's flag defaults, or none without one."""
+    """The ``--config`` file's flag defaults, or none without one.
+
+    Every key must be a flag name and every value of that flag's type
+    (a boolean is no number); null entries are dropped.
+    """
     if args.config is None:
         return {}
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {args.config}")
     try:
-        defaults = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        defaults = json.loads(path.read_text(encoding="utf-8"))
+    except (RecursionError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
     if not isinstance(defaults, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object of flag defaults")
-    unknown = set(defaults) - set(_CONFIG_KEYS)
+    unknown = set(defaults) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
-    return defaults
+    for key, value in defaults.items():
+        types, kind = _CONFIG_TYPES[key]
+        if value is not None and type(value) not in types:
+            raise ConfigError(
+                f"{args.config}: {key} must be {kind}, got {type(value).__name__}"
+            )
+    if defaults.get("tol_scale") is not None:
+        try:
+            defaults["tol_scale"] = float(defaults["tol_scale"])
+        except OverflowError as exc:
+            raise ConfigError(f"{args.config}: tol_scale is out of range") from exc
+    return {key: value for key, value in defaults.items() if value is not None}
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -836,17 +853,22 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
             return flag
         return defaults.get(key, fallback)
 
-    return PipelineConfig(
-        catalog=pick("catalog"),
-        theta_file=pick("theta_file"),
-        surface_file=pick("surface_file"),
-        metric_file=pick("metric_file"),
-        factor_file=pick("factor_file"),
-        n=int(pick("n", 129)),
-        tol_scale=float(pick("tol_scale", 1.0)),
-        out_dir=pick("out"),
-        seed=pick("seed"),
-    )
+    try:
+        return PipelineConfig(
+            catalog=pick("catalog"),
+            theta_file=pick("theta_file"),
+            surface_file=pick("surface_file"),
+            metric_file=pick("metric_file"),
+            factor_file=pick("factor_file"),
+            n=pick("n", 129),
+            tol_scale=pick("tol_scale", 1.0),
+            out_dir=pick("out"),
+            seed=pick("seed"),
+        )
+    except ConfigError as exc:
+        if args.config is None:
+            raise
+        raise ConfigError(f"{exc} (flags merged with {args.config})") from exc
 
 
 def _apply_thread_cap() -> None:

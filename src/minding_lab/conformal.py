@@ -8,6 +8,11 @@ positive metric by driving the differential of ``(X, Y)`` toward a
 similarity with respect to the metric's orthonormal frames; the catalog
 supplies exact charts for the constant-curvature test metrics so the
 flattener has something to be measured against.
+
+``scipy.interpolate`` and ``scipy.spatial`` are imported inside the
+preimage and resampling functions, the only ones that use them: loading
+them costs more start-up than a catalog-chart command spends on its
+whole conformal stage, and such commands never resample.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RectBivariateSpline
 from scipy.sparse.linalg import splu
-from scipy.spatial import cKDTree
 
 from .grid import Grid2D, GridError, ScalarField, fd_laplacian, fd_partial
 from .forms import MetricField
@@ -358,6 +361,8 @@ def _nearest_seed(px: np.ndarray, py: np.ndarray,
     nearest one may have a tied point outside the set, so it is asked
     again with twice as many candidates.
     """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(np.column_stack([px, py]))
     seed = np.empty(qx.size, dtype=np.intp)
     rows = np.arange(qx.size)
@@ -386,6 +391,8 @@ def chart_preimage(chart: Chart, image_grid: Grid2D,
     (image node, sampled node) pair.  Nodes must lie inside the image;
     use ``inner_image_grid`` to stay there.
     """
+    from scipy.interpolate import RectBivariateSpline
+
     g = chart.grid
     sx = RectBivariateSpline(g.y(), g.x(), chart.X.values)
     sy = RectBivariateSpline(g.y(), g.x(), chart.Y.values)
@@ -426,6 +433,8 @@ def chart_preimage(chart: Chart, image_grid: Grid2D,
 def resample_to_image(field: ScalarField, chart: Chart, image_grid: Grid2D,
                       preimage: tuple[np.ndarray, np.ndarray] | None = None) -> ScalarField:
     """Sample a source-grid field at the chart preimages of image nodes."""
+    from scipy.interpolate import RectBivariateSpline
+
     if not field.grid.matches(chart.grid):
         raise GridError("field lives on a different grid than the chart")
     if preimage is None:

@@ -3,12 +3,24 @@
 Three layers: a direct five-point Poisson solve with eliminated
 boundary rows, a damped Newton iteration for the exponential curvature
 equation ``lap u = exp(2u)``, and a uniqueness cross-check that feeds a
-candidate back through the linear solve and measures the mismatch.  All
-solves are sparse-direct and deterministic at desk scale.
+candidate back through the linear solve and measures the mismatch.
+
+Poisson solves are sparse-direct (``splu`` plus two refinement passes).
+Each Newton step instead runs conjugate gradients on the symmetric
+positive definite system ``(-lap + diag(s)) delta = F`` with
+``s = 2 exp(2u)``, preconditioned by ``(-lap + c I)^-1`` applied with one
+type-I sine transform pair (Concus & Golub 1973).  With
+``c = sqrt(min s * max s)`` the preconditioned condition number is at most
+``(lam0 + max s) / (lam0 + min s) <= max s / min s``, ``lam0`` being the
+smallest eigenvalue of ``-lap``, whatever the grid size.  The step
+budget follows from that bound, and a solve that exhausts it raises.
+``scipy.fft`` is imported on the Newton path only.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +104,71 @@ def _laplacian_matrix(grid: Grid2D) -> sp.csc_matrix:
     return (sp.kron(sp.eye(iny), tx) + sp.kron(ty, sp.eye(inx))).tocsc()
 
 
+def _laplacian_spectrum(grid: Grid2D) -> np.ndarray:
+    """Eigenvalues of ``-_laplacian_matrix(grid)``, shape ``(ny - 2, nx - 2)``.
+
+    The type-I sine transform diagonalizes the eliminated five-point
+    Laplacian; entry ``[j, i]`` belongs to sine mode ``(i + 1, j + 1)``,
+    so ``[0, 0]`` is the smallest eigenvalue.
+    """
+
+    def one_d(m: int, step: float) -> np.ndarray:
+        # of the stencil -[1, -2, 1] / step**2 on m interior nodes
+        return (2.0 * np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1))) / step) ** 2
+
+    return one_d(grid.ny - 2, grid.dy)[:, None] + one_d(grid.nx - 2, grid.dx)[None, :]
+
+
+def _dst_solve(spectrum: np.ndarray, c: float, b: np.ndarray) -> np.ndarray:
+    """Solve ``(c I - A) x = b`` by one sine transform pair; needs ``c >= 0``."""
+    from scipy.fft import dstn, idstn
+
+    return idstn(dstn(b.reshape(spectrum.shape), type=1) / (spectrum + c), type=1).ravel()
+
+
+# relative accuracy of each Newton step, in the preconditioned residual
+# norm; far below what the quadratic tail needs from a linear solve
+_CG_RTOL = 1e-10
+
+
+def _pcg_budget(kappa: float, rtol: float) -> int:
+    """CG steps that reach ``rtol`` when the condition number is ``kappa``.
+
+    The energy error falls by ``2 q**k`` with ``q = (r - 1) / (r + 1)``,
+    ``r = sqrt(kappa)``, and ``log(1 / q) >= 2 / r``; the preconditioned
+    residual norm is within a factor ``r`` of the energy error.
+    """
+    r = math.sqrt(kappa)
+    return math.ceil(0.5 * r * math.log(2.0 * r / rtol)) + 1
+
+
+def _pcg(matvec, b: np.ndarray, precondition, rtol: float, budget: int) -> np.ndarray:
+    """Preconditioned conjugate gradients from zero for an SPD ``matvec``.
+
+    Stops once the preconditioned residual norm ``sqrt(r . M^-1 r)`` has
+    fallen by ``rtol``; raises if ``budget`` steps do not get there.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precondition(r)
+    p = z.copy()
+    rz = float(r @ z)
+    stop = rtol**2 * rz
+    for _ in range(budget):
+        q = matvec(p)
+        alpha = rz / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        if rz <= stop:
+            return x
+        p = z + (rz / rz_old) * p
+    raise EllipticError(
+        f"Newton linear solve: conjugate gradients did not converge in {budget} steps"
+    )
+
+
 def _eliminated_rhs(p: DirichletProblem) -> np.ndarray:
     g = p.grid
     b = np.array(p.rhs.values[1:-1, 1:-1], dtype=float)
@@ -170,15 +247,19 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
     Starts from the harmonic extension of the boundary values.  Each
     step solves the linearized problem with the shifted operator
     ``lap - 2 exp(2u)``; the shift has the good sign, so the linear
-    solves stay well posed.  Steps are halved (at most ``max_halvings``
-    times) until the residual decreases; exhausted damping or hitting
-    ``max_iterations`` raises with the last residual attached.
+    solves stay well posed, and they are done by sine-transform
+    preconditioned conjugate gradients.  Steps are halved (at most
+    ``max_halvings`` times) until the residual decreases; exhausted
+    damping, an exhausted conjugate-gradient budget or hitting
+    ``max_iterations`` raises with the cause attached.
     """
     bd = boundary_array(grid, boundary)
     zero = ScalarField(grid, np.zeros(grid.shape))
     u0 = solve_poisson(DirichletProblem(grid, zero, bd))
 
     A = _laplacian_matrix(grid)
+    spectrum = _laplacian_spectrum(grid)
+    lam0 = float(spectrum[0, 0])
     # boundary elimination terms: A @ u_int + b_elim == lap u on interior
     b_elim = -_eliminated_rhs(DirichletProblem(grid, zero, bd))
     u_int = u0.values[1:-1, 1:-1].ravel().copy()
@@ -199,11 +280,13 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
             raise EllipticError(
                 f"Newton iterate overflowed exp(2u); last residual {res:.3e}"
             )
-        J = (A - sp.diags(shift)).tocsc()
-        try:
-            delta = splu(J).solve(-F)
-        except RuntimeError as exc:
-            raise EllipticError(f"Newton linear solve failed: {exc}") from exc
+        # against -lap + c I with lo <= c <= hi, the system's Rayleigh
+        # quotients lie in [(lam0 + lo) / (lam0 + c), (lam0 + hi) / (lam0 + c)]
+        lo, hi = float(shift.min()), float(shift.max())
+        c = math.sqrt(lo * hi)
+        delta = _pcg(lambda p: shift * p - A @ p, F,
+                     lambda r: _dst_solve(spectrum, c, r),
+                     _CG_RTOL, _pcg_budget((lam0 + hi) / (lam0 + lo), _CG_RTOL))
 
         step = 1.0
         for _ in range(max_halvings + 1):

@@ -7,8 +7,9 @@ in node-major order (x fastest, components interleaved per node):
      "components": ["u"], "values": [...]}
 
 ``values[(j*nx + i)*ncomp + k]`` is component ``k`` at node ``(i, j)``.
-The reader takes exactly these eight keys, integer node counts and
-distinct string component names, and refuses anything else.
+The reader takes exactly these eight keys, integer node counts,
+distinct string component names and a flat list of numbers and nulls,
+and refuses anything else.
 Floats survive a write/read cycle bit-exactly (shortest-repr JSON
 floats); NaN entries are stored as ``null`` to stay standard JSON.
 CSV export is one node per row with x, y and the components as columns.
@@ -69,13 +70,14 @@ def write_field(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray])
 _HEADER_INTS = ("nx", "ny")
 _HEADER_REALS = ("x0", "y0", "dx", "dy")
 _KEYS = frozenset(_HEADER_INTS + _HEADER_REALS + ("components", "values"))
+_VALUE_TYPES = frozenset({float, int, type(None)})
 
 
 def _header(doc) -> tuple[Grid2D, list[str]]:
     """Grid and component names of a parsed field document.
 
-    Checks the header and the component list only; ``values`` is left
-    to one vectorized conversion, so the cost does not grow per value.
+    Checks the header and the component list only; ``read_field``
+    checks ``values`` by one pass over the set of its value types.
     """
     if not isinstance(doc, dict):
         raise GridError("top level must be a JSON object")
@@ -109,12 +111,14 @@ def read_field(path: str | Path) -> tuple[Grid2D, dict[str, np.ndarray]]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         grid, names = _header(doc)
-        flat = np.array(doc["values"], dtype=float)  # null -> NaN
-    except (OverflowError, RecursionError, TypeError, ValueError) as exc:
+        values = doc["values"]
+        # a bool or a numeric string would cast like a number
+        if type(values) is not list or not set(map(type, values)) <= _VALUE_TYPES:
+            raise GridError("values must be a flat list of numbers and nulls")
+        flat = np.array(values, dtype=float)  # null -> NaN
+    except (OverflowError, RecursionError, ValueError) as exc:
         # ValueError covers GridError, JSONDecodeError and UnicodeDecodeError
         raise GridError(f"{path}: malformed field file ({exc})") from exc
-    if flat.ndim != 1:
-        raise GridError(f"{path}: values must be a flat list of numbers")
     ncomp = len(names)
     if flat.size != grid.nx * grid.ny * ncomp:
         raise GridError(

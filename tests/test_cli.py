@@ -52,6 +52,9 @@ class TestConfig:
             PipelineConfig(catalog="one_soliton", n=5)
         with pytest.raises(ConfigError):
             PipelineConfig(catalog="one_soliton", tol_scale=0.0)
+        with pytest.raises(ConfigError, match="finite"):
+            # an infinite scale would pass every gate
+            PipelineConfig(catalog="one_soliton", tol_scale=float("inf"))
         with pytest.raises(ConfigError):
             PipelineConfig(catalog="one_soliton", seed=-1)
 
@@ -313,6 +316,54 @@ class TestUsage:
             assert main(argv) == EXIT_USAGE
             err = capsys.readouterr().err
             assert str(cfg) in err and "JSON object" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": "abc"}, "n must be an integer, got str"),
+        ({"n": 65.9}, "n must be an integer, got float"),
+        ({"n": True}, "n must be an integer, got bool"),
+        ({"tol_scale": "x"}, "tol_scale must be a number, got str"),
+        ({"tol_scale": False}, "tol_scale must be a number, got bool"),
+        ({"tol_scale": 10**400}, "tol_scale is out of range"),
+        ({"out": 3}, "out must be a string, got int"),
+        ({"catalog": ["one_soliton"]}, "catalog must be a string, got list"),
+        ({"seed": 1.5}, "seed must be an integer, got float"),
+    ])
+    def test_config_file_value_types(self, capsys, tmp_path, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", **doc}))
+        for argv in (["solve", "--config", str(cfg)], ["export-plots", "--config", str(cfg)]):
+            assert main(argv) == EXIT_USAGE
+            assert f"{cfg}: {message}" in capsys.readouterr().err
+
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"catalog": "\xff"}')
+        assert main(["solve", "--config", str(cfg)]) == EXIT_USAGE
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_config_file_range_errors_name_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for doc in ({"catalog": "half_plane_pseudosphere", "n": 5},
+                    {"catalog": "half_plane_pseudosphere", "tol_scale": 1e400},
+                    {"n": 33}):
+            cfg.write_text(json.dumps(doc))
+            assert main(["solve", "--config", str(cfg)]) == EXIT_USAGE
+            assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["a\x00b", "\ud800"])
+    def test_config_out_path_the_file_system_refuses(self, capsys, tmp_path, out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", "n": 9, "out": out}))
+        assert main(["liouville-check", "--config", str(cfg)]) == EXIT_USAGE
+        assert "unusable --out path" in capsys.readouterr().err
+
+    def test_config_file_null_leaves_a_key_unset(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", "n": 33,
+                                   "tol_scale": None, "seed": None, "factor_file": None}))
+        code, report = run_cli(capsys, "liouville-check", "--config", str(cfg))
+        assert code == EXIT_PASS
+        assert (report["config"]["tol_scale"], report["config"]["seed"]) == (1.0, None)
 
     def test_factor_file_float_overflow(self, capsys, tmp_path):
         path = tmp_path / "u.json"

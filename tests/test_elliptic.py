@@ -1,8 +1,18 @@
 """Dirichlet solves: direct Poisson, Newton for exp(2u), uniqueness check."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+import minding_lab
+import minding_lab.elliptic as elliptic
+from minding_lab.conformal import catalog_chart
 from minding_lab.grid import Grid2D, GridError, ScalarField
 from minding_lab.weak import bump_lattice, liouville_weak_residual
 from minding_lab.elliptic import (
@@ -133,6 +143,102 @@ class TestLiouvilleNewton:
         g = half_plane_grid(33)
         with pytest.raises(EllipticError, match="did not converge"):
             solve_liouville_newton(g, lambda X, Y: -np.log(Y), max_iterations=1)
+
+
+def splu_newton(grid, boundary, tol=1e-8):
+    """Reference Newton with one sparse LU per step; (interior u, iterations)."""
+    bd = boundary_array(grid, boundary)
+    zero = ScalarField(grid, np.zeros(grid.shape))
+    u = solve_poisson(DirichletProblem(grid, zero, bd)).values[1:-1, 1:-1].ravel()
+    A = elliptic._laplacian_matrix(grid)
+    b = -elliptic._eliminated_rhs(DirichletProblem(grid, zero, bd))
+
+    def residual(v):
+        F = A @ v + b - np.exp(2.0 * v)
+        return F, float(np.max(np.abs(F)))
+
+    F, res = residual(u)
+    iterations = 0
+    while res > tol:
+        delta = splu((A - sp.diags(2.0 * np.exp(2.0 * u))).tocsc()).solve(-F)
+        for halvings in range(11):
+            trial = u + 0.5**halvings * delta
+            F_try, res_try = residual(trial)
+            if res_try < res:
+                break
+        else:
+            raise AssertionError("reference Newton stalled")
+        u, F, res = trial, F_try, res_try
+        iterations += 1
+    return u, iterations
+
+
+def catalog_factor(name, n):
+    return catalog_chart(name, n)[2]["u"]
+
+
+class TestNewtonLinearSolve:
+    @pytest.mark.parametrize("c", [0.0, 37.5])
+    def test_dst_inverts_the_shifted_laplacian(self, c):
+        g = Grid2D.from_bounds(0.0, 1.0, 1.0, 1.6, 23, 15)  # dx != dy
+        A = elliptic._laplacian_matrix(g)
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        x = elliptic._dst_solve(elliptic._laplacian_spectrum(g), c, b)
+        assert np.max(np.abs(c * x - A @ x - b)) <= 1e-12 * np.max(np.abs(A @ x))
+        eigs = np.linalg.eigvalsh(-A.toarray())
+        assert np.allclose(np.sort(elliptic._laplacian_spectrum(g).ravel()), eigs,
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["poincare_disk_patch", "half_plane_pseudosphere",
+                                      "half_plane_dx_ne_dy", "disk_dx_ne_dy"])
+    def test_cg_newton_matches_splu_newton(self, case):
+        if case in ("poincare_disk_patch", "half_plane_pseudosphere"):
+            boundary = catalog_factor(case, 65)
+            grid = boundary.grid
+        elif case == "half_plane_dx_ne_dy":
+            grid, boundary = Grid2D.from_bounds(0.0, 1.0, 1.0, 1.6, 65, 29), lambda X, Y: -np.log(Y)
+        else:
+            grid, boundary = Grid2D.from_bounds(-0.45, 0.45, -0.3, 0.3, 41, 61), disk_factor
+        want, iterations = splu_newton(grid, boundary)
+        sol = solve_liouville_newton(grid, boundary)
+        assert sol.iterations == iterations
+        assert np.max(np.abs(sol.u.values[1:-1, 1:-1].ravel() - want)) <= 1e-10
+
+    def test_cg_steps_do_not_grow_with_n(self, monkeypatch):
+        # one preconditioner application per CG step plus one to start
+        calls = []
+        dst_solve = elliptic._dst_solve
+        monkeypatch.setattr(elliptic, "_dst_solve",
+                            lambda *args: calls.append(1) or dst_solve(*args))
+        for n in (33, 129):
+            for name in ("poincare_disk_patch", "half_plane_pseudosphere"):
+                calls.clear()
+                u = catalog_factor(name, n)
+                sol = solve_liouville_newton(u.grid, u)
+                assert len(calls) <= 8 * sol.iterations
+
+    def test_exhausted_cg_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_pcg_budget", lambda kappa, rtol: 1)
+        with pytest.raises(EllipticError, match="conjugate gradients did not converge"):
+            solve_liouville_newton(half_plane_grid(33), lambda X, Y: -np.log(Y))
+
+    def test_catalog_commands_load_no_spline_tree_or_fft(self):
+        # scipy.interpolate, scipy.spatial and scipy.fft are loaded only by
+        # the stages that use them, never by a catalog-chart verify run
+        src = str(Path(minding_lab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, minding_lab.conformal, minding_lab.elliptic\n"
+            "from minding_lab.cli import main\n"
+            "code = main(['verify-minding', '--catalog', 'half_plane_pseudosphere',"
+            " '--n', '17'])\n"
+            "lazy = ('scipy.interpolate', 'scipy.spatial', 'scipy.fft')\n"
+            "print('LOADED', [m for m in lazy if m in sys.modules], code)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "LOADED [] 0"
 
 
 class TestBootstrapEquivalence:

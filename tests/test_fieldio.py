@@ -73,6 +73,11 @@ def test_read_rejects_malformed(tmp_path):
         # an integer no float can hold: float() raises OverflowError
         json.dumps({**header, "values": [10**400] + [0.0] * 8}),
         json.dumps({**header, "dx": 10**400, "values": nine}),
+        # a boolean or a numeric string is not a number, though a float
+        # cast would take both
+        json.dumps({**header, "values": [True] + [0.0] * 8}),
+        json.dumps({**header, "values": ["2.5"] + [0.0] * 8}),
+        json.dumps({**header, "values": 9.0}),
         # node counts must be JSON integers
         json.dumps({**header, "nx": 3.0, "values": nine}),
         json.dumps({**header, "nx": 3.5, "values": nine}),

@@ -5,10 +5,9 @@ entry, the component list or one ``values`` entry replaced, deleted or
 added.  The reader must return exactly what the mutated document says
 or raise ``GridError`` naming the file; any other exception fails.
 Examples are derandomized, so the suite stays deterministic.
-
-``values`` is converted in one vectorized cast and not checked per
-value, so its mutations draw from numbers, ``null`` and non-numeric
-junk only: a boolean or a numeric string there is cast like a number.
+``values`` entries are replaced by numbers, ``null``, booleans, numeric
+and other strings, lists and objects; only numbers and ``null`` are
+values.
 """
 
 import json
@@ -16,6 +15,7 @@ import math
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from minding_lab.fieldio import read_field, write_field
@@ -37,11 +37,7 @@ junk = st.one_of(
     st.lists(st.integers(0, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
 )
-not_a_number = st.one_of(
-    st.text(alphabet="xyz,", max_size=3),
-    st.lists(st.floats(0.0, 1.0), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
-)
+numeric_strings = st.sampled_from(["2.5", "1", "-0", "nan", "1e400"])
 
 
 def expected(doc):
@@ -123,7 +119,8 @@ def mutated_documents(draw, path):
         k = draw(st.integers(0, len(values) - 1))
         action = draw(st.sampled_from(["replace", "delete", "append", "replace_all"]))
         if action == "replace":
-            values[k] = draw(st.one_of(numbers, st.none(), not_a_number))
+            values[k] = draw(st.one_of(numbers, junk, numeric_strings,
+                                       st.lists(st.floats(0.0, 1.0), max_size=2)))
         elif action == "delete":
             del values[k]
         elif action == "append":
@@ -155,5 +152,29 @@ def test_read_field_round_trip_or_grid_error(tmp_path_factory):
         assert list(channels) == list(want[1])
         for name, arr in channels.items():
             assert np.array_equal(arr, want[1][name], equal_nan=True)
+
+    check()
+
+
+def test_read_field_value_entries(tmp_path_factory):
+    # one values entry replaced: the whole-document fuzz above draws
+    # this mutation too rarely to cover every kind of entry
+    path = tmp_path_factory.mktemp("fuzz") / "field.json"
+    grid = Grid2D(0.0, 0.0, 3, 3, 1.0, 1.0)
+    write_field(path, grid, {"u": np.zeros(grid.shape)})
+    base = json.loads(path.read_text())
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(st.integers(0, 8), st.one_of(numbers, junk, numeric_strings))
+    def check(k, entry):
+        doc = dict(base, values=list(base["values"]))
+        doc["values"][k] = entry
+        path.write_text(json.dumps(doc))
+        want = expected(doc)
+        if want is None:
+            with pytest.raises(GridError, match=re.escape(str(path))):
+                read_field(path)
+            return
+        assert np.array_equal(read_field(path)[1]["u"], want[1]["u"], equal_nan=True)
 
     check()
