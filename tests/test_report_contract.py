@@ -1,8 +1,10 @@
-"""Report contract: ``verify-minding`` reports match committed goldens.
+"""Report contract: every command's report matches a committed golden.
 
-Each golden under ``tests/golden/`` holds, for one catalog source at
-n = 65, the exit code, the report with its ``out_dir`` blanked, and the
-component list of every artifact file.  Structure, verdicts, counts and
+Each golden under ``tests/golden/`` holds the exit code, the report
+with its path fields blanked, and the component list of every artifact
+file.  There is one golden per catalog source for ``verify-minding`` at
+n = 65, and one per case in ``COMMANDS``: the six other commands,
+including their failing paths.  Structure, verdicts, counts and
 channel lists must match exactly.  Floats must match to a relative
 1e-9, which a change in what is computed does not pass.
 
@@ -27,22 +29,64 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from minding_lab.cli import CATALOG, main
+from minding_lab.fieldio import write_field
+from minding_lab.grid import Grid2D
 
 GOLDEN = Path(__file__).parent / "golden"
 N = "65"
+PATHS = ("theta_file", "surface_file", "metric_file", "factor_file", "out_dir")
+CONSTANT_FACTOR = "constant_factor.json"  # u = 0: both Liouville gates fail
+
+# golden name -> arguments; CONSTANT_FACTOR is written next to the run
+COMMANDS = {
+    "synthesize-one_soliton": ["synthesize", "--catalog", "one_soliton"],
+    "metric-one_soliton": ["metric", "--catalog", "one_soliton"],
+    "flatten-one_soliton": ["flatten", "--catalog", "one_soliton"],
+    "flatten-flat_plane": ["flatten", "--catalog", "flat_plane"],
+    "solve-half_plane_pseudosphere": ["solve", "--catalog", "half_plane_pseudosphere"],
+    "solve-half_plane_pseudosphere-tol1e-6": [
+        "solve", "--catalog", "half_plane_pseudosphere", "--tol-scale", "1e-6"],
+    "develop-half_plane_pseudosphere": ["develop", "--catalog", "half_plane_pseudosphere"],
+    "liouville-check-constant_factor": ["liouville-check", "--factor-file", CONSTANT_FACTOR],
+    "develop-constant_factor": ["develop", "--factor-file", CONSTANT_FACTOR],
+    "verify-minding-one_soliton-n17": ["verify-minding", "--catalog", "one_soliton",
+                                       "--n", "17"],
+}
 
 
-def snapshot(source: str, out: Path) -> dict:
-    code = main(["verify-minding", "--catalog", source, "--n", N, "--out", str(out)])
+def write_constant_factor(path: Path) -> None:
+    half = 0.5 / np.sqrt(2.0)
+    g = Grid2D.from_bounds(-half, half, -half, half, 65, 65)
+    write_field(path, g, {"u": np.zeros(g.shape)})
+
+
+def run_snapshot(argv: list, out: Path) -> dict:
+    code = main(argv + ["--out", str(out)])
     report = json.loads((out / "report.json").read_text())
-    report["config"]["out_dir"] = None
+    for key in PATHS:
+        report["config"][key] = None
     artifacts = {
         path.name: json.loads(path.read_text())["components"]
         for path in sorted(out.glob("*.json"))
         if path.name != "report.json"
     }
     return {"exit_code": code, "report": report, "artifacts": artifacts}
+
+
+def snapshot(source: str, out: Path) -> dict:
+    return run_snapshot(["verify-minding", "--catalog", source, "--n", N], out)
+
+
+def command_snapshot(case: str, tmp: Path) -> dict:
+    factor = tmp / CONSTANT_FACTOR
+    write_constant_factor(factor)
+    argv = [str(factor) if a == CONSTANT_FACTOR else a for a in COMMANDS[case]]
+    if "--n" not in argv:
+        argv += ["--n", N]
+    return run_snapshot(argv, tmp / "out")
 
 
 def assert_matches(actual, expected, where="$"):
@@ -75,6 +119,14 @@ def test_verify_minding_matches_golden(source, tmp_path, capsys):
     assert_matches(actual, expected)
 
 
+@pytest.mark.parametrize("case", COMMANDS)
+def test_command_matches_golden(case, tmp_path, capsys):
+    actual = command_snapshot(case, tmp_path)
+    capsys.readouterr()
+    expected = json.loads((GOLDEN / f"{case}.json").read_text())
+    assert_matches(actual, expected)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for source in CATALOG:
@@ -82,3 +134,8 @@ if __name__ == "__main__":
             doc = snapshot(source, Path(tmp))
         (GOLDEN / f"{source}.json").write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {source}.json (exit {doc['exit_code']})", file=sys.stderr)
+    for case in COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = command_snapshot(case, Path(tmp))
+        (GOLDEN / f"{case}.json").write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"wrote {case}.json (exit {doc['exit_code']})", file=sys.stderr)
