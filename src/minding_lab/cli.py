@@ -10,6 +10,13 @@ Exit codes: 0 all gates passed, 2 unusable configuration or missing
 input, 3 a residual exceeded its gate, 4 a solver gave up.  Any other
 exception is a programming error and propagates with its traceback.
 
+Every command body records its stages on one ``_Run``.  ``gate``
+records a measured residual against its gate and ends the chain when
+it fails, ``check`` records one without ending it, and ``stage``
+records a listed solver error as that stage's failure and ends the
+chain.  ``_execute`` catches the end of the chain and emits the report
+of what was recorded, so a command stops in exactly one place.
+
 Only the standard library is imported at module level: numpy reads its
 threading environment once at import time, so the MINDING_LAB_THREADS
 cap must be applied before anything numeric loads.  Every command body
@@ -25,7 +32,9 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 EXIT_PASS = 0
@@ -92,21 +101,15 @@ class PipelineConfig:
                 raise ConfigError(f"{name.replace('_', ' ')} not found: {path}")
 
     def as_dict(self) -> dict:
-        return {
-            "catalog": self.catalog,
-            "theta_file": self.theta_file,
-            "surface_file": self.surface_file,
-            "metric_file": self.metric_file,
-            "factor_file": self.factor_file,
-            "n": self.n,
-            "tol_scale": self.tol_scale,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # report plumbing
+
+
+class _Stop(Exception):
+    """Ends a command's stage chain; the stages recorded so far stand."""
 
 
 class _Run:
@@ -129,7 +132,7 @@ class _Run:
             except ValueError as exc:  # a NUL or lone surrogate, as JSON can hold
                 raise ConfigError(f"unusable --out path {config.out_dir!r}: {exc}") from exc
 
-    def gate(self, name: str, measured: float, gate: float, **info) -> bool:
+    def check(self, name: str, measured: float, gate: float, **info) -> bool:
         entry = {
             "name": name,
             "measured": float(measured),
@@ -140,9 +143,18 @@ class _Run:
         self.stages.append(entry)
         return entry["passed"]
 
-    def fail(self, name: str, exc: Exception) -> None:
-        self.stages.append({"name": name, "passed": False, "error": str(exc)})
-        self.solver_error = True
+    def gate(self, name: str, measured: float, gate: float, **info) -> None:
+        if not self.check(name, measured, gate, **info):
+            raise _Stop
+
+    @contextmanager
+    def stage(self, name: str, *errors: type):
+        try:
+            yield
+        except errors as exc:
+            self.stages.append({"name": name, "passed": False, "error": str(exc)})
+            self.solver_error = True
+            raise _Stop from exc
 
     def note(self, name: str, **info) -> None:
         self.stages.append({"name": name, "passed": True, **info})
@@ -282,28 +294,21 @@ def _load_factor(config: PipelineConfig):
 
 def _synthesis_stages(run: _Run, theta):
     """Angle compatibility, frame integration, and the construction
-    invariants; returns the surface or None after a failed gate."""
+    invariants; returns the surface."""
     from minding_lab.chebyshev import corollary_conditions, integrate_frame, sine_gordon_residual
     from minding_lab.chebyshev import IncompatibleAngleError, SingularAngleError
 
     h2 = theta.grid.h**2
     scale = run.config.tol_scale
     sg = sine_gordon_residual(theta).interior_abs_max()
-    if not run.gate("sine_gordon", sg, 50.0 * h2 * scale):
-        return None
-    try:
+    run.gate("sine_gordon", sg, 50.0 * h2 * scale)
+    with run.stage("frame_integration", IncompatibleAngleError, SingularAngleError):
         result = integrate_frame(theta)
-    except (IncompatibleAngleError, SingularAngleError) as exc:
-        run.fail("frame_integration", exc)
-        return None
     path = max(result.path_residual_f, result.path_residual_frame)
-    if not run.gate("frame_path_independence", path, 50.0 * h2 * scale):
-        return None
+    run.gate("frame_path_independence", path, 50.0 * h2 * scale)
     report = corollary_conditions(result.surface)
     worst = max(report.as_dict().values())
-    if not run.gate("corollary_conditions", worst, 50.0 * h2 * scale,
-                    residuals=report.as_dict()):
-        return None
+    run.gate("corollary_conditions", worst, 50.0 * h2 * scale, residuals=report.as_dict())
     return result.surface
 
 
@@ -326,7 +331,21 @@ def _store_surface(run: _Run, surface) -> None:
     )
 
 
-def _store_developing(run: _Run, dev) -> None:
+def _store_chart(run: _Run, chart) -> None:
+    run.artifacts["chart.json"] = (
+        chart.grid,
+        {"X": chart.X.values, "Y": chart.Y.values, "h": chart.h.values},
+    )
+
+
+def _develop_stage(run: _Run, u):
+    """Develop the factor into the disk and store the map; the pullback
+    is gated by the caller."""
+    from minding_lab.developing import DevelopError, develop
+    from minding_lab.grid import GridError
+
+    with run.stage("develop", DevelopError, GridError):
+        dev = develop(u, pullback_tol=float("inf"))
     run.artifacts["developing.json"] = (
         dev.grid,
         {
@@ -336,6 +355,7 @@ def _store_developing(run: _Run, dev) -> None:
             "dphi_im": dev.dphi.imag,
         },
     )
+    return dev
 
 
 def _embedded_metric_stages(run: _Run, surface):
@@ -351,73 +371,63 @@ def _embedded_metric_stages(run: _Run, surface):
 
     scale = run.config.tol_scale
     g = surface.f.grid
-    try:
+    with run.stage("induced_metric", DegenerateMetricError):
         metric = induced_metric(surface.f)
-    except DegenerateMetricError as exc:
-        run.fail("induced_metric", exc)
-        return None
     dev = max(
         np.abs(metric.E - 1.0).max(),
         np.abs(metric.G - 1.0).max(),
         np.abs(metric.F - np.cos(surface.theta.theta.values)).max(),
     )
-    if not run.gate("chebyshev_metric", dev, 50.0 * g.h**2 * scale):
-        return None
+    run.gate("chebyshev_metric", dev, 50.0 * g.h**2 * scale)
     _, second = normal_and_second_form(surface.f)
     K = gauss_curvature_from_forms(metric, second)
     worst = float(np.nanmax(np.abs(K.values + 1.0)))
-    if not run.gate("curvature", worst, 1e-2 * scale,
-                    k_center=float(K.values[g.ny // 2, g.nx // 2])):
-        return None
+    run.gate("curvature", worst, 1e-2 * scale,
+             k_center=float(K.values[g.ny // 2, g.nx // 2]))
     run.artifacts["metric.json"] = (g, {"E": metric.E, "F": metric.F, "G": metric.G})
     return metric
 
 
+def _isothermic_curvature_stage(run: _Run, h, gate: float) -> None:
+    """Gauss curvature of an isothermic factor against -1, two nodes in
+    from the edge, where the second differences are centred."""
+    import numpy as np
+
+    from minding_lab.forms import gauss_curvature_isothermic
+
+    K = gauss_curvature_isothermic(h)
+    worst = float(np.nanmax(np.abs(K.values[2:-2, 2:-2] + 1.0)))
+    run.gate("curvature", worst, gate,
+             k_center=float(K.values[h.grid.ny // 2, h.grid.nx // 2]))
+
+
 def _flatten_stages(run: _Run, metric, *, curvature_gate: float | None):
     """Flatten, resample onto the image grid, and (optionally) gate the
-    recovered curvature there; returns the raw image factor or None.
+    recovered curvature there; returns the raw image factor.
 
     The image-grid curvature is the only one available for metric-only
     sources.  Differentiating the resampled factor twice amplifies
     node-scale noise by 1/h^2, so embedded sources gate curvature on
     their fundamental forms instead and pass None here.
     """
-    import numpy as np
-
     from minding_lab.conformal import (
         ConformalError,
         flatten_conformal,
         inner_image_grid,
         resample_to_image,
     )
-    from minding_lab.forms import gauss_curvature_isothermic
 
     scale = run.config.tol_scale
-    try:
+    with run.stage("flatten", ConformalError):
         chart = flatten_conformal(metric, anisotropy_tol=1e-3 * scale)
-    except ConformalError as exc:
-        run.fail("flatten", exc)
-        return None
-    if not run.gate("flatten", max(chart.anisotropy, chart.skew), 1e-3 * scale,
-                    anisotropy=chart.anisotropy, skew=chart.skew):
-        return None
-    run.artifacts["chart.json"] = (
-        chart.grid,
-        {"X": chart.X.values, "Y": chart.Y.values, "h": chart.h.values},
-    )
-    try:
+    run.gate("flatten", max(chart.anisotropy, chart.skew), 1e-3 * scale,
+             anisotropy=chart.anisotropy, skew=chart.skew)
+    _store_chart(run, chart)
+    with run.stage("image_resample", ConformalError):
         image = inner_image_grid(chart, run.config.n)
         h_img = resample_to_image(chart.h, chart, image)
-    except ConformalError as exc:
-        run.fail("image_resample", exc)
-        return None
     if curvature_gate is not None:
-        K = gauss_curvature_isothermic(h_img)
-        worst = float(np.nanmax(np.abs(K.values[2:-2, 2:-2] + 1.0)))
-        ny, nx = image.shape
-        if not run.gate("curvature", worst, curvature_gate * scale,
-                        k_center=float(K.values[ny // 2, nx // 2])):
-            return None
+        _isothermic_curvature_stage(run, h_img, curvature_gate * scale)
     return h_img
 
 
@@ -427,46 +437,26 @@ def _factor_stages(run: _Run, h_img, gates: dict):
     import numpy as np
 
     from minding_lab.conformal import ConformalError, rescale_to_liouville
-    from minding_lab.developing import DevelopError, develop, pullback_isometry_check
+    from minding_lab.developing import pullback_isometry_check
     from minding_lab.elliptic import EllipticError, bootstrap_equivalence
     from minding_lab.grid import GridError, ScalarField
     from minding_lab.weak import bump_lattice, liouville_weak_residual
 
     scale = run.config.tol_scale
-    try:
+    with run.stage("rescale", ConformalError):
         h_fit, fit = rescale_to_liouville(h_img)
-    except ConformalError as exc:
-        run.fail("rescale", exc)
-        return None
-    if not run.gate("rescale", abs(fit - 1.0), gates["rescale"] * scale, fit=fit):
-        return None
+    run.gate("rescale", abs(fit - 1.0), gates["rescale"] * scale, fit=fit)
     u = ScalarField(h_fit.grid, np.log(h_fit.values))
     run.artifacts["factor.json"] = (u.grid, {"u": u.values, "h": h_fit.values})
 
-    try:
+    with run.stage("liouville_weak", GridError):
         weak = liouville_weak_residual(u, bump_lattice(u.grid))
-    except GridError as exc:
-        run.fail("liouville_weak", exc)
-        return None
-    if not run.gate("liouville_weak", weak.max_abs(), gates["weak"] * scale,
-                    test_count=weak.count):
-        return None
-    try:
+    run.gate("liouville_weak", weak.max_abs(), gates["weak"] * scale, test_count=weak.count)
+    with run.stage("bootstrap", EllipticError):
         gap = bootstrap_equivalence(u)
-    except EllipticError as exc:
-        run.fail("bootstrap", exc)
-        return None
-    if not run.gate("bootstrap", gap, gates["bootstrap"] * scale):
-        return None
-    try:
-        dev = develop(u, pullback_tol=float("inf"))
-    except (DevelopError, GridError) as exc:
-        run.fail("develop", exc)
-        return None
-    _store_developing(run, dev)
-    pull = pullback_isometry_check(dev, u)
-    if not run.gate("pullback_isometry", pull, gates["pullback"] * scale):
-        return None
+    run.gate("bootstrap", gap, gates["bootstrap"] * scale)
+    dev = _develop_stage(run, u)
+    run.gate("pullback_isometry", pullback_isometry_check(dev, u), gates["pullback"] * scale)
     return dev, u
 
 
@@ -490,23 +480,12 @@ def _calibration_block(dev, u) -> dict:
 def _chart_catalog_stages(run: _Run, name: str):
     """Catalog chart path: the chart is the identity, so every check
     runs on the source grid with the h-scaled gates."""
-    import numpy as np
-
     from minding_lab.conformal import catalog_chart
-    from minding_lab.forms import gauss_curvature_isothermic
 
     _, chart, extras = catalog_chart(name, run.config.n)
-    g = chart.grid
-    h2 = g.h**2
-    scale = run.config.tol_scale
-    run.artifacts["chart.json"] = (
-        g, {"X": chart.X.values, "Y": chart.Y.values, "h": chart.h.values}
-    )
-    K = gauss_curvature_isothermic(chart.h)
-    worst = float(np.nanmax(np.abs(K.values[2:-2, 2:-2] + 1.0)))
-    if not run.gate("curvature", worst, 10.0 * h2 * scale,
-                    k_center=float(K.values[g.ny // 2, g.nx // 2])):
-        return None
+    h2 = chart.grid.h**2
+    _store_chart(run, chart)
+    _isothermic_curvature_stage(run, chart.h, 10.0 * h2 * run.config.tol_scale)
     gates = {
         "rescale": 10.0 * h2,
         "weak": 10.0 * h2,
@@ -525,46 +504,35 @@ SYNTHESIZED_GATES = {
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each body records stages on its run and returns or stops
 
 
-def cmd_synthesize(config: PipelineConfig) -> int:
-    run = _Run("synthesize", config)
+def cmd_synthesize(run: _Run) -> None:
+    config = run.config
     if config.catalog not in SURFACE_SOURCES and config.theta_file is None:
         raise ConfigError("synthesize needs a one_soliton catalog or a theta file")
-    theta = _load_angle(config)
-    surface = _synthesis_stages(run, theta)
-    if surface is not None:
-        _store_surface(run, surface)
-    return _emit(run)
+    _store_surface(run, _synthesis_stages(run, _load_angle(config)))
 
 
-def cmd_metric(config: PipelineConfig) -> int:
-    run = _Run("metric", config)
+def cmd_metric(run: _Run) -> None:
+    config = run.config
     if config.surface_file is not None:
         surface = _load_surface(config)
     elif config.catalog in SURFACE_SOURCES:
         surface = _synthesis_stages(run, _load_angle(config))
-        if surface is None:
-            return _emit(run)
     else:
         raise ConfigError("metric needs a surface file or the one_soliton catalog")
     metric = _embedded_metric_stages(run, surface)
-    if metric is not None:
-        det = metric.E * metric.G - metric.F**2
-        run.note("metric_det", min_det=float(det.min()))
-    return _emit(run)
+    det = metric.E * metric.G - metric.F**2
+    run.note("metric_det", min_det=float(det.min()))
 
 
-def cmd_flatten(config: PipelineConfig) -> int:
-    run = _Run("flatten", config)
-    metric = _resolve_metric(run, config)
-    if metric is not None:
-        _flatten_stages(run, metric, curvature_gate=None)
-    return _emit(run)
+def cmd_flatten(run: _Run) -> None:
+    _flatten_stages(run, _resolve_metric(run), curvature_gate=None)
 
 
-def _resolve_metric(run: _Run, config: PipelineConfig):
+def _resolve_metric(run: _Run):
+    config = run.config
     if config.metric_file is not None:
         return _load_metric(config)
     if config.catalog in CONTROL_SOURCES:
@@ -576,37 +544,29 @@ def _resolve_metric(run: _Run, config: PipelineConfig):
         return metric
     if config.catalog in SURFACE_SOURCES or config.theta_file is not None:
         surface = _synthesis_stages(run, _load_angle(config))
-        if surface is None:
-            return None
         return _embedded_metric_stages(run, surface)
     if config.surface_file is not None:
         return _embedded_metric_stages(run, _load_surface(config))
     raise ConfigError("no metric source in configuration")
 
 
-def cmd_liouville_check(config: PipelineConfig) -> int:
+def cmd_liouville_check(run: _Run) -> None:
     import numpy as np
 
     from minding_lab.grid import fd_laplacian
     from minding_lab.weak import bump_lattice, liouville_weak_residual
 
-    run = _Run("liouville-check", config)
-    u = _resolve_factor(run, config)
-    if u is None:
-        return _emit(run)
+    u = _resolve_factor(run.config)
     h2 = u.grid.h**2
-    scale = config.tol_scale
+    scale = run.config.tol_scale
     weak = liouville_weak_residual(u, bump_lattice(u.grid))
-    run.gate("liouville_weak", weak.max_abs(), 10.0 * h2 * scale,
-             test_count=weak.count)
+    run.check("liouville_weak", weak.max_abs(), 10.0 * h2 * scale, test_count=weak.count)
     e2u = np.exp(2.0 * u.values)
     defect = np.abs(fd_laplacian(u).values - e2u) / e2u
-    run.gate("curvature_defect", float(np.nanmax(defect[2:-2, 2:-2])),
-             10.0 * h2 * scale)
-    return _emit(run)
+    run.check("curvature_defect", float(np.nanmax(defect[2:-2, 2:-2])), 10.0 * h2 * scale)
 
 
-def _resolve_factor(run: _Run, config: PipelineConfig):
+def _resolve_factor(config: PipelineConfig):
     if config.factor_file is not None:
         return _load_factor(config)
     if config.catalog in CHART_SOURCES:
@@ -617,85 +577,61 @@ def _resolve_factor(run: _Run, config: PipelineConfig):
     raise ConfigError("this command needs a factor file or a catalog chart source")
 
 
-def cmd_solve(config: PipelineConfig) -> int:
+def cmd_solve(run: _Run) -> None:
     import numpy as np
 
     from minding_lab.elliptic import EllipticError, solve_liouville_newton
 
-    run = _Run("solve", config)
-    u_ref = _resolve_factor(run, config)
-    if u_ref is None:
-        return _emit(run)
+    u_ref = _resolve_factor(run.config)
     h2 = u_ref.grid.h**2
-    scale = config.tol_scale
-    try:
+    with run.stage("newton", EllipticError):
         solution = solve_liouville_newton(u_ref.grid, u_ref)
-    except EllipticError as exc:
-        run.fail("newton", exc)
-        return _emit(run)
-    run.gate("newton_iterations", float(solution.iterations), 8.0,
-             residuals=list(solution.residuals))
+    run.check("newton_iterations", float(solution.iterations), 8.0,
+              residuals=list(solution.residuals))
     err = float(np.abs(solution.u.values - u_ref.values)[1:-1, 1:-1].max())
-    run.gate("newton_accuracy", err, 20.0 * h2 * scale)
+    run.check("newton_accuracy", err, 20.0 * h2 * run.config.tol_scale)
     run.artifacts["factor.json"] = (u_ref.grid, {"u": solution.u.values})
-    return _emit(run)
 
 
-def cmd_develop(config: PipelineConfig) -> int:
-    from minding_lab.developing import DevelopError, develop, pullback_isometry_check
-    from minding_lab.grid import GridError
+def cmd_develop(run: _Run) -> None:
+    from minding_lab.developing import pullback_isometry_check
 
-    run = _Run("develop", config)
-    u = _resolve_factor(run, config)
-    if u is None:
-        return _emit(run)
-    h2 = u.grid.h**2
-    try:
-        dev = develop(u, pullback_tol=float("inf"))
-    except (DevelopError, GridError) as exc:
-        run.fail("develop", exc)
-        return _emit(run)
-    _store_developing(run, dev)
-    run.gate("pullback_isometry", pullback_isometry_check(dev, u),
-             50.0 * h2 * config.tol_scale)
+    u = _resolve_factor(run.config)
+    dev = _develop_stage(run, u)
+    run.check("pullback_isometry", pullback_isometry_check(dev, u),
+              50.0 * u.grid.h**2 * run.config.tol_scale)
     run.extra["calibration"] = _calibration_block(dev, u)
-    return _emit(run)
 
 
-def cmd_verify_minding(config: PipelineConfig) -> int:
-    run = _Run("verify-minding", config)
+def cmd_verify_minding(run: _Run) -> None:
+    config = run.config
     if config.catalog in CHART_SOURCES:
-        result = _chart_catalog_stages(run, config.catalog)
-        if result is not None:
-            run.extra["calibration"] = _calibration_block(*result)
-        return _emit(run)
+        run.extra["calibration"] = _calibration_block(*_chart_catalog_stages(run, config.catalog))
+        return
     if config.catalog in CONTROL_SOURCES or config.metric_file is not None:
-        metric = (
-            _control_metric(config)
-            if config.metric_file is None
-            else _load_metric(config)
-        )
-        h_img = _flatten_stages(run, metric, curvature_gate=1e-2)
-        if h_img is not None:
-            _factor_stages(run, h_img, SYNTHESIZED_GATES)
-        return _emit(run)
-    # embedded path: angle or surface file
-    if config.catalog in SURFACE_SOURCES or config.theta_file is not None:
-        surface = _synthesis_stages(run, _load_angle(config))
-        if surface is None:
-            return _emit(run)
-        _store_surface(run, surface)
-    elif config.surface_file is not None:
-        surface = _load_surface(config)
+        h_img = _flatten_stages(run, _resolve_metric(run), curvature_gate=1e-2)
     else:
-        raise ConfigError("verify-minding needs a catalog, theta, surface, or metric source")
-    metric = _embedded_metric_stages(run, surface)
-    if metric is None:
-        return _emit(run)
-    h_img = _flatten_stages(run, metric, curvature_gate=None)
-    if h_img is None:
-        return _emit(run)
+        # embedded path: angle or surface file
+        if config.catalog in SURFACE_SOURCES or config.theta_file is not None:
+            surface = _synthesis_stages(run, _load_angle(config))
+            _store_surface(run, surface)
+        elif config.surface_file is not None:
+            surface = _load_surface(config)
+        else:
+            raise ConfigError("verify-minding needs a catalog, theta, surface, or metric source")
+        metric = _embedded_metric_stages(run, surface)
+        h_img = _flatten_stages(run, metric, curvature_gate=None)
     _factor_stages(run, h_img, SYNTHESIZED_GATES)
+
+
+def _execute(command: str, body, config: PipelineConfig) -> int:
+    """Run one command body to its end or to its first stop, then emit
+    the report; the exit code follows from the recorded stages."""
+    run = _Run(command, config)
+    try:
+        body(run)
+    except _Stop:
+        pass
     return _emit(run)
 
 
@@ -766,6 +702,20 @@ def cmd_export_plots(out_dir: str | None, force: bool) -> int:
 # argument handling
 
 
+_COMMANDS = {
+    name: partial(_execute, name, body)
+    for name, body in (
+        ("synthesize", cmd_synthesize),
+        ("metric", cmd_metric),
+        ("flatten", cmd_flatten),
+        ("liouville-check", cmd_liouville_check),
+        ("solve", cmd_solve),
+        ("develop", cmd_develop),
+        ("verify-minding", cmd_verify_minding),
+    )
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minding-lab",
@@ -783,15 +733,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="directory for report.json and field files")
     common.add_argument("--seed", type=int, help="recorded in the report")
     common.add_argument("--config", help="JSON file with defaults for these flags")
-    for name in (
-        "synthesize",
-        "metric",
-        "flatten",
-        "liouville-check",
-        "solve",
-        "develop",
-        "verify-minding",
-    ):
+    for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     export = sub.add_parser("export-plots", parents=[common])
     export.add_argument("--force", action="store_true",
@@ -884,17 +826,6 @@ def _apply_thread_cap() -> None:
         "NUMEXPR_NUM_THREADS",
     ):
         os.environ.setdefault(var, cap)
-
-
-_COMMANDS = {
-    "synthesize": cmd_synthesize,
-    "metric": cmd_metric,
-    "flatten": cmd_flatten,
-    "liouville-check": cmd_liouville_check,
-    "solve": cmd_solve,
-    "develop": cmd_develop,
-    "verify-minding": cmd_verify_minding,
-}
 
 
 def _solver_errors() -> tuple:
