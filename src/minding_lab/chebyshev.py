@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 SIN_THETA_FLOOR = 1e-6
+COMPATIBILITY_TOL = 1e-3  # default sine-Gordon gate of integrate_frame
 
 
 class SingularAngleError(ValueError):
@@ -360,7 +361,7 @@ def integrate_frame(
     W0: np.ndarray | None = None,
     f0=(0.0, 0.0, 0.0),
     *,
-    compatibility_tol: float | None = 1e-3,
+    compatibility_tol: float | None = COMPATIBILITY_TOL,
     reorthonormalize_every: int = 16,
 ) -> FrameIntegrationResult:
     """Synthesize a surface from an angle field.

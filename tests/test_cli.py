@@ -55,8 +55,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             # an infinite scale would pass every gate
             PipelineConfig(catalog="one_soliton", tol_scale=float("inf"))
-        with pytest.raises(ConfigError):
-            PipelineConfig(catalog="one_soliton", seed=-1)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -326,7 +324,6 @@ class TestUsage:
         ({"tol_scale": 10**400}, "tol_scale is out of range"),
         ({"out": 3}, "out must be a string, got int"),
         ({"catalog": ["one_soliton"]}, "catalog must be a string, got list"),
-        ({"seed": 1.5}, "seed must be an integer, got float"),
     ])
     def test_config_file_value_types(self, capsys, tmp_path, doc, message):
         cfg = tmp_path / "cfg.json"
@@ -360,10 +357,18 @@ class TestUsage:
     def test_config_file_null_leaves_a_key_unset(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", "n": 33,
-                                   "tol_scale": None, "seed": None, "factor_file": None}))
+                                   "tol_scale": None, "factor_file": None}))
         code, report = run_cli(capsys, "liouville-check", "--config", str(cfg))
         assert code == EXIT_PASS
-        assert (report["config"]["tol_scale"], report["config"]["seed"]) == (1.0, None)
+        assert (report["config"]["tol_scale"], report["config"]["factor_file"]) == (1.0, None)
+
+    def test_config_file_seed_is_an_unknown_key(self, capsys, tmp_path):
+        # the CLI has no seed; a config key naming one is refused like
+        # any other unknown key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", "seed": 1}))
+        assert main(["solve", "--config", str(cfg)]) == EXIT_USAGE
+        assert f"{cfg}: unknown keys ['seed']" in capsys.readouterr().err
 
     def test_factor_file_float_overflow(self, capsys, tmp_path):
         path = tmp_path / "u.json"
@@ -422,6 +427,26 @@ class TestFailureClassification:
         code = main(["liouville-check", "--catalog", "half_plane_pseudosphere", "--n", "17"])
         assert code == EXIT_SOLVER
         assert "solver failure: quadrature gave up" in capsys.readouterr().err
+
+    def test_solver_error_in_a_stage_ends_the_chain(self, capsys, monkeypatch, tmp_path):
+        import minding_lab.conformal
+        from minding_lab.conformal import ConformalError
+
+        def gives_up(*args, **kwargs):
+            raise ConformalError("flatten gave up")
+
+        monkeypatch.setattr(minding_lab.conformal, "flatten_conformal", gives_up)
+        out = tmp_path / "run"
+        code, report = run_cli(capsys, "verify-minding", "--catalog", "one_soliton",
+                               "--n", "33", "--out", str(out))
+        assert code == EXIT_SOLVER
+        assert report["failed_stage"] == "flatten" and report["solver_error"] is True
+        assert report["stages"][-1] == {"name": "flatten", "passed": False,
+                                        "error": "flatten gave up"}
+        assert all(s["passed"] for s in report["stages"][:-1])
+        # the artifacts of the stages before flatten are written, none after
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metric.json", "report.json", "surface.json", "theta.json"]
 
     def test_out_under_a_regular_file(self, capsys, tmp_path):
         blocker = tmp_path / "file"

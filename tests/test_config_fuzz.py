@@ -19,7 +19,7 @@ from minding_lab.cli import CATALOG, EXIT_PASS, EXIT_USAGE, main
 
 SOURCES = ("catalog", "theta_file", "surface_file", "metric_file", "factor_file")
 STRINGS = SOURCES + ("out",)
-KEYS = STRINGS + ("n", "tol_scale", "seed")
+KEYS = STRINGS + ("n", "tol_scale")
 
 numbers = st.one_of(
     st.floats(width=64),
@@ -54,12 +54,11 @@ def expected(doc, existing: str):
         tol_scale = float(doc.get("tol_scale", 1.0))
     except OverflowError:
         return None
-    n, seed = doc.get("n", 129), doc.get("seed", 0)
-    if n < 9 or not 0.0 < tol_scale < math.inf or seed < 0:
+    n = doc.get("n", 129)
+    if n < 9 or not 0.0 < tol_scale < math.inf:
         return None
     return {**dict.fromkeys(SOURCES), **{k: doc[k] for k in SOURCES if k in doc},
-            "n": n, "tol_scale": tol_scale, "out_dir": doc.get("out"),
-            "seed": doc.get("seed")}
+            "n": n, "tol_scale": tol_scale, "out_dir": doc.get("out")}
 
 
 @st.composite
@@ -67,7 +66,7 @@ def mutated_configs(draw, existing: str):
     source = draw(st.sampled_from(SOURCES))
     doc = {source: "half_plane_pseudosphere" if source == "catalog" else existing,
            "n": draw(st.integers(9, 200)), "tol_scale": draw(st.floats(0.5, 4.0)),
-           "out": "run", "seed": draw(st.integers(0, 9))}
+           "out": "run"}
     action = draw(st.sampled_from(["replace", "delete", "add", "whole", "bytes"]))
     if action == "replace":
         key = draw(st.sampled_from(sorted(doc)))
