@@ -560,10 +560,12 @@ def cmd_liouville_check(run: _Run) -> None:
     h2 = u.grid.h**2
     scale = run.config.tol_scale
     weak = liouville_weak_residual(u, bump_lattice(u.grid))
-    run.check("liouville_weak", weak.max_abs(), 10.0 * h2 * scale, test_count=weak.count)
+    run.check("liouville_weak", weak.max_abs(), 10.0 * h2 * scale,
+              test_count=weak.count)
     e2u = np.exp(2.0 * u.values)
     defect = np.abs(fd_laplacian(u).values - e2u) / e2u
-    run.check("curvature_defect", float(np.nanmax(defect[2:-2, 2:-2])), 10.0 * h2 * scale)
+    run.check("curvature_defect", float(np.nanmax(defect[2:-2, 2:-2])),
+              10.0 * h2 * scale)
 
 
 def _resolve_factor(config: PipelineConfig):
