@@ -518,10 +518,10 @@ def cmd_metric(run: _Run) -> None:
     config = run.config
     if config.surface_file is not None:
         surface = _load_surface(config)
-    elif config.catalog in SURFACE_SOURCES:
+    elif config.catalog in SURFACE_SOURCES or config.theta_file is not None:
         surface = _synthesis_stages(run, _load_angle(config))
     else:
-        raise ConfigError("metric needs a surface file or the one_soliton catalog")
+        raise ConfigError("metric needs a surface file, a theta file or the one_soliton catalog")
     metric = _embedded_metric_stages(run, surface)
     det = metric.E * metric.G - metric.F**2
     run.note("metric_det", min_det=float(det.min()))

@@ -7,9 +7,10 @@ fastest.  Every first derivative in the package, of fields and of raw
 arrays with trailing component axes alike, goes through the one kernel
 ``_partial_values``: second-order stencils, central inside and
 one-sided on the boundary.  Integrals use tensor-product trapezoid
-sums.  Second-derivative outputs are only defined on interior nodes and
-carry NaN on the boundary ring; norms therefore come in interior-only
-flavours.
+sums, over the whole grid or, bit for bit the same, over a box of its
+nodes read as its zero extension.  Second-derivative outputs are only
+defined on interior nodes and carry NaN on the boundary ring; norms
+therefore come in interior-only flavours.
 """
 
 from __future__ import annotations
@@ -105,6 +106,13 @@ class Grid2D:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Node coordinate arrays ``X, Y`` of shape ``(ny, nx)``."""
         return np.meshgrid(self.x(), self.y())
+
+    def window(self, rows: slice, cols: slice) -> "Grid2D":
+        """Grid of the nodes ``[rows, cols]`` (unit-step slices), same spacings."""
+        j0, j1, _ = rows.indices(self.ny)
+        i0, i1, _ = cols.indices(self.nx)
+        return Grid2D(self.x0 + i0 * self.dx, self.y0 + j0 * self.dy,
+                      i1 - i0, j1 - j0, self.dx, self.dy)
 
     def refined(self) -> "Grid2D":
         """Grid with both spacings halved and the same extent."""
@@ -245,6 +253,17 @@ class TestFunction:
     def exact_integral(self) -> float:
         return math.pi * self.r**2 / 3.0
 
+    def node_box(self, grid: Grid2D) -> tuple[slice, slice]:
+        """Row and column slices of the nodes where the bump can be
+        nonzero, widened by one node on each side (and to at least three).
+
+        Outside the box the value and both partials are exactly zero,
+        not merely small: each axis test below performs the floating
+        point operations of ``value`` and ``grad`` on one squared offset,
+        and adding the other (nonnegative) one can only raise ``rho^2``.
+        """
+        return _support_span(grid.y(), self.cy, self.r), _support_span(grid.x(), self.cx, self.r)
+
     def supported_inside(self, grid: Grid2D, clearance_cells: float = 1.0) -> bool:
         """True if the support disk stays this many cells away from the edge."""
         cx, cy, r = self.cx, self.cy, self.r
@@ -256,6 +275,16 @@ class TestFunction:
             and cy - r > grid.y0 + my
             and cy + r < grid.y1 - my
         )
+
+
+def _support_span(nodes: np.ndarray, c: float, r: float) -> slice:
+    near = np.flatnonzero((nodes - c) ** 2 / r**2 < 1.0)
+    if near.size == 0:
+        # no node within a radius: the bump vanishes on every node
+        near = [int(np.argmin(np.abs(nodes - c)))]
+    lo = max(int(near[0]) - 1, 0)
+    hi = min(int(near[-1]) + 2, nodes.size)
+    return slice(min(lo, nodes.size - 3), max(hi, 3))
 
 
 def _partial_values(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
@@ -288,16 +317,46 @@ def fd_laplacian(field: ScalarField) -> ScalarField:
     return ScalarField(g, out)
 
 
-def quadrature(field: ScalarField) -> float:
+def quadrature(field: ScalarField, within: Grid2D | None = None) -> float:
     """Tensor-product trapezoid integral over the full grid rectangle.
 
     A field whose support extends past the rectangle is integrated over
     the rectangle only; the truncation is the caller's responsibility.
+
+    With ``within``, ``field`` samples a box of that grid's nodes (a
+    ``within.window``) and the result is the integral over ``within`` of
+    its zero extension, equal bit for bit to the full-grid integral of
+    the zero-padded samples.  The box's x-trapezoid terms, plus the two
+    half terms that straddle its left and right edges, are written at
+    their own columns of a zero array ``nx - 1`` wide; each row is
+    summed and the sums are written at their own rows of a zero vector
+    ``ny`` long, which gets the same y-trapezoid.  numpy's pairwise sums
+    then meet the same operands in the same positions as on the padded
+    grid; a trapezoid over the box as a grid of its own would regroup
+    them and move the result at rounding level.  Products and the x
+    terms cost the box's nodes, the row sums its rows of ``nx``.
     """
     if np.isnan(field.values).any():
         raise GridError("quadrature requires finite samples everywhere")
     g = field.grid
-    return float(np.trapezoid(np.trapezoid(field.values, dx=g.dx, axis=1), dx=g.dy))
+    if within is None:
+        return float(np.trapezoid(np.trapezoid(field.values, dx=g.dx, axis=1), dx=g.dy))
+    i0 = round((g.x0 - within.x0) / within.dx)
+    j0 = round((g.y0 - within.y0) / within.dy)
+    i1, j1 = i0 + g.nx, j0 + g.ny
+    if not (0 <= i0 and i1 <= within.nx and 0 <= j0 and j1 <= within.ny
+            and within.window(slice(j0, j1), slice(i0, i1)).matches(g)):
+        raise GridError(f"{g} is not a box of nodes of {within}")
+    v, d = field.values, within.dx
+    terms = np.zeros((g.ny, within.nx - 1))
+    terms[:, i0:i1 - 1] = d * (v[:, 1:] + v[:, :-1]) / 2.0
+    if i0 > 0:
+        terms[:, i0 - 1] = d * (v[:, 0] + 0.0) / 2.0
+    if i1 < within.nx:
+        terms[:, i1 - 1] = d * (0.0 + v[:, -1]) / 2.0
+    rows = np.zeros(within.ny)
+    rows[j0:j1] = terms.sum(axis=1)
+    return float(np.trapezoid(rows, dx=within.dy))
 
 
 def interior_abs_max(values: np.ndarray) -> float:

@@ -11,6 +11,13 @@ error, which shrinks at second order).  Every checker is a list of
 signed terms handed to the one pairing kernel ``_pair``, which samples
 each bump once and integrates each term through ``quadrature``.
 
+A bump covers a small part of the grid (on a square grid about 4%, 16%
+and 64% of it for the three radii of ``bump_lattice``), so ``_pair``
+evaluates the bump and every integrand only on the bump's node box,
+where it can be nonzero, plus one node on each side, and integrates the
+box as its zero extension to the grid.  That quadrature is bit for bit
+the full-grid one, so the residuals do not depend on the box.
+
 The residual for the curvature equation is the weak form
 
     r(v) = integral(u_x v_x + u_y v_y) + integral(e^{2u} v),
@@ -108,16 +115,26 @@ def bump_lattice(grid: Grid2D, centers_per_axis: int = 5, radii_fractions=(0.1, 
     return tests
 
 
-def _pair(grid: Grid2D, tests, rows) -> WeakResidualReport:
+def _pair(grid: Grid2D, tests, fields: dict, rows) -> WeakResidualReport:
     """Weak residuals of ``rows`` against every test, test-major.
 
     Each row is a list of terms ``(sign, integrand)``; its residual is
     the running sum of ``sign * quadrature(integrand(t))`` in list
-    order, where ``t`` maps ``"v"``, ``"x"`` and ``"y"`` to the bump's
-    samples and analytic partials, taken once per bump.  Terms stay
-    separate quadratures: the trapezoid rule is linear only in exact
-    arithmetic, so merging them would move residuals at rounding level.
+    order.  ``t`` maps ``"v"``, ``"x"`` and ``"y"`` to the bump's samples
+    and analytic partials, taken once per bump, and each name of
+    ``fields`` to that ``(ny, nx, ...)`` array; all of them are cut to
+    the bump's ``node_box``.  Outside the box the bump and its partials
+    are exactly zero, so each integrand is too, and the box quadrature
+    of its zero extension equals the full-grid one bit for bit.  That
+    holds for finite fields only (NaN * 0 is NaN), so every field is
+    checked whole, once, and a non-finite sample anywhere is refused as
+    the full-grid quadrature refused it.  Terms stay separate
+    quadratures: the trapezoid rule is linear only in exact arithmetic,
+    so merging them would move residuals at rounding level.
     """
+    for values in fields.values():
+        if not np.isfinite(values).all():
+            raise GridError("quadrature requires finite samples everywhere")
     X, Y = grid.mesh()
     residuals = []
     normalizers = []
@@ -126,20 +143,25 @@ def _pair(grid: Grid2D, tests, rows) -> WeakResidualReport:
             raise GridError(
                 f"test support touches the boundary: center ({v.cx}, {v.cy}) radius {v.r}"
             )
-        gx, gy = v.grad(X, Y)
-        t = {"v": v.value(X, Y), "x": gx, "y": gy}
+        box = v.node_box(grid)
+        window = grid.window(*box)
+        Xb, Yb = X[box], Y[box]
+        gx, gy = v.grad(Xb, Yb)
+        t = {name: values[box] for name, values in fields.items()}
+        t.update(v=v.value(Xb, Yb), x=gx, y=gy)
         for terms in rows:
             r = None
             for sign, integrand in terms:
-                q = sign * quadrature(ScalarField(grid, integrand(t)))
+                q = sign * quadrature(ScalarField(window, integrand(t)), within=grid)
                 r = q if r is None else r + q
             residuals.append(r)
             normalizers.append(v.exact_integral())
     return WeakResidualReport(tuple(residuals), tuple(normalizers))
 
 
-def _mixed_terms(Wx: np.ndarray, Wy: np.ndarray) -> list:
-    return [(-1.0, lambda t: Wx * t["y"]), (1.0, lambda t: Wy * t["x"])]
+def _mixed_terms(*entry) -> list:
+    e = (..., *entry)
+    return [(-1.0, lambda t: t["Wx"][e] * t["y"]), (1.0, lambda t: t["Wy"][e] * t["x"])]
 
 
 def mixed_partials_check(W, tests) -> WeakResidualReport:
@@ -153,16 +175,17 @@ def mixed_partials_check(W, tests) -> WeakResidualReport:
     """
     grid = W.grid
     if isinstance(W, FrameField):
-        Wx = _partial_values(W.values, grid, "x")
-        Wy = _partial_values(W.values, grid, "y")
-        entries = _pair(grid, tests, [
-            _mixed_terms(Wx[:, :, p, q], Wy[:, :, p, q]) for p in range(3) for q in range(3)
+        fields = {"Wx": _partial_values(W.values, grid, "x"),
+                  "Wy": _partial_values(W.values, grid, "y")}
+        entries = _pair(grid, tests, fields, [
+            _mixed_terms(p, q) for p in range(3) for q in range(3)
         ])
         return WeakResidualReport(
             tuple(max(map(abs, entries.residuals[k:k + 9])) for k in range(0, entries.count, 9)),
             entries.normalizers[::9],
         )
-    return _pair(grid, tests, [_mixed_terms(fd_partial(W, "x").values, fd_partial(W, "y").values)])
+    fields = {"Wx": fd_partial(W, "x").values, "Wy": fd_partial(W, "y").values}
+    return _pair(grid, tests, fields, [_mixed_terms()])
 
 
 def product_rule_check(P: ScalarField, L: ScalarField, tests, axis: str = "x") -> WeakResidualReport:
@@ -187,11 +210,11 @@ def product_rule_check(P: ScalarField, L: ScalarField, tests, axis: str = "x") -
     P.grid.require_matches(L.grid)
     Pv, Lv = P.values, L.values
     Pd = fd_partial(P, axis).values
-    PL, PdL = Pv * Lv, Pd * Lv
-    return _pair(P.grid, tests, [[
-        (-1.0, lambda t: PL * t[axis]),
-        (-1.0, lambda t: PdL * t["v"]),
-        (1.0, lambda t: Lv * (Pd * t["v"] + Pv * t[axis])),
+    fields = {"P": Pv, "L": Lv, "Pd": Pd, "PL": Pv * Lv, "PdL": Pd * Lv}
+    return _pair(P.grid, tests, fields, [[
+        (-1.0, lambda t: t["PL"] * t[axis]),
+        (-1.0, lambda t: t["PdL"] * t["v"]),
+        (1.0, lambda t: t["L"] * (t["Pd"] * t["v"] + t["P"] * t[axis])),
     ]])
 
 
@@ -221,12 +244,14 @@ def liouville_weak_residual(u: ScalarField, tests) -> WeakResidualReport:
     quadrature error) exactly when u = ln h is a weak solution of
     lap(u) = e^{2u}, i.e. when h^2(dx^2+dy^2) has curvature -1.
     """
-    ux = fd_partial(u, "x").values
-    uy = fd_partial(u, "y").values
-    source = np.exp(2.0 * u.values)
-    return _pair(u.grid, tests, [[
-        (1.0, lambda t: ux * t["x"] + uy * t["y"]),
-        (1.0, lambda t: source * t["v"]),
+    fields = {
+        "ux": fd_partial(u, "x").values,
+        "uy": fd_partial(u, "y").values,
+        "source": np.exp(2.0 * u.values),
+    }
+    return _pair(u.grid, tests, fields, [[
+        (1.0, lambda t: t["ux"] * t["x"] + t["uy"] * t["y"]),
+        (1.0, lambda t: t["source"] * t["v"]),
     ]])
 
 
@@ -238,12 +263,16 @@ def _connection_arrays(A, B, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     return A_vals, B_vals
 
 
-def _entry_terms(A: np.ndarray, B: np.ndarray, commutator: np.ndarray, p: int, q: int) -> list:
-    a, b, c = A[:, :, p, q], B[:, :, p, q], commutator[:, :, p, q]
+def _connection_fields(A: np.ndarray, B: np.ndarray) -> dict:
+    return {"A": A, "B": B, "commutator": A @ B - B @ A}
+
+
+def _entry_terms(p: int, q: int) -> list:
+    e = (..., p, q)
     return [
-        (-1.0, lambda t: a * t["y"]),
-        (1.0, lambda t: b * t["x"]),
-        (-1.0, lambda t: c * t["v"]),
+        (-1.0, lambda t: t["A"][e] * t["y"]),
+        (1.0, lambda t: t["B"][e] * t["x"]),
+        (-1.0, lambda t: t["commutator"][e] * t["v"]),
     ]
 
 
@@ -258,8 +287,7 @@ def frame_weak_entry_residual(A, B, grid: Grid2D, p: int, q: int, tests) -> Weak
     A_vals, B_vals = _connection_arrays(A, B, grid)
     if not (0 <= p < 3 and 0 <= q < 3):
         raise GridError("entry indices must lie in 0..2")
-    commutator = A_vals @ B_vals - B_vals @ A_vals
-    return _pair(grid, tests, [_entry_terms(A_vals, B_vals, commutator, p, q)])
+    return _pair(grid, tests, _connection_fields(A_vals, B_vals), [_entry_terms(p, q)])
 
 
 def frame_weak_compatibility(A, B, grid: Grid2D, tests) -> WeakResidualReport:
@@ -269,7 +297,6 @@ def frame_weak_compatibility(A, B, grid: Grid2D, tests) -> WeakResidualReport:
     entry index q fastest.
     """
     A_vals, B_vals = _connection_arrays(A, B, grid)
-    commutator = A_vals @ B_vals - B_vals @ A_vals
-    return _pair(grid, tests, [
-        _entry_terms(A_vals, B_vals, commutator, p, q) for p in range(3) for q in range(3)
+    return _pair(grid, tests, _connection_fields(A_vals, B_vals), [
+        _entry_terms(p, q) for p in range(3) for q in range(3)
     ])

@@ -187,6 +187,37 @@ class TestFactorCommands:
         code, report = run_cli(capsys, "liouville-check", "--factor-file", str(path))
         assert code == EXIT_TOLERANCE
 
+    def test_liouville_check_nan_outside_every_bump(self, capsys, tmp_path):
+        # node (0, 0) lies outside every bump's support, yet a NaN there
+        # is still refused before any residual is reported
+        half = 0.5 / np.sqrt(2.0)
+        g = Grid2D.from_bounds(-half, half, -half, half, 33, 33)
+        X, Y = g.mesh()
+        u = np.log(2.0) - np.log(1.0 - X**2 - Y**2)
+        u[0, 0] = np.nan
+        path = tmp_path / "u.json"
+        write_field(path, g, {"u": u})
+        assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: quadrature requires finite samples everywhere" in captured.err
+
+    def test_metric_from_theta_file_matches_catalog(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        code, _ = run_cli(capsys, "synthesize", "--catalog", "one_soliton", "--n", "33",
+                          "--out", str(out))
+        assert code == EXIT_PASS
+        code, from_file = run_cli(capsys, "metric", "--theta-file", str(out / "theta.json"))
+        code_catalog, from_catalog = run_cli(capsys, "metric", "--catalog", "one_soliton",
+                                             "--n", "33")
+        assert code == code_catalog == EXIT_PASS
+        assert from_file["stages"] == from_catalog["stages"]
+        assert [s["name"] for s in from_file["stages"]][:3] == [
+            "sine_gordon", "frame_path_independence", "corollary_conditions",
+        ]
+        for key in ("passed", "failed_stage"):
+            assert from_file[key] == from_catalog[key]
+
 
 class TestArtifactsAndExport:
     def test_verify_writes_artifacts(self, capsys, tmp_path):

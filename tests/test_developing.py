@@ -1,7 +1,10 @@
 """Developing maps, their invariant, and the pullback isometry."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minding_lab.grid import Grid2D, GridError, ScalarField, fd_laplacian
 from minding_lab.fieldio import read_field, write_field
@@ -336,6 +339,54 @@ class TestHyperbolicDistance:
 
     def test_mobius_identity(self):
         assert mobius_disk(0.3 + 0.1j) == pytest.approx(0.3 + 0.1j)
+
+
+
+EQUIVARIANCE_N = 33
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_development(name):
+    """Log-factor of a catalog chart and its map from the default base."""
+    from minding_lab.conformal import catalog_chart
+
+    u = catalog_chart(name, EQUIVARIANCE_N)[2]["u"]
+    return u, develop(u)
+
+
+def node_distances(phi):
+    """Hyperbolic distances between every 4th node in each direction."""
+    w = phi[::4, ::4].ravel()
+    return hyperbolic_distance(w[:, None], w[None, :])
+
+
+class TestDevelopEquivariance:
+    """Developing maps are unique up to a disk automorphism, so the
+    hyperbolic distances between developed nodes are intrinsic: they
+    must not depend on the base point or on a Möbius post-composition.
+    """
+
+    charts = st.sampled_from(["half_plane_pseudosphere", "poincare_disk_patch"])
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(charts, st.floats(0.0, 0.5), st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi))
+    def test_mobius_post_composition(self, name, radius, angle, rotation):
+        _, dev = catalog_development(name)
+        moved = mobius_disk(dev.phi, a=radius * np.exp(1j * angle), rotation=rotation)
+        before = node_distances(dev.phi)
+        assert np.abs(node_distances(moved) - before).max() <= 1e-12 * (1.0 + before.max())
+
+    @settings(derandomize=True, deadline=None, max_examples=30, database=None)
+    @given(charts, st.integers(EQUIVARIANCE_N // 4, 3 * EQUIVARIANCE_N // 4),
+           st.integers(EQUIVARIANCE_N // 4, 3 * EQUIVARIANCE_N // 4))
+    def test_change_of_base(self, name, jb, ib):
+        # each march carries its own O(h^2) error, so distances agree to
+        # the acceptance suite's 10 h^2 rather than to rounding
+        u, dev = catalog_development(name)
+        rebased = develop(u, base=(jb, ib))
+        assert abs(rebased.phi[jb, ib]) <= 1e-14
+        gap = np.abs(node_distances(rebased.phi) - node_distances(dev.phi)).max()
+        assert gap <= 10.0 * u.grid.h**2
 
 
 class TestIsometryTransport:

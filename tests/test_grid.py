@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minding_lab.grid import (
     Grid2D,
@@ -187,6 +188,84 @@ class TestQuadrature:
         f = fd_laplacian(ScalarField(g, np.ones(g.shape)))
         with pytest.raises(GridError):
             quadrature(f)
+
+
+@st.composite
+def boxed_fields(draw):
+    """A grid, a box of its nodes, and samples on the box.
+
+    Sizes reach past numpy's pairwise-summation blocks (8 and 128), and
+    magnitudes span 16 decades so a regrouped sum would show.
+    """
+    nx, ny = draw(st.integers(3, 300)), draw(st.integers(3, 40))
+    if draw(st.booleans()):
+        nx, ny = ny, nx
+    spacing = st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False)
+    origin = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    grid = Grid2D(draw(origin), draw(origin), nx, ny, draw(spacing), draw(spacing))
+    bx, by = draw(st.integers(3, nx)), draw(st.integers(3, ny))
+    i0, j0 = draw(st.integers(0, nx - bx)), draw(st.integers(0, ny - by))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((by, bx)) * 10.0 ** rng.integers(-8, 8, (by, bx))
+    if draw(st.booleans()):
+        # the bump boxes of the weak kernel: zero on their edge nodes
+        values[[0, -1], :] = 0.0
+        values[:, [0, -1]] = 0.0
+    return grid, slice(j0, j0 + by), slice(i0, i0 + bx), values
+
+
+class TestBoxQuadrature:
+    """A box integrated as its zero extension equals the padded field's
+    full-grid quadrature exactly, not to a tolerance."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(boxed_fields())
+    # boxes one cell clear of every edge, as the weak kernel's bumps are,
+    # on a grid with nx != ny and dx != dy
+    @example((Grid2D(0.0, 1.4, 57, 45, 1.3 / 56, 1.0 / 44), slice(1, 44), slice(1, 56),
+              np.arange(43 * 55, dtype=float).reshape(43, 55) ** 0.5))
+    @example((Grid2D(0.0, 1.4, 57, 45, 1.3 / 56, 1.0 / 44), slice(1, 4), slice(53, 56),
+              np.full((3, 3), 1e-3)))
+    def test_zero_extension_is_bit_exact(self, case):
+        grid, rows, cols, values = case
+        padded = np.zeros(grid.shape)
+        padded[rows, cols] = values
+        box = ScalarField(grid.window(rows, cols), values)
+        assert quadrature(box, within=grid) == quadrature(ScalarField(grid, padded))
+
+    def test_box_must_sit_on_nodes_inside(self):
+        g = Grid2D(0.0, 0.0, 9, 7, 0.5, 0.25)
+        ones = np.ones((3, 3))
+        with pytest.raises(GridError, match="not a box of nodes"):
+            # half a cell off the nodes
+            quadrature(ScalarField(Grid2D(0.25, 0.0, 3, 3, 0.5, 0.25), ones), within=g)
+        with pytest.raises(GridError, match="not a box of nodes"):
+            # reaches one node past the right edge
+            quadrature(ScalarField(Grid2D(3.5, 0.0, 3, 3, 0.5, 0.25), ones), within=g)
+        with pytest.raises(GridError, match="not a box of nodes"):
+            # another y spacing
+            quadrature(ScalarField(Grid2D(0.0, 0.0, 3, 3, 0.5, 0.5), ones), within=g)
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        st.integers(3, 80), st.integers(3, 80),
+        st.floats(-0.2, 1.2), st.floats(-0.2, 1.2), st.floats(1e-3, 0.6),
+    )
+    def test_bump_vanishes_exactly_outside_node_box(self, nx, ny, cx, cy, r):
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.3, nx, ny)
+        bump = TestFunction(cx, cy, r)
+        rows, cols = bump.node_box(g)
+        assert rows.stop - rows.start >= 3 and cols.stop - cols.start >= 3
+        X, Y = g.mesh()
+        outside = np.ones(g.shape, dtype=bool)
+        outside[rows, cols] = False
+        gx, gy = bump.grad(X, Y)
+        for samples in (bump.value(X, Y), gx, gy):
+            assert not samples[outside].any()
+        if bump.supported_inside(g):
+            # the widening node on each side exists and is a zero
+            assert rows.start > 0 and cols.start > 0
+            assert rows.stop < ny and cols.stop < nx
 
 
 class TestBump:

@@ -233,6 +233,51 @@ class TestFrameWeak:
             frame_weak_entry_residual(A, B, g, 3, 0, bump_lattice(g))
 
 
+
+class TestNonFiniteRefused:
+    """A NaN outside every bump support is still refused.
+
+    The kernel integrates each bump over its node box only, so a corner
+    node never reaches a quadrature; the whole-field check must catch it
+    as the full-grid quadrature did (NaN * 0 is NaN).
+    """
+
+    @staticmethod
+    def corner_nan(values):
+        out = np.array(values, dtype=float)
+        out[0, 0] = np.nan
+        return out
+
+    def test_corner_outside_every_box(self):
+        g = unit_grid(33)
+        for v in bump_lattice(g):
+            rows, cols = v.node_box(g)
+            assert rows.start > 0 and cols.start > 0
+
+    @pytest.mark.parametrize("check", [
+        "mixed_partials_check",
+        "product_rule_check",
+        "liouville_weak_residual",
+        "frame_weak_compatibility",
+        "frame_weak_entry_residual",
+    ])
+    def test_nan_at_corner_node(self, check):
+        g, A, B = half_plane_connection(33)
+        tests = bump_lattice(g)
+        smooth = ScalarField.from_function(g, lambda X, Y: np.sin(X) * Y)
+        bad = ScalarField(g, self.corner_nan(smooth.values))
+        bad_A = self.corner_nan(A.values)
+        calls = {
+            "mixed_partials_check": lambda: mixed_partials_check(bad, tests),
+            "product_rule_check": lambda: product_rule_check(smooth, bad, tests),
+            "liouville_weak_residual": lambda: liouville_weak_residual(bad, tests),
+            "frame_weak_compatibility": lambda: frame_weak_compatibility(bad_A, B, g, tests),
+            "frame_weak_entry_residual": lambda: frame_weak_entry_residual(bad_A, B, g, 0, 1, tests),
+        }
+        with pytest.raises(GridError, match="quadrature requires finite samples everywhere"):
+            calls[check]()
+
+
 # Reference implementations: the per-check loops the pairing kernel
 # replaced, kept verbatim so the kernel can be held to exact equality.
 
