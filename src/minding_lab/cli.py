@@ -645,10 +645,22 @@ PLOT_SOURCES = {
 }
 
 
+def _plot_channels(path: Path, names: tuple):
+    """The grid and the named channels of a plot source, which must hold
+    every one of them."""
+    from minding_lab.fieldio import read_field
+
+    grid, data = read_field(path)
+    missing = [c for c in names if c not in data]
+    if missing:
+        raise ConfigError(f"{path}: missing channels {missing} to plot")
+    return grid, {c: data[c] for c in names}
+
+
 def cmd_export_plots(out_dir: str | None, force: bool) -> int:
     import numpy as np
 
-    from minding_lab.fieldio import read_field, write_csv
+    from minding_lab.fieldio import write_csv
 
     if out_dir is None:
         raise ConfigError("export-plots needs --out pointing at a prior run")
@@ -668,12 +680,11 @@ def cmd_export_plots(out_dir: str | None, force: bool) -> int:
         path = out / source
         if not path.is_file():
             continue
-        grid, data = read_field(path)
-        write_csv(plots / csv_name, grid, {c: data[c] for c in channels if c in data})
+        write_csv(plots / csv_name, *_plot_channels(path, channels))
         written.append(csv_name)
     dev_path = out / "developing.json"
     if dev_path.is_file():
-        grid, data = read_field(dev_path)
+        grid, data = _plot_channels(dev_path, ("phi_re", "phi_im"))
         write_csv(
             plots / "phi.csv",
             grid,

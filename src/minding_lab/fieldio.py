@@ -4,21 +4,30 @@ One JSON file holds a grid header plus any number of named components
 in node-major order (x fastest, components interleaved per node):
 
     {"nx": ..., "ny": ..., "x0": ..., "y0": ..., "dx": ..., "dy": ...,
-     "components": ["u"], "values": [...]}
+     "components": ["u"], "values": "<base64>"}
 
-``values[(j*nx + i)*ncomp + k]`` is component ``k`` at node ``(i, j)``.
-The reader takes exactly these eight keys, integer node counts,
-distinct string component names and a flat list of numbers and nulls,
-and refuses anything else.
-Floats survive a write/read cycle bit-exactly (shortest-repr JSON
-floats); NaN entries are stored as ``null`` to stay standard JSON.
-CSV export is one node per row with x, y and the components as columns.
+``values`` is the base64 text of the flat little-endian float64 array,
+``8*nx*ny*ncomp`` bytes, and ``flat[(j*nx + i)*ncomp + k]`` is component
+``k`` at node ``(i, j)``.  The payload carries the IEEE bits themselves,
+so every value survives a write/read cycle bit for bit (NaN payloads,
+-0.0, subnormals and infinities included) and the file stays standard
+JSON.  The reader also takes ``values`` as a flat list of numbers and
+nulls (null reads as NaN) in the same order, the form of hand-written
+files and of files saved before the binary payload.
+The reader takes exactly these eight keys, integer node counts and
+distinct string component names, and refuses anything else: a payload
+outside the base64 alphabet, badly padded or of the wrong length, or a
+list holding anything but numbers and nulls.
+CSV export is one node per row with x, y and the components as columns,
+written as ``csv.writer`` writes them (floats through ``repr``).
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +60,7 @@ def _flatten(grid: Grid2D, channels: dict[str, np.ndarray]) -> tuple[list[str], 
 def write_field(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray]) -> None:
     """Write named components on one grid to a JSON field file."""
     names, flat = _flatten(grid, channels)
-    values = flat.tolist()
-    for k in np.flatnonzero(np.isnan(flat)):
-        values[k] = None
+    payload = base64.b64encode(np.ascontiguousarray(flat, dtype="<f8").tobytes())
     doc = {
         "nx": grid.nx,
         "ny": grid.ny,
@@ -62,7 +69,7 @@ def write_field(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray])
         "dx": grid.dx,
         "dy": grid.dy,
         "components": names,
-        "values": values,
+        "values": payload.decode("ascii"),
     }
     Path(path).write_text(json.dumps(doc) + "\n")
 
@@ -76,8 +83,8 @@ _VALUE_TYPES = frozenset({float, int, type(None)})
 def _header(doc) -> tuple[Grid2D, list[str]]:
     """Grid and component names of a parsed field document.
 
-    Checks the header and the component list only; ``read_field``
-    checks ``values`` by one pass over the set of its value types.
+    Checks the header and the component list only; ``_values`` checks
+    ``values``.
     """
     if not isinstance(doc, dict):
         raise GridError("top level must be a JSON object")
@@ -102,6 +109,25 @@ def _header(doc) -> tuple[Grid2D, list[str]]:
     return grid, names
 
 
+def _values(values, size: int) -> np.ndarray:
+    """The ``size`` float64 values of a payload string or a value list."""
+    if type(values) is str:
+        # validate=True refuses characters outside the alphabet and bad
+        # padding; non-ASCII text raises ValueError
+        raw = base64.b64decode(values, validate=True)
+        if len(raw) != 8 * size:
+            raise GridError(f"expected {size} values ({8 * size} bytes), got {len(raw)} bytes")
+        # frombuffer is read-only and little-endian: copy to native float64
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    # a bool or a numeric string would cast like a number
+    if type(values) is not list or not set(map(type, values)) <= _VALUE_TYPES:
+        raise GridError("values must be a base64 string or a flat list of numbers and nulls")
+    flat = np.array(values, dtype=float)  # null -> NaN
+    if flat.size != size:
+        raise GridError(f"expected {size} values, got {flat.size}")
+    return flat
+
+
 def read_field(path: str | Path) -> tuple[Grid2D, dict[str, np.ndarray]]:
     """Read a JSON field file back into a grid and per-component arrays.
 
@@ -111,34 +137,30 @@ def read_field(path: str | Path) -> tuple[Grid2D, dict[str, np.ndarray]]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         grid, names = _header(doc)
-        values = doc["values"]
-        # a bool or a numeric string would cast like a number
-        if type(values) is not list or not set(map(type, values)) <= _VALUE_TYPES:
-            raise GridError("values must be a flat list of numbers and nulls")
-        flat = np.array(values, dtype=float)  # null -> NaN
+        flat = _values(doc["values"], grid.nx * grid.ny * len(names))
     except (OverflowError, RecursionError, ValueError) as exc:
-        # ValueError covers GridError, JSONDecodeError and UnicodeDecodeError
+        # ValueError covers GridError, JSONDecodeError, UnicodeDecodeError
+        # and binascii.Error
         raise GridError(f"{path}: malformed field file ({exc})") from exc
-    ncomp = len(names)
-    if flat.size != grid.nx * grid.ny * ncomp:
-        raise GridError(
-            f"{path}: expected {grid.nx * grid.ny * ncomp} values, got {flat.size}"
-        )
-    cube = flat.reshape(grid.ny, grid.nx, ncomp)
+    cube = flat.reshape(grid.ny, grid.nx, len(names))
     return grid, {name: cube[:, :, k] for k, name in enumerate(names)}
 
 
 def write_csv(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray]) -> None:
-    """Write one row per node with columns x, y and the channel values."""
+    """Write one row per node with columns x, y and the channel values.
+
+    The bytes are those of ``csv.writer`` with one float row per node:
+    floats through ``repr``, ``,`` between cells and ``\\r\\n`` after
+    each row.  Each x is formatted once per column and each y once per
+    row, and a grid row goes out as one string.
+    """
     names, flat = _flatten(grid, channels)
     cube = flat.reshape(grid.ny, grid.nx, len(names))
-    # one grid row at a time; csv writes floats through repr
-    rows = np.empty((grid.nx, 2 + len(names)))
-    rows[:, 0] = grid.x()
+    xs = list(map(repr, grid.x().tolist()))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "y", *names])
-        for y, plane in zip(grid.y(), cube):
-            rows[:, 1] = y
-            rows[:, 2:] = plane
-            writer.writerows(rows.tolist())
+        # component names may need quoting
+        csv.writer(handle).writerow(["x", "y", *names])
+        for y, plane in zip(grid.y().tolist(), cube):
+            columns = [list(map(repr, column)) for column in plane.T.tolist()]
+            nodes = map(",".join, zip(xs, repeat(repr(y)), *columns))
+            handle.write("\r\n".join(nodes) + "\r\n")

@@ -260,6 +260,23 @@ class TestArtifactsAndExport:
         cfg.write_text(json.dumps({"out": str(out), "outdir": "elsewhere"}))
         assert run_cli(capsys, "export-plots", "--config", str(cfg), "--force")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("source, channels, missing", [
+        ("theta.json", ("angle",), "['theta']"),
+        ("developing.json", ("phi_im",), "['phi_re']"),
+        ("surface.json", ("fx", "fy", "Nx", "Ny", "Nz", "theta"), "['fz']"),
+    ], ids=["theta_named_angle", "developing_without_phi_re", "surface_without_fz"])
+    def test_export_refuses_source_missing_a_channel(self, capsys, tmp_path, source,
+                                                     channels, missing):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "report.json").write_text(json.dumps({"stages": []}))
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 5, 5)
+        write_field(out / source, g, {c: np.zeros(g.shape) for c in channels})
+        assert main(["export-plots", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {out / source}: missing channels {missing}" in err
+        assert "Traceback" not in err
+
     def test_export_needs_prior_run(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "export-plots", "--out", str(tmp_path / "nothing"))
         assert code == EXIT_USAGE
@@ -318,6 +335,34 @@ class TestUsage:
         result = subprocess.run([sys.executable, "-c", probe],
                                 env={**os.environ, "PYTHONPATH": path}, timeout=60)
         assert result.returncode == 0
+
+    def test_replay_commands_load_no_scipy(self, capsys, tmp_path):
+        # re-checking saved artifacts needs numpy only; scipy's import
+        # would be most of the start-up of these commands
+        out = tmp_path / "run"
+        run_cli(capsys, "synthesize", "--catalog", "one_soliton", "--n", "33", "--out", str(out))
+        run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere",
+                "--n", "33", "--out", str(out))
+        src = str(Path(minding_lab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys\n"
+            "from minding_lab.cli import main\n"
+            "out = sys.argv[1]\n"
+            "for argv in (['metric', '--surface-file', out + '/surface.json'],\n"
+            "             ['develop', '--factor-file', out + '/factor.json'],\n"
+            "             ['liouville-check', '--factor-file', out + '/factor.json'],\n"
+            "             ['export-plots', '--out', out]):\n"
+            "    if main(argv) != 0:\n"
+            "        sys.exit(f'{argv[0]} failed')\n"
+            "    scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "    if scipy:\n"
+            "        sys.exit(f'{argv[0]} loaded {scipy[:3]}')\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe, str(out)],
+                                env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-500:]
 
     def test_config_file_defaults_and_flag_wins(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -404,8 +449,9 @@ class TestUsage:
     def test_factor_file_float_overflow(self, capsys, tmp_path):
         path = tmp_path / "u.json"
         write_factor(path, 0.0, n=17)
+        # the list form: an integer no float can hold
         doc = json.loads(path.read_text())
-        doc["values"][0] = 10**400
+        doc["values"] = [10**400] + [0.0] * (17 * 17 - 1)
         path.write_text(json.dumps(doc))
         assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
         assert str(path) in capsys.readouterr().err

@@ -1,10 +1,27 @@
 """Field-file round trips and CSV export."""
 
+import base64
+import csv
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from minding_lab.fieldio import read_field, write_csv, write_field
+from minding_lab.fieldio import _flatten, read_field, write_csv, write_field
 from minding_lab.grid import Grid2D, GridError
+
+
+def bits(value):
+    """A float64 with the given IEEE bit pattern, NaN payloads intact."""
+    return np.array([value], dtype=np.uint64).view(np.float64)[0]
+
+
+def list_document(grid, names, flat):
+    """A field document in the list form: numbers, NaN as null."""
+    return {"nx": grid.nx, "ny": grid.ny, "x0": grid.x0, "y0": grid.y0,
+            "dx": grid.dx, "dy": grid.dy, "components": names,
+            "values": [None if v != v else v for v in np.asarray(flat).tolist()]}
 
 
 @pytest.fixture
@@ -15,8 +32,12 @@ def grid():
 def test_round_trip_bit_exact(tmp_path, grid):
     rng = np.random.default_rng(3)
     u = rng.standard_normal(grid.shape)
-    u.flat[:6] = [np.nan, -0.0, 5e-324, 1e300, -1e300, 0.0]
+    u.flat[:9] = [np.nan, -0.0, 5e-324, 1e300, -1e300, 0.0, np.inf, -np.inf, 0.0]
+    # NaNs with payload bits: quiet, negative, and a signalling pattern
+    u.view(np.uint64).flat[8:11] = [0x7FF8_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001,
+                                    0x7FF0_0000_0000_0001]
     f = rng.standard_normal(grid.shape + (3,))
+    f[0, 0] = [bits(0x7FF4_0000_0000_0000), np.inf, -np.inf]
     path = tmp_path / "field.json"
     write_field(path, grid, {"u": u, "f": f})
     grid2, channels = read_field(path)
@@ -25,40 +46,64 @@ def test_round_trip_bit_exact(tmp_path, grid):
     # compare bit patterns: -0.0 == 0.0 and NaN != NaN under ==
     assert (channels["u"].view(np.int64) == u.view(np.int64)).all()
     for k in range(3):
-        assert (channels[f"f_{k}"] == f[:, :, k]).all()
+        assert (channels[f"f_{k}"].view(np.int64) == f[:, :, k].view(np.int64)).all()
+    for arr in channels.values():
+        assert arr.dtype == np.float64 and arr.dtype.isnative
+        assert arr.flags.writeable
 
 
-def test_nan_stored_as_null(tmp_path, grid):
+def test_nan_kept_as_standard_json(tmp_path, grid):
     u = np.ones(grid.shape)
     u[0, 0] = np.nan
+    u[0, 1] = np.inf
     path = tmp_path / "field.json"
     write_field(path, grid, {"u": u})
-    assert "NaN" not in path.read_text()
+
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    json.loads(path.read_text(), parse_constant=refuse)
+    _, channels = read_field(path)
+    assert np.isnan(channels["u"][0, 0])
+    assert channels["u"][0, 1] == np.inf
+    assert channels["u"][1, 1] == 1.0
+    # the list form stores NaN as null and cannot hold an infinity
+    u[0, 1] = 1.0
+    path.write_text(json.dumps(list_document(grid, ["u"], u.ravel()), allow_nan=False))
     _, channels = read_field(path)
     assert np.isnan(channels["u"][0, 0])
     assert channels["u"][1, 1] == 1.0
 
 
 def test_interleaved_node_major_layout(tmp_path, grid):
-    import json
-
     a = np.arange(grid.ny * grid.nx, dtype=float).reshape(grid.shape)
     b = 100.0 + a
     path = tmp_path / "field.json"
     write_field(path, grid, {"a": a, "b": b})
     doc = json.loads(path.read_text())
+    flat = np.frombuffer(base64.b64decode(doc["values"]), dtype="<f8")
     i, j = 2, 1
     base = (j * grid.nx + i) * 2
-    assert doc["values"][base] == a[j, i]
-    assert doc["values"][base + 1] == b[j, i]
+    assert flat[base] == a[j, i]
+    assert flat[base + 1] == b[j, i]
+    # the list form takes the same order
+    path.write_text(json.dumps(list_document(grid, ["a", "b"], flat)))
+    _, channels = read_field(path)
+    assert (channels["a"] == a).all() and (channels["b"] == b).all()
 
 
 def test_read_rejects_malformed(tmp_path):
-    import json
     import re
 
     header = {"nx": 3, "ny": 3, "x0": 0, "y0": 0, "dx": 1, "dy": 1, "components": ["u"]}
     nine = [0.0] * 9
+    raw = np.arange(1.0, 10.0).astype("<f8").tobytes()  # the nine values, 72 bytes
+
+    def payload(data):
+        return base64.b64encode(data).decode("ascii")
+
+    good = payload(raw)
+    short = payload(raw[:-1])  # 71 bytes end in one "=" of padding
     path = tmp_path / "bad.json"
     for text in (
         "{not json",
@@ -90,6 +135,23 @@ def test_read_rejects_malformed(tmp_path):
         json.dumps({**header, "components": ["u", "u"], "values": nine * 2}),
         # no keys beyond the format's eight
         json.dumps({**header, "values": nine, "units": "m"}),
+        # a payload: characters outside the alphabet, even where a lenient
+        # decoder would skip them and find the right 72 bytes
+        json.dumps({**header, "values": good[:40] + "*" + good[40:]}),
+        json.dumps({**header, "values": good[:40] + "\n" + good[40:]}),
+        json.dumps({**header, "values": good[:40] + "-" + good[40:]}),  # URL-safe alphabet
+        # bad padding: missing, excess, or inside the payload
+        json.dumps({**header, "values": short[:-1]}),
+        json.dumps({**header, "values": short + "="}),
+        json.dumps({**header, "values": short[:-4] + "=" + short[-4:-1]}),
+        # the payload one byte short, 8 bytes short and 8 bytes long
+        json.dumps({**header, "values": short}),
+        json.dumps({**header, "values": payload(raw[:-8])}),
+        json.dumps({**header, "values": payload(raw + raw[:8])}),
+        # a non-ASCII character, as JSON escape and as raw UTF-8
+        json.dumps({**header, "values": good[:40] + "\u00e9" + good[40:]}),
+        json.dumps({**header, "values": good[:40] + "\u00e9" + good[40:]},
+                   ensure_ascii=False).encode("utf-8"),
     ):
         if isinstance(text, bytes):
             path.write_bytes(text)
@@ -107,15 +169,15 @@ def test_write_rejects_colliding_names(tmp_path, grid):
 
 
 def test_read_rejects_wrong_length(tmp_path, grid):
-    import json
-
     path = tmp_path / "field.json"
     write_field(path, grid, {"u": np.zeros(grid.shape)})
     doc = json.loads(path.read_text())
-    doc["values"] = doc["values"][:-1]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(GridError):
-        read_field(path)
+    raw = base64.b64decode(doc["values"])[:-8]  # one value short
+    for values in (base64.b64encode(raw).decode("ascii"),
+                   np.frombuffer(raw, dtype="<f8").tolist()):
+        path.write_text(json.dumps({**doc, "values": values}))
+        with pytest.raises(GridError):
+            read_field(path)
 
 
 def test_csv_layout(tmp_path, grid):
@@ -130,3 +192,63 @@ def test_csv_layout(tmp_path, grid):
     assert float(row[0]) == pytest.approx(grid.x()[3])
     assert float(row[1]) == pytest.approx(grid.y()[2])
     assert float(row[2]) == 7.5
+
+
+def csv_writer_reference(path, grid, channels):
+    """The csv.writer loop ``write_csv`` replaced, kept as its reference."""
+    names, flat = _flatten(grid, channels)
+    cube = flat.reshape(grid.ny, grid.nx, len(names))
+    rows = np.empty((grid.nx, 2 + len(names)))
+    rows[:, 0] = grid.x()
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["x", "y", *names])
+        for y, plane in zip(grid.y(), cube):
+            rows[:, 1] = y
+            rows[:, 2:] = plane
+            writer.writerows(rows.tolist())
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e300,
+           0.30000000000000004, -1.2345678901234567e-7]
+csv_values = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL))
+
+
+@st.composite
+def csv_fields(draw):
+    """A grid and one to four components, in scalar and vector channels."""
+    nx, ny = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    grid = Grid2D(draw(csv_values.filter(np.isfinite)), draw(csv_values.filter(np.isfinite)),
+                  nx, ny, draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3)))
+    budget = draw(st.integers(1, 4))
+    # names without "_", so that no vector component shadows a scalar;
+    # two of them need quoting
+    channels = {}
+    for name in draw(st.permutations(["u", "v", "a,b", 'say "hi"', "w x"])):
+        if budget == 0:
+            break
+        width = draw(st.integers(1, budget))
+        budget -= width
+        vector = width > 1 or draw(st.booleans())
+        shape = grid.shape + (width,) if vector else grid.shape
+        size = int(np.prod(shape))
+        channels[name] = np.array(draw(st.lists(csv_values, min_size=size, max_size=size)),
+                                  dtype=float).reshape(shape)
+    return grid, channels
+
+
+def test_csv_matches_csv_writer(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("csv")
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(csv_fields())
+    @example((Grid2D(-0.1, 0.7, 4, 3, 0.1, 0.30000000000000004),
+              {"f": np.full((3, 4, 2), np.nan), 'q"x': np.full((3, 4), -0.0),
+               "g": np.array(SPECIAL[:4] * 3).reshape(3, 4)}))
+    def check(field):
+        grid, channels = field
+        write_csv(folder / "fast.csv", grid, channels)
+        csv_writer_reference(folder / "reference.csv", grid, channels)
+        assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+    check()

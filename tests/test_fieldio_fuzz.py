@@ -1,15 +1,19 @@
 """Property test of ``read_field`` on field files with one entry mutated.
 
-Every document is written by ``write_field`` and then has one header
-entry, the component list or one ``values`` entry replaced, deleted or
-added.  The reader must return exactly what the mutated document says
-or raise ``GridError`` naming the file; any other exception fails.
+Every document is either written by ``write_field`` (a base64 payload)
+or built here in the list form, and then has one header entry, the
+component list or one part of ``values`` replaced, deleted or added.
+The reader must return exactly what the mutated document says, bit for
+bit, or raise ``GridError`` naming the file; any other exception fails.
 Examples are derandomized, so the suite stays deterministic.
-``values`` entries are replaced by numbers, ``null``, booleans, numeric
-and other strings, lists and objects; only numbers and ``null`` are
-values.
+List entries are replaced by numbers, ``null``, booleans, numeric and
+other strings, lists and objects; only numbers and ``null`` are values.
+Payload strings have one character replaced, deleted or inserted, bytes
+cut, added or overwritten, or the whole string replaced; only standard
+base64 of exactly the listed values is a payload.
 """
 
+import base64
 import json
 import math
 import re
@@ -38,6 +42,42 @@ junk = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
 )
 numeric_strings = st.sampled_from(["2.5", "1", "-0", "nan", "1e400"])
+# base64 alphabet and padding, near misses (URL-safe, whitespace) and any
+# other character, ASCII or not
+payload_chars = st.one_of(st.sampled_from(list("AZaz09+/=-_ \n*.")), st.characters())
+# standard base64 with correct padding, as the ASCII regex sees it
+BASE64 = re.compile(r"(?:[A-Za-z0-9+/]{4})*(?:[A-Za-z0-9+/]{2}==|[A-Za-z0-9+/]{3}=)?")
+
+
+def list_document(grid, names, channels):
+    """The list form of a field document, NaN as null."""
+    cube = np.stack([channels[name] for name in names], axis=-1)
+    return {"nx": grid.nx, "ny": grid.ny, "x0": grid.x0, "y0": grid.y0,
+            "dx": grid.dx, "dy": grid.dy, "components": list(names),
+            "values": [None if v != v else v for v in cube.ravel().tolist()]}
+
+
+def expected_values(values, size):
+    """The float64 array ``values`` stands for, or None to refuse it."""
+    if type(values) is str:
+        if not BASE64.fullmatch(values):
+            return None
+        raw = base64.b64decode(values)
+        return np.frombuffer(raw, dtype="<f8") if len(raw) == 8 * size else None
+    if type(values) is not list or len(values) != size:
+        return None
+    flat = []
+    for v in values:
+        if v is None:
+            flat.append(math.nan)
+        elif type(v) in (int, float):
+            try:
+                flat.append(float(v))
+            except OverflowError:
+                return None
+        else:
+            return None
+    return np.array(flat)
 
 
 def expected(doc):
@@ -60,23 +100,40 @@ def expected(doc):
     if len(set(names)) != len(names):
         return None
     nx, ny = doc["nx"], doc["ny"]
-    values = doc["values"]
-    if type(values) is not list or len(values) != nx * ny * len(names):
+    flat = expected_values(doc["values"], nx * ny * len(names))
+    if flat is None:
         return None
-    flat = []
-    for v in values:
-        if v is None:
-            flat.append(math.nan)
-        elif type(v) in (int, float):
-            try:
-                flat.append(float(v))
-            except OverflowError:
-                return None
-        else:
-            return None
-    cube = np.array(flat).reshape(ny, nx, len(names))
+    cube = flat.reshape(ny, nx, len(names))
     grid = Grid2D(x0, y0, nx, ny, dx, dy)
     return grid, {name: cube[:, :, k] for k, name in enumerate(names)}
+
+
+@st.composite
+def edited_payloads(draw, text):
+    """``text`` with one character replaced, deleted or inserted, bytes
+    cut, added or overwritten, or the whole string replaced."""
+    raw = base64.b64decode(text)
+    k = draw(st.integers(0, len(text) - 1))
+    action = draw(st.sampled_from(["replace_char", "delete_char", "insert_char",
+                                   "cut_bytes", "add_bytes", "overwrite_value",
+                                   "replace_all"]))
+    if action == "replace_char":
+        return text[:k] + draw(payload_chars) + text[k + 1:]
+    if action == "delete_char":
+        return text[:k] + text[k + 1:]
+    if action == "insert_char":
+        return text[:k] + draw(payload_chars) + text[k:]
+    if action == "cut_bytes":
+        return base64.b64encode(raw[:-draw(st.integers(1, 9))]).decode("ascii")
+    if action == "add_bytes":
+        extra = draw(st.binary(min_size=1, max_size=9))
+        return base64.b64encode(raw + extra).decode("ascii")
+    if action == "overwrite_value":
+        # any 8 bytes are a float64: NaN payloads and subnormals included
+        at = 8 * draw(st.integers(0, len(raw) // 8 - 1))
+        value = draw(st.binary(min_size=8, max_size=8))
+        return base64.b64encode(raw[:at] + value + raw[at + 8:]).decode("ascii")
+    return draw(st.one_of(numbers, junk, st.text(max_size=12)))
 
 
 @st.composite
@@ -90,8 +147,12 @@ def mutated_documents(draw, path):
                                      max_size=nx * ny))).reshape(grid.shape)
         for name in names
     }
-    write_field(path, grid, channels)
-    doc = json.loads(path.read_text())
+    form = draw(st.sampled_from(["payload", "list"]))
+    if form == "payload":
+        write_field(path, grid, channels)
+        doc = json.loads(path.read_text())
+    else:
+        doc = list_document(grid, names, channels)
 
     part = draw(st.sampled_from(["header", "components", "values"]))
     if part == "header":
@@ -111,9 +172,15 @@ def mutated_documents(draw, path):
             listed[k] = draw(st.one_of(st.text(max_size=3), numbers, junk))
         elif action == "duplicate":
             listed.append(listed[k])
-            doc["values"] += doc["values"][: nx * ny]
+            if form == "payload":
+                raw = base64.b64decode(doc["values"])
+                doc["values"] = base64.b64encode(raw + raw[: 8 * nx * ny]).decode("ascii")
+            else:
+                doc["values"] += doc["values"][: nx * ny]
         else:
             listed.append(draw(st.text(max_size=3)))
+    elif form == "payload":
+        doc["values"] = draw(edited_payloads(doc["values"]))
     else:
         values = doc["values"]
         k = draw(st.integers(0, len(values) - 1))
@@ -134,7 +201,7 @@ def mutated_documents(draw, path):
 def test_read_field_round_trip_or_grid_error(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "field.json"
 
-    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
     @given(st.data())
     def check(data):
         doc = data.draw(mutated_documents(path))
@@ -151,7 +218,7 @@ def test_read_field_round_trip_or_grid_error(tmp_path_factory):
         assert grid == want[0]
         assert list(channels) == list(want[1])
         for name, arr in channels.items():
-            assert np.array_equal(arr, want[1][name], equal_nan=True)
+            assert np.array_equal(arr.view(np.int64), want[1][name].view(np.int64))
 
     check()
 
@@ -161,8 +228,7 @@ def test_read_field_value_entries(tmp_path_factory):
     # this mutation too rarely to cover every kind of entry
     path = tmp_path_factory.mktemp("fuzz") / "field.json"
     grid = Grid2D(0.0, 0.0, 3, 3, 1.0, 1.0)
-    write_field(path, grid, {"u": np.zeros(grid.shape)})
-    base = json.loads(path.read_text())
+    base = list_document(grid, ["u"], {"u": np.zeros(grid.shape)})
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(st.integers(0, 8), st.one_of(numbers, junk, numeric_strings))
@@ -176,5 +242,29 @@ def test_read_field_value_entries(tmp_path_factory):
                 read_field(path)
             return
         assert np.array_equal(read_field(path)[1]["u"], want[1]["u"], equal_nan=True)
+
+    check()
+
+
+def test_read_field_payload_edits(tmp_path_factory):
+    # one payload edit: the whole-document fuzz above draws each kind of
+    # edit too rarely to cover it
+    path = tmp_path_factory.mktemp("fuzz") / "field.json"
+    grid = Grid2D(0.0, 0.0, 3, 3, 1.0, 1.0)
+    write_field(path, grid, {"u": np.arange(9.0).reshape(grid.shape)})
+    base = json.loads(path.read_text())
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(edited_payloads(base["values"]))
+    def check(values):
+        doc = dict(base, values=values)
+        path.write_text(json.dumps(doc))
+        want = expected(doc)
+        if want is None:
+            with pytest.raises(GridError, match=re.escape(str(path))):
+                read_field(path)
+            return
+        got = read_field(path)[1]["u"]
+        assert np.array_equal(got.view(np.int64), want[1]["u"].view(np.int64))
 
     check()

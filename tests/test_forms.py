@@ -1,7 +1,12 @@
 """Fundamental forms, connection matrices, and curvature routes."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minding_lab.grid import Grid2D, GridError, ScalarField, VectorField3
 from minding_lab.chebyshev import integrate_frame, one_soliton_angle
@@ -179,6 +184,77 @@ class TestNormalAndSecondForm:
         assert np.abs(II1.ell - II2.ell).max() <= 1e-11
         assert np.abs(II1.m - II2.m).max() <= 1e-11
         assert np.abs(II1.n - II2.n).max() <= 1e-11
+
+
+def quaternion_rotation(q):
+    """The rotation matrix of the unit quaternion q / |q|."""
+    a, b, c, d = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ])
+
+
+def metric_command_measurements(path, surface, f, N):
+    """The measured values of the ``metric`` command on a surface file."""
+    from minding_lab.cli import main
+    from minding_lab.fieldio import write_field
+
+    channels = {f"f{a}": f[..., k] for k, a in enumerate("xyz")}
+    channels.update({f"N{a}": N[..., k] for k, a in enumerate("xyz")})
+    channels["theta"] = surface.theta.theta.values
+    write_field(path, surface.grid, channels)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(["metric", "--surface-file", str(path)]) == 0
+    return {s["name"]: s["measured"] for s in json.loads(stdout.getvalue())["stages"]
+            if "measured" in s}
+
+
+def test_rigid_motion_invariance_property(tmp_path_factory):
+    """Every embedded-surface residual is unchanged by a rigid motion.
+
+    Quantities from first differences of f (the metric and the
+    ``chebyshev_metric`` measurement) agree to 1e-12 relative to their
+    unit scale.  The second form and curvature difference the normal,
+    so rounding of the moved f, about eps * |f|, reaches them as
+    eps * |f| / h**2.  Measured at most 18 times that (n = 33, 500
+    motions, the curvature), they are held to 64 times it.
+    """
+    g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, 33, 33)
+    surface = integrate_frame(one_soliton_angle(g)).surface
+    f, N = surface.f.values, surface.N.values
+    m1 = induced_metric(surface.f)
+    _, II1 = normal_and_second_form(surface.f)
+    K1 = gauss_curvature_from_forms(m1, II1).values
+    folder = tmp_path_factory.mktemp("rigid")
+    cli1 = metric_command_measurements(folder / "surface.json", surface, f, N)
+    unit = st.floats(-1.0, 1.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(st.tuples(unit, unit, unit, unit).filter(lambda q: np.linalg.norm(q) >= 0.1),
+           st.tuples(unit, unit, unit))
+    def check(q, shift):
+        R = quaternion_rotation(q)
+        f2 = f @ R.T + np.array(shift)
+        second_order_tol = 64 * np.finfo(float).eps * np.abs(f2).max() / g.h**2
+        moved = VectorField3(g, f2)
+        m2 = induced_metric(moved)
+        for a, b in ((m1.E, m2.E), (m1.F, m2.F), (m1.G, m2.G)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+        _, II2 = normal_and_second_form(moved)
+        for a, b in ((II1.ell, II2.ell), (II1.m, II2.m), (II1.n, II2.n)):
+            assert np.abs(a - b).max() <= second_order_tol
+        K2 = gauss_curvature_from_forms(m2, II2).values
+        assert np.array_equal(np.isnan(K1), np.isnan(K2))
+        assert np.nanmax(np.abs(K1 - K2)) <= second_order_tol
+        cli2 = metric_command_measurements(folder / "moved.json", surface, f2, N @ R.T)
+        assert cli2.keys() == cli1.keys() == {"chebyshev_metric", "curvature"}
+        assert abs(cli2["chebyshev_metric"] - cli1["chebyshev_metric"]) <= 1e-12
+        assert abs(cli2["curvature"] - cli1["curvature"]) <= second_order_tol
+
+    check()
 
 
 class TestIsothermicConnection:
