@@ -10,12 +10,16 @@ Gauss curvature is identically -1.
 The frame W = (f_x, f_y, N) satisfies W_x = W A and W_y = W B where the
 columns of A express (f_xx, f_xy, N_x), and those of B express
 (f_yx, f_yy, N_y), in the basis (f_x, f_y, N).  ``integrate_frame``
-reconstructs W and f from theta by fourth-order line integration.
+reconstructs W and f from theta by fourth-order line integration.  The
+frame is never projected back onto its Gram matrix: RK4 drift is of
+truncation order and smooth over the grid, which keeps the residuals
+differenced from the surface at second order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -219,38 +223,6 @@ def _check_initial_frame(W0: np.ndarray, theta0: float) -> np.ndarray:
     return W0
 
 
-def _gram_sqrt(cos_theta: np.ndarray) -> np.ndarray:
-    """Symmetric square root of [[1, c, 0], [c, 1, 0], [0, 0, 1]]."""
-    a = 0.5 * (np.sqrt(1.0 + cos_theta) + np.sqrt(1.0 - cos_theta))
-    b = 0.5 * (np.sqrt(1.0 + cos_theta) - np.sqrt(1.0 - cos_theta))
-    n = cos_theta.shape[0]
-    out = np.zeros((n, 3, 3))
-    out[:, 0, 0] = a
-    out[:, 1, 1] = a
-    out[:, 0, 1] = b
-    out[:, 1, 0] = b
-    out[:, 2, 2] = 1.0
-    return out
-
-
-def _reorthonormalize(W: np.ndarray, cos_theta: np.ndarray) -> np.ndarray:
-    """Nearest frames (Frobenius) with the prescribed Gram matrix.
-
-    Orthogonal-Procrustes projection: with G^(1/2) the Gram square
-    root, the minimizer of |W' - W| over W'^T W' = G is Q G^(1/2) where
-    Q is the orientation-kept polar factor of W G^(1/2).
-    """
-    S = _gram_sqrt(cos_theta)
-    M = W @ S
-    U, _, Vt = np.linalg.svd(M)
-    det = np.linalg.det(U @ Vt)
-    flip = np.ones_like(det)
-    flip[det < 0.0] = -1.0
-    U = U.copy()
-    U[:, :, -1] *= flip[:, None]
-    return (U @ Vt) @ S
-
-
 def _interp_midpoints(values: np.ndarray, axis: int) -> np.ndarray:
     """Fourth-order midpoint interpolation of samples along ``axis``.
 
@@ -269,90 +241,70 @@ def _interp_midpoints(values: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(mid, 0, axis)
 
 
-def _rk4_line(W, f, col, step, conn_nodes, conn_mids, reorth_every, cos_nodes):
-    """March W' = W*C(t), f' = W[:, col] along one line of samples.
+def _rk4_line(Y, step, rate, c_nodes, c_mids):
+    """Classical RK4 march of Y' = rate(Y, C(t)) along a line of samples.
 
-    ``W``: (m, 3, 3) stack of frames, ``f``: (m, 3); ``conn_nodes`` and
-    ``conn_mids`` give C at the nodes and midpoints of the line, shape
-    (n, m, 3, 3) and (n-1, m, 3, 3).  Returns node values along the
-    line, shapes (n, m, 3, 3) and (n, m, 3).
+    ``Y`` is the state at the first node; ``c_nodes`` and ``c_mids``
+    hold the coefficient C at the n nodes and the n - 1 midpoints of
+    the line, line parameter first.  Yields the state at nodes 1 to
+    n - 1 in turn, so the caller stores it where it belongs.
     """
-    n = conn_nodes.shape[0]
-    Ws = np.empty((n,) + W.shape)
-    fs = np.empty((n,) + f.shape)
-    Ws[0] = W
-    fs[0] = f
-    for k in range(n - 1):
-        C0, Cm, C1 = conn_nodes[k], conn_mids[k], conn_nodes[k + 1]
-        k1W = W @ C0
-        k1f = W[..., :, col]
-        W2 = W + 0.5 * step * k1W
-        k2W = W2 @ Cm
-        k2f = W2[..., :, col]
-        W3 = W + 0.5 * step * k2W
-        k3W = W3 @ Cm
-        k3f = W3[..., :, col]
-        W4 = W + step * k3W
-        k4W = W4 @ C1
-        k4f = W4[..., :, col]
-        W = W + (step / 6.0) * (k1W + 2.0 * k2W + 2.0 * k3W + k4W)
-        f = f + (step / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        if reorth_every and (k + 1) % reorth_every == 0:
-            W = _reorthonormalize(W, cos_nodes[k + 1])
-        Ws[k + 1] = W
-        fs[k + 1] = f
-    return Ws, fs
+    for C0, Cm, C1 in zip(c_nodes[:-1], c_mids, c_nodes[1:]):
+        k1 = rate(Y, C0)
+        k2 = rate(Y + 0.5 * step * k1, Cm)
+        k3 = rate(Y + 0.5 * step * k2, Cm)
+        k4 = rate(Y + step * k3, C1)
+        Y = Y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield Y
 
 
-def _sweep(theta_vals, tx, ty, grid, W0, f0, reorth_every, x_first):
-    """Integrate the frame over the whole grid, one sweep order."""
+def _frame_lines(Y, conn_nodes, conn_mids, col, step, W, f):
+    """March (W | f)' = (W C, W[:, col]) along lines and store the nodes.
+
+    ``Y``: (m, 3, 4) states, the frame with f as a fourth column, at
+    the first node of m parallel lines; ``W`` (n, m, 3, 3) and ``f``
+    (n, m, 3) receive the node values, the first node included.
+    """
+
+    def rate(Y, C):
+        return np.concatenate((Y[..., :3] @ C, Y[..., col:col + 1]), axis=-1)
+
+    W[0] = Y[..., :3]
+    f[0] = Y[..., 3]
+    for k, Yk in enumerate(_rk4_line(Y, step, rate, conn_nodes, conn_mids), 1):
+        W[k] = Yk[..., :3]
+        f[k] = Yk[..., 3]
+
+
+def _sweep(theta_vals, tx, ty, grid, W0, f0, x_first):
+    """Integrate the frame over the whole grid, one sweep order.
+
+    A seed line from the origin fills the first row (x first) or column
+    (y first); the lines across it, all marched at once, fill the grid.
+    """
+
+    def mid_conn(axis):
+        # A and B at the midpoints between nodes along ``axis``
+        return connection_from_samples(
+            *(_interp_midpoints(v, axis) for v in (theta_vals, tx, ty))
+        )
+
     A_nodes, B_nodes = connection_from_samples(theta_vals, tx, ty)
-
-    def line_conn(conn, axis):
-        mid_theta = _interp_midpoints(theta_vals, axis)
-        mid_tx = _interp_midpoints(tx, axis)
-        mid_ty = _interp_midpoints(ty, axis)
-        A_m, B_m = connection_from_samples(mid_theta, mid_tx, mid_ty)
-        return A_m if conn == "A" else B_m
-
     W = np.empty(grid.shape + (3, 3))
     f = np.empty(grid.shape + (3,))
-    cos_all = np.cos(theta_vals)
-
-    if x_first:
-        # seed row j=0 by an x-line, then every column by a y-line
-        A_mid = line_conn("A", 1)
-        Ws, fs = _rk4_line(
-            W0[None], np.asarray(f0, dtype=float)[None], 0, grid.dx,
-            A_nodes[0][:, None], A_mid[0][:, None], reorth_every,
-            cos_all[0][:, None],
-        )
-        W[0] = Ws[:, 0]
-        f[0] = fs[:, 0]
-        B_mid = line_conn("B", 0)
-        Ws, fs = _rk4_line(
-            W[0], f[0], 1, grid.dy,
-            B_nodes, B_mid, reorth_every, cos_all,
-        )
-        W[:] = Ws
-        f[:] = fs
-    else:
-        B_mid = line_conn("B", 0)
-        Ws, fs = _rk4_line(
-            W0[None], np.asarray(f0, dtype=float)[None], 1, grid.dy,
-            B_nodes[:, 0][:, None], B_mid[:, 0][:, None], reorth_every,
-            cos_all[:, 0][:, None],
-        )
-        col_W = Ws[:, 0]
-        col_f = fs[:, 0]
-        A_mid = line_conn("A", 1)
-        Ws, fs = _rk4_line(
-            col_W, col_f, 0, grid.dx,
-            np.moveaxis(A_nodes, 1, 0), np.moveaxis(A_mid, 1, 0),
-            reorth_every, np.moveaxis(cos_all, 1, 0),
-        )
-        W[:] = np.moveaxis(Ws, 0, 1)
-        f[:] = np.moveaxis(fs, 0, 1)
+    # (nodes, midpoints, column of f', step), seed line first
+    lines = [(A_nodes, mid_conn(1)[0], 0, grid.dx), (B_nodes, mid_conn(0)[1], 1, grid.dy)]
+    Wv, fv = W, f
+    if not x_first:
+        # transposed views lay the seed line along axis 1 here too
+        swap = partial(np.moveaxis, source=1, destination=0)
+        lines = [(swap(n), swap(m), col, step) for n, m, col, step in lines[::-1]]
+        Wv, fv = swap(W), swap(f)
+    (nodes, mids, col, step), fill = lines
+    Y0 = np.concatenate((W0, np.asarray(f0, dtype=float).reshape(3, 1)), axis=1)
+    _frame_lines(Y0[None], nodes[0][:, None], mids[0][:, None], col, step,
+                 Wv[0][:, None], fv[0][:, None])
+    _frame_lines(np.concatenate((Wv[0], fv[0][..., None]), axis=-1), *fill, Wv, fv)
     return W, f
 
 
@@ -362,15 +314,13 @@ def integrate_frame(
     f0=(0.0, 0.0, 0.0),
     *,
     compatibility_tol: float | None = COMPATIBILITY_TOL,
-    reorthonormalize_every: int = 16,
 ) -> FrameIntegrationResult:
     """Synthesize a surface from an angle field.
 
     Integrates W' = W A along the first x-line and W' = W B up every
     column with classical fourth-order steps (connection entries are
-    interpolated to midpoints at matching order), renormalizing the
-    frame onto its prescribed Gram matrix every ``reorthonormalize_every``
-    steps.  The returned surface comes from the x-then-y sweep; the
+    interpolated to midpoints at matching order).  The returned
+    surface comes from the x-then-y sweep; the
     discrepancy against the y-then-x sweep is reported so that an
     incompatible angle field cannot slip through silently.
 
@@ -398,8 +348,8 @@ def integrate_frame(
     tx = fd_partial(t, "x").values
     ty = fd_partial(t, "y").values
 
-    W_xy, f_xy = _sweep(theta_vals, tx, ty, grid, W0, f0, reorthonormalize_every, True)
-    W_yx, f_yx = _sweep(theta_vals, tx, ty, grid, W0, f0, reorthonormalize_every, False)
+    W_xy, f_xy = _sweep(theta_vals, tx, ty, grid, W0, f0, True)
+    W_yx, f_yx = _sweep(theta_vals, tx, ty, grid, W0, f0, False)
 
     surface = ChebyshevSurface(
         f=VectorField3(grid, f_xy),

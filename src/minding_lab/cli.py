@@ -313,10 +313,6 @@ def _synthesis_stages(run: _Run, theta):
 
 
 def _store_surface(run: _Run, surface) -> None:
-    run.artifacts["theta.json"] = (
-        surface.theta.grid,
-        {"theta": surface.theta.theta.values},
-    )
     run.artifacts["surface.json"] = (
         surface.f.grid,
         {
@@ -447,7 +443,7 @@ def _factor_stages(run: _Run, h_img, gates: dict):
         h_fit, fit = rescale_to_liouville(h_img)
     run.gate("rescale", abs(fit - 1.0), gates["rescale"] * scale, fit=fit)
     u = ScalarField(h_fit.grid, np.log(h_fit.values))
-    run.artifacts["factor.json"] = (u.grid, {"u": u.values, "h": h_fit.values})
+    run.artifacts["factor.json"] = (u.grid, {"u": u.values})
 
     with run.stage("liouville_weak", GridError):
         weak = liouville_weak_residual(u, bump_lattice(u.grid))
@@ -482,7 +478,7 @@ def _chart_catalog_stages(run: _Run, name: str):
     runs on the source grid with the h-scaled gates."""
     from minding_lab.conformal import catalog_chart
 
-    _, chart, extras = catalog_chart(name, run.config.n)
+    _, chart, _ = catalog_chart(name, run.config.n)
     h2 = chart.grid.h**2
     _store_chart(run, chart)
     _isothermic_curvature_stage(run, chart.h, 10.0 * h2 * run.config.tol_scale)
@@ -523,8 +519,7 @@ def cmd_metric(run: _Run) -> None:
     else:
         raise ConfigError("metric needs a surface file, a theta file or the one_soliton catalog")
     metric = _embedded_metric_stages(run, surface)
-    det = metric.E * metric.G - metric.F**2
-    run.note("metric_det", min_det=float(det.min()))
+    run.note("metric_det", min_det=float(metric.det().min()))
 
 
 def cmd_flatten(run: _Run) -> None:
@@ -637,29 +632,43 @@ def _execute(command: str, body, config: PipelineConfig) -> int:
     return _emit(run)
 
 
+# field file -> {csv: channels}; phi.csv holds |phi| from its two channels
 PLOT_SOURCES = {
-    "f.csv": ("surface.json", ("fx", "fy", "fz")),
-    "theta.csv": ("theta.json", ("theta",)),
-    "h.csv": ("chart.json", ("h",)),
-    "u.csv": ("factor.json", ("u",)),
+    "surface.json": {"f.csv": ("fx", "fy", "fz"), "theta.csv": ("theta",)},
+    "chart.json": {"h.csv": ("h",)},
+    "factor.json": {"u.csv": ("u",)},
+    "developing.json": {"phi.csv": ("phi_re", "phi_im")},
 }
 
 
-def _plot_channels(path: Path, names: tuple):
-    """The grid and the named channels of a plot source, which must hold
-    every one of them."""
+def _plot_tables(out: Path) -> dict:
+    """Every CSV table the run's field files give, each file read once.
+
+    A file that is absent gives none; one that lacks a channel it plots
+    is a usage error, raised before anything is written.
+    """
+    import numpy as np
+
     from minding_lab.fieldio import read_field
 
-    grid, data = read_field(path)
-    missing = [c for c in names if c not in data]
-    if missing:
-        raise ConfigError(f"{path}: missing channels {missing} to plot")
-    return grid, {c: data[c] for c in names}
+    tables = {}
+    for source, csvs in PLOT_SOURCES.items():
+        path = out / source
+        if not path.is_file():
+            continue
+        grid, data = read_field(path)
+        missing = [c for names in csvs.values() for c in names if c not in data]
+        if missing:
+            raise ConfigError(f"{path}: missing channels {missing} to plot")
+        for csv_name, names in csvs.items():
+            tables[csv_name] = (grid, {c: data[c] for c in names})
+    if "phi.csv" in tables:
+        grid, data = tables["phi.csv"]
+        tables["phi.csv"] = (grid, {"phi_abs": np.hypot(data["phi_re"], data["phi_im"])})
+    return tables
 
 
 def cmd_export_plots(out_dir: str | None, force: bool) -> int:
-    import numpy as np
-
     from minding_lab.fieldio import write_csv
 
     if out_dir is None:
@@ -669,30 +678,15 @@ def cmd_export_plots(out_dir: str | None, force: bool) -> int:
     if not report_path.is_file():
         raise ConfigError(f"no report.json under {out}; run a pipeline command first")
     plots = out / "plots"
+    if plots.exists() and not force:
+        raise ConfigError(f"{plots} already exists; pass --force to recreate")
+    tables = _plot_tables(out)
+    report = json.loads(report_path.read_text())
     if plots.exists():
-        if not force:
-            raise ConfigError(f"{plots} already exists; pass --force to recreate")
         shutil.rmtree(plots)
     plots.mkdir(parents=True)
-
-    written = []
-    for csv_name, (source, channels) in PLOT_SOURCES.items():
-        path = out / source
-        if not path.is_file():
-            continue
-        write_csv(plots / csv_name, *_plot_channels(path, channels))
-        written.append(csv_name)
-    dev_path = out / "developing.json"
-    if dev_path.is_file():
-        grid, data = _plot_channels(dev_path, ("phi_re", "phi_im"))
-        write_csv(
-            plots / "phi.csv",
-            grid,
-            {"phi_abs": np.hypot(data["phi_re"], data["phi_im"])},
-        )
-        written.append("phi.csv")
-
-    report = json.loads(report_path.read_text())
+    for csv_name, (grid, channels) in tables.items():
+        write_csv(plots / csv_name, grid, channels)
     with open(plots / "residuals.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["stage", "measured", "gate", "passed"])
@@ -705,8 +699,7 @@ def cmd_export_plots(out_dir: str | None, force: bool) -> int:
                     stage["passed"],
                 ]
             )
-    written.append("residuals.csv")
-    print(json.dumps({"command": "export-plots", "written": sorted(written)},
+    print(json.dumps({"command": "export-plots", "written": sorted([*tables, "residuals.csv"])},
                      sort_keys=True, indent=2))
     return EXIT_PASS
 

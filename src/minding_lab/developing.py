@@ -12,11 +12,12 @@ pullback identity that certifies the result as an isometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .grid import Grid2D, GridError, ScalarField, _partial_values
-from .chebyshev import _interp_midpoints
+from .chebyshev import _interp_midpoints, _rk4_line
 
 __all__ = [
     "DevelopError",
@@ -173,33 +174,40 @@ class _SeedFailure(Exception):
     """Denominator solution crossed zero; try another base node."""
 
 
-def _advance(state: np.ndarray, direction: complex, step: float,
-             t0: np.ndarray, tm: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """One RK4 step of ``(psi, psi')' = direction * (psi', -T psi)``.
+def _psi_rate(direction: complex, s: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``(psi, psi')' = direction * (psi', -T psi)``.
 
-    ``state`` has shape (..., 2, k): two components for each of the k
-    tracked solutions.  ``t0, tm, t1`` are the ODE coefficient at the
-    start, midpoint, and end of the step.
+    ``s`` has shape (..., 2, k): two components for each of the k
+    tracked solutions; ``T`` is the ODE coefficient, shape (...).
     """
+    out = np.empty_like(s)
+    out[..., 0, :] = direction * s[..., 1, :]
+    out[..., 1, :] = -direction * T[..., None] * s[..., 0, :]
+    return out
 
-    def rhs(T, s):
-        out = np.empty_like(s)
-        out[..., 0, :] = direction * s[..., 1, :]
-        out[..., 1, :] = -direction * T[..., None] * s[..., 0, :]
-        return out
 
-    k1 = rhs(t0, state)
-    k2 = rhs(tm, state + 0.5 * step * k1)
-    k3 = rhs(tm, state + 0.5 * step * k2)
-    k4 = rhs(t1, state + step * k3)
-    return state + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _march_out(state: np.ndarray, base: int, step: float, direction: complex,
+               T: np.ndarray, T_mid: np.ndarray) -> None:
+    """March lines from node ``base`` to both of their ends, in place.
+
+    ``state`` (n, m, 2, 2) holds m parallel lines, line parameter
+    first, and is known at ``base``; ``T`` and ``T_mid`` give the
+    coefficient at the n nodes and n - 1 midpoints.  The backward half
+    runs on reversed views with the direction negated.
+    """
+    for d, line, nodes, mids in (
+        (direction, state[base:], T[base:], T_mid[base:]),
+        (-direction, state[base::-1], T[base::-1], T_mid[:base][::-1]),
+    ):
+        rate = partial(_psi_rate, d)
+        for k, s in enumerate(_rk4_line(line[0], step, rate, nodes, mids), 1):
+            line[k] = s
 
 
 def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
            x_first: bool) -> tuple[np.ndarray, np.ndarray]:
     g = u.grid
-    ny, nx = g.shape
-    state = np.full((ny, nx, 2, 2), np.nan, dtype=complex)
+    state = np.full(g.shape + (2, 2), np.nan, dtype=complex)
     u0 = float(u.values[jb, ib])
     uz0 = _dz(u.values.astype(float), g)[jb, ib]
     # solution 0 vanishes at the base with derivative e^u/2 (this is the
@@ -208,36 +216,16 @@ def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
     state[jb, ib, 0] = [0.0, 1.0]
     state[jb, ib, 1] = [0.5 * np.exp(u0), -uz0]
 
-    Tx_mid = _interp_midpoints(T, axis=1)
+    # x-lines through transposed views, so every march runs along axis 0
+    x_state, Tx, Tx_mid = np.moveaxis(state, 1, 0), T.T, _interp_midpoints(T, axis=1).T
     Ty_mid = _interp_midpoints(T, axis=0)
-
-    def sweep_x_rows(rws):
-        # advance the given rows one column at a time, both directions
-        for i in range(ib, nx - 1):
-            state[rws, i + 1] = _advance(
-                state[rws, i], 1.0, g.dx, T[rws, i], Tx_mid[rws, i], T[rws, i + 1]
-            )
-        for i in range(ib, 0, -1):
-            state[rws, i - 1] = _advance(
-                state[rws, i], -1.0, g.dx, T[rws, i], Tx_mid[rws, i - 1], T[rws, i - 1]
-            )
-
-    def sweep_y_cols(cls_):
-        for j in range(jb, ny - 1):
-            state[j + 1, cls_] = _advance(
-                state[j, cls_], 1.0j, g.dy, T[j, cls_], Ty_mid[j, cls_], T[j + 1, cls_]
-            )
-        for j in range(jb, 0, -1):
-            state[j - 1, cls_] = _advance(
-                state[j, cls_], -1.0j, g.dy, T[j, cls_], Ty_mid[j - 1, cls_], T[j - 1, cls_]
-            )
-
+    row, col = slice(jb, jb + 1), slice(ib, ib + 1)
     if x_first:
-        sweep_x_rows(np.array([jb]))
-        sweep_y_cols(np.arange(nx))
+        _march_out(x_state[:, row], ib, g.dx, 1.0, Tx[:, row], Tx_mid[:, row])
+        _march_out(state, jb, g.dy, 1.0j, T, Ty_mid)
     else:
-        sweep_y_cols(np.array([ib]))
-        sweep_x_rows(np.arange(ny))
+        _march_out(state[:, col], jb, g.dy, 1.0j, T[:, col], Ty_mid[:, col])
+        _march_out(x_state, ib, g.dx, 1.0, Tx, Tx_mid)
 
     psi1, dpsi1 = state[..., 0, 0], state[..., 1, 0]
     psi2, dpsi2 = state[..., 0, 1], state[..., 1, 1]

@@ -233,7 +233,7 @@ class LiouvilleSolution:
     residuals: tuple[float, ...]
 
 
-def _liouville_residual(A: sp.csc_matrix, grid: Grid2D, b_elim: np.ndarray,
+def _liouville_residual(A: sp.csc_matrix, b_elim: np.ndarray,
                         u_int: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return A @ u_int + b_elim - np.exp(2.0 * u_int)
@@ -264,7 +264,7 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
     b_elim = -_eliminated_rhs(DirichletProblem(grid, zero, bd))
     u_int = u0.values[1:-1, 1:-1].ravel().copy()
 
-    F = _liouville_residual(A, grid, b_elim, u_int)
+    F = _liouville_residual(A, b_elim, u_int)
     res = float(np.max(np.abs(F)))
     history = [res]
     iterations = 0
@@ -291,7 +291,7 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
         step = 1.0
         for _ in range(max_halvings + 1):
             trial = u_int + step * delta
-            F_try = _liouville_residual(A, grid, b_elim, trial)
+            F_try = _liouville_residual(A, b_elim, trial)
             res_try = float(np.max(np.abs(F_try)))
             if np.isfinite(res_try) and res_try < res:
                 break

@@ -207,7 +207,8 @@ class TestFactorCommands:
         code, _ = run_cli(capsys, "synthesize", "--catalog", "one_soliton", "--n", "33",
                           "--out", str(out))
         assert code == EXIT_PASS
-        code, from_file = run_cli(capsys, "metric", "--theta-file", str(out / "theta.json"))
+        # the surface file's theta channel is the angle field
+        code, from_file = run_cli(capsys, "metric", "--theta-file", str(out / "surface.json"))
         code_catalog, from_catalog = run_cli(capsys, "metric", "--catalog", "one_soliton",
                                              "--n", "33")
         assert code == code_catalog == EXIT_PASS
@@ -261,7 +262,7 @@ class TestArtifactsAndExport:
         assert run_cli(capsys, "export-plots", "--config", str(cfg), "--force")[0] == EXIT_USAGE
 
     @pytest.mark.parametrize("source, channels, missing", [
-        ("theta.json", ("angle",), "['theta']"),
+        ("surface.json", ("fx", "fy", "fz", "Nx", "Ny", "Nz", "angle"), "['theta']"),
         ("developing.json", ("phi_im",), "['phi_re']"),
         ("surface.json", ("fx", "fy", "Nx", "Ny", "Nz", "theta"), "['fz']"),
     ], ids=["theta_named_angle", "developing_without_phi_re", "surface_without_fz"])
@@ -276,6 +277,35 @@ class TestArtifactsAndExport:
         err = capsys.readouterr().err
         assert f"error: {out / source}: missing channels {missing}" in err
         assert "Traceback" not in err
+
+    def test_export_checks_every_source_before_writing(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere",
+                "--n", "17", "--out", str(out))
+        good = (out / "developing.json").read_bytes()
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 5, 5)
+        write_field(out / "developing.json", g, {"phi_im": np.zeros(g.shape)})
+        # developing.json is the last source: no CSV of an earlier one is
+        # written and the plots directory is not even created
+        assert main(["export-plots", "--out", str(out)]) == EXIT_USAGE
+        assert "missing channels ['phi_re']" in capsys.readouterr().err
+        assert not (out / "plots").exists()
+        (out / "developing.json").write_bytes(good)
+        assert run_cli(capsys, "export-plots", "--out", str(out))[0] == EXIT_PASS
+
+    def test_export_force_keeps_good_plots_when_a_source_fails(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere",
+                "--n", "17", "--out", str(out))
+        code, report = run_cli(capsys, "export-plots", "--out", str(out))
+        assert code == EXIT_PASS
+        before = {p.name: p.read_bytes() for p in (out / "plots").iterdir()}
+        assert sorted(before) == report["written"]
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 5, 5)
+        write_field(out / "factor.json", g, {"h": np.ones(g.shape)})
+        assert main(["export-plots", "--out", str(out), "--force"]) == EXIT_USAGE
+        assert "missing channels ['u']" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (out / "plots").iterdir()} == before
 
     def test_export_needs_prior_run(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "export-plots", "--out", str(tmp_path / "nothing"))
@@ -523,7 +553,7 @@ class TestFailureClassification:
         assert all(s["passed"] for s in report["stages"][:-1])
         # the artifacts of the stages before flatten are written, none after
         assert sorted(p.name for p in out.iterdir()) == [
-            "metric.json", "report.json", "surface.json", "theta.json"]
+            "metric.json", "report.json", "surface.json"]
 
     def test_out_under_a_regular_file(self, capsys, tmp_path):
         blocker = tmp_path / "file"

@@ -18,6 +18,7 @@ from minding_lab.developing import (
     mobius_disk,
     pullback_isometry_check,
     u_from_phi,
+    _march,
 )
 
 # half-diagonal of the square inscribed in the radius-r disk
@@ -48,6 +49,15 @@ def strip_factor(n):
     g = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, n, n)
     _, Y = g.mesh()
     return ScalarField(g, -np.log(np.cos(Y)))
+
+
+def quadratic_map_factor(n):
+    # pulled back through z + 0.4 z^2: unlike the factors above its
+    # invariant varies over the grid, so the march's midpoint samples
+    # of T must line up with their steps
+    g = disk_grid(n)
+    dev = DevelopingMap.from_function(g, lambda z: z + 0.4 * z**2, lambda z: 1.0 + 0.8 * z)
+    return u_from_phi(dev)
 
 
 def identity_map(n, half=DISK_HALF):
@@ -276,6 +286,32 @@ class TestDevelop:
     def test_path_residual(self, factor):
         u = factor(65)
         assert develop_path_residual(u) <= 1e-4
+
+
+# corners and edge midpoints of a 65 x 65 grid
+EDGE_BASES = [(j, i) for j in (0, 32, 64) for i in (0, 32, 64) if (j, i) != (32, 32)]
+
+
+class TestMarchFromEdges:
+    """Bases on the grid's boundary, where one half of every two-way
+    line march is empty and an off-by-one in the reversed slices would
+    show."""
+
+    # the quadratic map's bound sits at 1.8x its largest residual, 1.12e-4
+    # from the corners; a midpoint of T taken one step off reads 3e-4 to
+    # 2.4e-3 from every base with a nonempty backward half
+    @pytest.mark.parametrize("factor, bound", [
+        (disk_factor, 1e-4), (half_plane_factor, 1e-4), (quadratic_map_factor, 2e-4),
+    ], ids=["disk", "half_plane", "quadratic_map"])
+    @pytest.mark.parametrize("base", EDGE_BASES, ids=str)
+    def test_path_residual_and_base_normalization(self, factor, bound, base):
+        u = factor(65)
+        assert develop_path_residual(u, base) <= bound
+        T = holomorphic_invariant(u).T
+        for x_first in (True, False):
+            phi, dphi = _march(u, T, *base, x_first=x_first)
+            assert phi[base] == 0.0
+            assert dphi[base] == np.exp(u.values[base]) / 2.0
 
 
 class TestPullbackCheck:

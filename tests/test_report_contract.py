@@ -19,6 +19,11 @@ A change that sets out to alter a report regenerates the goldens, and
 says so, with
 
     PYTHONPATH=src python3 tests/test_report_contract.py
+
+which prints, under each golden it rewrites, every leaf that moved: its
+JSON path, then old -> new.  Floats count as moved beyond a relative
+1e-9, anything else on any change, and a key or item that appears or
+goes shows the other side as ``<absent>``.
 """
 
 import json
@@ -111,6 +116,37 @@ def assert_matches(actual, expected, where="$"):
         )
 
 
+ABSENT = "<absent>"
+
+
+def moved_leaves(old, new, where="$"):
+    """Yield ``(path, old, new)`` for every leaf where the two documents
+    differ by more than ``assert_matches`` lets pass."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from moved_leaves(old.get(key, ABSENT), new.get(key, ABSENT),
+                                    f"{where}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for k in range(max(len(old), len(new))):
+            yield from moved_leaves(old[k] if k < len(old) else ABSENT,
+                                    new[k] if k < len(new) else ABSENT, f"{where}[{k}]")
+    elif isinstance(old, float) and isinstance(new, float):
+        if not math.isclose(new, old, rel_tol=1e-9):
+            yield where, old, new
+    elif type(old) is not type(new) or old != new:
+        yield where, old, new
+
+
+def write_golden(name: str, doc: dict) -> None:
+    path = GOLDEN / f"{name}.json"
+    old = json.loads(path.read_text()) if path.is_file() else None
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {name}.json (exit {doc['exit_code']})", file=sys.stderr)
+    if old is not None:
+        for where, a, b in moved_leaves(old, doc):
+            print(f"  {where}: {a!r} -> {b!r}", file=sys.stderr)
+
+
 @pytest.mark.parametrize("source", CATALOG)
 def test_verify_minding_matches_golden(source, tmp_path, capsys):
     actual = snapshot(source, tmp_path)
@@ -131,11 +167,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for source in CATALOG:
         with tempfile.TemporaryDirectory() as tmp:
-            doc = snapshot(source, Path(tmp))
-        (GOLDEN / f"{source}.json").write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {source}.json (exit {doc['exit_code']})", file=sys.stderr)
+            write_golden(source, snapshot(source, Path(tmp)))
     for case in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
-            doc = command_snapshot(case, Path(tmp))
-        (GOLDEN / f"{case}.json").write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {case}.json (exit {doc['exit_code']})", file=sys.stderr)
+            write_golden(case, command_snapshot(case, Path(tmp)))
