@@ -150,6 +150,11 @@ def connection_from_samples(theta, theta_x, theta_y) -> tuple[np.ndarray, np.nda
     E = G = 1, F = cos(theta) and the shape operator of the asymptotic
     second form (off-diagonal coefficient sin(theta)).
     """
+    return _connection(theta, theta_x, "x"), _connection(theta, theta_y, "y")
+
+
+def _connection(theta, theta_d, axis: str) -> np.ndarray:
+    """A (``axis`` "x", ``theta_d`` = theta_x) or B ("y", theta_y) alone."""
     theta = np.asarray(theta, dtype=float)
     sin = np.sin(theta)
     if np.abs(sin).min() < SIN_THETA_FLOOR:
@@ -160,24 +165,11 @@ def connection_from_samples(theta, theta_x, theta_y) -> tuple[np.ndarray, np.nda
     cot = cos / sin
     inv = 1.0 / sin
     zero = np.zeros_like(theta)
-
-    A = np.stack(
-        [
-            np.stack([theta_x * cot, zero, cot], axis=-1),
-            np.stack([-theta_x * inv, zero, -inv], axis=-1),
-            np.stack([zero, sin, zero], axis=-1),
-        ],
-        axis=-2,
-    )
-    B = np.stack(
-        [
-            np.stack([zero, -theta_y * inv, -inv], axis=-1),
-            np.stack([zero, theta_y * cot, cot], axis=-1),
-            np.stack([sin, zero, zero], axis=-1),
-        ],
-        axis=-2,
-    )
-    return A, B
+    if axis == "x":
+        rows = ([theta_d * cot, zero, cot], [-theta_d * inv, zero, -inv], [zero, sin, zero])
+    else:
+        rows = ([zero, -theta_d * inv, -inv], [zero, theta_d * cot, cot], [sin, zero, zero])
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def chebyshev_connection(theta: AngleField) -> tuple[FrameField, FrameField]:
@@ -276,24 +268,28 @@ def _frame_lines(Y, conn_nodes, conn_mids, col, step, W, f):
         f[k] = Yk[..., 3]
 
 
-def _sweep(theta_vals, tx, ty, grid, W0, f0, x_first):
+def _line_connections(theta_vals, tx, ty, grid):
+    """What both sweep orders march with, built once: per direction
+    (x, then y) the connection at the nodes and at the midpoints along
+    that direction, the column of f', and the step."""
+
+    def along(name, theta_d, axis):
+        # x runs along array axis 1, y along axis 0
+        mids = (_interp_midpoints(v, axis) for v in (theta_vals, theta_d))
+        return _connection(theta_vals, theta_d, name), _connection(*mids, name)
+
+    return [(*along("x", tx, 1), 0, grid.dx), (*along("y", ty, 0), 1, grid.dy)]
+
+
+def _sweep(lines, grid, W0, f0, x_first):
     """Integrate the frame over the whole grid, one sweep order.
 
     A seed line from the origin fills the first row (x first) or column
     (y first); the lines across it, all marched at once, fill the grid.
+    ``lines`` is ``_line_connections``'s list, x direction first.
     """
-
-    def mid_conn(axis):
-        # A and B at the midpoints between nodes along ``axis``
-        return connection_from_samples(
-            *(_interp_midpoints(v, axis) for v in (theta_vals, tx, ty))
-        )
-
-    A_nodes, B_nodes = connection_from_samples(theta_vals, tx, ty)
     W = np.empty(grid.shape + (3, 3))
     f = np.empty(grid.shape + (3,))
-    # (nodes, midpoints, column of f', step), seed line first
-    lines = [(A_nodes, mid_conn(1)[0], 0, grid.dx), (B_nodes, mid_conn(0)[1], 1, grid.dy)]
     Wv, fv = W, f
     if not x_first:
         # transposed views lay the seed line along axis 1 here too
@@ -348,8 +344,9 @@ def integrate_frame(
     tx = fd_partial(t, "x").values
     ty = fd_partial(t, "y").values
 
-    W_xy, f_xy = _sweep(theta_vals, tx, ty, grid, W0, f0, True)
-    W_yx, f_yx = _sweep(theta_vals, tx, ty, grid, W0, f0, False)
+    lines = _line_connections(theta_vals, tx, ty, grid)
+    W_xy, f_xy = _sweep(lines, grid, W0, f0, True)
+    W_yx, f_yx = _sweep(lines, grid, W0, f0, False)
 
     surface = ChebyshevSurface(
         f=VectorField3(grid, f_xy),

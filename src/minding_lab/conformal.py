@@ -9,22 +9,28 @@ similarity with respect to the metric's orthonormal frames; the catalog
 supplies exact charts for the constant-curvature test metrics so the
 flattener has something to be measured against.
 
-``scipy.interpolate`` and ``scipy.spatial`` are imported inside the
-preimage and resampling functions, the only ones that use them: loading
-them costs more start-up than a catalog-chart command spends on its
-whole conformal stage, and such commands never resample.
+scipy is imported inside the functions that use it: loading it costs
+more start-up than a catalog-chart command spends on its whole
+conformal stage, and ``catalog_chart`` needs numpy only.
+``scipy.interpolate`` and ``scipy.spatial`` load in the preimage and
+resampling functions.  ``scipy.sparse`` and ``scipy.sparse.linalg``
+load first thing in ``_triangle_rows``, before any array of the flatten
+exists: imported later, inside ``spsolve``, they land on a heap the
+flatten has already grown and raise the process's peak resident memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .grid import Grid2D, GridError, ScalarField, fd_laplacian, fd_partial
 from .forms import MetricField
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ConformalError",
@@ -167,6 +173,10 @@ def _triangle_rows(metric: MetricField):
     least-squares conformal map energy (Levy, Petitjean, Ray, Maillot,
     SIGGRAPH 2002).  Returns the M x N complex ``A`` in CSC form.
     """
+    # spsolve's module too, loaded before the flatten allocates (see above)
+    import scipy.sparse as sp
+    import scipy.sparse.linalg  # noqa: F401
+
     g = metric.grid
     nx, ny = g.nx, g.ny
     idx = np.arange(nx * ny).reshape(g.shape)
@@ -220,6 +230,8 @@ def spsolve(A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
     and add fill.  A zero pivot means a singular system and raises
     ``ConformalError``.
     """
+    from scipy.sparse.linalg import splu
+
     try:
         lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})

@@ -5,29 +5,39 @@ boundary rows, a damped Newton iteration for the exponential curvature
 equation ``lap u = exp(2u)``, and a uniqueness cross-check that feeds a
 candidate back through the linear solve and measures the mismatch.
 
-Poisson solves are sparse-direct (``splu`` plus two refinement passes).
-Each Newton step instead runs conjugate gradients on the symmetric
-positive definite system ``(-lap + diag(s)) delta = F`` with
-``s = 2 exp(2u)``, preconditioned by ``(-lap + c I)^-1`` applied with one
-type-I sine transform pair (Concus & Golub 1973).  With
-``c = sqrt(min s * max s)`` the preconditioned condition number is at most
+Poisson solves are sparse-direct (``splu`` plus two refinement passes),
+so the cross-check is a second, independent method.  Newton runs on
+numpy alone.  It starts from the harmonic extension of the boundary
+data, solved by one type-I sine transform pair, and applies the
+Laplacian with the five-point stencil of ``grid.fd_laplacian``.  Each
+Newton step runs conjugate gradients on the symmetric positive definite
+system ``(-lap + diag(s)) delta = F`` with ``s = 2 exp(2u)``,
+preconditioned by ``(-lap + c I)^-1`` applied with one sine transform
+pair (Concus & Golub 1973).  With ``c = sqrt(min s * max s)`` the
+preconditioned condition number is at most
 ``(lam0 + max s) / (lam0 + min s) <= max s / min s``, ``lam0`` being the
 smallest eigenvalue of ``-lap``, whatever the grid size.  The step
 budget follows from that bound, and a solve that exhausts it raises.
-``scipy.fft`` is imported on the Newton path only.  Everything is
-deterministic.
+
+The sine transforms are numpy real FFTs of the odd extension.
+``scipy.sparse`` is imported by ``_laplacian_matrix`` and
+``scipy.sparse.linalg`` by ``splu``, the two places that build and
+factor the sparse matrix: loading them costs more than a whole Newton
+solve at n = 257.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .grid import Grid2D, GridError, ScalarField, fd_laplacian
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "EllipticError",
@@ -98,6 +108,8 @@ class DirichletProblem:
 
 def _laplacian_matrix(grid: Grid2D) -> sp.csc_matrix:
     # interior unknowns in C order (x fastest), Dirichlet rows eliminated
+    import scipy.sparse as sp
+
     inx, iny = grid.nx - 2, grid.ny - 2
     tx = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(inx, inx)) / grid.dx**2
     ty = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(iny, iny)) / grid.dy**2
@@ -119,11 +131,40 @@ def _laplacian_spectrum(grid: Grid2D) -> np.ndarray:
     return one_d(grid.ny - 2, grid.dy)[:, None] + one_d(grid.nx - 2, grid.dx)[None, :]
 
 
+def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized type-I sine transform of ``a`` along ``axis``.
+
+    ``y_k = 2 sum_j a_j sin(pi (j + 1)(k + 1) / (m + 1))``, scipy's
+    ``dst(type=1)``: the real FFT of the odd extension
+    ``(0, a, 0, -a reversed)`` is ``-i y`` at frequencies 1 to m.  The
+    transform is its own inverse up to the factor ``2 (m + 1)``.
+    """
+    m = a.shape[axis]
+    ext = np.zeros(a.shape[:axis] + (2 * (m + 1),) + a.shape[axis + 1:])
+    line, a = np.swapaxes(ext, 0, axis), np.swapaxes(a, 0, axis)
+    line[1:m + 1] = a
+    line[m + 2:] = -a[::-1]
+    y = np.swapaxes(np.fft.rfft(ext, axis=axis), 0, axis)[1:m + 1]
+    return np.swapaxes(-y.imag, 0, axis)
+
+
 def _dst_solve(spectrum: np.ndarray, c: float, b: np.ndarray) -> np.ndarray:
     """Solve ``(c I - A) x = b`` by one sine transform pair; needs ``c >= 0``."""
-    from scipy.fft import dstn, idstn
+    my, mx = spectrum.shape
+    coef = _dst1(_dst1(b.reshape(spectrum.shape), 1), 0) / (spectrum + c)
+    return (_dst1(_dst1(coef, 1), 0) / (4.0 * (mx + 1) * (my + 1))).ravel()
 
-    return idstn(dstn(b.reshape(spectrum.shape), type=1) / (spectrum + c), type=1).ravel()
+
+def _interior_laplacian(grid: Grid2D, ring: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """``lap`` on interior nodes, raveled, of the field that carries
+    ``ring`` on its boundary and the raveled ``interior`` inside.
+
+    With a zero ring this is ``_laplacian_matrix(grid) @ interior``; with
+    the Dirichlet data it adds the eliminated boundary terms.
+    """
+    full = np.array(ring, dtype=float)
+    full[1:-1, 1:-1] = interior.reshape(grid.ny - 2, grid.nx - 2)
+    return fd_laplacian(ScalarField(grid, full)).values[1:-1, 1:-1].ravel()
 
 
 # relative accuracy of each Newton step, in the preconditioned residual
@@ -180,6 +221,14 @@ def _eliminated_rhs(p: DirichletProblem) -> np.ndarray:
     return b.ravel()
 
 
+def splu(A, **options):
+    """``scipy.sparse.linalg.splu(A, **options)``, the module loaded on
+    first use: only the Poisson solve factors a matrix."""
+    from scipy.sparse.linalg import splu as factor
+
+    return factor(A, **options)
+
+
 def _direct_solve(lu, A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     sol = lu.solve(rhs)
     # two refinement passes push the algebraic residual well under the
@@ -233,10 +282,9 @@ class LiouvilleSolution:
     residuals: tuple[float, ...]
 
 
-def _liouville_residual(A: sp.csc_matrix, b_elim: np.ndarray,
-                        u_int: np.ndarray) -> np.ndarray:
+def _liouville_residual(grid: Grid2D, bd: np.ndarray, u_int: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
-        return A @ u_int + b_elim - np.exp(2.0 * u_int)
+        return _interior_laplacian(grid, bd, u_int) - np.exp(2.0 * u_int)
 
 
 def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
@@ -244,27 +292,25 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
                            max_halvings: int = 10) -> LiouvilleSolution:
     """Newton iteration for ``lap u = exp(2u)`` with Dirichlet data.
 
-    Starts from the harmonic extension of the boundary values.  Each
-    step solves the linearized problem with the shifted operator
-    ``lap - 2 exp(2u)``; the shift has the good sign, so the linear
-    solves stay well posed, and they are done by sine-transform
-    preconditioned conjugate gradients.  Steps are halved (at most
+    Starts from the harmonic extension of the boundary values, solved
+    by one sine transform pair; its residual is ``residuals[0]`` and is
+    not gated on its own.  Each step solves the linearized problem with
+    the shifted operator ``lap - 2 exp(2u)``; the shift has the good
+    sign, so the linear solves stay well posed, and they are done by
+    sine-transform preconditioned conjugate gradients.  Steps are halved (at most
     ``max_halvings`` times) until the residual decreases; exhausted
     damping, an exhausted conjugate-gradient budget or hitting
     ``max_iterations`` raises with the cause attached.
     """
     bd = boundary_array(grid, boundary)
-    zero = ScalarField(grid, np.zeros(grid.shape))
-    u0 = solve_poisson(DirichletProblem(grid, zero, bd))
-
-    A = _laplacian_matrix(grid)
+    zero = np.zeros(grid.shape)
     spectrum = _laplacian_spectrum(grid)
     lam0 = float(spectrum[0, 0])
     # boundary elimination terms: A @ u_int + b_elim == lap u on interior
-    b_elim = -_eliminated_rhs(DirichletProblem(grid, zero, bd))
-    u_int = u0.values[1:-1, 1:-1].ravel().copy()
+    b_elim = _interior_laplacian(grid, bd, zero[1:-1, 1:-1])
+    u_int = _dst_solve(spectrum, 0.0, b_elim)
 
-    F = _liouville_residual(A, b_elim, u_int)
+    F = _liouville_residual(grid, bd, u_int)
     res = float(np.max(np.abs(F)))
     history = [res]
     iterations = 0
@@ -284,14 +330,14 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
         # quotients lie in [(lam0 + lo) / (lam0 + c), (lam0 + hi) / (lam0 + c)]
         lo, hi = float(shift.min()), float(shift.max())
         c = math.sqrt(lo * hi)
-        delta = _pcg(lambda p: shift * p - A @ p, F,
+        delta = _pcg(lambda p: shift * p - _interior_laplacian(grid, zero, p), F,
                      lambda r: _dst_solve(spectrum, c, r),
                      _CG_RTOL, _pcg_budget((lam0 + hi) / (lam0 + lo), _CG_RTOL))
 
         step = 1.0
         for _ in range(max_halvings + 1):
             trial = u_int + step * delta
-            F_try = _liouville_residual(A, b_elim, trial)
+            F_try = _liouville_residual(grid, bd, trial)
             res_try = float(np.max(np.abs(F_try)))
             if np.isfinite(res_try) and res_try < res:
                 break

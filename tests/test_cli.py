@@ -153,6 +153,21 @@ class TestFactorCommands:
         iters = next(s for s in report["stages"] if s["name"] == "newton_iterations")
         assert iters["measured"] <= 8.0
 
+    @pytest.mark.parametrize("source, iterations", [("poincare_disk_patch", 4),
+                                                    ("half_plane_pseudosphere", 2)])
+    def test_solve_shows_second_order(self, capsys, source, iterations):
+        # the start is not gated on its own, so n = 257 passes on the disk
+        # too; the error against the exact factor falls by 4 per halving
+        errors = []
+        for n in ("65", "129", "257"):
+            code, report = run_cli(capsys, "solve", "--catalog", source, "--n", n)
+            assert code == EXIT_PASS
+            stages = {s["name"]: s for s in report["stages"]}
+            assert stages["newton_iterations"]["measured"] == iterations
+            errors.append(stages["newton_accuracy"]["measured"])
+        orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert min(orders) >= 1.9, orders
+
     def test_develop_catalog(self, capsys):
         code, report = run_cli(
             capsys, "develop", "--catalog", "half_plane_pseudosphere", "--n", "65"
@@ -390,6 +405,30 @@ class TestUsage:
             "        sys.exit(f'{argv[0]} loaded {scipy[:3]}')\n"
         )
         result = subprocess.run([sys.executable, "-c", probe, str(out)],
+                                env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-500:]
+
+    def test_catalog_solve_loads_no_scipy(self):
+        # Newton runs on numpy alone; the catalog chain's bootstrap still
+        # factors with scipy's splu, but loads no FFT module
+        src = str(Path(minding_lab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys\n"
+            "from minding_lab.cli import main\n"
+            "for source in ('poincare_disk_patch', 'half_plane_pseudosphere'):\n"
+            "    if main(['solve', '--catalog', source, '--n', '33']) != 0:\n"
+            "        sys.exit(f'solve {source} failed')\n"
+            "    scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "    if scipy:\n"
+            "        sys.exit(f'solve {source} loaded {scipy[:3]}')\n"
+            "if main(['verify-minding', '--catalog', 'poincare_disk_patch', '--n', '33']) != 0:\n"
+            "    sys.exit('verify-minding failed')\n"
+            "if 'scipy.fft' in sys.modules:\n"
+            "    sys.exit('verify-minding loaded scipy.fft')\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe],
                                 env={**os.environ, "PYTHONPATH": path},
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr[-500:]

@@ -189,6 +189,25 @@ class TestNewtonLinearSolve:
         assert np.allclose(np.sort(elliptic._laplacian_spectrum(g).ravel()), eigs,
                            rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("c", [0.0, 37.5])
+    def test_dst_matches_scipy_sine_transforms(self, c):
+        from scipy.fft import dstn, idstn
+
+        g = Grid2D.from_bounds(0.0, 1.0, 1.0, 1.6, 23, 15)  # nx != ny, dx != dy
+        spectrum = elliptic._laplacian_spectrum(g)
+        b = np.random.default_rng(5).standard_normal(spectrum.size)
+        want = idstn(dstn(b.reshape(spectrum.shape), type=1) / (spectrum + c), type=1).ravel()
+        got = elliptic._dst_solve(spectrum, c, b)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(23, 15), (9, 31)])
+    def test_stencil_product_matches_the_matrix(self, shape):
+        g = Grid2D.from_bounds(0.0, 1.0, 1.0, 1.6, *shape)
+        p = np.random.default_rng(11).standard_normal((g.ny - 2) * (g.nx - 2))
+        want = elliptic._laplacian_matrix(g) @ p
+        got = elliptic._interior_laplacian(g, np.zeros(g.shape), p)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("case", ["poincare_disk_patch", "half_plane_pseudosphere",
                                       "half_plane_dx_ne_dy", "disk_dx_ne_dy"])
     def test_cg_newton_matches_splu_newton(self, case):
