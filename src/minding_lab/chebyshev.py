@@ -36,7 +36,6 @@ from .forms import FrameField
 
 __all__ = [
     "SingularAngleError",
-    "IncompatibleAngleError",
     "AngleField",
     "ChebyshevSurface",
     "FrameIntegrationResult",
@@ -52,15 +51,10 @@ __all__ = [
 ]
 
 SIN_THETA_FLOOR = 1e-6
-COMPATIBILITY_TOL = 1e-3  # default sine-Gordon gate of integrate_frame
 
 
 class SingularAngleError(ValueError):
     """sin(theta) fell below the floor; the net degenerates there."""
-
-
-class IncompatibleAngleError(ValueError):
-    """theta fails the sine-Gordon compatibility gate."""
 
 
 @dataclass(frozen=True)
@@ -107,14 +101,15 @@ class FrameIntegrationResult:
     ``path_residual_f`` and ``path_residual_frame`` are max-norm
     differences between the x-then-y and y-then-x sweeps; for a
     compatible angle field both shrink at second order, for an
-    incompatible one they stay O(1) and must not be ignored.
+    incompatible one they stay O(1) and must not be ignored.  Whether
+    theta solves the sine-Gordon equation is ``sine_gordon_residual``'s
+    to measure and the caller's to judge.
     """
 
     surface: ChebyshevSurface
     frame: FrameField  # columns f_x, f_y, N per node
     path_residual_f: float
     path_residual_frame: float
-    sine_gordon_sup: float
 
 
 def one_soliton_angle(grid: Grid2D) -> AngleField:
@@ -308,8 +303,6 @@ def integrate_frame(
     theta: AngleField,
     W0: np.ndarray | None = None,
     f0=(0.0, 0.0, 0.0),
-    *,
-    compatibility_tol: float | None = COMPATIBILITY_TOL,
 ) -> FrameIntegrationResult:
     """Synthesize a surface from an angle field.
 
@@ -319,21 +312,8 @@ def integrate_frame(
     surface comes from the x-then-y sweep; the
     discrepancy against the y-then-x sweep is reported so that an
     incompatible angle field cannot slip through silently.
-
-    Raises
-    ------
-    IncompatibleAngleError
-        If the sine-Gordon residual exceeds ``compatibility_tol``
-        (pass None to skip the gate, e.g. for frame experiments).
     """
     grid = theta.grid
-    sg = sine_gordon_residual(theta)
-    sg_sup = sg.interior_abs_max()
-    if compatibility_tol is not None and sg_sup > compatibility_tol:
-        raise IncompatibleAngleError(
-            f"sine-Gordon residual {sg_sup:.3e} exceeds gate {compatibility_tol:.1e}"
-        )
-
     theta_vals = theta.theta.values
     theta0 = float(theta_vals[0, 0])
     if W0 is None:
@@ -358,7 +338,6 @@ def integrate_frame(
         frame=FrameField(grid, W_xy),
         path_residual_f=float(np.abs(f_xy - f_yx).max()),
         path_residual_frame=float(np.abs(W_xy - W_yx).max()),
-        sine_gordon_sup=sg_sup,
     )
 
 

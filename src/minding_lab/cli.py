@@ -47,6 +47,10 @@ CHART_SOURCES = ("half_plane_pseudosphere", "poincare_disk_patch")
 CONTROL_SOURCES = ("flat_plane", "sphere_patch")
 CATALOG = SURFACE_SOURCES + CHART_SOURCES + CONTROL_SOURCES
 
+# cap on the sine-Gordon gate: beyond it an angle field is incompatible
+# at any grid size
+COMPATIBILITY_TOL = 1e-3
+
 
 class ConfigError(ValueError):
     """Unusable command line or config file input."""
@@ -216,30 +220,35 @@ def _source_grid(config: PipelineConfig):
     return Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, n, n)
 
 
+def _read_channels(path: str, names: tuple) -> tuple:
+    """The grid of a field file and its channels ``names``, each required."""
+    from minding_lab.fieldio import read_field
+
+    grid, channels = read_field(path)
+    for c in names:
+        if c not in channels:
+            raise ConfigError(f"{path}: no {c!r} channel")
+    return grid, channels
+
+
 def _load_angle(config: PipelineConfig):
     from minding_lab.chebyshev import AngleField, one_soliton_angle
-    from minding_lab.fieldio import read_field
     from minding_lab.grid import ScalarField
 
     if config.catalog == "one_soliton":
         return one_soliton_angle(_source_grid(config))
-    grid, channels = read_field(config.theta_file)
-    if "theta" not in channels:
-        raise ConfigError(f"{config.theta_file}: no 'theta' channel")
+    grid, channels = _read_channels(config.theta_file, ("theta",))
     return AngleField(ScalarField(grid, channels["theta"]))
 
 
 def _load_surface(config: PipelineConfig):
     """Rebuild an embedded surface from a field file."""
     from minding_lab.chebyshev import AngleField, ChebyshevSurface
-    from minding_lab.fieldio import read_field
     from minding_lab.grid import ScalarField, VectorField3
     import numpy as np
 
-    grid, channels = read_field(config.surface_file)
-    for c in ("fx", "fy", "fz", "Nx", "Ny", "Nz", "theta"):
-        if c not in channels:
-            raise ConfigError(f"{config.surface_file}: no {c!r} channel")
+    grid, channels = _read_channels(config.surface_file,
+                                    ("fx", "fy", "fz", "Nx", "Ny", "Nz", "theta"))
     f = VectorField3(grid, np.stack([channels["fx"], channels["fy"], channels["fz"]], axis=-1))
     N = VectorField3(grid, np.stack([channels["Nx"], channels["Ny"], channels["Nz"]], axis=-1))
     theta = AngleField(ScalarField(grid, channels["theta"]))
@@ -263,23 +272,16 @@ def _control_metric(config: PipelineConfig):
 
 
 def _load_metric(config: PipelineConfig):
-    from minding_lab.fieldio import read_field
     from minding_lab.forms import MetricField
 
-    grid, channels = read_field(config.metric_file)
-    for c in ("E", "F", "G"):
-        if c not in channels:
-            raise ConfigError(f"{config.metric_file}: no {c!r} channel")
+    grid, channels = _read_channels(config.metric_file, ("E", "F", "G"))
     return MetricField(grid, channels["E"], channels["F"], channels["G"])
 
 
 def _load_factor(config: PipelineConfig):
-    from minding_lab.fieldio import read_field
     from minding_lab.grid import ScalarField
 
-    grid, channels = read_field(config.factor_file)
-    if "u" not in channels:
-        raise ConfigError(f"{config.factor_file}: no 'u' channel")
+    grid, channels = _read_channels(config.factor_file, ("u",))
     return ScalarField(grid, channels["u"])
 
 
@@ -291,19 +293,19 @@ def _synthesis_stages(run: _Run, theta):
     """Angle compatibility, frame integration, and the construction
     invariants; returns the surface.
 
-    The sine-Gordon gate is capped at the compatibility bound of
-    ``integrate_frame``, which then skips its own check: an angle field
-    over either bound is a residual over a gate, not a solver failure.
+    The sine-Gordon gate is capped at ``COMPATIBILITY_TOL``: an angle
+    field over either bound is a residual over a gate, not a solver
+    failure.
     """
     from minding_lab.chebyshev import corollary_conditions, integrate_frame, sine_gordon_residual
-    from minding_lab.chebyshev import COMPATIBILITY_TOL, IncompatibleAngleError, SingularAngleError
+    from minding_lab.chebyshev import SingularAngleError
 
     h2 = theta.grid.h**2
     scale = run.config.tol_scale
     sg = sine_gordon_residual(theta).interior_abs_max()
     run.gate("sine_gordon", sg, min(50.0 * h2 * scale, COMPATIBILITY_TOL))
-    with run.stage("frame_integration", IncompatibleAngleError, SingularAngleError):
-        result = integrate_frame(theta, compatibility_tol=None)
+    with run.stage("frame_integration", SingularAngleError):
+        result = integrate_frame(theta)
     path = max(result.path_residual_f, result.path_residual_frame)
     run.gate("frame_path_independence", path, 50.0 * h2 * scale)
     report = corollary_conditions(result.surface)
@@ -341,7 +343,7 @@ def _develop_stage(run: _Run, u):
     from minding_lab.grid import GridError
 
     with run.stage("develop", DevelopError, GridError):
-        dev = develop(u, pullback_tol=float("inf"))
+        dev = develop(u)
     run.artifacts["developing.json"] = (
         dev.grid,
         {
@@ -415,7 +417,7 @@ def _flatten_stages(run: _Run, metric, *, curvature_gate: float | None):
 
     scale = run.config.tol_scale
     with run.stage("flatten", ConformalError):
-        chart = flatten_conformal(metric, anisotropy_tol=1e-3 * scale)
+        chart = flatten_conformal(metric)
     run.gate("flatten", max(chart.anisotropy, chart.skew), 1e-3 * scale,
              anisotropy=chart.anisotropy, skew=chart.skew)
     _store_chart(run, chart)
@@ -456,21 +458,24 @@ def _factor_stages(run: _Run, h_img, gates: dict):
     return dev, u
 
 
+def _curvature_defect(u) -> float:
+    """Sup of ``|lap u - e^{2u}| / e^{2u}`` two nodes in from the edge."""
+    import numpy as np
+
+    from minding_lab.grid import fd_laplacian
+
+    e2u = np.exp(2.0 * u.values)
+    defect = np.abs(fd_laplacian(u).values - e2u) / e2u
+    return float(np.nanmax(defect[2:-2, 2:-2]))
+
+
 def _calibration_block(dev, u) -> dict:
     """Equation residual of the developed factor under both exponent
     conventions; the order-one gap is the recorded normalization fact."""
-    import numpy as np
-
     from minding_lab.developing import u_from_phi
-    from minding_lab.grid import fd_laplacian
 
-    out = {}
-    for label, exponent in (("exponent_half", 0.5), ("exponent_quarter", 0.25)):
-        uc = u_from_phi(dev, exponent=exponent)
-        e2u = np.exp(2.0 * uc.values)
-        defect = np.abs(fd_laplacian(uc).values - e2u) / e2u
-        out[label] = float(np.nanmax(defect[2:-2, 2:-2]))
-    return out
+    return {label: _curvature_defect(u_from_phi(dev, exponent=exponent))
+            for label, exponent in (("exponent_half", 0.5), ("exponent_quarter", 0.25))}
 
 
 def _chart_catalog_stages(run: _Run, name: str):
@@ -546,9 +551,6 @@ def _resolve_metric(run: _Run):
 
 
 def cmd_liouville_check(run: _Run) -> None:
-    import numpy as np
-
-    from minding_lab.grid import fd_laplacian
     from minding_lab.weak import bump_lattice, liouville_weak_residual
 
     u = _resolve_factor(run.config)
@@ -557,10 +559,7 @@ def cmd_liouville_check(run: _Run) -> None:
     weak = liouville_weak_residual(u, bump_lattice(u.grid))
     run.check("liouville_weak", weak.max_abs(), 10.0 * h2 * scale,
               test_count=weak.count)
-    e2u = np.exp(2.0 * u.values)
-    defect = np.abs(fd_laplacian(u).values - e2u) / e2u
-    run.check("curvature_defect", float(np.nanmax(defect[2:-2, 2:-2])),
-              10.0 * h2 * scale)
+    run.check("curvature_defect", _curvature_defect(u), 10.0 * h2 * scale)
 
 
 def _resolve_factor(config: PipelineConfig):
@@ -838,14 +837,14 @@ def _solver_errors() -> tuple:
     else escaping a command, apart from usage errors, is a bug and keeps
     its traceback.
     """
-    from minding_lab.chebyshev import IncompatibleAngleError, SingularAngleError
+    from minding_lab.chebyshev import SingularAngleError
     from minding_lab.conformal import ConformalError
     from minding_lab.developing import DevelopError
     from minding_lab.elliptic import EllipticError
     from minding_lab.forms import DegenerateMetricError
 
-    return (EllipticError, ConformalError, DevelopError, IncompatibleAngleError,
-            SingularAngleError, DegenerateMetricError)
+    return (EllipticError, ConformalError, DevelopError, SingularAngleError,
+            DegenerateMetricError)
 
 
 def main(argv=None) -> int:

@@ -54,8 +54,7 @@ class Chart:
 
     ``anisotropy`` and ``skew`` are the flattener's acceptance
     diagnostics (max of ``|E'/G' - 1|`` and of ``|F'|/sqrt(E'G')`` over
-    interior nodes); exact catalog charts carry zeros.  ``converged``
-    records whether both stayed under the requested threshold.
+    interior nodes); exact catalog charts carry zeros.
     """
 
     X: ScalarField
@@ -63,7 +62,6 @@ class Chart:
     h: ScalarField
     anisotropy: float = 0.0
     skew: float = 0.0
-    converged: bool = True
 
     def __post_init__(self) -> None:
         g = self.X.grid
@@ -81,19 +79,28 @@ class Chart:
         return self.X.grid
 
     def jacobian_det(self) -> np.ndarray:
-        xx = fd_partial(self.X, "x").values
-        xy = fd_partial(self.X, "y").values
-        yx = fd_partial(self.Y, "x").values
-        yy = fd_partial(self.Y, "y").values
+        xx, xy, yx, yy = self.__dict__.pop("_jacobian", None) or _jacobian(self.X, self.Y)
         return xx * yy - xy * yx
 
+    @classmethod
+    def _with_jacobian(cls, jacobian, *fields) -> "Chart":
+        """The chart of ``fields``, whose ``_jacobian(X, Y)`` the caller
+        has taken already: validation reads it once instead of
+        differencing again, and the chart does not keep it."""
+        chart = cls.__new__(cls)
+        chart.__dict__["_jacobian"] = jacobian
+        chart.__init__(*fields)
+        return chart
 
-def _pushforward(metric: MetricField, X: ScalarField, Y: ScalarField):
+
+def _jacobian(X: ScalarField, Y: ScalarField) -> tuple[np.ndarray, ...]:
+    return (fd_partial(X, "x").values, fd_partial(X, "y").values,
+            fd_partial(Y, "x").values, fd_partial(Y, "y").values)
+
+
+def _pushforward(metric: MetricField, jacobian):
     """Metric components in chart coordinates at each source node."""
-    xx = fd_partial(X, "x").values
-    xy = fd_partial(X, "y").values
-    yx = fd_partial(Y, "x").values
-    yy = fd_partial(Y, "y").values
+    xx, xy, yx, yy = jacobian
     det = xx * yy - xy * yx
     if np.min(np.abs(det)) == 0.0:
         raise ConformalError("chart Jacobian vanishes; cannot push the metric forward")
@@ -240,7 +247,7 @@ def spsolve(A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
     return lu.solve(b)
 
 
-def flatten_conformal(metric: MetricField, *, anisotropy_tol: float = 1e-3) -> Chart:
+def flatten_conformal(metric: MetricField) -> Chart:
     """Least-squares conformal chart for an arbitrary positive metric.
 
     Minimizes the conformal energy ``|A w|^2`` of ``_triangle_rows``
@@ -254,9 +261,8 @@ def flatten_conformal(metric: MetricField, *, anisotropy_tol: float = 1e-3) -> C
     definite on the 7-point stencil of the triangulation.  ``spsolve``
     factors it without pivoting: positive definiteness makes that
     stable, and it keeps the fill of a symmetric ordering, which
-    partial pivoting would destroy.  The result is flagged
-    ``converged`` when the pushed-forward metric is isothermic within
-    ``anisotropy_tol``.
+    partial pivoting would destroy.  The chart carries the anisotropy
+    and skew of the pushed-forward metric for the caller to judge.
     """
     g = metric.grid
     nx, N = g.nx, g.nx * g.ny
@@ -274,12 +280,13 @@ def flatten_conformal(metric: MetricField, *, anisotropy_tol: float = 1e-3) -> C
 
     X = ScalarField(g, z.real.reshape(g.shape))
     Y = ScalarField(g, z.imag.reshape(g.shape))
-    Ep, Fp, Gp = _pushforward(metric, X, Y)
+    jacobian = _jacobian(X, Y)
+    Ep, Fp, Gp = _pushforward(metric, jacobian)
     if np.min(Ep) <= 0.0 or np.min(Gp) <= 0.0:
         raise ConformalError("pushed-forward metric lost positivity")
     anis, skew = _diagnostics(Ep, Fp, Gp)
     h = ScalarField(g, np.sqrt(0.5 * (Ep + Gp)))
-    return Chart(X, Y, h, anis, skew, anis <= anisotropy_tol and skew <= anisotropy_tol)
+    return Chart._with_jacobian(jacobian, X, Y, h, anis, skew)
 
 
 def rescale_to_liouville(h: ScalarField) -> tuple[ScalarField, float]:
@@ -323,14 +330,15 @@ def _points_in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.n
     return np.logical_xor.reduce(crosses & (px < xcut), axis=0)
 
 
-def inner_image_grid(chart: Chart, n: int = 65, margin: float = 0.12) -> Grid2D:
+def inner_image_grid(chart: Chart, n: int = 65) -> Grid2D:
     """Regular grid on a rectangle strictly inside the chart image.
 
     Starts from the bounding box of the node images shrunk toward the
     image of the central node and bisects the shrink factor until every
-    edge sample of the rectangle lies inside the image boundary polygon
-    with a relative safety ``margin``.
+    edge sample of the rectangle, scaled up by a safety margin of 12%,
+    lies inside the image boundary polygon.
     """
+    margin = 0.12
     poly = _boundary_polygon(chart)
     cx = float(chart.X.values[chart.grid.ny // 2, chart.grid.nx // 2])
     cy = float(chart.Y.values[chart.grid.ny // 2, chart.grid.nx // 2])
@@ -442,15 +450,12 @@ def chart_preimage(chart: Chart, image_grid: Grid2D,
     return x.reshape(image_grid.shape), y.reshape(image_grid.shape)
 
 
-def resample_to_image(field: ScalarField, chart: Chart, image_grid: Grid2D,
-                      preimage: tuple[np.ndarray, np.ndarray] | None = None) -> ScalarField:
+def resample_to_image(field: ScalarField, chart: Chart, image_grid: Grid2D) -> ScalarField:
     """Sample a source-grid field at the chart preimages of image nodes."""
     from scipy.interpolate import RectBivariateSpline
 
     if not field.grid.matches(chart.grid):
         raise GridError("field lives on a different grid than the chart")
-    if preimage is None:
-        preimage = chart_preimage(chart, image_grid)
-    x, y = preimage
+    x, y = chart_preimage(chart, image_grid)
     spline = RectBivariateSpline(chart.grid.y(), chart.grid.x(), field.values)
     return ScalarField(image_grid, spline.ev(y.ravel(), x.ravel()).reshape(image_grid.shape))

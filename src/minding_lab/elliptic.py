@@ -287,9 +287,14 @@ def _liouville_residual(grid: Grid2D, bd: np.ndarray, u_int: np.ndarray) -> np.n
         return _interior_laplacian(grid, bd, u_int) - np.exp(2.0 * u_int)
 
 
-def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
-                           max_iterations: int = 50,
-                           max_halvings: int = 10) -> LiouvilleSolution:
+# Newton stops once the max-norm Liouville residual is under this
+_NEWTON_TOL = 1e-8
+# step halvings a Newton step may take before the damping gives up
+_MAX_HALVINGS = 10
+
+
+def solve_liouville_newton(grid: Grid2D, boundary, *,
+                           max_iterations: int = 50) -> LiouvilleSolution:
     """Newton iteration for ``lap u = exp(2u)`` with Dirichlet data.
 
     Starts from the harmonic extension of the boundary values, solved
@@ -298,7 +303,7 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
     the shifted operator ``lap - 2 exp(2u)``; the shift has the good
     sign, so the linear solves stay well posed, and they are done by
     sine-transform preconditioned conjugate gradients.  Steps are halved (at most
-    ``max_halvings`` times) until the residual decreases; exhausted
+    ``_MAX_HALVINGS`` times) until the residual decreases; exhausted
     damping, an exhausted conjugate-gradient budget or hitting
     ``max_iterations`` raises with the cause attached.
     """
@@ -314,7 +319,7 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
     res = float(np.max(np.abs(F)))
     history = [res]
     iterations = 0
-    while res > tol:
+    while res > _NEWTON_TOL:
         if iterations >= max_iterations:
             raise EllipticError(
                 f"Newton did not converge in {max_iterations} iterations; "
@@ -335,7 +340,7 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
                      _CG_RTOL, _pcg_budget((lam0 + hi) / (lam0 + lo), _CG_RTOL))
 
         step = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = u_int + step * delta
             F_try = _liouville_residual(grid, bd, trial)
             res_try = float(np.max(np.abs(F_try)))
@@ -344,7 +349,7 @@ def solve_liouville_newton(grid: Grid2D, boundary, *, tol: float = 1e-8,
             step *= 0.5
         else:
             raise EllipticError(
-                f"Newton step damping exhausted after {max_halvings} halvings; "
+                f"Newton step damping exhausted after {_MAX_HALVINGS} halvings; "
                 f"residual stuck at {res:.3e}"
             )
         u_int, F, res = trial, F_try, res_try

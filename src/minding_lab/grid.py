@@ -119,12 +119,13 @@ class Grid2D:
         return Grid2D(self.x0, self.y0, 2 * self.nx - 1, 2 * self.ny - 1,
                       0.5 * self.dx, 0.5 * self.dy)
 
-    def matches(self, other: "Grid2D", tol: float = 1e-12) -> bool:
+    def matches(self, other: "Grid2D") -> bool:
+        """Same node counts, and origin and spacings equal to a relative 1e-12."""
         if (self.nx, self.ny) != (other.nx, other.ny):
             return False
         scale = max(abs(self.dx), abs(self.dy), 1.0)
         return all(
-            abs(getattr(self, k) - getattr(other, k)) <= tol * scale
+            abs(getattr(self, k) - getattr(other, k)) <= 1e-12 * scale
             for k in ("x0", "y0", "dx", "dy")
         )
 
@@ -183,9 +184,6 @@ class ScalarField:
     def interior_abs_max(self) -> float:
         return interior_abs_max(self.values)
 
-    def abs_max(self) -> float:
-        return float(np.abs(self.values).max())
-
 
 @dataclass(frozen=True)
 class VectorField3:
@@ -202,9 +200,6 @@ class VectorField3:
             )
         _check_values(values, "VectorField3")
         object.__setattr__(self, "values", _freeze(values))
-
-    def component(self, k: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[:, :, k])
 
 
 @dataclass(frozen=True)
@@ -264,16 +259,14 @@ class TestFunction:
         """
         return _support_span(grid.y(), self.cy, self.r), _support_span(grid.x(), self.cx, self.r)
 
-    def supported_inside(self, grid: Grid2D, clearance_cells: float = 1.0) -> bool:
-        """True if the support disk stays this many cells away from the edge."""
+    def supported_inside(self, grid: Grid2D) -> bool:
+        """True if the support disk stays more than one cell from the edge."""
         cx, cy, r = self.cx, self.cy, self.r
-        mx = clearance_cells * grid.dx
-        my = clearance_cells * grid.dy
         return (
-            cx - r > grid.x0 + mx
-            and cx + r < grid.x1 - mx
-            and cy - r > grid.y0 + my
-            and cy + r < grid.y1 - my
+            cx - r > grid.x0 + grid.dx
+            and cx + r < grid.x1 - grid.dx
+            and cy - r > grid.y0 + grid.dy
+            and cy + r < grid.y1 - grid.dy
         )
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FrameField
+from .forms import FrameField, _as_matrices
 from .grid import (
     Grid2D,
     GridError,
@@ -88,26 +88,22 @@ class WeakResidualReport:
         return max(abs(r) for r in self.normalized())
 
 
-def bump_lattice(grid: Grid2D, centers_per_axis: int = 5, radii_fractions=(0.1, 0.2, 0.4)):
+def bump_lattice(grid: Grid2D):
     """Deterministic family of interior bumps.
 
-    Centers sit at interior fractions k/(n+1) of each extent, radii are
-    fractions of the smaller extent; bumps whose support is not
-    strictly interior are dropped.
+    Centers sit at the interior fractions k/6, k = 1..5, of each extent,
+    radii are 0.1, 0.2 and 0.4 of the smaller extent; bumps whose
+    support is not strictly interior are dropped.
     """
     ext_x = grid.x1 - grid.x0
     ext_y = grid.y1 - grid.y0
     scale = min(ext_x, ext_y)
     tests = []
-    for frac in radii_fractions:
+    for frac in (0.1, 0.2, 0.4):
         r = frac * scale
-        for ky in range(1, centers_per_axis + 1):
-            for kx in range(1, centers_per_axis + 1):
-                v = TestFunction(
-                    grid.x0 + ext_x * kx / (centers_per_axis + 1),
-                    grid.y0 + ext_y * ky / (centers_per_axis + 1),
-                    r,
-                )
+        for ky in range(1, 6):
+            for kx in range(1, 6):
+                v = TestFunction(grid.x0 + ext_x * kx / 6, grid.y0 + ext_y * ky / 6, r)
                 if v.supported_inside(grid):
                     tests.append(v)
     if not tests:
@@ -255,15 +251,8 @@ def liouville_weak_residual(u: ScalarField, tests) -> WeakResidualReport:
     ]])
 
 
-def _connection_arrays(A, B, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    A_vals = A.values if isinstance(A, FrameField) else np.asarray(A, dtype=float)
-    B_vals = B.values if isinstance(B, FrameField) else np.asarray(B, dtype=float)
-    if A_vals.shape != grid.shape + (3, 3) or B_vals.shape != A_vals.shape:
-        raise GridError("connection matrices must be sampled as (ny, nx, 3, 3)")
-    return A_vals, B_vals
-
-
-def _connection_fields(A: np.ndarray, B: np.ndarray) -> dict:
+def _connection_fields(A, B, grid: Grid2D) -> dict:
+    A, B = _as_matrices(A, grid, "A"), _as_matrices(B, grid, "B")
     return {"A": A, "B": B, "commutator": A @ B - B @ A}
 
 
@@ -284,10 +273,9 @@ def frame_weak_entry_residual(A, B, grid: Grid2D, p: int, q: int, tests) -> Weak
         r(w) = -integral(A_pq w_y) + integral(B_pq w_x)
                - integral((AB - BA)_pq w)
     """
-    A_vals, B_vals = _connection_arrays(A, B, grid)
     if not (0 <= p < 3 and 0 <= q < 3):
         raise GridError("entry indices must lie in 0..2")
-    return _pair(grid, tests, _connection_fields(A_vals, B_vals), [_entry_terms(p, q)])
+    return _pair(grid, tests, _connection_fields(A, B, grid), [_entry_terms(p, q)])
 
 
 def frame_weak_compatibility(A, B, grid: Grid2D, tests) -> WeakResidualReport:
@@ -296,7 +284,6 @@ def frame_weak_compatibility(A, B, grid: Grid2D, tests) -> WeakResidualReport:
     One residual per (test, entry) pair, ordered test-major with the
     entry index q fastest.
     """
-    A_vals, B_vals = _connection_arrays(A, B, grid)
-    return _pair(grid, tests, _connection_fields(A_vals, B_vals), [
+    return _pair(grid, tests, _connection_fields(A, B, grid), [
         _entry_terms(p, q) for p in range(3) for q in range(3)
     ])

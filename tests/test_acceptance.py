@@ -9,7 +9,6 @@ statement and absolute where it is a verdict.
 import json
 
 import numpy as np
-import pytest
 
 from minding_lab import cli
 from minding_lab.chebyshev import (
@@ -24,7 +23,6 @@ from minding_lab.conformal import (
     resample_to_image,
 )
 from minding_lab.developing import (
-    DevelopError,
     DevelopingMap,
     develop,
     holomorphic_invariant,
@@ -193,8 +191,8 @@ def test_developing_map_oracles_and_rejection():
         assert float(np.max(np.abs(T))) <= 10.0 * g.h**2
 
     g = developing_pairs(65)[1][0]
-    with pytest.raises(DevelopError, match="not developable"):
-        develop(ScalarField(g, np.zeros(g.shape)))
+    flat = ScalarField(g, np.zeros(g.shape))
+    assert pullback_isometry_check(develop(flat), flat) > 50.0 * g.h**2
     print("both developing oracles recovered; flat factor rejected")
 
 

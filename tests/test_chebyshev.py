@@ -7,7 +7,6 @@ from minding_lab.grid import Grid2D, GridError, ScalarField, interior_abs_max
 from minding_lab import forms
 from minding_lab.chebyshev import (
     AngleField,
-    IncompatibleAngleError,
     SingularAngleError,
     adapted_initial_frame,
     chebyshev_connection,
@@ -133,11 +132,12 @@ class TestConnection:
 
 class TestIntegrateFrame:
     def test_flat_right_angle_experiment(self):
-        # incompatible by design: the compatibility gate must be waived,
-        # and path dependence is reported loudly instead of hidden
+        # incompatible by design: path dependence is reported loudly
+        # instead of hidden
         g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 65, 65)
-        res = integrate_frame(constant_angle(g, np.pi / 2), compatibility_tol=None)
-        assert res.sine_gordon_sup == pytest.approx(1.0)
+        theta = constant_angle(g, np.pi / 2)
+        res = integrate_frame(theta)
+        assert sine_gordon_residual(theta).interior_abs_max() == pytest.approx(1.0)
         assert res.path_residual_f > 0.1
 
         f = res.surface.f.values
@@ -156,11 +156,6 @@ class TestIntegrateFrame:
         fxy = np.gradient(fx, g.dy, axis=0, edge_order=2)
         N0 = res.surface.N.values[0]
         assert np.linalg.norm(fxy - N0[None], axis=2)[:, 1:-1].max() <= 10 * g.h**2
-
-    def test_incompatible_angle_raises(self):
-        g = Grid2D.from_bounds(0, 1, 0, 1, 17, 17)
-        with pytest.raises(IncompatibleAngleError):
-            integrate_frame(constant_angle(g, 1.0))
 
     def test_soliton_surface_curvature(self):
         g = soliton_grid(65)
@@ -223,7 +218,7 @@ class TestIntegrateFrame:
         drifts = []
         for n in (33, 65):
             g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, n, n)
-            res = integrate_frame(constant_angle(g, np.pi / 2), compatibility_tol=None)
+            res = integrate_frame(constant_angle(g, np.pi / 2))
             W = res.frame.values
             drift = max(
                 np.abs(np.linalg.norm(W[:, :, :, k], axis=2) - 1.0).max() for k in range(3)

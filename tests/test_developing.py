@@ -259,14 +259,25 @@ class TestDevelop:
         assert pullback_isometry_check(dev, u) <= 50.0 * u.grid.h**2
 
     def test_zero_factor_rejected(self):
+        # u = 0 is flat: develop returns a map, and the pullback gate
+        # that every caller applies rejects it
         g = disk_grid(65)
-        with pytest.raises(DevelopError, match="not developable"):
-            develop(ScalarField(g, np.zeros(g.shape)))
+        u = ScalarField(g, np.zeros(g.shape))
+        assert pullback_isometry_check(develop(u), u) > 50.0 * g.h**2
 
     def test_large_constant_leaves_disk(self):
         g = disk_grid(65)
         with pytest.raises(DevelopError, match="not developable.*unit disk"):
             develop(ScalarField(g, np.full(g.shape, 3.0)))
+
+    def test_overflowing_factor_rejected(self):
+        # e^800 overflows the march from its first node; the path
+        # residual raises the same error as develop, and neither warns
+        g = disk_grid(65)
+        u = ScalarField(g, np.full(g.shape, 800.0))
+        for call in (develop, develop_path_residual):
+            with pytest.raises(DevelopError, match="not developable.*non-finite"):
+                call(u)
 
     def test_nonfinite_rejected(self):
         g = disk_grid(17)

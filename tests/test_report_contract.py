@@ -44,8 +44,10 @@ GOLDEN = Path(__file__).parent / "golden"
 N = "65"
 PATHS = ("theta_file", "surface_file", "metric_file", "factor_file", "out_dir")
 CONSTANT_FACTOR = "constant_factor.json"  # u = 0: both Liouville gates fail
+OVERFLOW_FACTOR = "overflow_factor.json"  # u = 800: e^u overflows the develop march
+FACTORS = {CONSTANT_FACTOR: 0.0, OVERFLOW_FACTOR: 800.0}
 
-# golden name -> arguments; CONSTANT_FACTOR is written next to the run
+# golden name -> arguments; the FACTORS files are written next to the run
 COMMANDS = {
     "synthesize-one_soliton": ["synthesize", "--catalog", "one_soliton"],
     "metric-one_soliton": ["metric", "--catalog", "one_soliton"],
@@ -57,15 +59,16 @@ COMMANDS = {
     "develop-half_plane_pseudosphere": ["develop", "--catalog", "half_plane_pseudosphere"],
     "liouville-check-constant_factor": ["liouville-check", "--factor-file", CONSTANT_FACTOR],
     "develop-constant_factor": ["develop", "--factor-file", CONSTANT_FACTOR],
+    "develop-overflow_factor": ["develop", "--factor-file", OVERFLOW_FACTOR],
     "verify-minding-one_soliton-n17": ["verify-minding", "--catalog", "one_soliton",
                                        "--n", "17"],
 }
 
 
-def write_constant_factor(path: Path) -> None:
+def write_constant_factor(path: Path, value: float) -> None:
     half = 0.5 / np.sqrt(2.0)
     g = Grid2D.from_bounds(-half, half, -half, half, 65, 65)
-    write_field(path, g, {"u": np.zeros(g.shape)})
+    write_field(path, g, {"u": np.full(g.shape, value)})
 
 
 def run_snapshot(argv: list, out: Path) -> dict:
@@ -86,9 +89,9 @@ def snapshot(source: str, out: Path) -> dict:
 
 
 def command_snapshot(case: str, tmp: Path) -> dict:
-    factor = tmp / CONSTANT_FACTOR
-    write_constant_factor(factor)
-    argv = [str(factor) if a == CONSTANT_FACTOR else a for a in COMMANDS[case]]
+    for name, value in FACTORS.items():
+        write_constant_factor(tmp / name, value)
+    argv = [str(tmp / a) if a in FACTORS else a for a in COMMANDS[case]]
     if "--n" not in argv:
         argv += ["--n", N]
     return run_snapshot(argv, tmp / "out")

@@ -231,6 +231,10 @@ class TestFrameWeak:
         g, A, B = half_plane_connection(33)
         with pytest.raises(GridError):
             frame_weak_entry_residual(A, B, g, 3, 0, bump_lattice(g))
+        # a connection sampled on another grid of the same shape
+        shifted = Grid2D.from_bounds(0.5, 1.5, 1.4, 2.4, 33, 33)
+        with pytest.raises(GridError, match="grids differ"):
+            frame_weak_compatibility(A, FrameField(shifted, B.values), g, bump_lattice(g))
 
 
 
