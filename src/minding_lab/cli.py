@@ -12,10 +12,12 @@ exception is a programming error and propagates with its traceback.
 
 Every command body records its stages on one ``_Run``.  ``gate``
 records a measured residual against its gate and ends the chain when
-it fails, ``check`` records one without ending it, and ``stage``
-records a listed solver error as that stage's failure and ends the
-chain.  ``_execute`` catches the end of the chain and emits the report
-of what was recorded, so a command stops in exactly one place.
+it fails, ``check`` records one without ending it, ``exceeded`` records
+a residual beyond the float range as a failed gate and ends the chain,
+and ``stage`` records a listed solver error as that stage's failure and
+ends the chain.  ``_execute`` catches the end of the chain and emits
+the report of what was recorded, so a command stops in exactly one
+place.
 
 Only the standard library is imported at module level: numpy reads its
 threading environment once at import time, so the MINDING_LAB_THREADS
@@ -145,6 +147,12 @@ class _Run:
     def gate(self, name: str, measured: float, gate: float, **info) -> None:
         if not self.check(name, measured, gate, **info):
             raise _Stop
+
+    def exceeded(self, name: str, gate: float, reason: str) -> None:
+        """Record a residual too large for a float as a failed gate, with
+        ``reason`` in place of the measurement, and end the chain."""
+        self.stages.append({"name": name, "gate": float(gate), "passed": False, "error": reason})
+        raise _Stop
 
     @contextmanager
     def stage(self, name: str, *errors: type):
@@ -551,15 +559,19 @@ def _resolve_metric(run: _Run):
 
 
 def cmd_liouville_check(run: _Run) -> None:
+    import numpy as np
+
     from minding_lab.weak import bump_lattice, liouville_weak_residual
 
     u = _resolve_factor(run.config)
-    h2 = u.grid.h**2
-    scale = run.config.tol_scale
+    gate = 10.0 * u.grid.h**2 * run.config.tol_scale
+    with np.errstate(over="ignore"):
+        if np.isinf(np.exp(2.0 * u.values)).any():
+            run.exceeded("liouville_weak", gate,
+                         "e^{2u} overflows float64, and so does the residual")
     weak = liouville_weak_residual(u, bump_lattice(u.grid))
-    run.check("liouville_weak", weak.max_abs(), 10.0 * h2 * scale,
-              test_count=weak.count)
-    run.check("curvature_defect", _curvature_defect(u), 10.0 * h2 * scale)
+    run.check("liouville_weak", weak.max_abs(), gate, test_count=weak.count)
+    run.check("curvature_defect", _curvature_defect(u), gate)
 
 
 def _resolve_factor(config: PipelineConfig):

@@ -15,8 +15,9 @@ conformal stage, and ``catalog_chart`` needs numpy only.
 ``scipy.interpolate`` and ``scipy.spatial`` load in the preimage and
 resampling functions.  ``scipy.sparse`` and ``scipy.sparse.linalg``
 load first thing in ``_triangle_rows``, before any array of the flatten
-exists: imported later, inside ``spsolve``, they land on a heap the
-flatten has already grown and raise the process's peak resident memory.
+exists: imported later, by the ``elliptic.splu`` that ``spsolve``
+calls, they land on a heap the flatten has already grown and raise the
+process's peak resident memory.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import elliptic
 from .grid import Grid2D, GridError, ScalarField, fd_laplacian, fd_partial
 from .forms import MetricField
 
@@ -180,7 +182,7 @@ def _triangle_rows(metric: MetricField):
     least-squares conformal map energy (Levy, Petitjean, Ray, Maillot,
     SIGGRAPH 2002).  Returns the M x N complex ``A`` in CSC form.
     """
-    # spsolve's module too, loaded before the flatten allocates (see above)
+    # elliptic.splu's module too, loaded before the flatten allocates (see above)
     import scipy.sparse as sp
     import scipy.sparse.linalg  # noqa: F401
 
@@ -237,11 +239,9 @@ def spsolve(A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
     and add fill.  A zero pivot means a singular system and raises
     ``ConformalError``.
     """
-    from scipy.sparse.linalg import splu
-
     try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = elliptic.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise ConformalError(f"flattening system is singular ({exc})") from exc
     return lu.solve(b)

@@ -1,43 +1,40 @@
 """Dirichlet solves on the grid rectangle.
 
-Three layers: a direct five-point Poisson solve with eliminated
-boundary rows, a damped Newton iteration for the exponential curvature
-equation ``lap u = exp(2u)``, and a uniqueness cross-check that feeds a
-candidate back through the linear solve and measures the mismatch.
+Three layers: a fast Poisson solve for the five-point Laplacian with
+eliminated boundary rows, a damped Newton iteration for the exponential
+curvature equation ``lap u = exp(2u)``, and a uniqueness cross-check
+that feeds a candidate back through the linear solve and measures the
+mismatch.
 
-Poisson solves are sparse-direct (``splu`` plus two refinement passes),
-so the cross-check is a second, independent method.  Newton runs on
-numpy alone.  It starts from the harmonic extension of the boundary
-data, solved by one type-I sine transform pair, and applies the
-Laplacian with the five-point stencil of ``grid.fd_laplacian``.  Each
-Newton step runs conjugate gradients on the symmetric positive definite
-system ``(-lap + diag(s)) delta = F`` with ``s = 2 exp(2u)``,
-preconditioned by ``(-lap + c I)^-1`` applied with one sine transform
-pair (Concus & Golub 1973).  With ``c = sqrt(min s * max s)`` the
-preconditioned condition number is at most
+All three run on numpy alone.  The type-I sine transform diagonalizes
+the eliminated Laplacian (Buzbee, Golub & Nielson 1970), so a Poisson
+solve is one transform pair plus a second that corrects by the stencil
+residual of the first, and the residual is gated in max norm.  Newton
+starts from the harmonic extension of the boundary data, solved by one
+transform pair, and applies the Laplacian with the five-point stencil
+of ``grid.fd_laplacian``.  Each Newton step runs conjugate gradients
+on the symmetric positive definite system ``(-lap + diag(s)) delta = F``
+with ``s = 2 exp(2u)``, preconditioned by ``(-lap + c I)^-1`` applied
+with one sine transform pair (Concus & Golub 1973).  With
+``c = sqrt(min s * max s)`` the preconditioned condition number is at most
 ``(lam0 + max s) / (lam0 + min s) <= max s / min s``, ``lam0`` being the
 smallest eigenvalue of ``-lap``, whatever the grid size.  The step
 budget follows from that bound, and a solve that exhausts it raises.
 
-The sine transforms are numpy real FFTs of the odd extension.
-``scipy.sparse`` is imported by ``_laplacian_matrix`` and
-``scipy.sparse.linalg`` by ``splu``, the two places that build and
-factor the sparse matrix: loading them costs more than a whole Newton
-solve at n = 257.  Everything is deterministic.
+The sine transforms are numpy real FFTs of the odd extension.  ``splu``
+is the package's one sparse factorization, used by the flatten; it
+imports ``scipy.sparse.linalg`` on first use, which costs more than a
+whole Newton solve at n = 257.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import Grid2D, GridError, ScalarField, fd_laplacian
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "EllipticError",
@@ -106,22 +103,13 @@ class DirichletProblem:
         return cls(grid, rhs, boundary_array(grid, boundary))
 
 
-def _laplacian_matrix(grid: Grid2D) -> sp.csc_matrix:
-    # interior unknowns in C order (x fastest), Dirichlet rows eliminated
-    import scipy.sparse as sp
-
-    inx, iny = grid.nx - 2, grid.ny - 2
-    tx = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(inx, inx)) / grid.dx**2
-    ty = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(iny, iny)) / grid.dy**2
-    return (sp.kron(sp.eye(iny), tx) + sp.kron(ty, sp.eye(inx))).tocsc()
-
-
 def _laplacian_spectrum(grid: Grid2D) -> np.ndarray:
-    """Eigenvalues of ``-_laplacian_matrix(grid)``, shape ``(ny - 2, nx - 2)``.
+    """Eigenvalues of ``-A``, shape ``(ny - 2, nx - 2)``.
 
-    The type-I sine transform diagonalizes the eliminated five-point
-    Laplacian; entry ``[j, i]`` belongs to sine mode ``(i + 1, j + 1)``,
-    so ``[0, 0]`` is the smallest eigenvalue.
+    ``A`` is the five-point Laplacian on the interior unknowns in C
+    order (x fastest), Dirichlet rows eliminated.  The type-I sine
+    transform diagonalizes it; entry ``[j, i]`` belongs to sine mode
+    ``(i + 1, j + 1)``, so ``[0, 0]`` is the smallest eigenvalue.
     """
 
     def one_d(m: int, step: float) -> np.ndarray:
@@ -159,8 +147,9 @@ def _interior_laplacian(grid: Grid2D, ring: np.ndarray, interior: np.ndarray) ->
     """``lap`` on interior nodes, raveled, of the field that carries
     ``ring`` on its boundary and the raveled ``interior`` inside.
 
-    With a zero ring this is ``_laplacian_matrix(grid) @ interior``; with
-    the Dirichlet data it adds the eliminated boundary terms.
+    With a zero ring this is ``A @ interior`` (``A`` as in
+    ``_laplacian_spectrum``); with the Dirichlet data it adds the
+    eliminated boundary terms.
     """
     full = np.array(ring, dtype=float)
     full[1:-1, 1:-1] = interior.reshape(grid.ny - 2, grid.nx - 2)
@@ -210,62 +199,37 @@ def _pcg(matvec, b: np.ndarray, precondition, rtol: float, budget: int) -> np.nd
     )
 
 
-def _eliminated_rhs(p: DirichletProblem) -> np.ndarray:
-    g = p.grid
-    b = np.array(p.rhs.values[1:-1, 1:-1], dtype=float)
-    bd = p.boundary
-    b[0, :] -= bd[0, 1:-1] / g.dy**2
-    b[-1, :] -= bd[-1, 1:-1] / g.dy**2
-    b[:, 0] -= bd[1:-1, 0] / g.dx**2
-    b[:, -1] -= bd[1:-1, -1] / g.dx**2
-    return b.ravel()
-
-
 def splu(A, **options):
     """``scipy.sparse.linalg.splu(A, **options)``, the module loaded on
-    first use: only the Poisson solve factors a matrix."""
+    first use: the package's one sparse factorization, called by the
+    flatten's ``conformal.spsolve``."""
     from scipy.sparse.linalg import splu as factor
 
     return factor(A, **options)
 
 
-def _direct_solve(lu, A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    sol = lu.solve(rhs)
-    # two refinement passes push the algebraic residual well under the
-    # acceptance gate even on 257^2 grids where plain splu is marginal
-    for _ in range(2):
-        sol = sol + lu.solve(rhs - A @ sol)
-    if not np.isfinite(sol).all():
-        raise EllipticError("linear solver breakdown: non-finite solution")
-    return sol
-
-
-def _assemble_field(p: DirichletProblem, interior: np.ndarray) -> ScalarField:
-    out = np.array(p.boundary, dtype=float)
-    out[1:-1, 1:-1] = interior.reshape(p.grid.ny - 2, p.grid.nx - 2)
-    return ScalarField(p.grid, out)
-
-
 def solve_poisson(p: DirichletProblem, residual_tol: float = 1e-10) -> ScalarField:
     """Solve ``lap w = rhs`` with the given boundary ring.
 
-    The returned field carries the boundary data verbatim.  The discrete
-    stencil residual of the solution is checked against ``residual_tol``
-    in max norm; a direct solve that cannot reach it raises.
+    One sine transform pair solves the eliminated system and a second
+    one corrects by the stencil residual of the first.  The returned
+    field carries the boundary data verbatim.  The discrete stencil
+    residual of the solution is checked against ``residual_tol`` in max
+    norm; a solve that cannot reach it raises.
     """
-    A = _laplacian_matrix(p.grid)
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:
-        raise EllipticError(f"linear solver breakdown: {exc}") from exc
-    w = _assemble_field(p, _direct_solve(lu, A, _eliminated_rhs(p)))
-    res = fd_laplacian(w).values[1:-1, 1:-1] - p.rhs.values[1:-1, 1:-1]
-    worst = float(np.max(np.abs(res)))
-    if worst > residual_tol:
+    g, bd = p.grid, p.boundary
+    spectrum = _laplacian_spectrum(g)
+    rhs = p.rhs.values[1:-1, 1:-1].ravel()
+    w_int = _dst_solve(spectrum, 0.0, _interior_laplacian(g, bd, np.zeros(rhs.size)) - rhs)
+    w_int += _dst_solve(spectrum, 0.0, _interior_laplacian(g, bd, w_int) - rhs)
+    worst = float(np.max(np.abs(_interior_laplacian(g, bd, w_int) - rhs)))
+    if not worst <= residual_tol:  # a NaN residual fails too
         raise EllipticError(
             f"discrete residual {worst:.3e} exceeds tolerance {residual_tol:.3e}"
         )
-    return w
+    w = np.array(bd, dtype=float)
+    w[1:-1, 1:-1] = w_int.reshape(g.ny - 2, g.nx - 2)
+    return ScalarField(g, w)
 
 
 @dataclass(frozen=True)

@@ -410,23 +410,20 @@ class TestUsage:
         assert result.returncode == 0, result.stderr[-500:]
 
     def test_catalog_solve_loads_no_scipy(self):
-        # Newton runs on numpy alone; the catalog chain's bootstrap still
-        # factors with scipy's splu, but loads no FFT module
+        # Newton and the bootstrap's Poisson solve run on numpy alone, so
+        # neither command on an exact catalog chart imports scipy
         src = str(Path(minding_lab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = (
             "import sys\n"
             "from minding_lab.cli import main\n"
-            "for source in ('poincare_disk_patch', 'half_plane_pseudosphere'):\n"
-            "    if main(['solve', '--catalog', source, '--n', '33']) != 0:\n"
-            "        sys.exit(f'solve {source} failed')\n"
-            "    scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "    if scipy:\n"
-            "        sys.exit(f'solve {source} loaded {scipy[:3]}')\n"
-            "if main(['verify-minding', '--catalog', 'poincare_disk_patch', '--n', '33']) != 0:\n"
-            "    sys.exit('verify-minding failed')\n"
-            "if 'scipy.fft' in sys.modules:\n"
-            "    sys.exit('verify-minding loaded scipy.fft')\n"
+            "for command in ('solve', 'verify-minding'):\n"
+            "    for source in ('poincare_disk_patch', 'half_plane_pseudosphere'):\n"
+            "        if main([command, '--catalog', source, '--n', '33']) != 0:\n"
+            "            sys.exit(f'{command} {source} failed')\n"
+            "        scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "        if scipy:\n"
+            "            sys.exit(f'{command} {source} loaded {scipy[:3]}')\n"
         )
         result = subprocess.run([sys.executable, "-c", probe],
                                 env={**os.environ, "PYTHONPATH": path},

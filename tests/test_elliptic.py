@@ -1,4 +1,4 @@
-"""Dirichlet solves: direct Poisson, Newton for exp(2u), uniqueness check."""
+"""Dirichlet solves: sine-transform Poisson, Newton for exp(2u), uniqueness check."""
 
 import os
 import subprocess
@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu
 import minding_lab
 import minding_lab.elliptic as elliptic
 from minding_lab.conformal import catalog_chart
-from minding_lab.grid import Grid2D, GridError, ScalarField
+from minding_lab.grid import Grid2D, GridError, ScalarField, fd_laplacian
 from minding_lab.weak import bump_lattice, liouville_weak_residual
 from minding_lab.elliptic import (
     DirichletProblem,
@@ -38,6 +38,25 @@ def half_plane_grid(n):
 
 def disk_square_grid(n):
     return Grid2D.from_bounds(-DISK_HALF, DISK_HALF, -DISK_HALF, DISK_HALF, n, n)
+
+
+def laplacian_matrix(grid):
+    """Sparse five-point Laplacian on the interior unknowns in C order
+    (x fastest), Dirichlet rows eliminated: the solvers' ``A``."""
+    inx, iny = grid.nx - 2, grid.ny - 2
+    tx = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(inx, inx)) / grid.dx**2
+    ty = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(iny, iny)) / grid.dy**2
+    return (sp.kron(sp.eye(iny), tx) + sp.kron(ty, sp.eye(inx))).tocsc()
+
+
+def boundary_terms(grid, bd):
+    """What the eliminated Dirichlet rows add to ``A @ interior``."""
+    b = np.zeros((grid.ny - 2, grid.nx - 2))
+    b[0, :] += bd[0, 1:-1] / grid.dy**2
+    b[-1, :] += bd[-1, 1:-1] / grid.dy**2
+    b[:, 0] += bd[1:-1, 0] / grid.dx**2
+    b[:, -1] += bd[1:-1, -1] / grid.dx**2
+    return b.ravel()
 
 
 class TestPoisson:
@@ -97,6 +116,29 @@ class TestPoisson:
         with pytest.raises(GridError):
             DirichletProblem(g, ScalarField(other, np.zeros(other.shape)), 0.0)
 
+    def test_matches_sparse_lu_on_a_rectangle(self):
+        # nx != ny, dx != dy and data with no x <-> y symmetry, so a
+        # swapped axis or step in the transforms cannot cancel out
+        g = Grid2D.from_bounds(-0.3, 0.9, 1.0, 1.5, 71, 38)
+        X, Y = g.mesh()
+        rhs = ScalarField(g, np.exp(X - 2.0 * Y) + X * Y**3)
+        bd = np.sin(3.0 * X) + X * Y**2 - 0.5 * Y
+        want = splu(laplacian_matrix(g)).solve(
+            rhs.values[1:-1, 1:-1].ravel() - boundary_terms(g, bd))
+        w = solve_poisson(DirichletProblem(g, rhs, bd))
+        got = w.values[1:-1, 1:-1].ravel()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [65, 129, 257])
+    @pytest.mark.parametrize("name", ["poincare_disk_patch", "half_plane_pseudosphere"])
+    def test_catalog_residual_meets_the_gate(self, name, n):
+        # the bootstrap's own solve, checked against the absolute 1e-10 gate
+        u = catalog_factor(name, n)
+        rhs = ScalarField(u.grid, np.exp(2.0 * u.values))
+        w = solve_poisson(DirichletProblem(u.grid, rhs, u.values))
+        res = fd_laplacian(w).values[1:-1, 1:-1] - rhs.values[1:-1, 1:-1]
+        assert np.max(np.abs(res)) <= 1e-10
+
 
 class TestLiouvilleNewton:
     def test_disk_catalog(self):
@@ -147,11 +189,9 @@ class TestLiouvilleNewton:
 
 def splu_newton(grid, boundary, tol=1e-8):
     """Reference Newton with one sparse LU per step; (interior u, iterations)."""
-    bd = boundary_array(grid, boundary)
-    zero = ScalarField(grid, np.zeros(grid.shape))
-    u = solve_poisson(DirichletProblem(grid, zero, bd)).values[1:-1, 1:-1].ravel()
-    A = elliptic._laplacian_matrix(grid)
-    b = -elliptic._eliminated_rhs(DirichletProblem(grid, zero, bd))
+    A = laplacian_matrix(grid)
+    b = boundary_terms(grid, boundary_array(grid, boundary))
+    u = splu(A).solve(-b)  # the harmonic start
 
     def residual(v):
         F = A @ v + b - np.exp(2.0 * v)
@@ -181,7 +221,7 @@ class TestNewtonLinearSolve:
     @pytest.mark.parametrize("c", [0.0, 37.5])
     def test_dst_inverts_the_shifted_laplacian(self, c):
         g = Grid2D.from_bounds(0.0, 1.0, 1.0, 1.6, 23, 15)  # dx != dy
-        A = elliptic._laplacian_matrix(g)
+        A = laplacian_matrix(g)
         b = np.random.default_rng(3).standard_normal(A.shape[0])
         x = elliptic._dst_solve(elliptic._laplacian_spectrum(g), c, b)
         assert np.max(np.abs(c * x - A @ x - b)) <= 1e-12 * np.max(np.abs(A @ x))
@@ -204,7 +244,7 @@ class TestNewtonLinearSolve:
     def test_stencil_product_matches_the_matrix(self, shape):
         g = Grid2D.from_bounds(0.0, 1.0, 1.0, 1.6, *shape)
         p = np.random.default_rng(11).standard_normal((g.ny - 2) * (g.nx - 2))
-        want = elliptic._laplacian_matrix(g) @ p
+        want = laplacian_matrix(g) @ p
         got = elliptic._interior_laplacian(g, np.zeros(g.shape), p)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

@@ -4,9 +4,10 @@ Each golden under ``tests/golden/`` holds the exit code, the report
 with its path fields blanked, and the component list of every artifact
 file.  There is one golden per catalog source for ``verify-minding`` at
 n = 65, and one per case in ``COMMANDS``: the six other commands,
-including their failing paths.  Structure, verdicts, counts and
-channel lists must match exactly.  Floats must match to a relative
-1e-9, which a change in what is computed does not pass.
+including their failing paths.  A report must be strict JSON, with no
+NaN or Infinity.  Structure, verdicts, counts and channel lists must
+match exactly.  Floats must match to a relative 1e-9, which a change in
+what is computed does not pass.
 
 Some goldens are rounding noise of quantities that are exactly zero:
 the flatten anisotropy and skew of ``flat_plane`` and ``sphere_patch``,
@@ -44,7 +45,8 @@ GOLDEN = Path(__file__).parent / "golden"
 N = "65"
 PATHS = ("theta_file", "surface_file", "metric_file", "factor_file", "out_dir")
 CONSTANT_FACTOR = "constant_factor.json"  # u = 0: both Liouville gates fail
-OVERFLOW_FACTOR = "overflow_factor.json"  # u = 800: e^u overflows the develop march
+OVERFLOW_FACTOR = "overflow_factor.json"  # u = 800: e^u overflows the develop march,
+# e^{2u} the Liouville residual
 FACTORS = {CONSTANT_FACTOR: 0.0, OVERFLOW_FACTOR: 800.0}
 
 # golden name -> arguments; the FACTORS files are written next to the run
@@ -58,6 +60,7 @@ COMMANDS = {
         "solve", "--catalog", "half_plane_pseudosphere", "--tol-scale", "1e-6"],
     "develop-half_plane_pseudosphere": ["develop", "--catalog", "half_plane_pseudosphere"],
     "liouville-check-constant_factor": ["liouville-check", "--factor-file", CONSTANT_FACTOR],
+    "liouville-check-overflow_factor": ["liouville-check", "--factor-file", OVERFLOW_FACTOR],
     "develop-constant_factor": ["develop", "--factor-file", CONSTANT_FACTOR],
     "develop-overflow_factor": ["develop", "--factor-file", OVERFLOW_FACTOR],
     "verify-minding-one_soliton-n17": ["verify-minding", "--catalog", "one_soliton",
@@ -71,9 +74,13 @@ def write_constant_factor(path: Path, value: float) -> None:
     write_field(path, g, {"u": np.full(g.shape, value)})
 
 
+def refuse_constant(token: str):
+    raise ValueError(f"report holds the non-standard JSON constant {token}")
+
+
 def run_snapshot(argv: list, out: Path) -> dict:
     code = main(argv + ["--out", str(out)])
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)
     for key in PATHS:
         report["config"][key] = None
     artifacts = {
