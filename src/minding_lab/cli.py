@@ -629,7 +629,10 @@ def cmd_verify_minding(run: _Run) -> None:
             raise ConfigError("verify-minding needs a catalog, theta, surface, or metric source")
         metric = _embedded_metric_stages(run, surface)
         h_img = _flatten_stages(run, metric, curvature_gate=None)
-    _factor_stages(run, h_img, SYNTHESIZED_GATES)
+    # the fit is second order, 15-24 h^2 on K = -1 sources: 50 h^2 under
+    # the absolute cap rejects K = -0.995 (89 h^2 and more) at every n
+    rescale = min(50.0 * h_img.grid.h**2, SYNTHESIZED_GATES["rescale"])
+    _factor_stages(run, h_img, {**SYNTHESIZED_GATES, "rescale": rescale})
 
 
 def _execute(command: str, body, config: PipelineConfig) -> int:

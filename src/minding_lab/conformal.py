@@ -12,12 +12,12 @@ flattener has something to be measured against.
 scipy is imported inside the functions that use it: loading it costs
 more start-up than a catalog-chart command spends on its whole
 conformal stage, and ``catalog_chart`` needs numpy only.
-``scipy.interpolate`` and ``scipy.spatial`` load in the preimage and
-resampling functions.  ``scipy.sparse`` and ``scipy.sparse.linalg``
-load first thing in ``_triangle_rows``, before any array of the flatten
-exists: imported later, by the ``elliptic.splu`` that ``spsolve``
-calls, they land on a heap the flatten has already grown and raise the
-process's peak resident memory.
+``scipy.interpolate`` loads in the preimage and resampling functions.
+``scipy.sparse`` and ``scipy.sparse.linalg`` load first thing in
+``_triangle_rows``, before any array of the flatten exists: imported
+later, by the ``elliptic.splu`` that ``spsolve`` calls, they land on a
+heap the flatten has already grown and raise the process's peak
+resident memory.
 """
 
 from __future__ import annotations
@@ -71,28 +71,14 @@ class Chart:
             raise GridError("chart components live on different grids")
         if np.nanmin(self.h.values[1:-1, 1:-1]) <= 0.0:
             raise GridError("conformal factor must be positive on interior nodes")
-        det = self.jacobian_det()
-        inner = det[1:-1, 1:-1]
+        xx, xy, yx, yy = _jacobian(self.X, self.Y)
+        inner = (xx * yy - xy * yx)[1:-1, 1:-1]
         if not np.isfinite(inner).all() or np.min(np.abs(inner)) == 0.0:
             raise GridError("chart Jacobian vanishes at an interior node")
 
     @property
     def grid(self) -> Grid2D:
         return self.X.grid
-
-    def jacobian_det(self) -> np.ndarray:
-        xx, xy, yx, yy = self.__dict__.pop("_jacobian", None) or _jacobian(self.X, self.Y)
-        return xx * yy - xy * yx
-
-    @classmethod
-    def _with_jacobian(cls, jacobian, *fields) -> "Chart":
-        """The chart of ``fields``, whose ``_jacobian(X, Y)`` the caller
-        has taken already: validation reads it once instead of
-        differencing again, and the chart does not keep it."""
-        chart = cls.__new__(cls)
-        chart.__dict__["_jacobian"] = jacobian
-        chart.__init__(*fields)
-        return chart
 
 
 def _jacobian(X: ScalarField, Y: ScalarField) -> tuple[np.ndarray, ...]:
@@ -280,13 +266,12 @@ def flatten_conformal(metric: MetricField) -> Chart:
 
     X = ScalarField(g, z.real.reshape(g.shape))
     Y = ScalarField(g, z.imag.reshape(g.shape))
-    jacobian = _jacobian(X, Y)
-    Ep, Fp, Gp = _pushforward(metric, jacobian)
+    Ep, Fp, Gp = _pushforward(metric, _jacobian(X, Y))
     if np.min(Ep) <= 0.0 or np.min(Gp) <= 0.0:
         raise ConformalError("pushed-forward metric lost positivity")
     anis, skew = _diagnostics(Ep, Fp, Gp)
     h = ScalarField(g, np.sqrt(0.5 * (Ep + Gp)))
-    return Chart._with_jacobian(jacobian, X, Y, h, anis, skew)
+    return Chart(X, Y, h, anis, skew)
 
 
 def rescale_to_liouville(h: ScalarField) -> tuple[ScalarField, float]:
@@ -333,120 +318,87 @@ def _points_in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.n
 def inner_image_grid(chart: Chart, n: int = 65) -> Grid2D:
     """Regular grid on a rectangle strictly inside the chart image.
 
-    Starts from the bounding box of the node images shrunk toward the
-    image of the central node and bisects the shrink factor until every
-    edge sample of the rectangle, scaled up by a safety margin of 12%,
-    lies inside the image boundary polygon.
+    The rectangle is centred on the image of the central node, with the
+    proportions of the smallest such box around every node image.  In
+    units of that box's half extents, the box of scale ``s`` first meets
+    the image boundary polygon at the least sup-norm over its edges.  On
+    an edge the sup-norm is convex and piecewise linear, so its minimum
+    sits at an end or where the edge crosses a diagonal ``u_x = +-u_y``.
+    The grid spans that contact scale divided by 1.12, a safety margin
+    of 12%.
     """
-    margin = 0.12
     poly = _boundary_polygon(chart)
     cx = float(chart.X.values[chart.grid.ny // 2, chart.grid.nx // 2])
     cy = float(chart.Y.values[chart.grid.ny // 2, chart.grid.nx // 2])
+    if not _points_in_polygon(np.array([cx]), np.array([cy]), poly)[0]:
+        raise ConformalError("the central node's image lies outside the boundary polygon")
     half_w = max(chart.X.values.max() - cx, cx - chart.X.values.min())
     half_h = max(chart.Y.values.max() - cy, cy - chart.Y.values.min())
 
-    ts = np.linspace(0.0, 1.0, 129)
-    def fits(scale: float) -> bool:
-        w, hh = scale * half_w, scale * half_h
-        ex = np.concatenate([cx - w + 2 * w * ts, np.full(129, cx + w),
-                             cx - w + 2 * w * ts, np.full(129, cx - w)])
-        ey = np.concatenate([np.full(129, cy - hh), cy - hh + 2 * hh * ts,
-                             np.full(129, cy + hh), cy - hh + 2 * hh * ts])
-        return bool(_points_in_polygon(ex, ey, poly).all())
-
-    scale = 1.0
-    for _ in range(40):
-        if fits(scale * (1.0 + margin)):
-            break
-        scale *= 0.5
-        if scale < 1e-6:
-            raise ConformalError("no axis-aligned rectangle fits inside the image")
-    lo, hi = scale, min(1.0, 2.0 * scale)
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if fits(mid * (1.0 + margin)) else (lo, mid)
-    w, hh = lo * half_w, lo * half_h
+    a = (poly - (cx, cy)) / (half_w, half_h)
+    d = np.roll(a, -1, axis=0) - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = [(a[:, 1] - a[:, 0]) / (d[:, 0] - d[:, 1]),
+               -(a[:, 0] + a[:, 1]) / (d[:, 0] + d[:, 1])]
+    ends = [np.zeros(len(a)), np.ones(len(a))]
+    t = np.clip(np.nan_to_num(np.stack(ends + cut)), 0.0, 1.0)
+    scale = float(np.abs(a + t[..., None] * d).max(axis=-1).min()) / 1.12
+    if scale < 1e-6:
+        raise ConformalError("no axis-aligned rectangle fits inside the image")
+    w, hh = scale * half_w, scale * half_h
     return Grid2D.from_bounds(cx - w, cx + w, cy - hh, cy + hh, n, n)
-
-
-def _nearest_seed(px: np.ndarray, py: np.ndarray,
-                  qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
-    """Index of the point ``(px, py)`` nearest to each query ``(qx, qy)``.
-
-    Equal to ``np.argmin`` along the points axis of the dense squared
-    distance ``(qx - px)**2 + (qy - py)**2``, lowest index on exact ties
-    included, in memory linear in queries plus points.  A KD-tree
-    proposes ``k`` candidates per query and that same formula ranks
-    them.  A query whose farthest candidate lies within rounding of its
-    nearest one may have a tied point outside the set, so it is asked
-    again with twice as many candidates.
-    """
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(np.column_stack([px, py]))
-    seed = np.empty(qx.size, dtype=np.intp)
-    rows = np.arange(qx.size)
-    k = min(8, px.size)
-    while rows.size:
-        _, cand = tree.query(np.column_stack([qx[rows], qy[rows]]), k=k)
-        cand = cand.reshape(rows.size, k)
-        d2 = (qx[rows, None] - px[cand]) ** 2 + (qy[rows, None] - py[cand]) ** 2
-        best = d2.min(axis=1, keepdims=True)
-        seed[rows] = np.where(d2 == best, cand, px.size).min(axis=1)
-        settled = (d2.max(axis=1) > best[:, 0] * (1.0 + 1e-9)) | (k == px.size)
-        rows = rows[~settled]
-        k = min(2 * k, px.size)
-    return seed
 
 
 def chart_preimage(chart: Chart, image_grid: Grid2D,
                    tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
     """Source coordinates of every node of ``image_grid`` under the chart.
 
-    Spline-interpolates ``(X, Y)`` and runs a vectorized Newton solve
-    per image node.  Each node starts from the source point of its
-    nearest node image on a subsampled source grid, found through a
-    KD-tree, so memory stays O(n^2) on n x n grids (linear in nodes);
-    the seeds, ties included, are those of a dense argmin over every
-    (image node, sampled node) pair.  Nodes must lie inside the image;
-    use ``inner_image_grid`` to stay there.
+    Spline-interpolates ``(X, Y)`` and inverts it by a vectorized Newton
+    solve, coarse to fine.  The coarse level is a fixed 33 x 33 grid on
+    ``image_grid``'s rectangle, each node seeded at the source point of
+    its nearest node image on a source grid subsampled to about 33 x 33
+    nodes: a dense argmin of about 10 MB at any size, so memory stays
+    O(n^2) on n x n grids.  Every node of ``image_grid`` then starts from
+    the cubic spline of the coarse preimages.  Nodes must lie inside the
+    image; use ``inner_image_grid`` to stay there.
     """
     from scipy.interpolate import RectBivariateSpline
 
     g = chart.grid
     sx = RectBivariateSpline(g.y(), g.x(), chart.X.values)
     sy = RectBivariateSpline(g.y(), g.x(), chart.Y.values)
-    XT, YT = image_grid.mesh()
-    xt, yt = XT.ravel(), YT.ravel()
 
-    # coarse nearest-image seed
-    step = max(1, min(g.nx, g.ny) // 48)
-    Xg, Yg = g.mesh()
-    xs = Xg[::step, ::step].ravel()
-    ys = Yg[::step, ::step].ravel()
-    seed = _nearest_seed(chart.X.values[::step, ::step].ravel(),
-                         chart.Y.values[::step, ::step].ravel(), xt, yt)
-    x, y = xs[seed], ys[seed]
+    def newton(xt, yt, x, y):
+        for _ in range(60):
+            rx = sx.ev(y, x) - xt
+            ry = sy.ev(y, x) - yt
+            worst = max(np.max(np.abs(rx)), np.max(np.abs(ry)))
+            if worst <= tol:
+                return x, y
+            jxx = sx.ev(y, x, dy=1)  # d/dx is the spline's second axis
+            jxy = sx.ev(y, x, dx=1)
+            jyx = sy.ev(y, x, dy=1)
+            jyy = sy.ev(y, x, dx=1)
+            det = jxx * jyy - jxy * jyx
+            if np.min(np.abs(det)) == 0.0:
+                raise ConformalError("chart inversion hit a singular Jacobian")
+            x = np.clip(x - (jyy * rx - jxy * ry) / det, g.x0, g.x1)
+            y = np.clip(y - (-jyx * rx + jxx * ry) / det, g.y0, g.y1)
+        raise ConformalError(f"chart inversion did not converge; residual {worst:.3e}")
 
-    for _ in range(60):
-        rx = sx.ev(y, x) - xt
-        ry = sy.ev(y, x) - yt
-        worst = max(np.max(np.abs(rx)), np.max(np.abs(ry)))
-        if worst <= tol:
-            break
-        jxx = sx.ev(y, x, dy=1)  # d/dx is the spline's second axis
-        jxy = sx.ev(y, x, dx=1)
-        jyx = sy.ev(y, x, dy=1)
-        jyy = sy.ev(y, x, dx=1)
-        det = jxx * jyy - jxy * jyx
-        if np.min(np.abs(det)) == 0.0:
-            raise ConformalError("chart inversion hit a singular Jacobian")
-        x = np.clip(x - (jyy * rx - jxy * ry) / det, g.x0, g.x1)
-        y = np.clip(y - (-jyx * rx + jxx * ry) / det, g.y0, g.y1)
-    else:
-        raise ConformalError(
-            f"chart inversion did not converge; residual {worst:.3e}"
-        )
+    coarse = Grid2D.from_bounds(image_grid.x0, image_grid.x1,
+                                image_grid.y0, image_grid.y1, 33, 33)
+    XC, YC = (c.ravel() for c in coarse.mesh())
+    step = max(1, (min(g.nx, g.ny) - 1) // 32)
+    px, py, xs, ys = (a[::step, ::step].ravel()
+                      for a in (chart.X.values, chart.Y.values, *g.mesh()))
+    seed = np.argmin((XC[:, None] - px) ** 2 + (YC[:, None] - py) ** 2, axis=1)
+    xc, yc = newton(XC, YC, xs[seed], ys[seed])
+
+    XT, YT = (c.ravel() for c in image_grid.mesh())
+    x0, y0 = (RectBivariateSpline(coarse.y(), coarse.x(), p.reshape(coarse.shape)).ev(YT, XT)
+              for p in (xc, yc))
+    x, y = newton(XT, YT, x0, y0)
     return x.reshape(image_grid.shape), y.reshape(image_grid.shape)
 
 

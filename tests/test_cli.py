@@ -19,7 +19,7 @@ from minding_lab.cli import (
     PipelineConfig,
     main,
 )
-from minding_lab.fieldio import write_field
+from minding_lab.fieldio import read_field, write_field
 from minding_lab.grid import Grid2D
 
 
@@ -144,6 +144,35 @@ class TestVerifyControls:
         code, report = run_cli(capsys, "verify-minding", "--metric-file", str(path))
         assert code == EXIT_TOLERANCE
         assert report["failed_stage"] == "curvature"
+
+
+class TestRescaleGate:
+    """The synthesized rescale gate scales with the image grid's h^2, so
+    a metric of curvature -0.995 fails where K = -1 sources pass."""
+
+    @pytest.mark.parametrize("n", ["65", "129", "257"])
+    def test_curvature_off_by_half_a_percent_fails_at_rescale(self, capsys, tmp_path, n):
+        assert main(["metric", "--catalog", "one_soliton", "--n", n,
+                     "--out", str(tmp_path / "run")]) == EXIT_PASS
+        capsys.readouterr()
+        grid, channels = read_field(tmp_path / "run" / "metric.json")
+        path = tmp_path / "metric.json"
+        write_field(path, grid, {c: channels[c] / 0.995 for c in ("E", "F", "G")})
+        code, report = run_cli(capsys, "verify-minding", "--metric-file", str(path), "--n", n)
+        assert code == EXIT_TOLERANCE
+        assert report["failed_stage"] == "rescale"
+        assert report["stages"][-1]["fit"] == pytest.approx(0.995, abs=2e-3)
+
+    @pytest.mark.parametrize("n", ["65", "129", "257"])
+    def test_boosted_soliton_passes(self, capsys, tmp_path, n):
+        g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, int(n), int(n))
+        X, Y = g.mesh()
+        path = tmp_path / "theta.json"
+        write_field(path, g, {"theta": 4.0 * np.arctan(np.exp(1.5 * X + Y / 1.5))})
+        code, report = run_cli(capsys, "verify-minding", "--theta-file", str(path), "--n", n)
+        assert code == EXIT_PASS
+        rescale = next(s for s in report["stages"] if s["name"] == "rescale")
+        assert rescale["gate"] < 1e-2
 
 
 class TestFactorCommands:

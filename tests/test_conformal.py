@@ -29,11 +29,45 @@ def soliton_metric(n):
     return g, MetricField.chebyshev(4.0 * np.arctan(np.exp(X + Y)), g)
 
 
-def dense_seed(px, py, qx, qy):
-    """The preimage seed before the KD-tree: argmin over one dense
-    (queries x points) squared-distance matrix."""
-    d2 = (qx[:, None] - px[None, :]) ** 2 + (qy[:, None] - py[None, :]) ** 2
-    return np.argmin(d2, axis=1)
+def bisected_image_grid(chart, n=65):
+    """``inner_image_grid`` before the closed form: halve, then bisect
+    the shrink factor until 129 samples per edge of the rectangle,
+    scaled up by 12%, lie inside the boundary polygon."""
+    margin = 0.12
+    poly = conformal._boundary_polygon(chart)
+    cx = float(chart.X.values[chart.grid.ny // 2, chart.grid.nx // 2])
+    cy = float(chart.Y.values[chart.grid.ny // 2, chart.grid.nx // 2])
+    half_w = max(chart.X.values.max() - cx, cx - chart.X.values.min())
+    half_h = max(chart.Y.values.max() - cy, cy - chart.Y.values.min())
+
+    def fits(scale):
+        ex, ey = rectangle_edges(cx, cy, scale * half_w, scale * half_h, 129)
+        return bool(conformal._points_in_polygon(ex, ey, poly).all())
+
+    scale = 1.0
+    for _ in range(40):
+        if fits(scale * (1.0 + margin)):
+            break
+        scale *= 0.5
+        if scale < 1e-6:
+            raise ConformalError("no axis-aligned rectangle fits inside the image")
+    lo, hi = scale, min(1.0, 2.0 * scale)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fits(mid * (1.0 + margin)) else (lo, mid)
+    w, hh = lo * half_w, lo * half_h
+    return Grid2D.from_bounds(cx - w, cx + w, cy - hh, cy + hh, n, n)
+
+
+def rectangle_edges(cx, cy, w, hh, count):
+    """``count`` samples on each edge of the rectangle of half extents
+    ``(w, hh)`` about ``(cx, cy)``, corners included."""
+    ts = np.linspace(0.0, 1.0, count)
+    ex = np.concatenate([cx - w + 2 * w * ts, np.full(count, cx + w),
+                         cx - w + 2 * w * ts, np.full(count, cx - w)])
+    ey = np.concatenate([np.full(count, cy - hh), cy - hh + 2 * hh * ts,
+                         np.full(count, cy + hh), cy - hh + 2 * hh * ts])
+    return ex, ey
 
 
 def loop_points_in_polygon(px, py, poly):
@@ -400,55 +434,66 @@ def asymmetric_soliton_chart(asymmetric_soliton_metric):
     return flatten_conformal(asymmetric_soliton_metric)
 
 
-class TestPreimageSeed:
-    """``chart_preimage`` seeds Newton through a KD-tree; the seeds and
-    hence the preimages must be exactly those of the dense argmin."""
+class TestImageStage:
+    """The closed-form image rectangle against the bisection it
+    replaced, and the coarse-to-fine chart preimage."""
 
-    @pytest.mark.parametrize("source", ["soliton", "poincare_disk_patch"])
-    def test_preimage_equals_dense_seed_reference(self, monkeypatch, request, source):
+    @pytest.mark.parametrize("source", ["soliton", "half_plane_pseudosphere",
+                                        "poincare_disk_patch"])
+    def test_rectangle_matches_bisection(self, request, source):
         if source == "soliton":
             chart = request.getfixturevalue("asymmetric_soliton_chart")
         else:
-            # n = 129 subsamples the seed nodes with step 2
-            chart = catalog_chart(source, 129)[1]
+            chart = catalog_chart(source, 65)[1]
+        grid = inner_image_grid(chart, 33)
+        oracle = bisected_image_grid(chart, 33)
+        assert grid.x0 + grid.x1 == pytest.approx(oracle.x0 + oracle.x1, abs=1e-12)
+        assert grid.y0 + grid.y1 == pytest.approx(oracle.y0 + oracle.y1, abs=1e-12)
+        assert grid.x1 - grid.x0 == pytest.approx(oracle.x1 - oracle.x0, rel=1e-8)
+        assert grid.y1 - grid.y0 == pytest.approx(oracle.y1 - oracle.y0, rel=1e-8)
+        # scaled by 12% the rectangle touches the boundary: a hair less
+        # lies inside, a hair more pokes out
+        cx, cy = (grid.x0 + grid.x1) / 2, (grid.y0 + grid.y1) / 2
+        poly = conformal._boundary_polygon(chart)
+        for scale, inside in ((1.12 * (1 - 1e-9), True), (1.12 * (1 + 1e-6), False)):
+            ex, ey = rectangle_edges(cx, cy, scale * (grid.x1 - cx), scale * (grid.y1 - cy), 2049)
+            assert loop_points_in_polygon(ex, ey, poly).all() == inside
+
+    def test_preimage_roundtrip(self, asymmetric_soliton_chart):
+        from scipy.interpolate import RectBivariateSpline
+
+        chart = asymmetric_soliton_chart
         box = inner_image_grid(chart, 33)
         image = Grid2D.from_bounds(box.x0, box.x1, box.y0, box.y1, 41, 29)
-        XT, YT = image.mesh()
-        qx, qy = XT.ravel(), YT.ravel()
-        for step in (1, 2, 3):
-            px = chart.X.values[::step, ::step].ravel()
-            py = chart.Y.values[::step, ::step].ravel()
-            assert np.array_equal(conformal._nearest_seed(px, py, qx, qy),
-                                  dense_seed(px, py, qx, qy))
         x, y = chart_preimage(chart, image)
-        monkeypatch.setattr(conformal, "_nearest_seed", dense_seed)
-        xd, yd = chart_preimage(chart, image)
-        assert np.array_equal(x, xd) and np.array_equal(y, yd)
+        g = chart.grid
+        XT, YT = image.mesh()
+        for values, target in ((chart.X.values, XT), (chart.Y.values, YT)):
+            spline = RectBivariateSpline(g.y(), g.x(), values)
+            assert np.max(np.abs(spline.ev(y, x) - target)) <= 1e-11
 
-    def test_exact_ties_pick_lowest_index(self):
-        # twelve lattice points at squared distance exactly 25 from the
-        # origin, more than the first candidate batch, shuffled among
-        # farther points so index order and tree order disagree
-        ring = [(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (4, 3),
-                (-3, 4), (-4, 3), (3, -4), (4, -3), (-3, -4), (-4, -3)]
-        far = [(6, 1), (-6, 2), (1, -7), (7, 7), (-8, 0), (2, 9)]
-        pts = np.array(ring + far, dtype=float)
-        order = np.random.default_rng(3).permutation(len(pts))
-        pts = pts[order]
-        tied = np.flatnonzero(order < len(ring))
-        # the origin, the two-way tie between (3, 4) and (4, 3), and an
-        # exact hit on (4, 3)
-        qx = np.array([0.0, 3.5, 4.0])
-        qy = np.array([0.0, 3.5, 3.0])
-        seed = conformal._nearest_seed(pts[:, 0], pts[:, 1], qx, qy)
-        assert seed[0] == tied.min()
-        assert np.array_equal(seed, dense_seed(pts[:, 0], pts[:, 1], qx, qy))
-        # four equidistant lattice nodes around every cell centre
-        lat = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), -1).reshape(-1, 2)
-        lat = lat[np.random.default_rng(4).permutation(len(lat))]
-        cx, cy = (c.ravel() + 0.5 for c in np.meshgrid(np.arange(5.0), np.arange(4.0)))
-        assert np.array_equal(conformal._nearest_seed(lat[:, 0], lat[:, 1], cx, cy),
-                              dense_seed(lat[:, 0], lat[:, 1], cx, cy))
+    @pytest.mark.parametrize("nx", [129, 128])
+    def test_doubly_wrapped_chart_has_no_image_grid(self, nx):
+        # the polar map of theta in [0, 4 pi], r in [1, 2] covers the
+        # annulus twice, so its boundary polygon has no inside; the
+        # central node's image lies on the seam at nx = 129, off it at 128
+        g = Grid2D.from_bounds(0.0, 4.0 * np.pi, 1.0, 2.0, nx, 17)
+        T, R = g.mesh()
+        chart = Chart(ScalarField(g, R * np.cos(T)), ScalarField(g, R * np.sin(T)),
+                      ScalarField(g, np.ones(g.shape)))
+        with pytest.raises(ConformalError):
+            inner_image_grid(chart)
+
+    def test_preimage_outside_the_image_fails(self):
+        _, chart, _ = catalog_chart("half_plane_pseudosphere", 33)
+        outside = Grid2D.from_bounds(2.0, 3.0, 1.2, 1.8, 9, 9)
+        with pytest.raises(ConformalError, match="did not converge"):
+            chart_preimage(chart, outside)
+
+
+class TestPreimageSeed:
+    """The coarse level's dense nearest-image seed is sized to the
+    coarse grid, not to the image grid."""
 
     def test_preimage_memory_is_quadratic(self):
         # a dense seed holds (129^2 image nodes) x (65^2 seed nodes)

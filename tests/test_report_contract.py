@@ -4,9 +4,11 @@ Each golden under ``tests/golden/`` holds the exit code, the report
 with its path fields blanked, and the component list of every artifact
 file.  There is one golden per catalog source for ``verify-minding`` at
 n = 65, and one per case in ``COMMANDS``: the six other commands,
-including their failing paths.  A report must be strict JSON, with no
-NaN or Infinity.  Structure, verdicts, counts and channel lists must
-match exactly.  Floats must match to a relative 1e-9, which a change in
+including their failing paths.  One of those is a negative control:
+``verify-minding`` on a metric of curvature -0.995, which must exit 3
+at ``rescale``.  A report must be strict JSON, with no NaN or
+Infinity.  Structure, verdicts, counts and channel lists must match
+exactly.  Floats must match to a relative 1e-9, which a change in
 what is computed does not pass.
 
 Some goldens are rounding noise of quantities that are exactly zero:
@@ -39,6 +41,7 @@ import numpy as np
 
 from minding_lab.cli import CATALOG, main
 from minding_lab.fieldio import write_field
+from minding_lab.forms import MetricField
 from minding_lab.grid import Grid2D
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,8 +51,12 @@ CONSTANT_FACTOR = "constant_factor.json"  # u = 0: both Liouville gates fail
 OVERFLOW_FACTOR = "overflow_factor.json"  # u = 800: e^u overflows the develop march,
 # e^{2u} the Liouville residual
 FACTORS = {CONSTANT_FACTOR: 0.0, OVERFLOW_FACTOR: 800.0}
+# one_soliton's Chebyshev metric divided by 0.995, so K = -0.995: it passes
+# the image curvature gate and must fail the rescale fit
+SCALED_METRIC = "k0995_metric.json"
+INPUTS = (*FACTORS, SCALED_METRIC)
 
-# golden name -> arguments; the FACTORS files are written next to the run
+# golden name -> arguments; the INPUTS files are written next to the run
 COMMANDS = {
     "synthesize-one_soliton": ["synthesize", "--catalog", "one_soliton"],
     "metric-one_soliton": ["metric", "--catalog", "one_soliton"],
@@ -65,6 +72,7 @@ COMMANDS = {
     "develop-overflow_factor": ["develop", "--factor-file", OVERFLOW_FACTOR],
     "verify-minding-one_soliton-n17": ["verify-minding", "--catalog", "one_soliton",
                                        "--n", "17"],
+    "verify-minding-k0995_metric": ["verify-minding", "--metric-file", SCALED_METRIC],
 }
 
 
@@ -72,6 +80,13 @@ def write_constant_factor(path: Path, value: float) -> None:
     half = 0.5 / np.sqrt(2.0)
     g = Grid2D.from_bounds(-half, half, -half, half, 65, 65)
     write_field(path, g, {"u": np.full(g.shape, value)})
+
+
+def write_scaled_metric(path: Path) -> None:
+    g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, 65, 65)
+    X, Y = g.mesh()
+    metric = MetricField.chebyshev(4.0 * np.arctan(np.exp(X + Y)), g)
+    write_field(path, g, {c: getattr(metric, c) / 0.995 for c in ("E", "F", "G")})
 
 
 def refuse_constant(token: str):
@@ -98,7 +113,8 @@ def snapshot(source: str, out: Path) -> dict:
 def command_snapshot(case: str, tmp: Path) -> dict:
     for name, value in FACTORS.items():
         write_constant_factor(tmp / name, value)
-    argv = [str(tmp / a) if a in FACTORS else a for a in COMMANDS[case]]
+    write_scaled_metric(tmp / SCALED_METRIC)
+    argv = [str(tmp / a) if a in INPUTS else a for a in COMMANDS[case]]
     if "--n" not in argv:
         argv += ["--n", N]
     return run_snapshot(argv, tmp / "out")
