@@ -495,15 +495,12 @@ def _chart_catalog_stages(run: _Run, name: str):
     h2 = chart.grid.h**2
     _store_chart(run, chart)
     _isothermic_curvature_stage(run, chart.h, 10.0 * h2 * run.config.tol_scale)
-    gates = {
-        "rescale": 10.0 * h2,
-        "weak": 10.0 * h2,
-        "bootstrap": 20.0 * h2,
-        "pullback": 50.0 * h2,
-    }
-    return _factor_stages(run, chart.h, gates)
+    return _factor_stages(run, chart.h, {k: c * h2 for k, c in CHART_GATES_H2.items()})
 
 
+# factor-stage gates in units of h^2: catalog charts gate at these on the
+# source grid; flattened sources on the image grid, capped by SYNTHESIZED_GATES
+CHART_GATES_H2 = {"rescale": 10.0, "weak": 10.0, "bootstrap": 20.0, "pullback": 50.0}
 SYNTHESIZED_GATES = {
     "rescale": 1e-2,
     "weak": 1e-2,
@@ -630,9 +627,13 @@ def cmd_verify_minding(run: _Run) -> None:
         metric = _embedded_metric_stages(run, surface)
         h_img = _flatten_stages(run, metric, curvature_gate=None)
     # the fit is second order, 15-24 h^2 on K = -1 sources: 50 h^2 under
-    # the absolute cap rejects K = -0.995 (89 h^2 and more) at every n
-    rescale = min(50.0 * h_img.grid.h**2, SYNTHESIZED_GATES["rescale"])
-    _factor_stages(run, h_img, {**SYNTHESIZED_GATES, "rescale": rescale})
+    # the absolute cap rejects K = -0.995 (89 h^2 and more) at every n.  On
+    # the soliton sources at n = 65-257 the weak, bootstrap and pullback
+    # stages peak at 3.2, 0.10 and 0.70 h^2 under the charts' coefficients
+    h2 = h_img.grid.h**2
+    coefficients = {**CHART_GATES_H2, "rescale": 50.0}
+    _factor_stages(run, h_img, {k: min(c * h2, SYNTHESIZED_GATES[k])
+                                for k, c in coefficients.items()})
 
 
 def _execute(command: str, body, config: PipelineConfig) -> int:

@@ -9,10 +9,11 @@ similarity with respect to the metric's orthonormal frames; the catalog
 supplies exact charts for the constant-curvature test metrics so the
 flattener has something to be measured against.
 
-scipy is imported inside the functions that use it: loading it costs
-more start-up than a catalog-chart command spends on its whole
-conformal stage, and ``catalog_chart`` needs numpy only.
-``scipy.interpolate`` loads in the preimage and resampling functions.
+Chart inversion and resampling interpolate by a numpy tensor-product
+spline (``_spline``), so the flatten's ``splu`` is the only scipy this
+module uses.  scipy is imported inside the function that needs it:
+loading it costs more start-up than a catalog-chart command spends on
+its whole conformal stage, and ``catalog_chart`` needs numpy only.
 ``scipy.sparse`` and ``scipy.sparse.linalg`` load first thing in
 ``_triangle_rows``, before any array of the flatten exists: imported
 later, by the ``elliptic.splu`` that ``spsolve`` calls, they land on a
@@ -349,36 +350,104 @@ def inner_image_grid(chart: Chart, n: int = 65) -> Grid2D:
     return Grid2D.from_bounds(cx - w, cx + w, cy - hh, cy + hh, n, n)
 
 
+def _second_derivative_map(m: int, step: float) -> np.ndarray:
+    """``m x m`` map from node values to the second derivatives of their
+    not-a-knot cubic spline on ``m`` nodes ``step`` apart.
+
+    Interior rows make the spline C^2,
+    ``M[i-1] + 4 M[i] + M[i+1] = 6 (f[i-1] - 2 f[i] + f[i+1]) / step^2``;
+    the end rows make its third derivative continuous across the second
+    and the second-to-last node, ``M0 - 2 M1 + M2 = 0`` on a uniform grid.
+    """
+    if m < 4:
+        raise ConformalError(f"a not-a-knot cubic spline needs 4 nodes per axis, got {m}")
+    A = np.zeros((m, m))
+    B = np.zeros((m, m))
+    i = np.arange(1, m - 1)
+    A[i, i - 1] = A[i, i + 1] = 1.0
+    A[i, i] = 4.0
+    B[i, i - 1] = B[i, i + 1] = 6.0 / step**2
+    B[i, i] = -12.0 / step**2
+    A[0, :3] = A[-1, -3:] = (1.0, -2.0, 1.0)
+    return np.linalg.solve(A, B)
+
+
+def _cell_weights(p: np.ndarray, start: float, step: float, m: int):
+    """Cell of each point along one axis of ``m`` nodes, and the cubic's
+    weights in that cell with their derivatives.
+
+    Points are clamped to the axis, as FITPACK clamps them.  Weights are
+    indexed ``[kind, end, point]``: kind 0 weighs node values, kind 1
+    second derivatives; end 0 is the cell's left node, end 1 its right.
+    """
+    u = np.clip((p - start) / step, 0.0, m - 1.0)
+    j = np.minimum(u.astype(int), m - 2)
+    t = u - j
+    s = 1.0 - t
+    c = step / 6.0
+    w = np.array([[s, t], [c * step * (s**3 - s), c * step * (t**3 - t)]])
+    slope = np.array([[np.full_like(t, -1.0 / step), np.full_like(t, 1.0 / step)],
+                      [c * (1.0 - 3.0 * s * s), c * (3.0 * t * t - 1.0)]])
+    return j, w, slope
+
+
+def _spline(grid: Grid2D, values: np.ndarray):
+    """Tensor-product not-a-knot cubic interpolant of node values.
+
+    This is the interpolant FITPACK builds with ``s=0`` (de Boor, *A
+    Practical Guide to Splines*, 1978).  Each node carries ``f``,
+    ``f_xx``, ``f_yy`` and ``f_xxyy``; in a cell the spline is the
+    tensor product of the 1-D cubic in value/second-derivative form, 16
+    terms.  Returns ``evaluate(x, y) -> (f, f_x, f_y)`` at points, all
+    three from one cell lookup.
+    """
+    nx = grid.nx
+    f_xx = values @ _second_derivative_map(nx, grid.dx).T
+    sy = _second_derivative_map(grid.ny, grid.dy)
+    # [kind along y, kind along x, node]
+    nodes = np.stack([values, f_xx, sy @ values, sy @ f_xx]).reshape(2, 2, -1)
+    corners = np.array([[0, 1], [nx, nx + 1]])[..., None]  # [row, column]
+
+    def evaluate(x: np.ndarray, y: np.ndarray):
+        jx, wx, wx_slope = _cell_weights(x, grid.x0, grid.dx, nx)
+        jy, wy, wy_slope = _cell_weights(y, grid.y0, grid.dy, grid.ny)
+        cell = nodes[:, :, jy * nx + jx + corners]  # [y kind, x kind, row, column, point]
+        along = (cell * wx[None, :, None]).sum(axis=(1, 3))  # [y kind, row, point]
+        along_x = (cell * wx_slope[None, :, None]).sum(axis=(1, 3))
+        return ((along * wy).sum(axis=(0, 1)), (along_x * wy).sum(axis=(0, 1)),
+                (along * wy_slope).sum(axis=(0, 1)))
+
+    return evaluate
+
+
 def chart_preimage(chart: Chart, image_grid: Grid2D,
                    tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
     """Source coordinates of every node of ``image_grid`` under the chart.
 
-    Spline-interpolates ``(X, Y)`` and inverts it by a vectorized Newton
-    solve, coarse to fine.  The coarse level is a fixed 33 x 33 grid on
-    ``image_grid``'s rectangle, each node seeded at the source point of
-    its nearest node image on a source grid subsampled to about 33 x 33
-    nodes: a dense argmin of about 10 MB at any size, so memory stays
-    O(n^2) on n x n grids.  Every node of ``image_grid`` then starts from
-    the cubic spline of the coarse preimages.  Nodes must lie inside the
-    image; use ``inner_image_grid`` to stay there.
+    Interpolates ``(X, Y)`` by ``_spline`` and inverts it by a vectorized
+    Newton solve, coarse to fine; each step evaluates each coordinate
+    spline once, for its value and both first derivatives.  The coarse
+    level is a fixed 33 x 33 grid on ``image_grid``'s rectangle, each node
+    seeded at the source point of its nearest node image on a source grid
+    subsampled to about 33 x 33 nodes: a dense argmin of about 10 MB at
+    any size, so memory stays O(n^2) on n x n grids.  Every node of
+    ``image_grid`` then starts from the cubic spline of the coarse
+    preimages.  Nodes must lie inside the image; use ``inner_image_grid``
+    to stay there.
     """
-    from scipy.interpolate import RectBivariateSpline
-
     g = chart.grid
-    sx = RectBivariateSpline(g.y(), g.x(), chart.X.values)
-    sy = RectBivariateSpline(g.y(), g.x(), chart.Y.values)
+    sx = _spline(g, chart.X.values)
+    sy = _spline(g, chart.Y.values)
 
     def newton(xt, yt, x, y):
         for _ in range(60):
-            rx = sx.ev(y, x) - xt
-            ry = sy.ev(y, x) - yt
+            fx, jxx, jxy = sx(x, y)
+            fy, jyx, jyy = sy(x, y)
+            rx = fx - xt
+            ry = fy - yt
             worst = max(np.max(np.abs(rx)), np.max(np.abs(ry)))
             if worst <= tol:
                 return x, y
-            jxx = sx.ev(y, x, dy=1)  # d/dx is the spline's second axis
-            jxy = sx.ev(y, x, dx=1)
-            jyx = sy.ev(y, x, dy=1)
-            jyy = sy.ev(y, x, dx=1)
             det = jxx * jyy - jxy * jyx
             if np.min(np.abs(det)) == 0.0:
                 raise ConformalError("chart inversion hit a singular Jacobian")
@@ -396,18 +465,16 @@ def chart_preimage(chart: Chart, image_grid: Grid2D,
     xc, yc = newton(XC, YC, xs[seed], ys[seed])
 
     XT, YT = (c.ravel() for c in image_grid.mesh())
-    x0, y0 = (RectBivariateSpline(coarse.y(), coarse.x(), p.reshape(coarse.shape)).ev(YT, XT)
-              for p in (xc, yc))
+    x0, y0 = (_spline(coarse, p.reshape(coarse.shape))(XT, YT)[0] for p in (xc, yc))
     x, y = newton(XT, YT, x0, y0)
     return x.reshape(image_grid.shape), y.reshape(image_grid.shape)
 
 
 def resample_to_image(field: ScalarField, chart: Chart, image_grid: Grid2D) -> ScalarField:
-    """Sample a source-grid field at the chart preimages of image nodes."""
-    from scipy.interpolate import RectBivariateSpline
-
+    """Sample a source-grid field at the chart preimages of image nodes,
+    by the same not-a-knot cubic spline that inverts the chart."""
     if not field.grid.matches(chart.grid):
         raise GridError("field lives on a different grid than the chart")
     x, y = chart_preimage(chart, image_grid)
-    spline = RectBivariateSpline(chart.grid.y(), chart.grid.x(), field.values)
-    return ScalarField(image_grid, spline.ev(y.ravel(), x.ravel()).reshape(image_grid.shape))
+    value = _spline(chart.grid, field.values)(x.ravel(), y.ravel())[0]
+    return ScalarField(image_grid, value.reshape(image_grid.shape))

@@ -429,6 +429,34 @@ class TestImageResampling:
             resample_to_image(ScalarField(other, np.ones(other.shape)), chart, ig)
 
 
+class TestSpline:
+    """The numpy not-a-knot spline against FITPACK's ``s=0`` interpolant."""
+
+    def test_matches_rect_bivariate_spline(self):
+        from scipy.interpolate import RectBivariateSpline
+
+        # nx != ny, dx != dy, and data with no x <-> y symmetry
+        g = Grid2D.from_bounds(-0.3, 1.1, 0.2, 0.9, 57, 41)
+        X, Y = g.mesh()
+        values = np.sin(2.1 * X + 0.4 * Y**2) * np.exp(0.7 * Y) + X**3 * Y
+        rng = np.random.default_rng(5)
+        # random points, every node, and the last row and column between nodes
+        px = np.concatenate([rng.uniform(g.x0, g.x1, 3000), X.ravel(),
+                             np.full(200, g.x1), rng.uniform(g.x0, g.x1, 200)])
+        py = np.concatenate([rng.uniform(g.y0, g.y1, 3000), Y.ravel(),
+                             rng.uniform(g.y0, g.y1, 200), np.full(200, g.y1)])
+        f, f_x, f_y = conformal._spline(g, values)(px, py)
+        oracle = RectBivariateSpline(g.y(), g.x(), values)  # first axis is y
+        assert np.max(np.abs(f - oracle.ev(py, px))) <= 1e-13
+        assert np.max(np.abs(f_x - oracle.ev(py, px, dy=1))) <= 1e-11
+        assert np.max(np.abs(f_y - oracle.ev(py, px, dx=1))) <= 1e-11
+
+    def test_needs_four_nodes_per_axis(self):
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 9, 3)
+        with pytest.raises(ConformalError, match="4 nodes"):
+            conformal._spline(g, np.ones(g.shape))
+
+
 @pytest.fixture(scope="module")
 def asymmetric_soliton_chart(asymmetric_soliton_metric):
     return flatten_conformal(asymmetric_soliton_metric)

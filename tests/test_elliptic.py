@@ -1,5 +1,6 @@
 """Dirichlet solves: sine-transform Poisson, Newton for exp(2u), uniqueness check."""
 
+import json
 import os
 import subprocess
 import sys
@@ -282,22 +283,30 @@ class TestNewtonLinearSolve:
             solve_liouville_newton(half_plane_grid(33), lambda X, Y: -np.log(Y))
 
     def test_catalog_commands_load_no_spline_tree_or_fft(self):
-        # scipy.interpolate, scipy.spatial and scipy.fft are loaded only by
-        # the stages that use them, never by a catalog-chart verify run
+        # a catalog verify run loads no scipy beyond what the flatten's splu
+        # needs, scipy.sparse.linalg and its own imports: the catalog chart
+        # none, and the flattened sources (one_soliton passes, the sphere
+        # control fails at the image curvature) spline and seed on numpy
         src = str(Path(minding_lab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = (
-            "import sys, minding_lab.conformal, minding_lab.elliptic\n"
-            "from minding_lab.cli import main\n"
-            "code = main(['verify-minding', '--catalog', 'half_plane_pseudosphere',"
-            " '--n', '17'])\n"
-            "lazy = ('scipy.interpolate', 'scipy.spatial', 'scipy.fft')\n"
-            "print('LOADED', [m for m in lazy if m in sys.modules], code)\n"
-        )
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                                env={**os.environ, "PYTHONPATH": path}, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "LOADED [] 0"
+
+        def scipy_loaded(code):
+            probe = (f"import json, sys\n{code}\n"
+                     "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))\n")
+            result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                    text=True, env={**os.environ, "PYTHONPATH": path},
+                                    timeout=120)
+            assert result.returncode == 0, result.stderr
+            return set(json.loads(result.stdout.splitlines()[-1]))
+
+        splu_only = scipy_loaded("import scipy.sparse.linalg")
+        for source, n, code in (("half_plane_pseudosphere", 17, 0), ("one_soliton", 65, 0),
+                                ("sphere_patch", 33, 3)):
+            loaded = scipy_loaded(
+                "from minding_lab.cli import main\n"
+                f"assert main(['verify-minding', '--catalog', '{source}', '--n', '{n}']) == {code}")
+            assert not loaded & {"scipy.interpolate", "scipy.spatial", "scipy.fft"}, source
+            assert loaded <= splu_only, (source, sorted(loaded - splu_only))
 
 
 class TestBootstrapEquivalence:
