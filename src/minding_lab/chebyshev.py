@@ -14,11 +14,16 @@ reconstructs W and f from theta by fourth-order line integration.  The
 frame is never projected back onto its Gram matrix: RK4 drift is of
 truncation order and smooth over the grid, which keeps the residuals
 differenced from the surface at second order.
+
+The line march is shared: ``_sweep`` fills a grid from one base node,
+the line through it both ways and then every line across it, with one
+RK4 stepper, ``_rk4_line``.  ``developing`` marches its ODE through the
+same kernel with its own rate and coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -245,58 +250,69 @@ def _rk4_line(Y, step, rate, c_nodes, c_mids):
         yield Y
 
 
-def _frame_lines(Y, conn_nodes, conn_mids, col, step, W, f):
-    """March (W | f)' = (W C, W[:, col]) along lines and store the nodes.
+def _march_out(out, base, step, rate, nodes, mids):
+    """March lines from node ``base`` to both of their ends, in place.
 
-    ``Y``: (m, 3, 4) states, the frame with f as a fourth column, at
-    the first node of m parallel lines; ``W`` (n, m, 3, 3) and ``f``
-    (n, m, 3) receive the node values, the first node included.
+    ``out`` holds m parallel lines, line parameter first, split over
+    arrays (n, m, ..., w) whose concatenation along the last axis is
+    the marched state, known at ``base``; ``nodes`` and ``mids`` give
+    the coefficient at the n nodes and n - 1 midpoints.  The backward
+    half runs on reversed views with the step negated.
     """
+    edges = np.cumsum([0] + [a.shape[-1] for a in out])
+    for h, lines, c_nodes, c_mids in (
+        (step, [a[base:] for a in out], nodes[base:], mids[base:]),
+        (-step, [a[base::-1] for a in out], nodes[base::-1], mids[:base][::-1]),
+    ):
+        Y0 = np.concatenate([a[0] for a in lines], axis=-1)
+        for k, Y in enumerate(_rk4_line(Y0, h, rate, c_nodes, c_mids), 1):
+            for a, lo, hi in zip(lines, edges, edges[1:]):
+                a[k] = Y[..., lo:hi]
 
-    def rate(Y, C):
-        return np.concatenate((Y[..., :3] @ C, Y[..., col:col + 1]), axis=-1)
 
-    W[0] = Y[..., :3]
-    f[0] = Y[..., 3]
-    for k, Yk in enumerate(_rk4_line(Y, step, rate, conn_nodes, conn_mids), 1):
-        W[k] = Yk[..., :3]
-        f[k] = Yk[..., 3]
+def _sweep(out, base, lines, x_first):
+    """Fill the per-node arrays ``out`` from one base node, one sweep order.
+
+    ``out``: arrays (ny, nx, ..., w), concatenated along the last axis
+    into the marched state, already set at ``base`` = (j, i).
+    ``lines``: per direction, x then y, the rate, the coefficient at the
+    (ny, nx) nodes and at the midpoints along that direction, and the
+    step.  The line through the base is marched both ways, along x
+    (``x_first``) or y; then every line across it, all at once.
+    """
+    jb, ib = base
+    (rate_x, nodes_x, mids_x, dx), (rate_y, nodes_y, mids_y, dy) = lines
+    swap = partial(np.moveaxis, source=1, destination=0)
+    # x-lines through transposed views, so every march runs along axis 0
+    x_march = ([swap(a) for a in out], ib, dx, rate_x, swap(nodes_x), swap(mids_x))
+    y_march = (out, jb, dy, rate_y, nodes_y, mids_y)
+    # the line through the base: row jb of the x-lines, column ib of the y-lines
+    if x_first:
+        seed, across, line = x_march, y_march, slice(jb, jb + 1)
+    else:
+        seed, across, line = y_march, x_march, slice(ib, ib + 1)
+    seed_out, b, step, rate, nodes, mids = seed
+    _march_out([a[:, line] for a in seed_out], b, step, rate, nodes[:, line], mids[:, line])
+    _march_out(*across)
+
+
+def _frame_rate(col, Y, C):
+    """(W | f)' = (W C, W[:, col]) for the frame with f as a fourth column."""
+    return np.concatenate((Y[..., :3] @ C, Y[..., col:col + 1]), axis=-1)
 
 
 def _line_connections(theta_vals, tx, ty, grid):
-    """What both sweep orders march with, built once: per direction
-    (x, then y) the connection at the nodes and at the midpoints along
-    that direction, the column of f', and the step."""
+    """``_sweep``'s lines for the frame, built once for both orders: per
+    direction (x, then y) the frame rate, the connection at the nodes
+    and at the midpoints along that direction, and the step."""
 
-    def along(name, theta_d, axis):
+    def along(name, theta_d, axis, col, step):
         # x runs along array axis 1, y along axis 0
         mids = (_interp_midpoints(v, axis) for v in (theta_vals, theta_d))
-        return _connection(theta_vals, theta_d, name), _connection(*mids, name)
+        return (partial(_frame_rate, col), _connection(theta_vals, theta_d, name),
+                _connection(*mids, name), step)
 
-    return [(*along("x", tx, 1), 0, grid.dx), (*along("y", ty, 0), 1, grid.dy)]
-
-
-def _sweep(lines, grid, W0, f0, x_first):
-    """Integrate the frame over the whole grid, one sweep order.
-
-    A seed line from the origin fills the first row (x first) or column
-    (y first); the lines across it, all marched at once, fill the grid.
-    ``lines`` is ``_line_connections``'s list, x direction first.
-    """
-    W = np.empty(grid.shape + (3, 3))
-    f = np.empty(grid.shape + (3,))
-    Wv, fv = W, f
-    if not x_first:
-        # transposed views lay the seed line along axis 1 here too
-        swap = partial(np.moveaxis, source=1, destination=0)
-        lines = [(swap(n), swap(m), col, step) for n, m, col, step in lines[::-1]]
-        Wv, fv = swap(W), swap(f)
-    (nodes, mids, col, step), fill = lines
-    Y0 = np.concatenate((W0, np.asarray(f0, dtype=float).reshape(3, 1)), axis=1)
-    _frame_lines(Y0[None], nodes[0][:, None], mids[0][:, None], col, step,
-                 Wv[0][:, None], fv[0][:, None])
-    _frame_lines(np.concatenate((Wv[0], fv[0][..., None]), axis=-1), *fill, Wv, fv)
-    return W, f
+    return [along("x", tx, 1, 0, grid.dx), along("y", ty, 0, 1, grid.dy)]
 
 
 def integrate_frame(
@@ -325,8 +341,16 @@ def integrate_frame(
     ty = fd_partial(t, "y").values
 
     lines = _line_connections(theta_vals, tx, ty, grid)
-    W_xy, f_xy = _sweep(lines, grid, W0, f0, True)
-    W_yx, f_yx = _sweep(lines, grid, W0, f0, False)
+
+    def sweep(x_first):
+        W = np.empty(grid.shape + (3, 3))
+        f = np.empty(grid.shape + (3,))
+        W[0, 0], f[0, 0] = W0, np.asarray(f0, dtype=float).reshape(3)
+        _sweep((W, f[..., None]), (0, 0), lines, x_first)
+        return W, f
+
+    W_xy, f_xy = sweep(True)
+    W_yx, f_yx = sweep(False)
 
     surface = ChebyshevSurface(
         f=VectorField3(grid, f_xy),
@@ -358,14 +382,7 @@ class CorollaryReport:
     angle_consistency: float  # |<f_x, f_y> - cos(theta)|
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "normal_wave": self.normal_wave,
-            "fx_from_normal": self.fx_from_normal,
-            "fy_from_normal": self.fy_from_normal,
-            "fx_unit": self.fx_unit,
-            "fy_unit": self.fy_unit,
-            "angle_consistency": self.angle_consistency,
-        }
+        return asdict(self)
 
     def max_residual(self) -> float:
         return max(self.as_dict().values())

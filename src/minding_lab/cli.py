@@ -317,8 +317,8 @@ def _synthesis_stages(run: _Run, theta):
     path = max(result.path_residual_f, result.path_residual_frame)
     run.gate("frame_path_independence", path, 50.0 * h2 * scale)
     report = corollary_conditions(result.surface)
-    worst = max(report.as_dict().values())
-    run.gate("corollary_conditions", worst, 50.0 * h2 * scale, residuals=report.as_dict())
+    run.gate("corollary_conditions", report.max_residual(), 50.0 * h2 * scale,
+             residuals=report.as_dict())
     return result.surface
 
 
@@ -437,9 +437,11 @@ def _flatten_stages(run: _Run, metric, *, curvature_gate: float | None):
     return h_img
 
 
-def _factor_stages(run: _Run, h_img, gates: dict):
+def _factor_stages(run: _Run, h_img, *, rescale: float, cap: float):
     """Rescale to the unit-curvature normalization, then the weak,
-    bootstrap, and developing checks; gates in absolute units."""
+    bootstrap, and developing checks.  Each stage gates at
+    ``min(c h^2, cap)`` on the factor's own grid, c from
+    ``CHART_GATES_H2`` with ``rescale`` for the rescale stage."""
     import numpy as np
 
     from minding_lab.conformal import ConformalError, rescale_to_liouville
@@ -448,21 +450,23 @@ def _factor_stages(run: _Run, h_img, gates: dict):
     from minding_lab.grid import GridError, ScalarField
     from minding_lab.weak import bump_lattice, liouville_weak_residual
 
-    scale = run.config.tol_scale
+    h2 = h_img.grid.h**2
+    gates = {k: min(c * h2, cap) * run.config.tol_scale
+             for k, c in {**CHART_GATES_H2, "rescale": rescale}.items()}
     with run.stage("rescale", ConformalError):
         h_fit, fit = rescale_to_liouville(h_img)
-    run.gate("rescale", abs(fit - 1.0), gates["rescale"] * scale, fit=fit)
+    run.gate("rescale", abs(fit - 1.0), gates["rescale"], fit=fit)
     u = ScalarField(h_fit.grid, np.log(h_fit.values))
     run.artifacts["factor.json"] = (u.grid, {"u": u.values})
 
     with run.stage("liouville_weak", GridError):
         weak = liouville_weak_residual(u, bump_lattice(u.grid))
-    run.gate("liouville_weak", weak.max_abs(), gates["weak"] * scale, test_count=weak.count)
+    run.gate("liouville_weak", weak.max_abs(), gates["weak"], test_count=weak.count)
     with run.stage("bootstrap", EllipticError):
         gap = bootstrap_equivalence(u)
-    run.gate("bootstrap", gap, gates["bootstrap"] * scale)
+    run.gate("bootstrap", gap, gates["bootstrap"])
     dev = _develop_stage(run, u)
-    run.gate("pullback_isometry", pullback_isometry_check(dev, u), gates["pullback"] * scale)
+    run.gate("pullback_isometry", pullback_isometry_check(dev, u), gates["pullback"])
     return dev, u
 
 
@@ -492,21 +496,15 @@ def _chart_catalog_stages(run: _Run, name: str):
     from minding_lab.conformal import catalog_chart
 
     _, chart, _ = catalog_chart(name, run.config.n)
-    h2 = chart.grid.h**2
     _store_chart(run, chart)
-    _isothermic_curvature_stage(run, chart.h, 10.0 * h2 * run.config.tol_scale)
-    return _factor_stages(run, chart.h, {k: c * h2 for k, c in CHART_GATES_H2.items()})
+    _isothermic_curvature_stage(run, chart.h, 10.0 * chart.grid.h**2 * run.config.tol_scale)
+    return _factor_stages(run, chart.h, rescale=CHART_GATES_H2["rescale"], cap=math.inf)
 
 
 # factor-stage gates in units of h^2: catalog charts gate at these on the
-# source grid; flattened sources on the image grid, capped by SYNTHESIZED_GATES
+# source grid; flattened sources on the image grid, capped at FACTOR_GATE_CAP
 CHART_GATES_H2 = {"rescale": 10.0, "weak": 10.0, "bootstrap": 20.0, "pullback": 50.0}
-SYNTHESIZED_GATES = {
-    "rescale": 1e-2,
-    "weak": 1e-2,
-    "bootstrap": 1e-2,
-    "pullback": 1e-2,
-}
+FACTOR_GATE_CAP = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +628,7 @@ def cmd_verify_minding(run: _Run) -> None:
     # the absolute cap rejects K = -0.995 (89 h^2 and more) at every n.  On
     # the soliton sources at n = 65-257 the weak, bootstrap and pullback
     # stages peak at 3.2, 0.10 and 0.70 h^2 under the charts' coefficients
-    h2 = h_img.grid.h**2
-    coefficients = {**CHART_GATES_H2, "rescale": 50.0}
-    _factor_stages(run, h_img, {k: min(c * h2, SYNTHESIZED_GATES[k])
-                                for k, c in coefficients.items()})
+    _factor_stages(run, h_img, rescale=50.0, cap=FACTOR_GATE_CAP)
 
 
 def _execute(command: str, body, config: PipelineConfig) -> int:

@@ -6,7 +6,9 @@ of the linear ODE ``psi'' + T psi = 0`` develops the metric into the
 unit disk with its hyperbolic metric.  This module implements both
 directions: recovering ``u`` from a given disk map, and marching the
 ODE along grid lines to build the map from ``u``, together with the
-pullback identity that certifies the result as an isometry.
+pullback identity that certifies the result as an isometry.  The march
+is ``chebyshev._sweep``, the two-way line sweep that also synthesizes
+the Chebyshev frame, run here with the ODE's rate and coefficient T.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .grid import Grid2D, GridError, ScalarField, _partial_values
-from .chebyshev import _interp_midpoints, _rk4_line
+from .chebyshev import _interp_midpoints, _sweep
 
 __all__ = [
     "DevelopError",
@@ -185,24 +187,6 @@ def _psi_rate(direction: complex, s: np.ndarray, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _march_out(state: np.ndarray, base: int, step: float, direction: complex,
-               T: np.ndarray, T_mid: np.ndarray) -> None:
-    """March lines from node ``base`` to both of their ends, in place.
-
-    ``state`` (n, m, 2, 2) holds m parallel lines, line parameter
-    first, and is known at ``base``; ``T`` and ``T_mid`` give the
-    coefficient at the n nodes and n - 1 midpoints.  The backward half
-    runs on reversed views with the direction negated.
-    """
-    for d, line, nodes, mids in (
-        (direction, state[base:], T[base:], T_mid[base:]),
-        (-direction, state[base::-1], T[base::-1], T_mid[:base][::-1]),
-    ):
-        rate = partial(_psi_rate, d)
-        for k, s in enumerate(_rk4_line(line[0], step, rate, nodes, mids), 1):
-            line[k] = s
-
-
 def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
            x_first: bool) -> tuple[np.ndarray, np.ndarray]:
     """Map and derivative from one march out of node ``(jb, ib)``, base
@@ -217,10 +201,8 @@ def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
     state = np.full(g.shape + (2, 2), np.nan, dtype=complex)
     u0 = float(u.values[jb, ib])
     uz0 = _dz(u.values.astype(float), g)[jb, ib]
-    # x-lines through transposed views, so every march runs along axis 0
-    x_state, Tx, Tx_mid = np.moveaxis(state, 1, 0), T.T, _interp_midpoints(T, axis=1).T
-    Ty_mid = _interp_midpoints(T, axis=0)
-    row, col = slice(jb, jb + 1), slice(ib, ib + 1)
+    lines = [(partial(_psi_rate, 1.0), T, _interp_midpoints(T, axis=1), g.dx),
+             (partial(_psi_rate, 1.0j), T, _interp_midpoints(T, axis=0), g.dy)]
 
     # a large factor overflows the seed and the march; the finiteness
     # check below is the verdict
@@ -230,12 +212,7 @@ def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
         # together they normalize phi(base) = 0, phi'(base) = e^{u(base)}/2 > 0
         state[jb, ib, 0] = [0.0, 1.0]
         state[jb, ib, 1] = [0.5 * np.exp(u0), -uz0]
-        if x_first:
-            _march_out(x_state[:, row], ib, g.dx, 1.0, Tx[:, row], Tx_mid[:, row])
-            _march_out(state, jb, g.dy, 1.0j, T, Ty_mid)
-        else:
-            _march_out(state[:, col], jb, g.dy, 1.0j, T[:, col], Ty_mid[:, col])
-            _march_out(x_state, ib, g.dx, 1.0, Tx, Tx_mid)
+        _sweep((state,), (jb, ib), lines, x_first)
 
     psi1, dpsi1 = state[..., 0, 0], state[..., 1, 0]
     psi2, dpsi2 = state[..., 0, 1], state[..., 1, 1]

@@ -208,13 +208,13 @@ def splu(A, **options):
     return factor(A, **options)
 
 
-def solve_poisson(p: DirichletProblem, residual_tol: float = 1e-10) -> ScalarField:
+def solve_poisson(p: DirichletProblem) -> ScalarField:
     """Solve ``lap w = rhs`` with the given boundary ring.
 
     One sine transform pair solves the eliminated system and a second
     one corrects by the stencil residual of the first.  The returned
     field carries the boundary data verbatim.  The discrete stencil
-    residual of the solution is checked against ``residual_tol`` in max
+    residual of the solution is checked against ``_POISSON_TOL`` in max
     norm; a solve that cannot reach it raises.
     """
     g, bd = p.grid, p.boundary
@@ -223,9 +223,9 @@ def solve_poisson(p: DirichletProblem, residual_tol: float = 1e-10) -> ScalarFie
     w_int = _dst_solve(spectrum, 0.0, _interior_laplacian(g, bd, np.zeros(rhs.size)) - rhs)
     w_int += _dst_solve(spectrum, 0.0, _interior_laplacian(g, bd, w_int) - rhs)
     worst = float(np.max(np.abs(_interior_laplacian(g, bd, w_int) - rhs)))
-    if not worst <= residual_tol:  # a NaN residual fails too
+    if not worst <= _POISSON_TOL:  # a NaN residual fails too
         raise EllipticError(
-            f"discrete residual {worst:.3e} exceeds tolerance {residual_tol:.3e}"
+            f"discrete residual {worst:.3e} exceeds tolerance {_POISSON_TOL:.3e}"
         )
     w = np.array(bd, dtype=float)
     w[1:-1, 1:-1] = w_int.reshape(g.ny - 2, g.nx - 2)
@@ -251,6 +251,8 @@ def _liouville_residual(grid: Grid2D, bd: np.ndarray, u_int: np.ndarray) -> np.n
         return _interior_laplacian(grid, bd, u_int) - np.exp(2.0 * u_int)
 
 
+# a Poisson solve raises unless its max-norm stencil residual is under this
+_POISSON_TOL = 1e-10
 # Newton stops once the max-norm Liouville residual is under this
 _NEWTON_TOL = 1e-8
 # step halvings a Newton step may take before the damping gives up

@@ -8,6 +8,7 @@ from minding_lab import forms
 from minding_lab.chebyshev import (
     AngleField,
     SingularAngleError,
+    _sweep,
     adapted_initial_frame,
     chebyshev_connection,
     connection_from_samples,
@@ -226,6 +227,59 @@ class TestIntegrateFrame:
             assert drift <= g.h**4 * (n - 1)
             drifts.append(drift)
         assert drifts[0] / drifts[1] >= 8.0
+
+
+class TestSweepKernel:
+    """``_sweep`` on an exactly solvable compatible system with no x<->y
+    symmetry: Y = e^phi v solves Y_x = phi_x Y and Y_y = phi_y Y, the
+    state split over arrays of widths 1 and 2, on a grid with nx != ny
+    and dx != dy, from bases on every side and inside, in both orders."""
+
+    V = np.array([1.0, -2.0, 0.5])
+
+    @staticmethod
+    def phi(x, y):
+        return np.sin(1.3 * x) * np.cos(0.7 * y) + 0.4 * x * y
+
+    @staticmethod
+    def phi_x(x, y):
+        return 1.3 * np.cos(1.3 * x) * np.cos(0.7 * y) + 0.4 * y
+
+    @staticmethod
+    def phi_y(x, y):
+        return -0.7 * np.sin(1.3 * x) * np.sin(0.7 * y) + 0.4 * x
+
+    def relative_error(self, n, where, x_first):
+        g = Grid2D.from_bounds(0.0, 1.2, -0.3, 0.45, n, 3 * (n - 1) // 4 + 1)
+        base = {"corner": (0, 0), "top": (g.ny - 1, g.nx // 2),
+                "right": (g.ny // 2, g.nx - 1), "inside": (g.ny // 2, g.nx // 3)}[where]
+        X, Y = g.mesh()
+        exact = np.exp(self.phi(X, Y))[..., None] * self.V
+        xm, ym = X[:, :-1] + 0.5 * g.dx, Y[:-1] + 0.5 * g.dy
+
+        def rate(state, C):
+            return C[..., None] * state
+
+        lines = [(rate, self.phi_x(X, Y), self.phi_x(xm, Y[:, :-1]), g.dx),
+                 (rate, self.phi_y(X, Y), self.phi_y(X[:-1], ym), g.dy)]
+        narrow, wide = np.full(g.shape + (1,), np.nan), np.full(g.shape + (2,), np.nan)
+        narrow[base], wide[base] = exact[base][:1], exact[base][1:]
+        _sweep((narrow, wide), base, lines, x_first)
+        marched = np.concatenate((narrow, wide), axis=-1)
+        assert np.array_equal(marched[base], exact[base])
+        assert np.isfinite(marched).all()
+        err = np.linalg.norm(marched - exact, axis=-1) / np.linalg.norm(exact, axis=-1)
+        return float(err.max()), g.h
+
+    # measured 0.0058-0.0200 h^4 at n = 33, 65 and 129, orders 3.98-4.06;
+    # backward midpoints shifted one node read 2.6e3 h^4 and more, or
+    # leave the far end of a backward half unfilled
+    @pytest.mark.parametrize("x_first", [True, False], ids=["x_first", "y_first"])
+    @pytest.mark.parametrize("where", ["corner", "top", "right", "inside"])
+    def test_fourth_order_from_every_base(self, where, x_first):
+        (coarse, h), (fine, h_fine) = (self.relative_error(n, where, x_first) for n in (33, 65))
+        assert coarse <= 0.05 * h**4 and fine <= 0.05 * h_fine**4
+        assert np.log2(coarse / fine) >= 3.9
 
 
 def boosted_soliton_angle(grid, a=1.5):
