@@ -10,6 +10,12 @@ Exit codes: 0 all gates passed, 2 unusable configuration or missing
 input, 3 a residual exceeded its gate, 4 a solver gave up.  Any other
 exception is a programming error and propagates with its traceback.
 
+Each source enters the chain at its own link, its kind (angle, surface,
+metric, chart or factor): ``CATALOG_KINDS`` and ``SOURCE_FILES`` say
+which.  Each command names the kinds it takes in ``_COMMANDS`` and is
+refused any other before its run starts; its body loads the source
+with ``_load_source`` and walks from that link to the one it needs.
+
 Every command body records its stages on one ``_Run``.  ``gate``
 records a measured residual against its gate and ends the chain when
 it fails, ``check`` records one without ending it, ``exceeded`` records
@@ -44,10 +50,22 @@ EXIT_USAGE = 2
 EXIT_TOLERANCE = 3
 EXIT_SOLVER = 4
 
-SURFACE_SOURCES = ("one_soliton",)
-CHART_SOURCES = ("half_plane_pseudosphere", "poincare_disk_patch")
-CONTROL_SOURCES = ("flat_plane", "sphere_patch")
-CATALOG = SURFACE_SOURCES + CHART_SOURCES + CONTROL_SOURCES
+# catalog name -> kind, the link of the chain the source enters at
+CATALOG_KINDS = {
+    "one_soliton": "angle",
+    "half_plane_pseudosphere": "chart",
+    "poincare_disk_patch": "chart",
+    "flat_plane": "metric",
+    "sphere_patch": "metric",
+}
+CATALOG = tuple(CATALOG_KINDS)
+# file flag -> (kind, channels the file must hold)
+SOURCE_FILES = {
+    "theta_file": ("angle", ("theta",)),
+    "surface_file": ("surface", ("fx", "fy", "fz", "Nx", "Ny", "Nz", "theta")),
+    "metric_file": ("metric", ("E", "F", "G")),
+    "factor_file": ("factor", ("u",)),
+}
 
 # cap on the sine-Gordon gate: beyond it an angle field is incompatible
 # at any grid size
@@ -75,18 +93,7 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        sources = [
-            s
-            for s in (
-                self.catalog,
-                self.theta_file,
-                self.surface_file,
-                self.metric_file,
-                self.factor_file,
-            )
-            if s is not None
-        ]
-        if len(sources) != 1:
+        if sum(getattr(self, name) is not None for name in ("catalog", *SOURCE_FILES)) != 1:
             raise ConfigError("exactly one surface source is required")
         if self.catalog is not None and self.catalog not in CATALOG:
             raise ConfigError(
@@ -96,7 +103,7 @@ class PipelineConfig:
             raise ConfigError("grid needs at least 9 nodes per side")
         if not 0.0 < self.tol_scale < math.inf:
             raise ConfigError("tolerance scale must be positive and finite")
-        for name in ("theta_file", "surface_file", "metric_file", "factor_file"):
+        for name in SOURCE_FILES:
             path = getattr(self, name)
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"{name.replace('_', ' ')} not found: {path}")
@@ -221,76 +228,75 @@ def _emit(run: _Run) -> int:
 # source construction
 
 
-def _source_grid(config: PipelineConfig):
-    from minding_lab.grid import Grid2D
+def _source_kind(config: PipelineConfig) -> str:
+    if config.catalog is not None:
+        return CATALOG_KINDS[config.catalog]
+    return next(kind for name, (kind, _) in SOURCE_FILES.items()
+                if getattr(config, name) is not None)
 
-    n = config.n
-    return Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, n, n)
 
+def _load_source(config: PipelineConfig):
+    """The source at its own link: an ``AngleField``, ``ChebyshevSurface``,
+    ``MetricField``, log-factor ``ScalarField``, or a chart's catalog
+    ``(metric, chart, extras)``.  Each imports only what its kind needs,
+    before ``fieldio``, so no module loads onto a heap a file has grown."""
+    if config.catalog == "one_soliton":
+        from minding_lab.chebyshev import one_soliton_angle
+        from minding_lab.grid import Grid2D
 
-def _read_channels(path: str, names: tuple) -> tuple:
-    """The grid of a field file and its channels ``names``, each required."""
+        return one_soliton_angle(Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, config.n, config.n))
+    if config.catalog is not None:
+        from minding_lab.conformal import catalog_chart
+
+        source = catalog_chart(config.catalog, config.n)
+        return source if CATALOG_KINDS[config.catalog] == "chart" else source[0]
+    name = next(name for name in SOURCE_FILES if getattr(config, name) is not None)
+    kind, names = SOURCE_FILES[name]
+    if kind == "metric":
+        from minding_lab.forms import MetricField
+    elif kind != "factor":
+        from minding_lab.chebyshev import AngleField, ChebyshevSurface
+    import numpy as np
+
     from minding_lab.fieldio import read_field
+    from minding_lab.grid import ScalarField, VectorField3
 
+    path = getattr(config, name)
     grid, channels = read_field(path)
     for c in names:
         if c not in channels:
             raise ConfigError(f"{path}: no {c!r} channel")
-    return grid, channels
-
-
-def _load_angle(config: PipelineConfig):
-    from minding_lab.chebyshev import AngleField, one_soliton_angle
-    from minding_lab.grid import ScalarField
-
-    if config.catalog == "one_soliton":
-        return one_soliton_angle(_source_grid(config))
-    grid, channels = _read_channels(config.theta_file, ("theta",))
-    return AngleField(ScalarField(grid, channels["theta"]))
-
-
-def _load_surface(config: PipelineConfig):
-    """Rebuild an embedded surface from a field file."""
-    from minding_lab.chebyshev import AngleField, ChebyshevSurface
-    from minding_lab.grid import ScalarField, VectorField3
-    import numpy as np
-
-    grid, channels = _read_channels(config.surface_file,
-                                    ("fx", "fy", "fz", "Nx", "Ny", "Nz", "theta"))
+    if kind == "factor":
+        return ScalarField(grid, channels["u"])
+    if kind == "metric":
+        return MetricField(grid, channels["E"], channels["F"], channels["G"])
+    theta = AngleField(ScalarField(grid, channels["theta"]))
+    if kind == "angle":
+        return theta
     f = VectorField3(grid, np.stack([channels["fx"], channels["fy"], channels["fz"]], axis=-1))
     N = VectorField3(grid, np.stack([channels["Nx"], channels["Ny"], channels["Nz"]], axis=-1))
-    theta = AngleField(ScalarField(grid, channels["theta"]))
     return ChebyshevSurface(f, N, theta)
 
 
-def _control_metric(config: PipelineConfig):
-    from minding_lab.forms import MetricField
-    from minding_lab.grid import Grid2D
-    import numpy as np
-
-    n = config.n
-    if config.catalog == "flat_plane":
-        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, n, n)
-        shear = np.full(g.shape, np.cos(np.pi / 3.0))
-        return MetricField(g, np.ones(g.shape), shear, np.ones(g.shape))
-    g = Grid2D.from_bounds(-0.35, 0.35, -0.35, 0.35, n, n)
-    X, Y = g.mesh()
-    h = 2.0 / (1.0 + X**2 + Y**2)
-    return MetricField(g, h**2, np.zeros(g.shape), h**2)
+def _surface(run: _Run):
+    """The embedded surface: an angle source synthesized, a file as read."""
+    source = _load_source(run.config)
+    return _synthesis_stages(run, source) if _source_kind(run.config) == "angle" else source
 
 
-def _load_metric(config: PipelineConfig):
-    from minding_lab.forms import MetricField
+def _metric(run: _Run):
+    """A metric or chart source's metric, or the embedded surface's."""
+    kind = _source_kind(run.config)
+    if kind in ("angle", "surface"):
+        return _embedded_metric_stages(run, _surface(run))
+    source = _load_source(run.config)
+    return source[0] if kind == "chart" else source
 
-    grid, channels = _read_channels(config.metric_file, ("E", "F", "G"))
-    return MetricField(grid, channels["E"], channels["F"], channels["G"])
 
-
-def _load_factor(config: PipelineConfig):
-    from minding_lab.grid import ScalarField
-
-    grid, channels = _read_channels(config.factor_file, ("u",))
-    return ScalarField(grid, channels["u"])
+def _factor(config: PipelineConfig):
+    """The log-factor: a factor file as read, or a chart's exact ``u``."""
+    source = _load_source(config)
+    return source[2]["u"] if _source_kind(config) == "chart" else source
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +496,9 @@ def _calibration_block(dev, u) -> dict:
             for label, exponent in (("exponent_half", 0.5), ("exponent_quarter", 0.25))}
 
 
-def _chart_catalog_stages(run: _Run, name: str):
+def _chart_catalog_stages(run: _Run, chart):
     """Catalog chart path: the chart is the identity, so every check
     runs on the source grid with the h-scaled gates."""
-    from minding_lab.conformal import catalog_chart
-
-    _, chart, _ = catalog_chart(name, run.config.n)
     _store_chart(run, chart)
     _isothermic_curvature_stage(run, chart.h, 10.0 * chart.grid.h**2 * run.config.tol_scale)
     return _factor_stages(run, chart.h, rescale=CHART_GATES_H2["rescale"], cap=math.inf)
@@ -512,45 +515,16 @@ FACTOR_GATE_CAP = 1e-2
 
 
 def cmd_synthesize(run: _Run) -> None:
-    config = run.config
-    if config.catalog not in SURFACE_SOURCES and config.theta_file is None:
-        raise ConfigError("synthesize needs a one_soliton catalog or a theta file")
-    _store_surface(run, _synthesis_stages(run, _load_angle(config)))
+    _store_surface(run, _synthesis_stages(run, _load_source(run.config)))
 
 
 def cmd_metric(run: _Run) -> None:
-    config = run.config
-    if config.surface_file is not None:
-        surface = _load_surface(config)
-    elif config.catalog in SURFACE_SOURCES or config.theta_file is not None:
-        surface = _synthesis_stages(run, _load_angle(config))
-    else:
-        raise ConfigError("metric needs a surface file, a theta file or the one_soliton catalog")
-    metric = _embedded_metric_stages(run, surface)
+    metric = _embedded_metric_stages(run, _surface(run))
     run.note("metric_det", min_det=float(metric.det().min()))
 
 
 def cmd_flatten(run: _Run) -> None:
-    _flatten_stages(run, _resolve_metric(run), curvature_gate=None)
-
-
-def _resolve_metric(run: _Run):
-    config = run.config
-    if config.metric_file is not None:
-        return _load_metric(config)
-    if config.catalog in CONTROL_SOURCES:
-        return _control_metric(config)
-    if config.catalog in CHART_SOURCES:
-        from minding_lab.conformal import catalog_chart
-
-        metric, _, _ = catalog_chart(config.catalog, config.n)
-        return metric
-    if config.catalog in SURFACE_SOURCES or config.theta_file is not None:
-        surface = _synthesis_stages(run, _load_angle(config))
-        return _embedded_metric_stages(run, surface)
-    if config.surface_file is not None:
-        return _embedded_metric_stages(run, _load_surface(config))
-    raise ConfigError("no metric source in configuration")
+    _flatten_stages(run, _metric(run), curvature_gate=None)
 
 
 def cmd_liouville_check(run: _Run) -> None:
@@ -558,7 +532,7 @@ def cmd_liouville_check(run: _Run) -> None:
 
     from minding_lab.weak import bump_lattice, liouville_weak_residual
 
-    u = _resolve_factor(run.config)
+    u = _factor(run.config)
     gate = 10.0 * u.grid.h**2 * run.config.tol_scale
     with np.errstate(over="ignore"):
         if np.isinf(np.exp(2.0 * u.values)).any():
@@ -569,23 +543,12 @@ def cmd_liouville_check(run: _Run) -> None:
     run.check("curvature_defect", _curvature_defect(u), gate)
 
 
-def _resolve_factor(config: PipelineConfig):
-    if config.factor_file is not None:
-        return _load_factor(config)
-    if config.catalog in CHART_SOURCES:
-        from minding_lab.conformal import catalog_chart
-
-        _, _, extras = catalog_chart(config.catalog, config.n)
-        return extras["u"]
-    raise ConfigError("this command needs a factor file or a catalog chart source")
-
-
 def cmd_solve(run: _Run) -> None:
     import numpy as np
 
     from minding_lab.elliptic import EllipticError, solve_liouville_newton
 
-    u_ref = _resolve_factor(run.config)
+    u_ref = _factor(run.config)
     h2 = u_ref.grid.h**2
     with run.stage("newton", EllipticError):
         solution = solve_liouville_newton(u_ref.grid, u_ref)
@@ -599,7 +562,7 @@ def cmd_solve(run: _Run) -> None:
 def cmd_develop(run: _Run) -> None:
     from minding_lab.developing import pullback_isometry_check
 
-    u = _resolve_factor(run.config)
+    u = _factor(run.config)
     dev = _develop_stage(run, u)
     run.check("pullback_isometry", pullback_isometry_check(dev, u),
               50.0 * u.grid.h**2 * run.config.tol_scale)
@@ -607,23 +570,19 @@ def cmd_develop(run: _Run) -> None:
 
 
 def cmd_verify_minding(run: _Run) -> None:
-    config = run.config
-    if config.catalog in CHART_SOURCES:
-        run.extra["calibration"] = _calibration_block(*_chart_catalog_stages(run, config.catalog))
+    kind = _source_kind(run.config)
+    if kind == "chart":
+        # keep the chart alone: holding the catalog metric and u raises peak memory
+        dev_u = _chart_catalog_stages(run, _load_source(run.config)[1])
+        run.extra["calibration"] = _calibration_block(*dev_u)
         return
-    if config.catalog in CONTROL_SOURCES or config.metric_file is not None:
-        h_img = _flatten_stages(run, _resolve_metric(run), curvature_gate=1e-2)
+    if kind == "metric":
+        h_img = _flatten_stages(run, _load_source(run.config), curvature_gate=1e-2)
     else:
-        # embedded path: angle or surface file
-        if config.catalog in SURFACE_SOURCES or config.theta_file is not None:
-            surface = _synthesis_stages(run, _load_angle(config))
+        surface = _surface(run)
+        if kind == "angle":
             _store_surface(run, surface)
-        elif config.surface_file is not None:
-            surface = _load_surface(config)
-        else:
-            raise ConfigError("verify-minding needs a catalog, theta, surface, or metric source")
-        metric = _embedded_metric_stages(run, surface)
-        h_img = _flatten_stages(run, metric, curvature_gate=None)
+        h_img = _flatten_stages(run, _embedded_metric_stages(run, surface), curvature_gate=None)
     # the fit is second order, 15-24 h^2 on K = -1 sources: 50 h^2 under
     # the absolute cap rejects K = -0.995 (89 h^2 and more) at every n.  On
     # the soliton sources at n = 65-257 the weak, bootstrap and pullback
@@ -631,9 +590,11 @@ def cmd_verify_minding(run: _Run) -> None:
     _factor_stages(run, h_img, rescale=50.0, cap=FACTOR_GATE_CAP)
 
 
-def _execute(command: str, body, config: PipelineConfig) -> int:
-    """Run one command body to its end or to its first stop, then emit
-    the report; the exit code follows from the recorded stages."""
+def _execute(command: str, body, kinds: tuple, needs: str, config: PipelineConfig) -> int:
+    """Refuse a source kind the command does not take before ``--out``
+    exists, else run the body to its end or first stop and emit the report."""
+    if _source_kind(config) not in kinds:
+        raise ConfigError(needs)
     run = _Run(command, config)
     try:
         body(run)
@@ -718,16 +679,22 @@ def cmd_export_plots(out_dir: str | None, force: bool) -> int:
 # argument handling
 
 
+# command -> body, the source kinds it takes, and its refusal of any other
+_FACTOR_NEEDS = "this command needs a factor file or a catalog chart source"
 _COMMANDS = {
-    name: partial(_execute, name, body)
-    for name, body in (
-        ("synthesize", cmd_synthesize),
-        ("metric", cmd_metric),
-        ("flatten", cmd_flatten),
-        ("liouville-check", cmd_liouville_check),
-        ("solve", cmd_solve),
-        ("develop", cmd_develop),
-        ("verify-minding", cmd_verify_minding),
+    name: partial(_execute, name, body, kinds, needs)
+    for name, body, kinds, needs in (
+        ("synthesize", cmd_synthesize, ("angle",),
+         "synthesize needs a one_soliton catalog or a theta file"),
+        ("metric", cmd_metric, ("angle", "surface"),
+         "metric needs a surface file, a theta file or the one_soliton catalog"),
+        ("flatten", cmd_flatten, ("angle", "surface", "metric", "chart"),
+         "no metric source in configuration"),
+        ("liouville-check", cmd_liouville_check, ("factor", "chart"), _FACTOR_NEEDS),
+        ("solve", cmd_solve, ("factor", "chart"), _FACTOR_NEEDS),
+        ("develop", cmd_develop, ("factor", "chart"), _FACTOR_NEEDS),
+        ("verify-minding", cmd_verify_minding, ("angle", "surface", "metric", "chart"),
+         "verify-minding needs a catalog, theta, surface, or metric source"),
     )
 }
 
@@ -758,8 +725,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # the JSON types each --config key takes; null leaves the key unset
 _CONFIG_TYPES = {
-    **dict.fromkeys(("catalog", "theta_file", "surface_file", "metric_file",
-                     "factor_file", "out"), ((str,), "a string")),
+    **dict.fromkeys(("catalog", *SOURCE_FILES, "out"), ((str,), "a string")),
     "n": ((int,), "an integer"),
     "tol_scale": ((int, float), "a number"),
 }
@@ -803,23 +769,13 @@ def _config_defaults(args: argparse.Namespace) -> dict:
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     defaults = _config_defaults(args)
 
-    def pick(key, fallback=None):
-        flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        return defaults.get(key, fallback)
-
+    # a flag wins over its --config default; unset values keep the dataclass's
+    picked = {key: getattr(args, key) if getattr(args, key) is not None else defaults.get(key)
+              for key in _CONFIG_TYPES}
+    picked["out_dir"] = picked.pop("out")
     try:
-        return PipelineConfig(
-            catalog=pick("catalog"),
-            theta_file=pick("theta_file"),
-            surface_file=pick("surface_file"),
-            metric_file=pick("metric_file"),
-            factor_file=pick("factor_file"),
-            n=pick("n", 129),
-            tol_scale=pick("tol_scale", 1.0),
-            out_dir=pick("out"),
-        )
+        return PipelineConfig(**{key: value for key, value in picked.items()
+                                 if value is not None})
     except ConfigError as exc:
         if args.config is None:
             raise

@@ -110,48 +110,45 @@ def _diagnostics(Ep, Fp, Gp) -> tuple[float, float]:
     return anis, skew
 
 
-def catalog_chart(name: str, n: int = 65, alpha: float | None = None):
+def catalog_chart(name: str, n: int = 65):
     """Closed-form isothermic chart for a named test metric.
 
     Returns ``(metric, chart, extras)`` on an ``n x n`` grid; ``extras``
-    carries the exact log-factor ``u = ln h`` and, where meaningful, the
-    angle ``alpha``.  Charts: the hyperbolic half-plane strip with
-    ``h = 1/y``, the hyperbolic disk factor ``h = 2/(1 - x^2 - y^2)`` on
-    the square inscribed in radius 0.7, and the flat constant-angle net
-    straightened by a linear shear.
+    carries the exact log-factor ``u = ln h``.  Charts: the hyperbolic
+    half-plane strip with ``h = 1/y``, the hyperbolic disk factor
+    ``h = 2/(1 - x^2 - y^2)`` on the square inscribed in radius 0.7, the
+    round sphere's stereographic factor ``h = 2/(1 + x^2 + y^2)`` on
+    [-0.35, 0.35]^2, and the flat net of constant angle pi/3 straightened
+    by a linear shear.
     """
+    if name == "flat_plane":
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, n, n)
+        X, Y = g.mesh()
+        c, ones = float(np.cos(np.pi / 3.0)), np.ones(g.shape)
+        metric = MetricField(g, ones, c * ones, ones)
+        chart = Chart(ScalarField(g, X + c * Y), ScalarField(g, float(np.sin(np.pi / 3.0)) * Y),
+                      ScalarField(g, ones))
+        return metric, chart, {"u": ScalarField(g, np.zeros(g.shape))}
     if name == "half_plane_pseudosphere":
         g = Grid2D.from_bounds(0.0, 1.0, 1.0, 2.0, n, n)
         X, Y = g.mesh()
-        h = ScalarField(g, 1.0 / Y)
-        metric = MetricField.conformal(h)
-        chart = Chart(ScalarField(g, X), ScalarField(g, Y), h)
-        return metric, chart, {"u": ScalarField(g, -np.log(Y))}
-    if name == "poincare_disk_patch":
+        h = 1.0 / Y
+    elif name == "poincare_disk_patch":
         half = 0.7 / np.sqrt(2.0)
         g = Grid2D.from_bounds(-half, half, -half, half, n, n)
         X, Y = g.mesh()
-        h = ScalarField(g, 2.0 / (1.0 - X**2 - Y**2))
-        metric = MetricField.conformal(h)
-        chart = Chart(ScalarField(g, X), ScalarField(g, Y), h)
-        return metric, chart, {"u": ScalarField(g, np.log(h.values))}
-    if name == "flat_constant_angle":
-        if alpha is None:
-            raise ValueError("flat_constant_angle needs the angle alpha")
-        if not 0.0 < alpha < np.pi:
-            raise ValueError(f"angle must lie in (0, pi), got {alpha}")
-        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, n, n)
+        h = 2.0 / (1.0 - X**2 - Y**2)
+    elif name == "sphere_patch":
+        g = Grid2D.from_bounds(-0.35, 0.35, -0.35, 0.35, n, n)
         X, Y = g.mesh()
-        c = float(np.cos(alpha))
-        ones = np.ones(g.shape)
-        metric = MetricField(g, ones, c * ones, ones)
-        chart = Chart(
-            ScalarField(g, X + c * Y),
-            ScalarField(g, float(np.sin(alpha)) * Y),
-            ScalarField(g, ones),
-        )
-        return metric, chart, {"u": ScalarField(g, np.zeros(g.shape)), "alpha": alpha}
-    raise ValueError(f"unknown catalog chart {name!r}")
+        h = 2.0 / (1.0 + X**2 + Y**2)
+    else:
+        raise ValueError(f"unknown catalog chart {name!r}")
+    h = ScalarField(g, h)
+    metric = MetricField.conformal(h)
+    chart = Chart(ScalarField(g, X), ScalarField(g, Y), h)
+    u = -np.log(Y) if name == "half_plane_pseudosphere" else np.log(h.values)
+    return metric, chart, {"u": ScalarField(g, u)}
 
 
 def _triangle_rows(metric: MetricField):
@@ -420,8 +417,11 @@ def _spline(grid: Grid2D, values: np.ndarray):
     return evaluate
 
 
-def chart_preimage(chart: Chart, image_grid: Grid2D,
-                   tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
+# sup-norm of the image residual at which the preimage Newton solve stops
+_PREIMAGE_TOL = 1e-11
+
+
+def chart_preimage(chart: Chart, image_grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     """Source coordinates of every node of ``image_grid`` under the chart.
 
     Interpolates ``(X, Y)`` by ``_spline`` and inverts it by a vectorized
@@ -446,7 +446,7 @@ def chart_preimage(chart: Chart, image_grid: Grid2D,
             rx = fx - xt
             ry = fy - yt
             worst = max(np.max(np.abs(rx)), np.max(np.abs(ry)))
-            if worst <= tol:
+            if worst <= _PREIMAGE_TOL:
                 return x, y
             det = jxx * jyy - jxy * jyx
             if np.min(np.abs(det)) == 0.0:

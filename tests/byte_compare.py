@@ -6,8 +6,12 @@ Runs the same commands against this tree and against PARENT_ROOT (a
 checkout of another commit, such as the parent of a change that should
 leave every output alone):
 
-- ``verify-minding`` on the five catalog sources at n = 65 and 129;
-- ``develop`` and ``solve`` on both catalog charts at the same sizes;
+- all seven pipeline commands on all nine sources at n = 65: the five
+  catalog sources, and a theta, surface, metric and factor file taken
+  from that tree's own ``verify-minding --catalog one_soliton --n 65``
+  run, which goes first;
+- ``verify-minding`` on the five catalog sources at n = 129, and
+  ``develop`` and ``solve`` on both catalog charts there;
 - ``perfbench/audit.py --seed 7``.
 
 Each tree runs with ``PYTHONPATH`` set to its own ``src/``, in its own
@@ -26,24 +30,32 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
-SIZES = (65, 129)
 SOURCES = ("one_soliton", "poincare_disk_patch", "half_plane_pseudosphere",
            "sphere_patch", "flat_plane")
 CHARTS = ("poincare_disk_patch", "half_plane_pseudosphere")
+COMMANDS = ("verify-minding", "synthesize", "metric", "flatten", "liouville-check",
+            "solve", "develop")
+# file flag -> the artifact of the first run that serves as that source
+FILES = {"theta-file": "surface.json", "surface-file": "surface.json",
+         "metric-file": "metric.json", "factor-file": "factor.json"}
 
 
 def commands():
     """(label, argv after the interpreter, --out directory or None);
     ``{root}`` in argv stands for the tree under test."""
+    sources = [("catalog", source, source) for source in SOURCES]
+    sources += [(flag, f"out/verify-minding-one_soliton-65/{name}", flag)
+                for flag, name in FILES.items()]
+    cli = [(command, source, 65) for source in sources for command in COMMANDS]
+    cli += [("verify-minding", ("catalog", source, source), 129) for source in SOURCES]
+    cli += [(command, ("catalog", chart, chart), 129)
+            for command in ("develop", "solve") for chart in CHARTS]
     runs = []
-    for n in SIZES:
-        cli = [("verify-minding", source) for source in SOURCES]
-        cli += [(command, chart) for command in ("develop", "solve") for chart in CHARTS]
-        for command, source in cli:
-            out = f"out/{command}-{source}-{n}"
-            runs.append((f"{command} {source} n={n}",
-                         ["-m", "minding_lab.cli", command, "--catalog", source,
-                          "--n", str(n), "--out", out], out))
+    for command, (flag, source, label), n in cli:
+        out = f"out/{command}-{label}-{n}"
+        runs.append((f"{command} {label} n={n}",
+                     ["-m", "minding_lab.cli", command, f"--{flag}", source,
+                      "--n", str(n), "--out", out], out))
     runs.append(("audit --seed 7", ["{root}/perfbench/audit.py", "--seed", "7"], None))
     return runs
 

@@ -216,7 +216,7 @@ def test_end_to_end_pipeline_verdicts(capsys):
 
 
 def test_isothermic_flattening_accuracy():
-    metric, exact, _ = catalog_chart("flat_constant_angle", 129, alpha=np.pi / 3)
+    metric, exact, _ = catalog_chart("flat_plane", 129)
     chart = flatten_conformal(metric)
     assert chart.anisotropy <= 1e-6
     assert chart.skew <= 1e-6

@@ -11,10 +11,12 @@ import pytest
 
 import minding_lab
 from minding_lab.cli import (
+    CATALOG,
     EXIT_PASS,
     EXIT_SOLVER,
     EXIT_TOLERANCE,
     EXIT_USAGE,
+    SOURCE_FILES,
     ConfigError,
     PipelineConfig,
     main,
@@ -574,6 +576,58 @@ class TestUsage:
         path.write_bytes(path.read_bytes().replace(b'"u"', b'"\xff"'))
         assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
         assert f"error: {path}" in capsys.readouterr().err
+
+
+# command -> its refusal of every source but those it takes; 33 cells refused
+ALL_SOURCES = (*CATALOG, *SOURCE_FILES)
+NOT_FACTOR = tuple(s for s in ALL_SOURCES if s != "factor_file")
+FACTOR_NEEDS = ("this command needs a factor file or a catalog chart source",
+                ("factor_file", "half_plane_pseudosphere", "poincare_disk_patch"))
+TAKES = {
+    "synthesize": ("synthesize needs a one_soliton catalog or a theta file",
+                   ("one_soliton", "theta_file")),
+    "metric": ("metric needs a surface file, a theta file or the one_soliton catalog",
+               ("one_soliton", "theta_file", "surface_file")),
+    "flatten": ("no metric source in configuration", NOT_FACTOR),
+    "liouville-check": FACTOR_NEEDS,
+    "solve": FACTOR_NEEDS,
+    "develop": FACTOR_NEEDS,
+    "verify-minding": ("verify-minding needs a catalog, theta, surface, or metric source",
+                       NOT_FACTOR),
+}
+REFUSED = [(command, source) for command, (_, takes) in TAKES.items()
+           for source in ALL_SOURCES if source not in takes]
+
+
+@pytest.fixture(scope="module")
+def file_sources(tmp_path_factory):
+    """One field file per file flag, holding every channel that flag needs."""
+    root = tmp_path_factory.mktemp("sources")
+    g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 9, 9)
+    paths = {}
+    for flag, (_, names) in SOURCE_FILES.items():
+        paths[flag] = root / f"{flag}.json"
+        write_field(paths[flag], g, {c: np.full(g.shape, 1.0) for c in names})
+    return paths
+
+
+class TestRefusedSources:
+    @pytest.mark.parametrize("command, source", REFUSED)
+    def test_refused_with_the_commands_message(self, capsys, file_sources, command, source):
+        args = (["--catalog", source] if source in CATALOG
+                else [f"--{source.replace('_', '-')}", str(file_sources[source])])
+        code = main([command, *args, "--n", "17"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == f"error: {TAKES[command][0]}\n"
+        assert captured.out == ""
+
+    def test_refused_command_leaves_no_out_directory(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        code = main(["synthesize", "--catalog", "flat_plane", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "synthesize needs" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFailureClassification:

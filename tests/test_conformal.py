@@ -174,12 +174,6 @@ class TestCatalog:
         with pytest.raises(ValueError, match="unknown catalog chart"):
             catalog_chart("klein_bottle")
 
-    def test_flat_needs_angle(self):
-        with pytest.raises(ValueError):
-            catalog_chart("flat_constant_angle")
-        with pytest.raises(ValueError):
-            catalog_chart("flat_constant_angle", alpha=np.pi)
-
     def test_disk_factor_at_origin(self):
         _, chart, _ = catalog_chart("poincare_disk_patch", 33)
         assert chart.h.values[16, 16] == 2.0
@@ -191,8 +185,14 @@ class TestCatalog:
         assert np.nanmax(np.abs(K.values[1:-1, 1:-1] + 1.0)) <= 10 * g.h**2
         assert np.allclose(extras["u"].values, np.log(chart.h.values), atol=1e-14)
 
+    def test_sphere_curvature_is_plus_one(self):
+        _, chart, extras = catalog_chart("sphere_patch", 65)
+        K = gauss_curvature_isothermic(chart.h)
+        assert np.nanmax(np.abs(K.values[1:-1, 1:-1] - 1.0)) <= 10 * chart.grid.h**2
+        assert np.allclose(extras["u"].values, np.log(chart.h.values), atol=1e-14)
+
     def test_flat_chart_is_the_shear(self):
-        metric, chart, extras = catalog_chart("flat_constant_angle", 33, alpha=np.pi / 3)
+        metric, chart, extras = catalog_chart("flat_plane", 33)
         g = chart.grid
         X, Y = g.mesh()
         assert np.allclose(chart.X.values, X + 0.5 * Y, atol=1e-15)
@@ -227,7 +227,7 @@ class TestChartValidation:
 
 class TestFlatten:
     def test_flat_angle_recovers_exact_chart(self):
-        metric, exact, _ = catalog_chart("flat_constant_angle", 65, alpha=np.pi / 3)
+        metric, exact, _ = catalog_chart("flat_plane", 65)
         chart = flatten_conformal(metric)
         assert chart.anisotropy <= 1e-6
         assert chart.skew <= 1e-6
@@ -240,7 +240,7 @@ class TestFlatten:
     def test_flat_angle_chart_accuracy_at_129(self):
         # the symmetric factorization recovers the exact chart at the
         # accuracy of the conditioning; partial pivoting lost about 4x
-        metric, exact, _ = catalog_chart("flat_constant_angle", 129, alpha=np.pi / 3)
+        metric, exact, _ = catalog_chart("flat_plane", 129)
         chart = flatten_conformal(metric)
         assert np.max(np.abs(chart.X.values - exact.X.values)) <= 2.5e-8
         assert np.max(np.abs(chart.Y.values - exact.Y.values)) <= 2.5e-8
