@@ -9,31 +9,22 @@ similarity with respect to the metric's orthonormal frames; the catalog
 supplies exact charts for the constant-curvature test metrics so the
 flattener has something to be measured against.
 
-Chart inversion and resampling interpolate by a numpy tensor-product
-spline (``_spline``), so the flatten's ``splu`` is the only scipy this
-module uses.  scipy is imported inside the function that needs it:
-loading it costs more start-up than a catalog-chart command spends on
-its whole conformal stage, and ``catalog_chart`` needs numpy only.
-``scipy.sparse`` and ``scipy.sparse.linalg`` load first thing in
-``_triangle_rows``, before any array of the flatten exists: imported
-later, by the ``elliptic.splu`` that ``spsolve`` calls, they land on a
-heap the flatten has already grown and raise the process's peak
-resident memory.
+Everything runs on numpy alone.  The flatten keeps its normal
+equations on the grid's 7-point stencil and solves them with
+``elliptic.splu``'s nested-dissection Cholesky plus one correction from
+the triangle rows; chart inversion and resampling interpolate by a
+tensor-product spline (``_spline``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import elliptic
 from .grid import Grid2D, GridError, ScalarField, fd_laplacian, fd_partial
 from .forms import MetricField
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "ConformalError",
@@ -151,7 +142,14 @@ def catalog_chart(name: str, n: int = 65):
     return metric, chart, {"u": ScalarField(g, u)}
 
 
-def _triangle_rows(metric: MetricField):
+def _vertices(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Node values at the vertices ``w0, w1, w2`` of each triangle of
+    ``_triangle_rows``, each ``(2, ny - 1, nx - 1)`` but ``w0``, which
+    both triangles of a cell share."""
+    return (a[:-1, :-1], np.stack([a[:-1, 1:], a[1:, 1:]]), np.stack([a[1:, 1:], a[1:, :-1]]))
+
+
+def _triangle_rows(metric: MetricField) -> tuple[np.ndarray, np.ndarray]:
     """Complex conformality residual rows, one per triangle, two
     triangles per cell.
 
@@ -164,31 +162,14 @@ def _triangle_rows(metric: MetricField):
     Rows are weighted by the square root of the triangle's metric area
     so that ``|A w|^2`` discretizes the conformal energy integral: the
     least-squares conformal map energy (Levy, Petitjean, Ray, Maillot,
-    SIGGRAPH 2002).  Returns the M x N complex ``A`` in CSC form.
+    SIGGRAPH 2002).  Returns ``k1`` and ``k2``, each ``(2, ny - 1, nx - 1)``:
+    per cell, first the triangle ``w0, w1, w2`` = bottom-left,
+    bottom-right, top-right node, then bottom-left, top-right, top-left.
     """
-    # elliptic.splu's module too, loaded before the flatten allocates (see above)
-    import scipy.sparse as sp
-    import scipy.sparse.linalg  # noqa: F401
-
-    g = metric.grid
-    nx, ny = g.nx, g.ny
-    idx = np.arange(nx * ny).reshape(g.shape)
-    n00 = idx[:-1, :-1].ravel()
-    n10 = idx[:-1, 1:].ravel()
-    n01 = idx[1:, :-1].ravel()
-    n11 = idx[1:, 1:].ravel()
-    v0 = np.concatenate([n00, n00])
-    v1 = np.concatenate([n10, n11])
-    v2 = np.concatenate([n11, n01])
-
-    Xg, Yg = g.mesh()
-    xf, yf = Xg.ravel(), Yg.ravel()
-    e1x, e1y = xf[v1] - xf[v0], yf[v1] - yf[v0]
-    e2x, e2y = xf[v2] - xf[v0], yf[v2] - yf[v0]
-    Ec, Fc, Gc = (
-        (arr.ravel()[v0] + arr.ravel()[v1] + arr.ravel()[v2]) / 3.0
-        for arr in (metric.E, metric.F, metric.G)
-    )
+    (x0, x1, x2), (y0, y1, y2) = (_vertices(c) for c in metric.grid.mesh())
+    e1x, e1y = x1 - x0, y1 - y0
+    e2x, e2y = x2 - x0, y2 - y0
+    Ec, Fc, Gc = (sum(_vertices(arr)) / 3.0 for arr in (metric.E, metric.F, metric.G))
     a = Ec * e1x**2 + 2.0 * Fc * e1x * e1y + Gc * e1y**2
     b = Ec * e1x * e2x + Fc * (e1x * e2y + e1y * e2x) + Gc * e1y * e2y
     c = Ec * e2x**2 + 2.0 * Fc * e2x * e2y + Gc * e2y**2
@@ -198,37 +179,77 @@ def _triangle_rows(metric: MetricField):
     sq_a = np.sqrt(a)
     s = np.sqrt(disc) / sq_a
     w = np.sqrt(0.5 * np.sqrt(disc))
-
-    k1 = w / sq_a - 1j * (w * b / (a * s))
-    k2 = 1j * (w / s)
-    M = v0.size
-    return sp.csc_matrix(
-        (
-            np.stack([k1, k2, -(k1 + k2)], axis=1).ravel(),
-            (np.repeat(np.arange(M), 3), np.stack([v1, v2, v0], axis=1).ravel()),
-        ),
-        shape=(M, nx * ny),
-    )
+    return w / sq_a - 1j * (w * b / (a * s)), 1j * (w / s)
 
 
-def spsolve(A: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    """Solve the Hermitian positive definite flatten system ``A x = b``.
+def _gradient(k1: np.ndarray, k2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``A^H (A w)`` for node images ``w`` of grid shape, ``A`` the
+    triangle rows ``k1, k2``: the conformal energy's gradient."""
+    w0, w1, w2 = _vertices(w)
+    r = k1 * (w1 - w0) + k2 * (w2 - w0)
+    a1, a2 = np.conj(k1) * r, np.conj(k2) * r
+    out = np.zeros(w.shape, dtype=complex)
+    out[:-1, :-1] -= (a1 + a2).sum(axis=0)
+    out[:-1, 1:] += a1[0]
+    out[1:, 1:] += a1[1] + a2[0]
+    out[1:, :-1] += a2[1]
+    return out
 
-    SuperLU runs in symmetric mode: a minimum-degree ordering of the
-    pattern of ``A + A^T``, applied to rows and columns alike, and
-    elimination on the diagonal with no pivoting.  Gaussian elimination
-    without pivoting is backward stable on Hermitian positive definite
-    matrices (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 10), so row interchanges would only spoil the symmetric ordering
-    and add fill.  A zero pivot means a singular system and raises
+
+@dataclass(frozen=True)
+class NormalEquations(elliptic.Stencil):
+    """``H = A^H A`` of the triangle rows ``k1, k2`` on the grid's 7-point
+    stencil, with the two pins kept as identity rows: the first and the
+    last node of the bottom row couple to nothing and carry a unit
+    diagonal."""
+
+    k1: np.ndarray
+    k2: np.ndarray
+
+    @classmethod
+    def assemble(cls, k1: np.ndarray, k2: np.ndarray) -> "NormalEquations":
+        # H[p, q] sums conj(c_p) c_q over the rows, c_p the coefficient
+        # of vertex p in a row: w0, w1 and w2 carry c0, c1 and c2
+        c0, c1, c2 = -(k1 + k2), k1, k2
+        ny, nx = k1.shape[1] + 1, k1.shape[2] + 1
+        diag = np.zeros((ny, nx))
+        diag[:-1, :-1] += (np.abs(c0) ** 2).sum(axis=0)
+        diag[:-1, 1:] += np.abs(c1[0]) ** 2
+        diag[1:, 1:] += np.abs(c2[0]) ** 2 + np.abs(c1[1]) ** 2
+        diag[1:, :-1] += np.abs(c2[1]) ** 2
+        east = np.zeros((ny, nx - 1), dtype=complex)
+        east[:-1] += np.conj(c0[0]) * c1[0]
+        east[1:] += np.conj(c2[1]) * c1[1]
+        north = np.zeros((ny - 1, nx), dtype=complex)
+        north[:, 1:] += np.conj(c1[0]) * c2[0]
+        north[:, :-1] += np.conj(c0[1]) * c2[1]
+        northeast = np.conj(c0[0]) * c2[0] + np.conj(c0[1]) * c1[1]
+        east[0, [0, -1]] = north[0, [0, -1]] = northeast[0, 0] = 0.0
+        diag[0, [0, -1]] = 1.0
+        return cls(diag, east, north, northeast, k1, k2)
+
+
+def spsolve(H: NormalEquations, b: np.ndarray) -> np.ndarray:
+    """Solve the pinned flatten system ``H z = b``, then correct once.
+
+    ``elliptic.splu`` factors ``H`` by nested-dissection Cholesky, which
+    needs no pivoting on a Hermitian positive definite matrix.  Forming
+    ``H = A^H A`` squares the condition number of the rows ``A``, and the
+    solve loses accuracy in proportion.  One corrected semi-normal step
+    (Bjorck, Linear Algebra Appl. 88/89, 1987) recovers it: the gradient
+    ``A^H (A z)`` of the first solution, taken from the triangle rows
+    rather than from ``H``, is solved for with the same factor and
+    subtracted.  A non-positive pivot means a singular system and raises
     ``ConformalError``.
     """
     try:
-        lu = elliptic.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-    except RuntimeError as exc:
+        factor = elliptic.splu(H)
+    except elliptic.EllipticError as exc:
         raise ConformalError(f"flattening system is singular ({exc})") from exc
-    return lu.solve(b)
+    z = factor.solve(b)
+    r = _gradient(H.k1, H.k2, z.reshape(H.diag.shape))
+    r[0, [0, -1]] = 0.0  # the pins' rows are identities, already solved
+    return z - factor.solve(r.ravel())
 
 
 def flatten_conformal(metric: MetricField) -> Chart:
@@ -239,31 +260,29 @@ def flatten_conformal(metric: MetricField) -> Chart:
     complex similarity group free.  Gauge: the first node of the bottom
     row maps to ``w = 0`` and the last one to ``w = L``, where ``L`` is
     the metric length of that row, which kills translation, rotation,
-    and scale.  The two pinned unknowns are eliminated, so the
-    stationarity equations are one N-2 square complex system
-    ``H_ff w_f = -L H_fp`` with ``H = A^H A`` Hermitian positive
-    definite on the 7-point stencil of the triangulation.  ``spsolve``
-    factors it without pivoting: positive definiteness makes that
-    stable, and it keeps the fill of a symmetric ordering, which
-    partial pivoting would destroy.  The chart carries the anisotropy
-    and skew of the pushed-forward metric for the caller to judge.
+    and scale.  The stationarity equations of the other nodes are
+    ``H_ff w_f = -L H_fp``, ``H = A^H A`` Hermitian positive definite on
+    the 7-point stencil of the triangulation; ``NormalEquations`` keeps
+    the pins as identity rows with their values on the right, so the
+    system stays on the grid for ``spsolve``'s nested-dissection
+    Cholesky.  The chart carries the anisotropy and skew of the
+    pushed-forward metric for the caller to judge.
     """
     g = metric.grid
-    nx, N = g.nx, g.nx * g.ny
-    A = _triangle_rows(metric)
+    k1, k2 = _triangle_rows(metric)
     L = float(np.trapezoid(np.sqrt(metric.E[0, :]), dx=g.dx))
 
-    free = np.r_[1 : nx - 1, nx:N]  # all nodes but the pins 0 and nx - 1
-    Af = A[:, free]
-    AfH = Af.conj().T
-    z = np.zeros(N, dtype=complex)
-    z[nx - 1] = L
-    z[free] = spsolve((AfH @ Af).tocsc(), -L * (AfH @ A[:, nx - 1]).toarray().ravel())
+    pins = np.zeros(g.shape, dtype=complex)
+    pins[0, -1] = L
+    b = -_gradient(k1, k2, pins)  # -L H_fp on the free rows
+    b[0, [0, -1]] = 0.0, L
+    z = spsolve(NormalEquations.assemble(k1, k2), b.ravel()).reshape(g.shape)
+    z[0, [0, -1]] = 0.0, L
     if not np.isfinite(z).all():
         raise ConformalError("flattening system is singular")
 
-    X = ScalarField(g, z.real.reshape(g.shape))
-    Y = ScalarField(g, z.imag.reshape(g.shape))
+    X = ScalarField(g, z.real)
+    Y = ScalarField(g, z.imag)
     Ep, Fp, Gp = _pushforward(metric, _jacobian(X, Y))
     if np.min(Ep) <= 0.0 or np.min(Gp) <= 0.0:
         raise ConformalError("pushed-forward metric lost positivity")

@@ -1,4 +1,4 @@
-"""Dirichlet solves on the grid rectangle.
+"""Dirichlet solves on the grid rectangle, and the grid's sparse Cholesky.
 
 Three layers: a fast Poisson solve for the five-point Laplacian with
 eliminated boundary rows, a damped Newton iteration for the exponential
@@ -22,15 +22,19 @@ smallest eigenvalue of ``-lap``, whatever the grid size.  The step
 budget follows from that bound, and a solve that exhausts it raises.
 
 The sine transforms are numpy real FFTs of the odd extension.  ``splu``
-is the package's one sparse factorization, used by the flatten; it
-imports ``scipy.sparse.linalg`` on first use, which costs more than a
-whole Newton solve at n = 257.  Everything is deterministic.
+is the package's one sparse factorization, used by the flatten: a
+nested-dissection Cholesky of a Hermitian 7-point ``Stencil``, factored
+as stacks of dense fronts with numpy's batched LAPACK and matrix
+products.  ``perfbench/spantrace.py`` wraps it and ``conformal.spsolve``
+by these names and reads their ``nnz`` counts.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,6 +42,8 @@ from .grid import Grid2D, GridError, ScalarField, fd_laplacian
 
 __all__ = [
     "EllipticError",
+    "Stencil",
+    "splu",
     "DirichletProblem",
     "LiouvilleSolution",
     "solve_poisson",
@@ -199,13 +205,256 @@ def _pcg(matvec, b: np.ndarray, precondition, rtol: float, budget: int) -> np.nd
     )
 
 
-def splu(A, **options):
-    """``scipy.sparse.linalg.splu(A, **options)``, the module loaded on
-    first use: the package's one sparse factorization, called by the
-    flatten's ``conformal.spsolve``."""
-    from scipy.sparse.linalg import splu as factor
+@dataclass(frozen=True)
+class Stencil:
+    """Hermitian matrix on the 7-point stencil of an ``ny x nx`` grid.
 
-    return factor(A, **options)
+    Node ``(j, i)`` is unknown ``j * nx + i``.  It couples to itself, to
+    ``(j, i +- 1)`` and ``(j +- 1, i)``, and to ``(j + 1, i + 1)`` and
+    ``(j - 1, i - 1)``: the edges of a grid whose cells are split along
+    their main diagonal.  ``diag`` holds the real diagonal; ``east``,
+    ``north`` and ``northeast`` hold the entry from each node to its
+    neighbour one step ahead along x, along y and along both.  The entries
+    back are their conjugates.
+    """
+
+    diag: np.ndarray  # (ny, nx)
+    east: np.ndarray  # (ny, nx - 1): (j, i) -> (j, i + 1)
+    north: np.ndarray  # (ny - 1, nx): (j, i) -> (j + 1, i)
+    northeast: np.ndarray  # (ny - 1, nx - 1): (j, i) -> (j + 1, i + 1)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diag.size, self.diag.size)
+
+    @property
+    def nnz(self) -> int:
+        """Nonzero entries of the matrix; a coupling and its conjugate are two."""
+        return int(np.count_nonzero(self.diag)) + 2 * sum(
+            int(np.count_nonzero(a)) for a in (self.east, self.north, self.northeast))
+
+    def _columns(self) -> np.ndarray:
+        """``(7, N)`` entries of each row toward its neighbour at each of
+        ``_OFFSETS``; zero where the neighbour is off the grid."""
+        ny, nx = self.diag.shape
+        v = np.zeros((7, ny, nx), dtype=complex)
+        v[0] = self.diag
+        v[1, :, :-1] = self.east
+        v[2, :, 1:] = np.conj(self.east)
+        v[3, :-1] = self.north
+        v[4, 1:] = np.conj(self.north)
+        v[5, :-1, :-1] = self.northeast
+        v[6, 1:, 1:] = np.conj(self.northeast)
+        return v.reshape(7, -1)
+
+
+# (dj, di) of the seven stencil entries, in the order of Stencil._columns
+_OFFSETS = np.array([(0, 0), (0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1)])
+# most nodes in a leaf of the dissection: larger leaves store more fill
+_LEAF = 16
+# complex entries of the frontal matrices factored as one stack
+_STACK = 1 << 20
+
+
+def _dissect(nx: int, ny: int) -> list[tuple[np.ndarray, ...]]:
+    """Nested dissection of the ``ny x nx`` grid by grid lines, root first.
+
+    One entry per depth: per front, its region and the rectangle of the
+    nodes it eliminates, both ``(i0, i1, j0, j1)`` rows of a ``(k, 4)``
+    array, and the positions of its two children at the next depth.  A
+    region of at most ``_LEAF`` nodes is a leaf and eliminates itself.  A
+    larger one eliminates the middle line across its longer side, which
+    no stencil edge crosses, and leaves the two halves as its children.
+    """
+    levels = []
+    region = np.array([[0, nx, 0, ny]])
+    while len(region):
+        i0, i1, j0, j1 = region.T
+        split = np.flatnonzero((i1 - i0) * (j1 - j0) > _LEAF)
+        lo = np.where((i1 - i0)[split] >= (j1 - j0)[split], 0, 2)  # columns of the cut axis
+        mid = (region[split, lo] + region[split, lo + 1]) // 2
+        own = region.copy()
+        own[split, lo], own[split, lo + 1] = mid, mid + 1
+        kids = np.full((len(region), 2), -1)
+        kids[split] = np.arange(len(split))[:, None] + [0, len(split)]
+        levels.append((region, own, kids))
+        first, second = region[split], region[split].copy()
+        first[np.arange(len(split)), lo + 1] = mid
+        second[np.arange(len(split)), lo] = mid + 1
+        region = np.concatenate([first, second])
+    return levels
+
+
+def _layout(region: np.ndarray, own: np.ndarray, nx: int, ny: int):
+    """Nodes of one front: those it eliminates, row by row, then its ring.
+
+    The ring is the grid nodes outside the region that share a stencil
+    edge with it: the region's frame less its top-left and bottom-right
+    corners, which the diagonal edges miss.  It runs counter-clockwise
+    from the corner below left, so that a child's ring meets its
+    parent's front in a few runs of consecutive slots.
+    """
+    i0, i1, j0, j1 = (int(v) for v in region)
+    w, h = i1 - i0, j1 - j0
+    ri = np.concatenate([np.arange(i0 - 1, i1), np.full(h + 1, i1),
+                         np.arange(i1 - 1, i0 - 1, -1), np.full(h, i0 - 1)])
+    rj = np.concatenate([np.full(w + 1, j0 - 1), np.arange(j0, j1 + 1),
+                         np.full(w, j1), np.arange(j1 - 1, j0 - 1, -1)])
+    inside = (ri >= 0) & (ri < nx) & (rj >= 0) & (rj < ny)
+    oi0, oi1, oj0, oj1 = own
+    return ((np.arange(oj0, oj1)[:, None] * nx + np.arange(oi0, oi1)).ravel(),
+            (rj * nx + ri)[inside])
+
+
+def _runs(slots: np.ndarray) -> list[tuple[slice, slice]]:
+    """Cut a map from positions to slots into runs of slots one apart,
+    rising or falling: ``(slots, positions)`` slice pairs."""
+    runs, start = [], 0
+    while start < len(slots):
+        end, step = start + 1, 1
+        if end < len(slots) and abs(slots[end] - slots[start]) == 1:
+            step = int(slots[end] - slots[start])
+            while end < len(slots) and slots[end] - slots[end - 1] == step:
+                end += 1
+        first, stop = int(slots[start]), int(slots[start]) + step * (end - start)
+        runs.append((slice(first, stop if stop >= 0 else None, step), slice(start, end)))
+        start = end
+    return runs
+
+
+@dataclass(frozen=True)
+class Cholesky:
+    """``H = L L^H`` front by front.
+
+    Each stack holds, for fronts of one shape, the nodes each eliminates
+    ``(k, m)``, its ring ``(k, b)``, the inverse of its diagonal Cholesky
+    block ``(k, m, m)`` and its ring rows ``L21`` ``(k, b, m)``.  ``L.nnz``
+    counts the entries stored per front, the lower triangle of its
+    diagonal block and its ring rows; ``U = L^H`` shares them.
+    """
+
+    stacks: tuple
+    L: SimpleNamespace
+    U: SimpleNamespace
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``H^-1 b``: forward through the stacks in elimination order,
+        then back."""
+        x = np.array(b, dtype=complex)
+        for own, ring, inverse, L21 in self.stacks:
+            y = (inverse @ x[own][..., None])[..., 0]
+            x[own] = y
+            np.subtract.at(x, ring, (L21 @ y[..., None])[..., 0])
+        for own, ring, inverse, L21 in reversed(self.stacks):
+            t = x[own] - (x[ring].conj()[:, None, :] @ L21)[:, 0, :].conj()
+            x[own] = (t.conj()[:, None, :] @ inverse)[:, 0, :].conj()
+        return x
+
+
+def splu(H: Stencil) -> Cholesky:
+    """Cholesky factor of a Hermitian positive definite ``Stencil`` by
+    nested dissection (George, SIAM J. Numer. Anal. 10, 1973).
+
+    ``_dissect`` cuts the grid by grid lines down to leaves of at most
+    ``_LEAF`` nodes.  Each front eliminates its own nodes, a separator
+    line or a whole leaf, in a dense frontal matrix over them and its
+    ring: its stencil entries plus the Schur complements its two
+    children leave on their rings.  A partial Cholesky step then leaves
+    the front's own Schur complement on its ring for its parent.
+
+    Fronts are factored deepest first, in stacks of one shape: the same
+    region size and the same grid sides cut off its ring.  Such fronts
+    are translates, so the first of them gives the stack's stencil
+    pattern and where its children's Schur complements land, as runs of
+    consecutive slots added in by slices.  A non-positive pivot raises
+    ``EllipticError``.
+    """
+    ny, nx = H.diag.shape
+    columns = H._columns()
+    stacks, stored, below = [], 0, None
+    for region, own_rect, kids in reversed(_dissect(nx, ny)):
+        i0, i1, j0, j1 = region.T
+        shape = np.column_stack([i1 - i0, j1 - j0, i0 == 0, i1 == nx, j0 == 0, j1 == ny])
+        _, kind = np.unique(shape, axis=0, return_inverse=True)
+        row, left = np.zeros(len(region), dtype=int), []
+        for k in range(kind.max() + 1):
+            fronts = np.flatnonzero(kind == k)
+            row[fronts] = np.arange(len(fronts))
+            own, ring = _layout(region[fronts[0]], own_rect[fronts[0]], nx, ny)
+            shift = region[fronts, 0] + region[fronts, 2] * nx
+            schur = np.empty((len(fronts), len(ring), len(ring)), dtype=complex)
+            stacks += _factor_shape(columns, nx, own, ring, (shift - shift[0])[:, None], schur,
+                                    [_landing(below, kids[fronts, c], own, ring, nx)
+                                     for c in (0, 1)] if kids[fronts[0], 0] >= 0 else [])
+            stored += len(fronts) * (len(own) * (len(own) + 1) // 2 + len(own) * len(ring))
+            left.append((schur, ring))
+        below = region, kind, row, left
+    entries = SimpleNamespace(nnz=stored)
+    return Cholesky(tuple(stacks), entries, entries)
+
+
+def _landing(below, kids: np.ndarray, own: np.ndarray, ring: np.ndarray, nx: int):
+    """The Schur complements one child of each of a stack of parents
+    left, their rows, and where they land in the parents' frontal
+    matrices as ``_runs``.
+
+    ``below`` is the depth of the children once factored: regions, the
+    shape of each and its row in that shape's stack, and per shape the
+    Schur complements with the ring of its first front.  ``own`` and
+    ``ring`` are the first parent's nodes; the parents are translates, so
+    their children are too and share one shape.
+    """
+    region, kind, row, left = below
+    schur, kid_ring = left[kind[kids[0]]]
+    moved = region[kids[0]] - region[np.flatnonzero(kind == kind[kids[0]])[0]]
+    front = np.concatenate([own, ring])
+    order = np.argsort(front)
+    at = order[np.searchsorted(front[order], kid_ring + moved[0] + moved[2] * nx)]
+    return schur, row[kids], _runs(at)
+
+
+def _factor_shape(columns, nx, own, ring, shift, schur, merges) -> list[tuple]:
+    """Factor a stack of translated fronts, ``_STACK`` entries at a time.
+
+    ``own`` and ``ring`` are the first front's nodes, ``shift`` each
+    front's node offset from it.  Fills ``schur`` with what each front
+    leaves on its ring, and returns the factor's stacks.
+    """
+    N = columns.shape[1]
+    m, b = len(own), len(ring)
+    front = np.concatenate([own, ring])
+    order = np.argsort(front)
+    # stencil entries of the own rows; those toward a child's nodes were
+    # added in by the child's front and have no slot here
+    qj, qi = own // nx + _OFFSETS[:, :1], own % nx + _OFFSETS[:, 1:]
+    q = np.where((qj >= 0) & (qj < N // nx) & (qi >= 0) & (qi < nx), qj * nx + qi, -1)
+    at = np.minimum(np.searchsorted(front[order], q), m + b - 1)
+    d, a = np.nonzero((q >= 0) & (front[order][at] == q))
+    into, source = a * (m + b) + order[at[d, a]], d * N + own[a]
+    stacks = []
+    size = max(1, _STACK // (m + b) ** 2)
+    for start in range(0, len(shift), size):
+        part = slice(start, start + size)
+        F = np.zeros((len(shift[part]), m + b, m + b), dtype=complex)
+        F.reshape(len(F), -1)[:, into] = columns.take(source + shift[part])
+        for child_schur, rows, runs in merges:
+            rows = rows[part]
+            S = (child_schur[rows[0]:rows[-1] + 1]
+                 if rows[-1] - rows[0] == len(rows) - 1 else child_schur[rows])
+            for into_r, from_r in runs:
+                for into_c, from_c in runs:
+                    F[:, into_r, into_c] += S[:, from_r, from_c]
+        try:
+            L11 = np.linalg.cholesky(F[:, :m, :m])
+        except np.linalg.LinAlgError as exc:
+            raise EllipticError("Cholesky factorization met a non-positive pivot") from exc
+        inverse = np.linalg.inv(L11)
+        Y = inverse @ F[:, :m, m:]
+        L21 = np.ascontiguousarray(Y.conj().transpose(0, 2, 1))
+        np.matmul(L21, Y, out=schur[part])
+        np.subtract(F[:, m:, m:], schur[part], out=schur[part])
+        stacks.append((own + shift[part], ring + shift[part], inverse, L21))
+    return stacks
 
 
 def solve_poisson(p: DirichletProblem) -> ScalarField:

@@ -1,6 +1,7 @@
 """Byte-compare the command-line outputs of two source trees.
 
     python tests/byte_compare.py PARENT_ROOT
+    python tests/byte_compare.py --rel TOL PARENT_ROOT
 
 Runs the same commands against this tree and against PARENT_ROOT (a
 checkout of another commit, such as the parent of a change that should
@@ -19,15 +20,29 @@ scratch directory, with the same relative ``--out`` paths.  Exit code,
 stdout, stderr and every file under each ``--out`` directory are
 compared byte for byte.  Prints each difference and exits 1 if there is
 any, 0 otherwise.  pytest does not collect this file.
+
+With ``--rel TOL`` an output may differ in its numbers.  Each output is
+cut into its text and its numeric leaves: every number in the text, and
+a field file's base64 payload as one array.  The text must match and so
+must the exit code; a number may move by a relative ``TOL``, a scalar
+by ``|new - old| / max(|new|, |old|)`` and a payload by its largest
+change over its largest magnitude.  Each output that moved is printed
+with its largest move, and any move above ``TOL`` is a difference.
 """
 
 from __future__ import annotations
 
+import argparse
+import base64
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
 SOURCES = ("one_soliton", "poincare_disk_patch", "half_plane_pseudosphere",
@@ -82,13 +97,53 @@ def first_difference(a: bytes, b: bytes) -> str:
             f"{a[at:at + 60]!r} -> {b[at:at + 60]!r}")
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_leaves(data: bytes) -> tuple[list[bytes], list[float], np.ndarray | None]:
+    """One output cut into its text between numbers, its numbers, and a
+    field file's payload decoded to float64 (``None`` for other outputs)."""
+    payload = None
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and isinstance(doc.get("values"), str):
+        payload = np.frombuffer(base64.b64decode(doc["values"]), dtype="<f8")
+        data = data.replace(doc["values"].encode(), b"")
+    return NUMBER.split(data), [float(x) for x in NUMBER.findall(data)], payload
+
+
+def largest_move(old: bytes, new: bytes) -> tuple[float, str] | None:
+    """Largest relative move of a numeric leaf from ``old`` to ``new``,
+    and what moved; ``None`` if anything but numbers differs."""
+    (text_a, numbers_a, array_a), (text_b, numbers_b, array_b) = map(numeric_leaves, (old, new))
+    if text_a != text_b or (array_a is None) != (array_b is None):
+        return None
+    worst = (0.0, "")
+    for a, b in zip(numbers_a, numbers_b):
+        if a != b:
+            worst = max(worst, (abs(b - a) / max(abs(a), abs(b)), f"{a!r} -> {b!r}"))
+    if array_a is not None:
+        if array_a.shape != array_b.shape or not np.array_equal(np.isnan(array_a),
+                                                                np.isnan(array_b)):
+            return None
+        change = np.nanmax(np.abs(array_b - array_a), initial=0.0)
+        if change:
+            scale = np.nanmax(np.abs(array_a), initial=0.0)
+            worst = max(worst, (change / scale if scale else np.inf,
+                                f"payload, largest change {change:.3e}"))
+    return worst
+
+
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python tests/byte_compare.py PARENT_ROOT", file=sys.stderr)
-        return 2
-    parent = Path(args[0]).resolve()
-    differences = 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rel", type=float, metavar="TOL",
+                        help="let numbers move by this relative amount")
+    parser.add_argument("parent", type=Path, metavar="PARENT_ROOT")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    differences, moves = 0, []
     with tempfile.TemporaryDirectory() as scratch:
         dirs = {name: Path(scratch, name) for name in ("parent", "tree")}
         for d in dirs.values():
@@ -100,12 +155,24 @@ def main(argv=None) -> int:
             for key in sorted(set(old) | set(new)):
                 if key not in old or key not in new:
                     found.append(f"{key} only in {'parent' if key in old else 'this tree'}")
-                elif old[key] != new[key]:
+                elif old[key] == new[key]:
+                    continue
+                elif args.rel is None or key == "exit code":
                     found.append(f"{key}: {first_difference(old[key], new[key])}")
+                elif (move := largest_move(old[key], new[key])) is None:
+                    found.append(f"{key}: beyond its numbers, "
+                                 f"{first_difference(old[key], new[key])}")
+                else:
+                    print(f"move {label}: {key}: {move[0]:.2e} ({move[1]})")
+                    moves.append((move[0], f"{label}: {key}"))
+                    if move[0] > args.rel:
+                        found.append(f"{key}: moved by {move[0]:.2e} > {args.rel:.1e}")
             for line in found:
                 print(f"DIFF {label}: {line}")
             print(f"{'differs' if found else 'same'}: {label} ({len(new)} outputs)", flush=True)
             differences += len(found)
+    if moves:
+        print(f"{len(moves)} output(s) moved, the most {max(moves)[0]:.2e} in {max(moves)[1]}")
     print(f"{differences} difference(s)")
     return 1 if differences else 0
 

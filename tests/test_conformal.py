@@ -1,6 +1,7 @@
 """Catalog charts and the least-squares conformal flattener."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,39 @@ def real_triangle_rows(metric):
     ).tocsr()
 
 
+def triangle_matrix(metric):
+    """The M x N complex rows ``A`` of ``_triangle_rows`` as a sparse
+    matrix, one row per triangle in the arrays' order."""
+    g = metric.grid
+    k1, k2 = conformal._triangle_rows(metric)
+    idx = np.arange(g.nx * g.ny).reshape(g.shape)
+    v0 = np.stack([idx[:-1, :-1], idx[:-1, :-1]]).ravel()
+    v1 = np.stack([idx[:-1, 1:], idx[1:, 1:]]).ravel()
+    v2 = np.stack([idx[1:, 1:], idx[1:, :-1]]).ravel()
+    k1, k2 = k1.ravel(), k2.ravel()
+    return sp.csr_matrix(
+        (np.stack([k1, k2, -(k1 + k2)], axis=1).ravel(),
+         (np.repeat(np.arange(k1.size), 3), np.stack([v1, v2, v0], axis=1).ravel())),
+        shape=(k1.size, g.nx * g.ny),
+    )
+
+
+def stencil_matrix(H):
+    """The sparse matrix a ``Stencil`` holds."""
+    ny, nx = H.diag.shape
+    idx = np.arange(nx * ny).reshape(ny, nx)
+    ahead = [(idx[:, :-1], idx[:, 1:], H.east), (idx[:-1], idx[1:], H.north),
+             (idx[:-1, :-1], idx[1:, 1:], H.northeast)]
+    rows = [idx.ravel()] + [a.ravel() for a, _, _ in ahead] + [b.ravel() for _, b, _ in ahead]
+    cols = [idx.ravel()] + [b.ravel() for _, b, _ in ahead] + [a.ravel() for a, _, _ in ahead]
+    vals = ([H.diag.ravel().astype(complex)] + [v.ravel() for _, _, v in ahead]
+            + [np.conj(v).ravel() for _, _, v in ahead])
+    K = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=H.shape).tocsr()
+    K.eliminate_zeros()
+    return K
+
+
 def kkt_chart(metric):
     """Node images ``(X, Y)`` from the real (2N+4) x (2N+4) KKT system
     with the four pinned unknowns as Lagrange constraints."""
@@ -237,13 +271,22 @@ class TestFlatten:
         assert np.max(np.abs(chart.Y.values - exact.Y.values)) <= 1e-6
         assert np.max(np.abs(chart.h.values - 1.0)) <= 1e-6
 
-    def test_flat_angle_chart_accuracy_at_129(self):
-        # the symmetric factorization recovers the exact chart at the
-        # accuracy of the conditioning; partial pivoting lost about 4x
-        metric, exact, _ = catalog_chart("flat_plane", 129)
+    @staticmethod
+    def flat_chart_error(n):
+        metric, exact, _ = catalog_chart("flat_plane", n)
         chart = flatten_conformal(metric)
-        assert np.max(np.abs(chart.X.values - exact.X.values)) <= 2.5e-8
-        assert np.max(np.abs(chart.Y.values - exact.Y.values)) <= 2.5e-8
+        return max(np.max(np.abs(chart.X.values - exact.X.values)),
+                   np.max(np.abs(chart.Y.values - exact.Y.values)))
+
+    def test_flat_angle_chart_accuracy_at_129(self):
+        # the solve of the normal equations alone reads 6.9e-8 here; the
+        # correction by the triangle rows' gradient recovers the exact
+        # chart to rounding
+        assert self.flat_chart_error(129) <= 1e-12
+
+    def test_flat_angle_chart_accuracy_at_257(self):
+        # 1.1e-6 before the correction
+        assert self.flat_chart_error(257) <= 1e-12
 
     def test_isothermic_input_is_left_alone(self):
         metric, _, _ = catalog_chart("half_plane_pseudosphere", 65)
@@ -322,8 +365,7 @@ class TestComplexFlatten:
     and the KKT solve it replaced are the references."""
 
     def test_hermitian_form_matches_real_normal_matrix(self, asymmetric_soliton_metric):
-        A = conformal._triangle_rows(asymmetric_soliton_metric)
-        assert np.iscomplexobj(A.data)
+        A = triangle_matrix(asymmetric_soliton_metric)
         H = (A.conj().T @ A).toarray()
         R = real_triangle_rows(asymmetric_soliton_metric)
         AtA = (R.T @ R).toarray()
@@ -334,21 +376,43 @@ class TestComplexFlatten:
         assert np.max(np.abs(-H.imag - AtA[:N, N:])) <= tol
         assert np.max(np.abs(H.imag - AtA[N:, :N])) <= tol
 
-    def test_solve_is_one_hermitian_system(self, asymmetric_soliton_metric, monkeypatch):
-        seen = []
+    def test_stencil_is_the_pinned_normal_matrix(self, asymmetric_soliton_metric):
+        # A^H A with the pins' rows and columns replaced by identity ones
+        metric = asymmetric_soliton_metric
+        A = triangle_matrix(metric)
+        want = (A.conj().T @ A).tolil()
+        for pin in (0, metric.grid.nx - 1):
+            want[pin, :] = 0.0
+            want[:, pin] = 0.0
+            want[pin, pin] = 1.0
+        want = want.toarray()
+        got = stencil_matrix(conformal.NormalEquations.assemble(*conformal._triangle_rows(metric)))
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
 
-        def capture(K, rhs):
-            seen.append(K)
-            return spsolve(K, rhs)
+    def test_solve_is_one_hermitian_system(self, asymmetric_soliton_metric, monkeypatch):
+        seen, factors = [], []
+        solve, factor = conformal.spsolve, elliptic.splu
+
+        def capture(H, rhs):
+            seen.append(H)
+            return solve(H, rhs)
+
+        def count(H):
+            factors.append(H)
+            return factor(H)
 
         monkeypatch.setattr(conformal, "spsolve", capture)
+        monkeypatch.setattr(elliptic, "splu", count)
         flatten_conformal(asymmetric_soliton_metric)
-        (K,) = seen
+        (H,) = seen
+        assert factors == [H]
         N = asymmetric_soliton_metric.grid.nx * asymmetric_soliton_metric.grid.ny
-        assert K.shape == (N - 2, N - 2)
-        assert np.iscomplexobj(K.data)
+        assert H.shape == (N, N)
+        assert np.isrealobj(H.diag)
+        K = stencil_matrix(H)
+        assert K.nnz == H.nnz
+        assert np.max(np.diff(K.indptr)) <= 7
         assert (K != K.conj().T).nnz == 0
-        assert K.nnz <= 7 * (N - 2)
 
     def test_chart_matches_kkt_reference(self, asymmetric_soliton_metric):
         chart = flatten_conformal(asymmetric_soliton_metric)
@@ -366,8 +430,8 @@ class TestComplexFlatten:
 
 
 class TestFlattenKernel:
-    """``conformal.spsolve`` factors the Hermitian system in symmetric
-    mode: minimum-degree ordering and no pivoting."""
+    """``conformal.spsolve`` factors the Hermitian system by
+    nested-dissection Cholesky, with no pivoting."""
 
     def test_fill_stays_symmetric(self, monkeypatch):
         # the CLI's sphere_patch control metric at n = 129
@@ -383,17 +447,20 @@ class TestFlattenKernel:
             fills.append((lu.L.nnz + lu.U.nnz) / A.nnz)
             return lu
 
-        # spsolve factors through the package's one SuperLU entry point
+        # spsolve factors through the package's one factorization entry point
         monkeypatch.setattr(elliptic, "splu", measure)
         flatten_conformal(metric)
-        # symmetric mode measures 9.3; COLAMD with partial pivoting 15.0
+        # nested dissection to 16-node leaves measures 10.4, 64-node
+        # leaves 17.6; SuperLU's minimum degree read 9.3
         (fill,) = fills
         assert fill <= 11.0
 
-    def test_singular_system_is_a_conformal_error(self):
-        K = sp.csc_matrix(np.array([[1.0, 1j, 0.0], [-1j, 1.0, 0.0], [0.0, 0.0, 2.0]]))
+    def test_singular_system_is_a_conformal_error(self, asymmetric_soliton_metric):
+        H = conformal.NormalEquations.assemble(*conformal._triangle_rows(asymmetric_soliton_metric))
+        diag = H.diag.copy()
+        diag[5, 7] = 0.0  # a zero pivot where a positive one belongs
         with pytest.raises(ConformalError, match="singular"):
-            conformal.spsolve(K, np.ones(3, dtype=complex))
+            conformal.spsolve(replace(H, diag=diag), np.ones(H.shape[0], dtype=complex))
 
 
 class TestImageResampling:

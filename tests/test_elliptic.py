@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -282,11 +283,11 @@ class TestNewtonLinearSolve:
         with pytest.raises(EllipticError, match="conjugate gradients did not converge"):
             solve_liouville_newton(half_plane_grid(33), lambda X, Y: -np.log(Y))
 
-    def test_catalog_commands_load_no_spline_tree_or_fft(self):
-        # a catalog verify run loads no scipy beyond what the flatten's splu
-        # needs, scipy.sparse.linalg and its own imports: the catalog chart
-        # none, and the flattened sources (one_soliton passes, the sphere
-        # control fails at the image curvature) spline and seed on numpy
+    def test_catalog_commands_load_no_spline_tree_or_fft(self, tmp_path):
+        # no command loads any scipy module: the catalog charts need none,
+        # and the flattened sources (one_soliton passes; the sphere control
+        # and the flat plane fail at the image curvature, the K = -0.995
+        # metric file at rescale) factor, spline and seed on numpy
         src = str(Path(minding_lab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
@@ -299,14 +300,78 @@ class TestNewtonLinearSolve:
             assert result.returncode == 0, result.stderr
             return set(json.loads(result.stdout.splitlines()[-1]))
 
-        splu_only = scipy_loaded("import scipy.sparse.linalg")
-        for source, n, code in (("half_plane_pseudosphere", 17, 0), ("one_soliton", 65, 0),
-                                ("sphere_patch", 33, 3)):
-            loaded = scipy_loaded(
-                "from minding_lab.cli import main\n"
-                f"assert main(['verify-minding', '--catalog', '{source}', '--n', '{n}']) == {code}")
-            assert not loaded & {"scipy.interpolate", "scipy.spatial", "scipy.fft"}, source
-            assert loaded <= splu_only, (source, sorted(loaded - splu_only))
+        from minding_lab.cli import main
+        from minding_lab.fieldio import read_field, write_field
+
+        assert main(["metric", "--catalog", "one_soliton", "--n", "65",
+                     "--out", str(tmp_path / "run")]) == 0
+        grid, channels = read_field(tmp_path / "run" / "metric.json")
+        metric_file = tmp_path / "metric.json"
+        write_field(metric_file, grid, {c: channels[c] / 0.995 for c in ("E", "F", "G")})
+        for argv, code in ((["verify-minding", "--catalog", "half_plane_pseudosphere", "--n", "17"], 0),
+                           (["verify-minding", "--catalog", "one_soliton", "--n", "65"], 0),
+                           (["verify-minding", "--catalog", "sphere_patch", "--n", "33"], 3),
+                           (["verify-minding", "--catalog", "flat_plane", "--n", "33"], 3),
+                           (["flatten", "--catalog", "flat_plane", "--n", "33"], 0),
+                           (["verify-minding", "--metric-file", str(metric_file), "--n", "65"], 3)):
+            loaded = scipy_loaded(f"from minding_lab.cli import main\nassert main({argv!r}) == {code}")
+            assert not loaded, (argv, sorted(loaded))
+
+
+class TestNestedDissection:
+    """``elliptic.splu`` against a dense solve of the same stencil."""
+
+    @staticmethod
+    def random_stencil(nx, ny, seed):
+        rng = np.random.default_rng(seed)
+
+        def coupling(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        east, north, northeast = coupling(ny, nx - 1), coupling(ny - 1, nx), coupling(ny - 1, nx - 1)
+        weight = np.zeros((ny, nx))
+        for a, into in ((east, np.s_[:, :-1]), (east, np.s_[:, 1:]), (north, np.s_[:-1]),
+                        (north, np.s_[1:]), (northeast, np.s_[:-1, :-1]),
+                        (northeast, np.s_[1:, 1:])):
+            weight[into] += np.abs(a)
+        # diagonally dominant, so positive definite, by a random margin
+        diag = weight + rng.uniform(0.05, 2.0, size=(ny, nx))
+        return elliptic.Stencil(diag, east, north, northeast)
+
+    @staticmethod
+    def dense(H):
+        ny, nx = H.diag.shape
+        idx = np.arange(nx * ny).reshape(ny, nx)
+        K = np.diag(H.diag.ravel()).astype(complex)
+        for a, b, v in ((idx[:, :-1], idx[:, 1:], H.east), (idx[:-1], idx[1:], H.north),
+                        (idx[:-1, :-1], idx[1:, 1:], H.northeast)):
+            K[a.ravel(), b.ravel()] = v.ravel()
+            K[b.ravel(), a.ravel()] = np.conj(v).ravel()
+        return K
+
+    @pytest.mark.parametrize("nx, ny, seed", [(23, 17, 0), (17, 23, 1), (40, 6, 2), (1, 30, 3)])
+    def test_solve_matches_dense(self, nx, ny, seed):
+        H = self.random_stencil(nx, ny, seed)
+        if (nx, ny) == (23, 17):
+            assert len(elliptic._dissect(nx, ny)) >= 5  # separators at four depths
+        b = [1.0, 1j] @ np.random.default_rng(seed + 10).normal(size=(2, nx * ny))
+        want = np.linalg.solve(self.dense(H), b)
+        got = elliptic.splu(H).solve(b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_stored_entries_count_each_front_once(self):
+        # 5 x 4 nodes: the middle column (4 nodes, no ring) over two 2 x 4
+        # leaves, each ringed by that column; a front stores the lower
+        # triangle of its own block and its ring rows
+        factor = elliptic.splu(self.random_stencil(5, 4, 5))
+        assert factor.L.nnz == factor.U.nnz == 2 * (8 * 9 // 2 + 8 * 4) + 4 * 5 // 2
+
+    def test_indefinite_stencil_raises(self):
+        H = self.random_stencil(23, 17, 6)
+        diag = H.diag.copy()
+        diag[8, 11] = -1.0
+        with pytest.raises(EllipticError, match="non-positive pivot"):
+            elliptic.splu(replace(H, diag=diag))
 
 
 class TestBootstrapEquivalence:
