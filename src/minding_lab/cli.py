@@ -16,14 +16,15 @@ which.  Each command names the kinds it takes in ``_COMMANDS`` and is
 refused any other before its run starts; its body loads the source
 with ``_load_source`` and walks from that link to the one it needs.
 
-Every command body records its stages on one ``_Run``.  ``gate``
-records a measured residual against its gate and ends the chain when
-it fails, ``check`` records one without ending it, ``exceeded`` records
-a residual beyond the float range as a failed gate and ends the chain,
-and ``stage`` records a listed solver error as that stage's failure and
-ends the chain.  ``_execute`` catches the end of the chain and emits
-the report of what was recorded, so a command stops in exactly one
-place.
+Every command body records its stages on one ``_Run``.  ``limit``
+reads a stage's gate from one table, ``GATES`` or ``FLATTENED_GATES``.
+``gate`` records a measured residual against its gate and ends the
+chain when it fails, ``check`` records one without ending it,
+``exceeded`` records a residual beyond the float range as a failed gate
+and ends the chain, and ``stage`` records a listed solver error as that
+stage's failure and ends the chain.  ``_execute`` catches the end of
+the chain and emits the report of what was recorded, so a command
+stops in exactly one place.
 
 Only the standard library is imported at module level: numpy reads its
 threading environment once at import time, so the MINDING_LAB_THREADS
@@ -67,9 +68,37 @@ SOURCE_FILES = {
     "factor_file": ("factor", ("u",)),
 }
 
-# cap on the sine-Gordon gate: beyond it an angle field is incompatible
-# at any grid size
+# stage -> (c, p, cap): gate at min(c h^p, cap) * tol_scale, h from the
+# grid the stage measured on (p = 0 is absolute), for an exact factor
+GATES = {
+    "sine_gordon": (50.0, 2, math.inf),
+    "frame_path_independence": (50.0, 2, math.inf),
+    "corollary_conditions": (50.0, 2, math.inf),
+    "chebyshev_metric": (50.0, 2, math.inf),
+    "flatten": (1e-3, 0, math.inf),
+    "curvature": (10.0, 2, math.inf),
+    "rescale": (10.0, 2, math.inf),
+    "liouville_weak": (10.0, 2, math.inf),
+    "bootstrap": (20.0, 2, math.inf),
+    "pullback_isometry": (50.0, 2, math.inf),
+    "curvature_defect": (10.0, 2, math.inf),
+    "newton_accuracy": (20.0, 2, math.inf),
+}
+# a source the chain flattens gates curvature absolutely and its factor
+# on the image grid, capped.  The fit is second order, 15-24 h^2 at
+# K = -1, so 50 h^2 rejects K = -0.995 (89 h^2 and more) at every n
+FLATTENED_GATES = {
+    **GATES,
+    "curvature": (1e-2, 0, math.inf),
+    "rescale": (50.0, 2, 1e-2),
+    "liouville_weak": (10.0, 2, 1e-2),
+    "bootstrap": (20.0, 2, 1e-2),
+    "pullback_isometry": (50.0, 2, 1e-2),
+}
+# the bounds --tol-scale leaves alone: past the sine-Gordon cap an angle
+# field is incompatible at any grid size
 COMPATIBILITY_TOL = 1e-3
+NEWTON_BUDGET = 8
 
 
 class ConfigError(ValueError):
@@ -130,6 +159,7 @@ class _Run:
     def __init__(self, command: str, config: PipelineConfig) -> None:
         self.command = command
         self.config = config
+        self.gates = GATES if _source_kind(config) in ("chart", "factor") else FLATTENED_GATES
         self.stages: list[dict] = []
         self.artifacts: dict[str, tuple] = {}
         self.solver_error = False
@@ -139,6 +169,11 @@ class _Run:
                 Path(config.out_dir).mkdir(parents=True, exist_ok=True)
             except ValueError as exc:  # a NUL or lone surrogate, as JSON can hold
                 raise ConfigError(f"unusable --out path {config.out_dir!r}: {exc}") from exc
+
+    def limit(self, name: str, grid) -> float:
+        """The stage's gate on the grid it measured on."""
+        c, p, cap = self.gates[name]
+        return min(c * grid.h**p, cap) * self.config.tol_scale
 
     def check(self, name: str, measured: float, gate: float, **info) -> bool:
         entry = {
@@ -314,17 +349,16 @@ def _synthesis_stages(run: _Run, theta):
     from minding_lab.chebyshev import corollary_conditions, integrate_frame, sine_gordon_residual
     from minding_lab.chebyshev import SingularAngleError
 
-    h2 = theta.grid.h**2
-    scale = run.config.tol_scale
+    g = theta.grid
     sg = sine_gordon_residual(theta).interior_abs_max()
-    run.gate("sine_gordon", sg, min(50.0 * h2 * scale, COMPATIBILITY_TOL))
+    run.gate("sine_gordon", sg, min(run.limit("sine_gordon", g), COMPATIBILITY_TOL))
     with run.stage("frame_integration", SingularAngleError):
         result = integrate_frame(theta)
     path = max(result.path_residual_f, result.path_residual_frame)
-    run.gate("frame_path_independence", path, 50.0 * h2 * scale)
+    run.gate("frame_path_independence", path, run.limit("frame_path_independence", g))
     report = corollary_conditions(result.surface)
-    run.gate("corollary_conditions", report.max_residual(), 50.0 * h2 * scale,
-             residuals=report.as_dict())
+    run.gate("corollary_conditions", report.max_residual(),
+             run.limit("corollary_conditions", g), residuals=report.as_dict())
     return result.surface
 
 
@@ -381,7 +415,6 @@ def _embedded_metric_stages(run: _Run, surface):
         normal_and_second_form,
     )
 
-    scale = run.config.tol_scale
     g = surface.f.grid
     with run.stage("induced_metric", DegenerateMetricError):
         metric = induced_metric(surface.f)
@@ -390,17 +423,17 @@ def _embedded_metric_stages(run: _Run, surface):
         np.abs(metric.G - 1.0).max(),
         np.abs(metric.F - np.cos(surface.theta.theta.values)).max(),
     )
-    run.gate("chebyshev_metric", dev, 50.0 * g.h**2 * scale)
+    run.gate("chebyshev_metric", dev, run.limit("chebyshev_metric", g))
     _, second = normal_and_second_form(surface.f)
     K = gauss_curvature_from_forms(metric, second)
     worst = float(np.nanmax(np.abs(K.values + 1.0)))
-    run.gate("curvature", worst, 1e-2 * scale,
+    run.gate("curvature", worst, run.limit("curvature", g),
              k_center=float(K.values[g.ny // 2, g.nx // 2]))
     run.artifacts["metric.json"] = (g, {"E": metric.E, "F": metric.F, "G": metric.G})
     return metric
 
 
-def _isothermic_curvature_stage(run: _Run, h, gate: float) -> None:
+def _isothermic_curvature_stage(run: _Run, h) -> None:
     """Gauss curvature of an isothermic factor against -1, two nodes in
     from the edge, where the second differences are centred."""
     import numpy as np
@@ -409,19 +442,13 @@ def _isothermic_curvature_stage(run: _Run, h, gate: float) -> None:
 
     K = gauss_curvature_isothermic(h)
     worst = float(np.nanmax(np.abs(K.values[2:-2, 2:-2] + 1.0)))
-    run.gate("curvature", worst, gate,
+    run.gate("curvature", worst, run.limit("curvature", h.grid),
              k_center=float(K.values[h.grid.ny // 2, h.grid.nx // 2]))
 
 
-def _flatten_stages(run: _Run, metric, *, curvature_gate: float | None):
-    """Flatten, resample onto the image grid, and (optionally) gate the
-    recovered curvature there; returns the raw image factor.
-
-    The image-grid curvature is the only one available for metric-only
-    sources.  Differentiating the resampled factor twice amplifies
-    node-scale noise by 1/h^2, so embedded sources gate curvature on
-    their fundamental forms instead and pass None here.
-    """
+def _flatten_stages(run: _Run, metric):
+    """Flatten and resample onto the image grid; returns the raw image
+    factor."""
     from minding_lab.conformal import (
         ConformalError,
         flatten_conformal,
@@ -429,25 +456,19 @@ def _flatten_stages(run: _Run, metric, *, curvature_gate: float | None):
         resample_to_image,
     )
 
-    scale = run.config.tol_scale
     with run.stage("flatten", ConformalError):
         chart = flatten_conformal(metric)
-    run.gate("flatten", max(chart.anisotropy, chart.skew), 1e-3 * scale,
+    run.gate("flatten", max(chart.anisotropy, chart.skew), run.limit("flatten", chart.grid),
              anisotropy=chart.anisotropy, skew=chart.skew)
     _store_chart(run, chart)
     with run.stage("image_resample", ConformalError):
         image = inner_image_grid(chart, run.config.n)
-        h_img = resample_to_image(chart.h, chart, image)
-    if curvature_gate is not None:
-        _isothermic_curvature_stage(run, h_img, curvature_gate * scale)
-    return h_img
+        return resample_to_image(chart.h, chart, image)
 
 
-def _factor_stages(run: _Run, h_img, *, rescale: float, cap: float):
+def _factor_stages(run: _Run, h_img):
     """Rescale to the unit-curvature normalization, then the weak,
-    bootstrap, and developing checks.  Each stage gates at
-    ``min(c h^2, cap)`` on the factor's own grid, c from
-    ``CHART_GATES_H2`` with ``rescale`` for the rescale stage."""
+    bootstrap, and developing checks, each gated on the factor's grid."""
     import numpy as np
 
     from minding_lab.conformal import ConformalError, rescale_to_liouville
@@ -456,23 +477,23 @@ def _factor_stages(run: _Run, h_img, *, rescale: float, cap: float):
     from minding_lab.grid import GridError, ScalarField
     from minding_lab.weak import bump_lattice, liouville_weak_residual
 
-    h2 = h_img.grid.h**2
-    gates = {k: min(c * h2, cap) * run.config.tol_scale
-             for k, c in {**CHART_GATES_H2, "rescale": rescale}.items()}
+    g = h_img.grid
     with run.stage("rescale", ConformalError):
         h_fit, fit = rescale_to_liouville(h_img)
-    run.gate("rescale", abs(fit - 1.0), gates["rescale"], fit=fit)
+    run.gate("rescale", abs(fit - 1.0), run.limit("rescale", g), fit=fit)
     u = ScalarField(h_fit.grid, np.log(h_fit.values))
     run.artifacts["factor.json"] = (u.grid, {"u": u.values})
 
     with run.stage("liouville_weak", GridError):
         weak = liouville_weak_residual(u, bump_lattice(u.grid))
-    run.gate("liouville_weak", weak.max_abs(), gates["weak"], test_count=weak.count)
+    run.gate("liouville_weak", weak.max_abs(), run.limit("liouville_weak", g),
+             test_count=weak.count)
     with run.stage("bootstrap", EllipticError):
         gap = bootstrap_equivalence(u)
-    run.gate("bootstrap", gap, gates["bootstrap"])
+    run.gate("bootstrap", gap, run.limit("bootstrap", g))
     dev = _develop_stage(run, u)
-    run.gate("pullback_isometry", pullback_isometry_check(dev, u), gates["pullback"])
+    run.gate("pullback_isometry", pullback_isometry_check(dev, u),
+             run.limit("pullback_isometry", g))
     return dev, u
 
 
@@ -496,20 +517,6 @@ def _calibration_block(dev, u) -> dict:
             for label, exponent in (("exponent_half", 0.5), ("exponent_quarter", 0.25))}
 
 
-def _chart_catalog_stages(run: _Run, chart):
-    """Catalog chart path: the chart is the identity, so every check
-    runs on the source grid with the h-scaled gates."""
-    _store_chart(run, chart)
-    _isothermic_curvature_stage(run, chart.h, 10.0 * chart.grid.h**2 * run.config.tol_scale)
-    return _factor_stages(run, chart.h, rescale=CHART_GATES_H2["rescale"], cap=math.inf)
-
-
-# factor-stage gates in units of h^2: catalog charts gate at these on the
-# source grid; flattened sources on the image grid, capped at FACTOR_GATE_CAP
-CHART_GATES_H2 = {"rescale": 10.0, "weak": 10.0, "bootstrap": 20.0, "pullback": 50.0}
-FACTOR_GATE_CAP = 1e-2
-
-
 # ---------------------------------------------------------------------------
 # commands: each body records stages on its run and returns or stops
 
@@ -524,7 +531,7 @@ def cmd_metric(run: _Run) -> None:
 
 
 def cmd_flatten(run: _Run) -> None:
-    _flatten_stages(run, _metric(run), curvature_gate=None)
+    _flatten_stages(run, _metric(run))
 
 
 def cmd_liouville_check(run: _Run) -> None:
@@ -533,14 +540,14 @@ def cmd_liouville_check(run: _Run) -> None:
     from minding_lab.weak import bump_lattice, liouville_weak_residual
 
     u = _factor(run.config)
-    gate = 10.0 * u.grid.h**2 * run.config.tol_scale
     with np.errstate(over="ignore"):
         if np.isinf(np.exp(2.0 * u.values)).any():
-            run.exceeded("liouville_weak", gate,
+            run.exceeded("liouville_weak", run.limit("liouville_weak", u.grid),
                          "e^{2u} overflows float64, and so does the residual")
     weak = liouville_weak_residual(u, bump_lattice(u.grid))
-    run.check("liouville_weak", weak.max_abs(), gate, test_count=weak.count)
-    run.check("curvature_defect", _curvature_defect(u), gate)
+    run.check("liouville_weak", weak.max_abs(), run.limit("liouville_weak", u.grid),
+              test_count=weak.count)
+    run.check("curvature_defect", _curvature_defect(u), run.limit("curvature_defect", u.grid))
 
 
 def cmd_solve(run: _Run) -> None:
@@ -549,13 +556,12 @@ def cmd_solve(run: _Run) -> None:
     from minding_lab.elliptic import EllipticError, solve_liouville_newton
 
     u_ref = _factor(run.config)
-    h2 = u_ref.grid.h**2
     with run.stage("newton", EllipticError):
         solution = solve_liouville_newton(u_ref.grid, u_ref)
-    run.check("newton_iterations", float(solution.iterations), 8.0,
+    run.check("newton_iterations", solution.iterations, NEWTON_BUDGET,
               residuals=list(solution.residuals))
     err = float(np.abs(solution.u.values - u_ref.values)[1:-1, 1:-1].max())
-    run.check("newton_accuracy", err, 20.0 * h2 * run.config.tol_scale)
+    run.check("newton_accuracy", err, run.limit("newton_accuracy", u_ref.grid))
     run.artifacts["factor.json"] = (u_ref.grid, {"u": solution.u.values})
 
 
@@ -565,29 +571,33 @@ def cmd_develop(run: _Run) -> None:
     u = _factor(run.config)
     dev = _develop_stage(run, u)
     run.check("pullback_isometry", pullback_isometry_check(dev, u),
-              50.0 * u.grid.h**2 * run.config.tol_scale)
+              run.limit("pullback_isometry", u.grid))
     run.extra["calibration"] = _calibration_block(dev, u)
 
 
 def cmd_verify_minding(run: _Run) -> None:
     kind = _source_kind(run.config)
     if kind == "chart":
+        # the chart is the identity, so every check runs on the source grid;
         # keep the chart alone: holding the catalog metric and u raises peak memory
-        dev_u = _chart_catalog_stages(run, _load_source(run.config)[1])
-        run.extra["calibration"] = _calibration_block(*dev_u)
-        return
-    if kind == "metric":
-        h_img = _flatten_stages(run, _load_source(run.config), curvature_gate=1e-2)
+        chart = _load_source(run.config)[1]
+        _store_chart(run, chart)
+        h = chart.h
+    elif kind == "metric":
+        h = _flatten_stages(run, _load_source(run.config))
     else:
         surface = _surface(run)
         if kind == "angle":
             _store_surface(run, surface)
-        h_img = _flatten_stages(run, _embedded_metric_stages(run, surface), curvature_gate=None)
-    # the fit is second order, 15-24 h^2 on K = -1 sources: 50 h^2 under
-    # the absolute cap rejects K = -0.995 (89 h^2 and more) at every n.  On
-    # the soliton sources at n = 65-257 the weak, bootstrap and pullback
-    # stages peak at 3.2, 0.10 and 0.70 h^2 under the charts' coefficients
-    _factor_stages(run, h_img, rescale=50.0, cap=FACTOR_GATE_CAP)
+        h = _flatten_stages(run, _embedded_metric_stages(run, surface))
+    if kind in ("chart", "metric"):
+        # the factor's is the only curvature these sources have; an embedded
+        # one gates its forms' instead, as differencing a resampled factor
+        # twice amplifies node-scale noise by 1/h^2
+        _isothermic_curvature_stage(run, h)
+    dev_u = _factor_stages(run, h)
+    if kind == "chart":
+        run.extra["calibration"] = _calibration_block(*dev_u)
 
 
 def _execute(command: str, body, kinds: tuple, needs: str, config: PipelineConfig) -> int:
@@ -712,7 +722,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--metric-file", help="metric field file (E, F, G)")
     common.add_argument("--factor-file", help="log-factor field file (channel u)")
     common.add_argument("--n", type=int, help="nodes per side (default 129)")
-    common.add_argument("--tol-scale", type=float, help="multiplies every gate")
+    common.add_argument("--tol-scale", type=float,
+                        help="multiplies every gate but the sine_gordon cap and Newton budget")
     common.add_argument("--out", help="directory for report.json and field files")
     common.add_argument("--config", help="JSON file with defaults for these flags")
     for name in _COMMANDS:

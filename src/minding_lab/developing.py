@@ -133,9 +133,6 @@ class HolomorphicInvariant:
     T: np.ndarray
     cr_residual: ScalarField
 
-    def max_cr(self) -> float:
-        return float(np.nanmax(self.cr_residual.values))
-
 
 def u_from_phi(dev: DevelopingMap, exponent: float = 0.5) -> ScalarField:
     """Log-factor of the metric pulled back through a disk map.
@@ -150,13 +147,8 @@ def u_from_phi(dev: DevelopingMap, exponent: float = 0.5) -> ScalarField:
     return ScalarField(dev.grid, exponent * np.log(dev.pullback_density()))
 
 
-def holomorphic_invariant(u: ScalarField) -> HolomorphicInvariant:
-    """Complex invariant ``u_zz - u_z^2`` of a sampled log-factor.
-
-    For a factor satisfying the curvature equation the invariant is
-    holomorphic; the returned residual field measures the defect and is
-    diagnostic only (nonsolutions are legitimate inputs).
-    """
+def _invariant(u: ScalarField) -> np.ndarray:
+    """Complex invariant ``T = u_zz - u_z^2`` of a sampled log-factor."""
     g = u.grid
     vals = u.values.astype(float)
     uz = _dz(vals, g)
@@ -167,7 +159,14 @@ def holomorphic_invariant(u: ScalarField) -> HolomorphicInvariant:
     uyy = _second(vals, g.dy, axis=0)
     uxy = _partial_values(_partial_values(vals, g, "x"), g, "y")
     uzz = 0.25 * (uxx - uyy - 2j * uxy)
-    T = uzz - uz**2
+    return uzz - uz**2
+
+
+def holomorphic_invariant(u: ScalarField) -> HolomorphicInvariant:
+    """``T`` and its holomorphy defect, which a solution of the curvature
+    equation lacks; diagnostic only (nonsolutions are legitimate inputs)."""
+    g = u.grid
+    T = _invariant(u)
     res = np.abs(_dbar(T, g))
     margin = 2 if min(g.shape) >= 5 else 1
     res[:margin, :] = res[-margin:, :] = np.nan
@@ -242,7 +241,7 @@ def develop(u: ScalarField, *, base: tuple[int, int] | None = None) -> Developin
     if not np.isfinite(u.values).all():
         raise GridError("log-factor must be finite everywhere")
     jb, ib = base if base is not None else (g.ny // 2, g.nx // 2)
-    phi, dphi = _march(u, holomorphic_invariant(u).T, jb, ib, x_first=True)
+    phi, dphi = _march(u, _invariant(u), jb, ib, x_first=True)
     try:
         return DevelopingMap(g, phi, dphi)
     except DevelopError as exc:
@@ -252,7 +251,7 @@ def develop(u: ScalarField, *, base: tuple[int, int] | None = None) -> Developin
 def develop_path_residual(u: ScalarField, base: tuple[int, int] | None = None) -> float:
     """Sup difference between row-first and column-first integrations."""
     g = u.grid
-    T = holomorphic_invariant(u).T
+    T = _invariant(u)
     jb, ib = base if base is not None else (g.ny // 2, g.nx // 2)
     phi_xy, _ = _march(u, T, jb, ib, x_first=True)
     phi_yx, _ = _march(u, T, jb, ib, x_first=False)

@@ -99,15 +99,6 @@ class DirichletProblem:
             raise GridError("rhs must be finite on interior nodes")
         object.__setattr__(self, "boundary", boundary_array(self.grid, self.boundary))
 
-    @classmethod
-    def from_functions(cls, grid: Grid2D, rhs, boundary) -> "DirichletProblem":
-        if not isinstance(rhs, ScalarField):
-            if callable(rhs):
-                rhs = ScalarField.from_function(grid, rhs)
-            else:
-                rhs = ScalarField(grid, np.full(grid.shape, float(rhs)))
-        return cls(grid, rhs, boundary_array(grid, boundary))
-
 
 def _laplacian_spectrum(grid: Grid2D) -> np.ndarray:
     """Eigenvalues of ``-A``, shape ``(ny - 2, nx - 2)``.

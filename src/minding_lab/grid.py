@@ -241,10 +241,6 @@ class TestFunction:
         X, Y = grid.mesh()
         return ScalarField(grid, self.value(X, Y))
 
-    def grad_sample(self, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-        X, Y = grid.mesh()
-        return self.grad(X, Y)
-
     def exact_integral(self) -> float:
         return math.pi * self.r**2 / 3.0
 

@@ -84,9 +84,6 @@ class WeakResidualReport:
     def normalized(self) -> tuple:
         return tuple(r / n for r, n in zip(self.residuals, self.normalizers))
 
-    def max_normalized(self) -> float:
-        return max(abs(r) for r in self.normalized())
-
 
 def bump_lattice(grid: Grid2D):
     """Deterministic family of interior bumps.

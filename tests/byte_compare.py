@@ -13,6 +13,8 @@ leave every output alone):
   run, which goes first;
 - ``verify-minding`` on the five catalog sources at n = 129, and
   ``develop`` and ``solve`` on both catalog charts there;
+- the same at n = 65 with ``--tol-scale 0.5``, so every gate is
+  compared off its default scale too;
 - ``perfbench/audit.py --seed 7``.
 
 Each tree runs with ``PYTHONPATH`` set to its own ``src/``, in its own
@@ -61,16 +63,17 @@ def commands():
     sources = [("catalog", source, source) for source in SOURCES]
     sources += [(flag, f"out/verify-minding-one_soliton-65/{name}", flag)
                 for flag, name in FILES.items()]
-    cli = [(command, source, 65) for source in sources for command in COMMANDS]
-    cli += [("verify-minding", ("catalog", source, source), 129) for source in SOURCES]
-    cli += [(command, ("catalog", chart, chart), 129)
-            for command in ("develop", "solve") for chart in CHARTS]
+    cli = [(command, source, 65, ()) for source in sources for command in COMMANDS]
+    for n, scale in ((129, ()), (65, ("--tol-scale", "0.5"))):
+        cli += [("verify-minding", ("catalog", source, source), n, scale) for source in SOURCES]
+        cli += [(command, ("catalog", chart, chart), n, scale)
+                for command in ("develop", "solve") for chart in CHARTS]
     runs = []
-    for command, (flag, source, label), n in cli:
-        out = f"out/{command}-{label}-{n}"
-        runs.append((f"{command} {label} n={n}",
+    for command, (flag, source, label), n, scale in cli:
+        out = "-".join([f"out/{command}", label, str(n), *(arg.strip("-") for arg in scale)])
+        runs.append((" ".join([command, label, f"n={n}", *scale]),
                      ["-m", "minding_lab.cli", command, f"--{flag}", source,
-                      "--n", str(n), "--out", out], out))
+                      "--n", str(n), *scale, "--out", out], out))
     runs.append(("audit --seed 7", ["{root}/perfbench/audit.py", "--seed", "7"], None))
     return runs
 

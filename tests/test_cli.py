@@ -12,6 +12,7 @@ import pytest
 import minding_lab
 from minding_lab.cli import (
     CATALOG,
+    COMPATIBILITY_TOL,
     EXIT_PASS,
     EXIT_SOLVER,
     EXIT_TOLERANCE,
@@ -367,6 +368,32 @@ class TestArtifactsAndExport:
         assert code == EXIT_PASS
         assert "f.csv" in report["written"]
         assert "theta.csv" in report["written"]
+
+
+class TestTolScale:
+    @pytest.mark.parametrize("source", ["one_soliton", "half_plane_pseudosphere"])
+    def test_halves_every_gate_but_the_compatibility_cap(self, capsys, source):
+        gates = []
+        for scale in ("1", "0.5"):
+            _, report = run_cli(capsys, "verify-minding", "--catalog", source, "--n", "65",
+                                "--tol-scale", scale)
+            gates.append({s["name"]: s["gate"] for s in report["stages"] if "gate" in s})
+        full, half = gates
+        shared = full.keys() & half.keys()
+        assert {"curvature", "rescale"} <= shared
+        for name in shared:
+            # 50 h^2 is over the cap at n = 65, so sine_gordon reads it at both scales
+            expected = COMPATIBILITY_TOL if name == "sine_gordon" else full[name] / 2
+            assert half[name] == expected, name
+        assert ("sine_gordon" in shared) == (source == "one_soliton")
+
+    def test_leaves_the_newton_budget(self, capsys):
+        budgets = []
+        for scale in ("1", "0.5"):
+            _, report = run_cli(capsys, "solve", "--catalog", "half_plane_pseudosphere",
+                                "--n", "65", "--tol-scale", scale)
+            budgets += [s["gate"] for s in report["stages"] if s["name"] == "newton_iterations"]
+        assert budgets == [8.0, 8.0]
 
 
 class TestDeterminism:

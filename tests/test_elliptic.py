@@ -61,18 +61,27 @@ def boundary_terms(grid, bd):
     return b.ravel()
 
 
+def dirichlet(grid, rhs, boundary):
+    """A problem whose source term is a constant, a function of (X, Y) or a field."""
+    if callable(rhs):
+        rhs = ScalarField.from_function(grid, rhs)
+    elif not isinstance(rhs, ScalarField):
+        rhs = ScalarField(grid, np.full(grid.shape, float(rhs)))
+    return DirichletProblem(grid, rhs, boundary)
+
+
 class TestPoisson:
     def test_harmonic_linear_is_stencil_exact(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         X, _ = g.mesh()
-        p = DirichletProblem.from_functions(g, 0.0, lambda X, Y: X)
+        p = dirichlet(g, 0.0, lambda X, Y: X)
         w = solve_poisson(p)
         assert np.max(np.abs(w.values - X)) <= 1e-12
 
     def test_quadratic_is_stencil_exact(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         X, Y = g.mesh()
-        p = DirichletProblem.from_functions(g, 4.0, lambda X, Y: X**2 + Y**2)
+        p = dirichlet(g, 4.0, lambda X, Y: X**2 + Y**2)
         w = solve_poisson(p)
         assert np.max(np.abs(w.values - (X**2 + Y**2))) <= 1e-11
 
@@ -81,7 +90,7 @@ class TestPoisson:
         for n in (65, 129):
             g = half_plane_grid(n)
             _, Y = g.mesh()
-            p = DirichletProblem.from_functions(
+            p = dirichlet(
                 g, lambda X, Y: 1.0 / Y**2, lambda X, Y: -np.log(Y)
             )
             w = solve_poisson(p)
@@ -92,7 +101,7 @@ class TestPoisson:
     def test_boundary_reproduced_verbatim(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 17, 17)
         bd = boundary_array(g, lambda X, Y: np.sin(3 * X) - Y)
-        p = DirichletProblem.from_functions(g, 1.0, bd)
+        p = dirichlet(g, 1.0, bd)
         w = solve_poisson(p)
         assert np.array_equal(w.values[0, :], bd[0, :])
         assert np.array_equal(w.values[:, -1], bd[:, -1])
@@ -102,7 +111,7 @@ class TestPoisson:
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         rng = np.random.default_rng(7)
         rhs = ScalarField(g, rng.random(g.shape))
-        p = DirichletProblem.from_functions(
+        p = dirichlet(
             g, rhs, lambda X, Y: -0.1 - 0.2 * np.abs(np.sin(3 * X + 2 * Y))
         )
         w = solve_poisson(p)
@@ -113,7 +122,7 @@ class TestPoisson:
         bad = np.zeros(g.shape)
         bad[0, 3] = np.inf
         with pytest.raises(GridError):
-            DirichletProblem.from_functions(g, 0.0, bad)
+            dirichlet(g, 0.0, bad)
         other = Grid2D.from_bounds(0, 2, 0, 1, 9, 9)
         with pytest.raises(GridError):
             DirichletProblem(g, ScalarField(other, np.zeros(other.shape)), 0.0)

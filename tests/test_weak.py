@@ -40,7 +40,7 @@ class TestReportAndLattice:
         assert rep.count == 2
         assert rep.max_abs() == 2.0
         assert rep.normalized() == (0.5, -0.5)
-        assert rep.max_normalized() == 0.5
+        assert max(abs(r) for r in rep.normalized()) == 0.5
 
     def test_lattice_is_deterministic_and_interior(self):
         g = unit_grid(65)
@@ -293,7 +293,7 @@ def ref_mixed_partials(W, tests):
         Wy = np.gradient(W.values, grid.dy, axis=0, edge_order=2)
         residuals = []
         for v in tests:
-            gx, gy = v.grad_sample(grid)
+            gx, gy = v.grad(*grid.mesh())
             worst = 0.0
             for p in range(3):
                 for q in range(3):
@@ -307,7 +307,7 @@ def ref_mixed_partials(W, tests):
     Wy = fd_partial(W, "y").values
     residuals = []
     for v in tests:
-        gx, gy = v.grad_sample(grid)
+        gx, gy = v.grad(*grid.mesh())
         r = -quadrature(ScalarField(grid, Wx * gy)) + quadrature(
             ScalarField(grid, Wy * gx)
         )
@@ -321,7 +321,7 @@ def ref_product_rule(P, L, tests, axis):
     residuals = []
     for v in tests:
         vals = v.sample(grid).values
-        gx, gy = v.grad_sample(grid)
+        gx, gy = v.grad(*grid.mesh())
         dv = gx if axis == "x" else gy
         r = (
             -quadrature(ScalarField(grid, P.values * L.values * dv))
@@ -340,7 +340,7 @@ def ref_liouville(u, tests):
     residuals = []
     for v in tests:
         vals = v.sample(grid).values
-        gx, gy = v.grad_sample(grid)
+        gx, gy = v.grad(*grid.mesh())
         r = quadrature(ScalarField(grid, ux * gx + uy * gy)) + quadrature(
             ScalarField(grid, source * vals)
         )
@@ -355,7 +355,7 @@ def ref_frame_entry(A, B, grid, p, q, tests):
     residuals = []
     for w in tests:
         vals = w.sample(grid).values
-        gx, gy = w.grad_sample(grid)
+        gx, gy = w.grad(*grid.mesh())
         r = (
             -quadrature(ScalarField(grid, a * gy))
             + quadrature(ScalarField(grid, b * gx))
