@@ -33,6 +33,8 @@ deterministic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -276,15 +278,11 @@ def _dissect(nx: int, ny: int) -> list[tuple[np.ndarray, ...]]:
     return levels
 
 
-def _layout(region: np.ndarray, own: np.ndarray, nx: int, ny: int):
-    """Nodes of one front: those it eliminates, row by row, then its ring.
-
-    The ring is the grid nodes outside the region that share a stencil
-    edge with it: the region's frame less its top-left and bottom-right
-    corners, which the diagonal edges miss.  It runs counter-clockwise
-    from the corner below left, so that a child's ring meets its
-    parent's front in a few runs of consecutive slots.
-    """
+def _frame(region: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """Ring of a region: the grid nodes outside it that share a stencil
+    edge with it, which is the region's frame less its top-left and
+    bottom-right corners, the ones the diagonal edges miss; listed
+    counter-clockwise from the corner below left."""
     i0, i1, j0, j1 = (int(v) for v in region)
     w, h = i1 - i0, j1 - j0
     ri = np.concatenate([np.arange(i0 - 1, i1), np.full(h + 1, i1),
@@ -292,54 +290,140 @@ def _layout(region: np.ndarray, own: np.ndarray, nx: int, ny: int):
     rj = np.concatenate([np.full(w + 1, j0 - 1), np.arange(j0, j1 + 1),
                          np.full(w, j1), np.arange(j1 - 1, j0 - 1, -1)])
     inside = (ri >= 0) & (ri < nx) & (rj >= 0) & (rj < ny)
-    oi0, oi1, oj0, oj1 = own
-    return ((np.arange(oj0, oj1)[:, None] * nx + np.arange(oi0, oi1)).ravel(),
-            (rj * nx + ri)[inside])
+    return (rj * nx + ri)[inside]
 
 
-def _runs(slots: np.ndarray) -> list[tuple[slice, slice]]:
-    """Cut a map from positions to slots into runs of slots one apart,
-    rising or falling: ``(slots, positions)`` slice pairs."""
-    runs, start = [], 0
-    while start < len(slots):
-        end, step = start + 1, 1
-        if end < len(slots) and abs(slots[end] - slots[start]) == 1:
-            step = int(slots[end] - slots[start])
-            while end < len(slots) and slots[end] - slots[end - 1] == step:
-                end += 1
-        first, stop = int(slots[start]), int(slots[start]) + step * (end - start)
-        runs.append((slice(first, stop if stop >= 0 else None, step), slice(start, end)))
-        start = end
-    return runs
+def _plan(nx: int, ny: int) -> list[tuple]:
+    """``_dissect``'s fronts grouped into stacks of translates, root first.
+
+    Every ring node lies on the separator of one ancestor of the front,
+    and ``owner`` holds each node's depth.  A front's ring is sorted by
+    that depth, shallowest first, then by node.  A child's ring then
+    lists its parent's ring nodes in the parent's order and ends with
+    the parent's own nodes in theirs: the lower triangle of the child's
+    Schur complement lands in exactly the lower ``F11``, the ``F12`` and
+    the lower ``F22`` of the parent's frontal matrix, the triangles the
+    parent reads, and nothing in ``F21``.  The nodes of one owner are a
+    segment of the ring, which lands in consecutive slots of the parent.
+    The Schur complement is kept in two panels of rows, split at the
+    segment bound nearest the middle, each running to its last column.
+
+    Fronts are translates when their regions have one size, the same
+    grid sides cut off their rings and their ring nodes' owners come in
+    the same order; one stack holds them, in the order of their parents'
+    stacks and rows.  One entry per depth: the region origins, each
+    front's stack and row in it, the children, and per stack its
+    fronts, the first front's own nodes and sorted ring, and the ring's
+    segment and panel bounds.
+    """
+    levels = _dissect(nx, ny)
+    owner = np.empty(nx * ny, dtype=int)
+    for depth, (_, own, _) in enumerate(levels):
+        i0, i1, j0, j1 = own.T
+        size = (i1 - i0) * (j1 - j0)
+        k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        w = np.repeat(i1 - i0, size)
+        owner[(np.repeat(j0, size) + k // w) * nx + np.repeat(i0, size) + k % w] = depth
+    plan, parent = [], np.zeros((1, 3), dtype=int)  # parent stack, role, parent row
+    for region, own_rect, kids in levels:
+        i0, i1, j0, j1 = region.T
+        origin = j0 * nx + i0
+        # size, and the grid sides that cut off the ring, as one number
+        shape = (((i1 - i0) * (ny + 1) + j1 - j0) * 16
+                 + (i0 == 0) + 2 * (i1 == nx) + 4 * (j0 == 0) + 8 * (j1 == ny))
+        _, by_shape = np.unique(shape, return_inverse=True)
+        kind, frames = np.empty(len(region), dtype=int), []
+        for s in range(by_shape.max() + 1):
+            fronts = np.flatnonzero(by_shape == s)
+            ring = _frame(region[fronts[0]], nx, ny) - origin[fronts[0]]
+            depth = owner[ring + origin[fronts, None]]
+            # the order of the owners' depths sets the ring order; they
+            # change only where a side or a corner starts, at most six
+            # places, and the comparisons there, as bits, make an exact key
+            depth = depth[:, np.flatnonzero(np.diff(depth, axis=1, prepend=-1).any(axis=0))]
+            below = (depth[:, :, None] < depth[:, None, :]).reshape(len(fronts), -1)
+            _, sub = np.unique(below @ (1 << np.arange(below.shape[1])), return_inverse=True)
+            kind[fronts] = len(frames) + sub
+            frames += [ring] * (sub.max() + 1)
+        order = np.lexsort((parent[:, 2], parent[:, 1], parent[:, 0], kind))
+        row = np.empty(len(region), dtype=int)
+        stacks = []
+        for fronts in np.split(order, np.flatnonzero(np.diff(kind[order])) + 1):
+            row[fronts] = np.arange(len(fronts))
+            oi0, oi1, oj0, oj1 = own_rect[fronts[0]]
+            ring = frames[kind[fronts[0]]] + origin[fronts[0]]
+            ring = ring[np.lexsort((ring, owner[ring]))]
+            bounds = [0, *(np.flatnonzero(np.diff(owner[ring])) + 1).tolist(), len(ring)]
+            halves = sorted({0, min(bounds, key=lambda v: abs(2 * v - len(ring))), len(ring)})
+            own = (np.arange(oj0, oj1)[:, None] * nx + np.arange(oi0, oi1)).ravel()
+            stacks.append((fronts, own, ring, bounds, halves))
+        plan.append((origin, kind, row, kids, stacks))
+        split = np.flatnonzero(kids[:, 0] >= 0)
+        parent = np.column_stack([np.tile(kind[split], 2), np.repeat([0, 1], len(split)),
+                                  np.tile(row[split], 2)])
+    return plan
+
+
+def _packing(m: int) -> tuple:
+    """How an ``m x m`` lower triangle is stored: its rows from
+    ``h = m // 2`` on and columns before ``h`` as one full block, and the
+    two triangles left on the diagonal, of orders ``h`` and ``m - h``,
+    packed row by row.  Returns ``h``; each packed entry's row and
+    column; where each row starts; and the packed entries in column
+    order, with their rows and where each column starts."""
+    h = m // 2
+    (I, J), (I2, J2) = np.tril_indices(h), np.tril_indices(m - h)
+    I, J = np.concatenate([I, I2 + h]), np.concatenate([J, J2 + h])
+    by_col = np.lexsort((I, J))
+    return (h, I, J, np.searchsorted(I, np.arange(m)), by_col, I[by_col],
+            np.searchsorted(J[by_col], np.arange(m)))
 
 
 @dataclass(frozen=True)
 class Cholesky:
     """``H = L L^H`` front by front.
 
-    Each stack holds, for fronts of one shape, the nodes each eliminates
-    ``(k, m)``, its ring ``(k, b)``, the inverse of its diagonal Cholesky
-    block ``(k, m, m)`` and its ring rows ``L21`` ``(k, b, m)``.  ``L.nnz``
-    counts the entries stored per front, the lower triangle of its
-    diagonal block and its ring rows; ``U = L^H`` shares them.
+    The unknowns are numbered in elimination order, ``order``.  Each
+    stack holds the fronts of one depth that eliminate ``m`` nodes,
+    whose positions it holds as a slice.  Per front it stores the lower
+    triangle of ``L11^-1``, the inverse of its diagonal Cholesky block,
+    as ``_packing`` lays it out: the full block ``(k, m - h, h)`` and the
+    packed diagonal triangles ``(m (m + 1) / 2 - h (m - h), k)``.  Per
+    ring size ``b``, a part of the stack holds the ring's positions
+    ``(k, b)`` and the ring block ``Y = L11^-1 F12 = L21^H``
+    ``(k, m, b)``.  ``L.nnz`` counts the entries stored per front, which
+    are these blocks and no zeros; ``U = L^H`` shares them.
     """
 
     stacks: tuple
+    order: np.ndarray
     L: SimpleNamespace
     U: SimpleNamespace
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``H^-1 b``: forward through the stacks in elimination order,
-        then back."""
-        x = np.array(b, dtype=complex)
-        for own, ring, inverse, L21 in self.stacks:
-            y = (inverse @ x[own][..., None])[..., 0]
-            x[own] = y
-            np.subtract.at(x, ring, (L21 @ y[..., None])[..., 0])
-        for own, ring, inverse, L21 in reversed(self.stacks):
-            t = x[own] - (x[ring].conj()[:, None, :] @ L21)[:, 0, :].conj()
-            x[own] = (t.conj()[:, None, :] @ inverse)[:, 0, :].conj()
-        return x
+        then back.  A packed triangle is applied entry by entry and
+        summed by rows forward, by columns back."""
+        x = np.asarray(b, dtype=complex)[self.order]
+        for own, (h, _, J, rows, *_), block, packed, parts in self.stacks:
+            y = x[own].reshape(len(rows), -1)
+            below = (block @ y[:h].T[..., None])[..., 0].T
+            np.add.reduceat(packed * y[J], rows, axis=0, out=y)
+            y[h:] += below
+            for fronts, ring, Y in parts:
+                v = Y.transpose(0, 2, 1) @ y[:, fronts].T.conj()[..., None]
+                np.subtract.at(x, ring.ravel(), v.conj().ravel())
+        for own, (h, *_, by_col, I, cols), block, packed, parts in reversed(self.stacks):
+            y = x[own].reshape(len(cols), -1)
+            for fronts, ring, Y in parts:
+                y[:, fronts] -= (Y @ x[ring][..., None])[..., 0].T
+            t = y.conj()
+            np.add.reduceat(packed[by_col] * t[I], cols, axis=0, out=y)
+            y[:h] += (t[h:].T[:, None, :] @ block)[:, 0].T
+            np.conjugate(y, out=y)
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
 
 
 def splu(H: Stencil) -> Cholesky:
@@ -351,68 +435,150 @@ def splu(H: Stencil) -> Cholesky:
     line or a whole leaf, in a dense frontal matrix over them and its
     ring: its stencil entries plus the Schur complements its two
     children leave on their rings.  A partial Cholesky step then leaves
-    the front's own Schur complement on its ring for its parent.
+    the front's own Schur complement on its ring for its parent.  That
+    complement is Hermitian, and only its lower triangle, in the ring
+    order of ``_plan``, is formed, stored and added in; so the parent
+    fills only the triangles it reads.
 
-    Fronts are factored deepest first, in stacks of one shape: the same
-    region size and the same grid sides cut off its ring.  Such fronts
-    are translates, so the first of them gives the stack's stencil
-    pattern and where its children's Schur complements land, as runs of
+    Fronts are factored deepest first, in ``_plan``'s stacks of
+    translates: the first front gives the stack's stencil pattern and
+    where its children's Schur complements land, as blocks of
     consecutive slots added in by slices.  A non-positive pivot raises
     ``EllipticError``.
     """
     ny, nx = H.diag.shape
     columns = H._columns()
-    stacks, stored, below = [], 0, None
-    for region, own_rect, kids in reversed(_dissect(nx, ny)):
-        i0, i1, j0, j1 = region.T
-        shape = np.column_stack([i1 - i0, j1 - j0, i0 == 0, i1 == nx, j0 == 0, j1 == ny])
-        _, kind = np.unique(shape, axis=0, return_inverse=True)
-        row, left = np.zeros(len(region), dtype=int), []
-        for k in range(kind.max() + 1):
-            fronts = np.flatnonzero(kind == k)
-            row[fronts] = np.arange(len(fronts))
-            own, ring = _layout(region[fronts[0]], own_rect[fronts[0]], nx, ny)
-            shift = region[fronts, 0] + region[fronts, 2] * nx
-            schur = np.empty((len(fronts), len(ring), len(ring)), dtype=complex)
-            stacks += _factor_shape(columns, nx, own, ring, (shift - shift[0])[:, None], schur,
-                                    [_landing(below, kids[fronts, c], own, ring, nx)
-                                     for c in (0, 1)] if kids[fronts[0], 0] >= 0 else [])
-            stored += len(fronts) * (len(own) * (len(own) + 1) // 2 + len(own) * len(ring))
-            left.append((schur, ring))
-        below = region, kind, row, left
+    stacks, packing, stored, below = [], {}, 0, None
+    for origin, kind, row, kids, kinds in reversed(_plan(nx, ny)):
+        left = [None] * len(kinds)
+        # a child stack's panels are dropped once its last parent stack is done
+        readers = Counter(below[1][kid] for fronts, *_ in kinds for kid in kids[fronts[0]]
+                          if kid >= 0)
+        for m in sorted({len(own) for _, own, *_ in kinds}):
+            members = [s for s, (_, own, *_) in enumerate(kinds) if len(own) == m]
+            if m not in packing:
+                packing[m] = _packing(m)
+            tables = packing[m]
+            h, count = tables[0], sum(len(kinds[s][0]) for s in members)
+            own_at = np.empty((count, m), dtype=int)
+            block = np.empty((count, m - h, h), dtype=complex)
+            packed = np.empty((len(tables[1]), count), dtype=complex)
+            parts, at = [], 0
+            for b in sorted({len(kinds[s][2]) for s in members}):
+                group = [s for s in members if len(kinds[s][2]) == b]
+                start, count = at, sum(len(kinds[s][0]) for s in group)
+                ring_at, Y = np.empty((count, b), dtype=int), np.empty((count, m, b), dtype=complex)
+                for s in group:
+                    fronts, own, ring, bounds, halves = kinds[s]
+                    shift = (origin[fronts] - origin[fronts[0]])[:, None]
+                    rows = slice(at, at + len(fronts))
+                    local = slice(at - start, at - start + len(fronts))
+                    own_at[rows], ring_at[local] = own + shift, ring + shift
+                    panels = [np.empty((len(fronts), hi - lo, hi), dtype=complex)
+                              for lo, hi in zip(halves[:-1], halves[1:])]
+                    children = kids[fronts[0]] if kids[fronts[0], 0] >= 0 else ()
+                    _factor_shape(columns, nx, own, ring, shift, tables, below, children,
+                                  panels, halves, block[rows], packed[:, rows], Y[local])
+                    left[s] = (panels, halves, ring, fronts[0], bounds)
+                    for kid in children:
+                        readers[below[1][kid]] -= 1
+                        if not readers[below[1][kid]]:
+                            below[3][below[1][kid]] = None
+                    at += len(fronts)
+                parts.append((slice(start, at), ring_at, Y))
+                stored += Y.size
+            stacks.append((own_at, tables, block, packed, parts))
+            stored += block.size + packed.size
+        below = origin, kind, row, left
+    # number the unknowns in elimination order, each stack's own nodes a block
+    order = np.concatenate([own.T.ravel() for own, *_ in stacks])
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    for *_, parts in stacks:
+        for _, ring, _ in parts:
+            ring[...] = where[ring]
+    at = np.cumsum([0] + [own.size for own, *_ in stacks])
     entries = SimpleNamespace(nnz=stored)
-    return Cholesky(tuple(stacks), entries, entries)
+    return Cholesky(tuple((slice(at[g], at[g + 1]), *rest) for g, (_, *rest) in enumerate(stacks)),
+                    order, entries, entries)
 
 
-def _landing(below, kids: np.ndarray, own: np.ndarray, ring: np.ndarray, nx: int):
-    """The Schur complements one child of each of a stack of parents
-    left, their rows, and where they land in the parents' frontal
-    matrices as ``_runs``.
+def _landing(below, kid: int, found: np.ndarray, order: np.ndarray):
+    """Where the Schur complements of one child of each of a stack of
+    parents land in the parents' frontal matrices.
 
-    ``below`` is the depth of the children once factored: regions, the
-    shape of each and its row in that shape's stack, and per shape the
-    Schur complements with the ring of its first front.  ``own`` and
-    ``ring`` are the first parent's nodes; the parents are translates, so
-    their children are too and share one shape.
+    ``below`` is the depth of the children once factored: region
+    origins, each front's stack and row, and per stack its Schur
+    complement panels with their row bounds, the first front's ring and
+    the ring's segment bounds.  ``kid`` is the first parent's child, and
+    ``found[i]`` is the first parent's node in slot ``order[i]``; the
+    parents are translates, so their children are too and sit in
+    consecutive rows of one stack.  Segments that continue each other's
+    slots in one panel land as one run.  Returns the panels, that first
+    row, and per pair of runs, the later one's rows against the earlier
+    one's columns, the panel and the slices it adds from and into.
     """
-    region, kind, row, left = below
-    schur, kid_ring = left[kind[kids[0]]]
-    moved = region[kids[0]] - region[np.flatnonzero(kind == kind[kids[0]])[0]]
-    front = np.concatenate([own, ring])
-    order = np.argsort(front)
-    at = order[np.searchsorted(front[order], kid_ring + moved[0] + moved[2] * nx)]
-    return schur, row[kids], _runs(at)
+    origin, kind, row, left = below
+    panels, halves, kid_ring, first, bounds = left[kind[kid]]
+    slots = order[np.searchsorted(found, kid_ring[bounds[:-1]] + origin[kid] - origin[first])]
+    runs = []
+    for lo, hi, at in zip(bounds, bounds[1:], slots.tolist()):
+        p = bisect_right(halves, lo) - 1
+        if runs and runs[-1][0] == p and runs[-1][3] + runs[-1][2] - runs[-1][1] == at:
+            runs[-1][2] = hi
+        else:
+            runs.append([p, lo, hi, at])
+    adds = [(p, slice(lo - halves[p], hi - halves[p]), slice(at, at + hi - lo),
+             slice(at_c, at_c + hi_c - lo_c), slice(lo_c, hi_c))
+            for r, (p, lo, hi, at) in enumerate(runs) for _, lo_c, hi_c, at_c in runs[:r + 1]]
+    return panels, row[kid], adds
 
 
-def _factor_shape(columns, nx, own, ring, shift, schur, merges) -> list[tuple]:
+def _invert_lower(L: np.ndarray) -> np.ndarray:
+    """Inverses ``X`` of a stack of lower triangles, by halves as
+    ``_packing`` splits them.  The two diagonal triangles, of orders
+    ``h = m // 2`` and ``m - h``, are inverted as one stack, the smaller
+    one bordered by a unit diagonal entry, and the block below them is
+    ``-X22 L21 X11``.  A triangle of at most 8 rows is inverted one row
+    at a time: row ``r`` of ``X`` is ``-L[r, :r] X[:r, :r] / L[r, r]``."""
+    k, m, _ = L.shape
+    if m <= 8:
+        X, d = L.copy(), np.arange(m)
+        X[:, d, d] = 1.0 / X[:, d, d]
+        for r in d[1:]:
+            X[:, r, :r] = (X[:, r, None, :r] @ X[:, :r, :r])[:, 0] * -X[:, r, r, None]
+        return X
+    h = m // 2
+    s = m - h
+    diag = np.zeros((2 * k, s, s), dtype=L.dtype)
+    diag[:k, s - h:, s - h:] = L[:, :h, :h]
+    if s > h:
+        diag[:k, 0, 0] = 1.0
+    diag[k:] = L[:, h:, h:]
+    diag = _invert_lower(diag)
+    X = np.zeros_like(L)
+    X[:, :h, :h], X[:, h:, h:] = diag[:k, s - h:, s - h:], diag[k:]
+    X[:, h:, :h] = -(X[:, h:, h:] @ (L[:, h:, :h] @ X[:, :h, :h]))
+    return X
+
+
+def _factor_shape(columns, nx, own, ring, shift, tables, below, kids, panels, halves,
+                  block, packed, Y) -> None:
     """Factor a stack of translated fronts, ``_STACK`` entries at a time.
 
     ``own`` and ``ring`` are the first front's nodes, ``shift`` each
-    front's node offset from it.  Fills ``schur`` with what each front
-    leaves on its ring, and returns the factor's stacks.
+    front's node offset from it, and ``kids`` its children in ``below``,
+    whose Schur complements ``_landing`` adds in.  Writes each front's
+    inverse triangle into ``block`` and the columns of ``packed``, as
+    ``tables`` lays it out, its ring block into ``Y``, and the lower
+    triangle of the Schur complement it leaves on its ring into
+    ``panels``: the rows between two of ``halves``, against every column
+    up to the last of them.  Besides its frontal matrix, a step holds
+    only block-sized temporaries.
     """
     N = columns.shape[1]
     m, b = len(own), len(ring)
+    h, I, J = tables[:3]
     front = np.concatenate([own, ring])
     order = np.argsort(front)
     # stencil entries of the own rows; those toward a child's nodes were
@@ -422,30 +588,28 @@ def _factor_shape(columns, nx, own, ring, shift, schur, merges) -> list[tuple]:
     at = np.minimum(np.searchsorted(front[order], q), m + b - 1)
     d, a = np.nonzero((q >= 0) & (front[order][at] == q))
     into, source = a * (m + b) + order[at[d, a]], d * N + own[a]
-    stacks = []
+    merges = [_landing(below, kid, front[order], order) for kid in kids]
     size = max(1, _STACK // (m + b) ** 2)
     for start in range(0, len(shift), size):
         part = slice(start, start + size)
         F = np.zeros((len(shift[part]), m + b, m + b), dtype=complex)
         F.reshape(len(F), -1)[:, into] = columns.take(source + shift[part])
-        for child_schur, rows, runs in merges:
-            rows = rows[part]
-            S = (child_schur[rows[0]:rows[-1] + 1]
-                 if rows[-1] - rows[0] == len(rows) - 1 else child_schur[rows])
-            for into_r, from_r in runs:
-                for into_c, from_c in runs:
-                    F[:, into_r, into_c] += S[:, from_r, from_c]
+        for kid_panels, base, adds in merges:
+            rows = slice(base + start, base + start + len(F))
+            for p, from_r, into_r, into_c, from_c in adds:
+                F[:, into_r, into_c] += kid_panels[p][rows, from_r, from_c]
         try:
             L11 = np.linalg.cholesky(F[:, :m, :m])
         except np.linalg.LinAlgError as exc:
             raise EllipticError("Cholesky factorization met a non-positive pivot") from exc
-        inverse = np.linalg.inv(L11)
-        Y = inverse @ F[:, :m, m:]
-        L21 = np.ascontiguousarray(Y.conj().transpose(0, 2, 1))
-        np.matmul(L21, Y, out=schur[part])
-        np.subtract(F[:, m:, m:], schur[part], out=schur[part])
-        stacks.append((own + shift[part], ring + shift[part], inverse, L21))
-    return stacks
+        X = _invert_lower(L11)
+        np.matmul(X, F[:, :m, m:], out=Y[part])
+        block[part] = X[:, h:, :h]
+        packed[:, part] = X[:, I, J].T
+        for panel, lo, hi in zip(panels, halves[:-1], halves[1:]):
+            out = panel[part]
+            np.matmul(Y[part, :, lo:hi].conj().transpose(0, 2, 1), Y[part, :, :hi], out=out)
+            np.subtract(F[:, m + lo:m + hi, m:m + hi], out, out=out)
 
 
 def solve_poisson(p: DirichletProblem) -> ScalarField:

@@ -455,6 +455,23 @@ class TestFlattenKernel:
         (fill,) = fills
         assert fill <= 11.0
 
+    def test_factor_memory(self):
+        # the sphere_patch system at n = 129: the factor's blocks take
+        # 9.0 MiB; a factor that stored square inverse blocks and full
+        # Schur complements peaked at 18.8 MiB, this one at 13.6 MiB
+        g = Grid2D.from_bounds(-0.35, 0.35, -0.35, 0.35, 129, 129)
+        X, Y = g.mesh()
+        h = 2.0 / (1.0 + X**2 + Y**2)
+        H = conformal.NormalEquations.assemble(
+            *conformal._triangle_rows(MetricField(g, h**2, np.zeros(g.shape), h**2)))
+        tracemalloc.start()
+        try:
+            elliptic.splu(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_singular_system_is_a_conformal_error(self, asymmetric_soliton_metric):
         H = conformal.NormalEquations.assemble(*conformal._triangle_rows(asymmetric_soliton_metric))
         diag = H.diag.copy()

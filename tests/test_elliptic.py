@@ -358,11 +358,36 @@ class TestNestedDissection:
             K[b.ravel(), a.ravel()] = np.conj(v).ravel()
         return K
 
-    @pytest.mark.parametrize("nx, ny, seed", [(23, 17, 0), (17, 23, 1), (40, 6, 2), (1, 30, 3)])
+    @staticmethod
+    def straddling_runs(nx, ny):
+        """Children whose ring, read counter-clockwise, runs from the last
+        of their parent's own slots straight into its first ring slot or
+        back: one run of consecutive slots that the own/ring boundary
+        cuts."""
+        levels = elliptic._dissect(nx, ny)
+        found = 0
+        for (region, own, kids), (below, _, _) in zip(levels, levels[1:]):
+            for p in np.flatnonzero(kids[:, 0] >= 0):
+                i0, i1, j0, j1 = own[p]
+                m = (i1 - i0) * (j1 - j0)
+                own_nodes = (np.arange(j0, j1)[:, None] * nx + np.arange(i0, i1)).ravel()
+                front = np.concatenate([own_nodes, elliptic._frame(region[p], nx, ny)])
+                slot = {node: at for at, node in enumerate(front.tolist())}
+                for c in kids[p]:
+                    at = [slot[node] for node in elliptic._frame(below[c], nx, ny).tolist()]
+                    found += any({a, b} == {m - 1, m} for a, b in zip(at, at[1:]))
+        return found
+
+    @pytest.mark.parametrize("nx, ny, seed", [(23, 17, 0), (17, 23, 1), (40, 6, 2), (1, 30, 3),
+                                              (12, 9, 4)])
     def test_solve_matches_dense(self, nx, ny, seed):
         H = self.random_stencil(nx, ny, seed)
         if (nx, ny) == (23, 17):
             assert len(elliptic._dissect(nx, ny)) >= 5  # separators at four depths
+        if (nx, ny) == (12, 9):
+            # a kernel that adds in only the triangles a parent reads must
+            # cut such a run at the boundary, or drop half of it
+            assert self.straddling_runs(nx, ny) >= 1
         b = [1.0, 1j] @ np.random.default_rng(seed + 10).normal(size=(2, nx * ny))
         want = np.linalg.solve(self.dense(H), b)
         got = elliptic.splu(H).solve(b)
@@ -374,6 +399,15 @@ class TestNestedDissection:
         # triangle of its own block and its ring rows
         factor = elliptic.splu(self.random_stencil(5, 4, 5))
         assert factor.L.nnz == factor.U.nnz == 2 * (8 * 9 // 2 + 8 * 4) + 4 * 5 // 2
+
+    @pytest.mark.parametrize("nx, ny", [(5, 4), (23, 17)])
+    def test_stored_blocks_take_the_counted_bytes(self, nx, ny):
+        # the inverse triangles, with no zeros above their diagonals, and
+        # the ring blocks are all a factor keeps of its fronts
+        factor = elliptic.splu(self.random_stencil(nx, ny, 5))
+        stored = sum(block.nbytes + packed.nbytes + sum(Y.nbytes for _, _, Y in parts)
+                     for _, _, block, packed, parts in factor.stacks)
+        assert stored == 16 * factor.L.nnz
 
     def test_indefinite_stencil_raises(self):
         H = self.random_stencil(23, 17, 6)
