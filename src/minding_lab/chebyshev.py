@@ -32,6 +32,7 @@ from .grid import (
     Grid2D,
     GridError,
     ScalarField,
+    SolverError,
     VectorField3,
     _partial_values,
     fd_partial,
@@ -58,7 +59,7 @@ __all__ = [
 SIN_THETA_FLOOR = 1e-6
 
 
-class SingularAngleError(ValueError):
+class SingularAngleError(SolverError, ValueError):
     """sin(theta) fell below the floor; the net degenerates there."""
 
 

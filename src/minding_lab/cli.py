@@ -7,8 +7,9 @@ fixed key order and no timestamps, so identical configurations produce
 byte-identical output.
 
 Exit codes: 0 all gates passed, 2 unusable configuration or missing
-input, 3 a residual exceeded its gate, 4 a solver gave up.  Any other
-exception is a programming error and propagates with its traceback.
+input, 3 a residual exceeded its gate, 4 a solver gave up, which is any
+``grid.SolverError``.  Any other exception is a programming error and
+propagates with its traceback.
 
 Each source enters the chain at its own link, its kind (angle, surface,
 metric, chart or factor): ``CATALOG_KINDS`` and ``SOURCE_FILES`` say
@@ -21,10 +22,11 @@ reads a stage's gate from one table, ``GATES`` or ``FLATTENED_GATES``.
 ``gate`` records a measured residual against its gate and ends the
 chain when it fails, ``check`` records one without ending it,
 ``exceeded`` records a residual beyond the float range as a failed gate
-and ends the chain, and ``stage`` records a listed solver error as that
-stage's failure and ends the chain.  ``_execute`` catches the end of
-the chain and emits the report of what was recorded, so a command
-stops in exactly one place.
+and ends the chain, and ``stage`` records a ``SolverError`` as that
+stage's failure and ends the chain.  ``store`` keeps a ``--out`` field
+file, its channels named in ``FIELD_FILES``.  ``_execute`` catches the
+end of the chain and emits the report of what was recorded, so a
+command stops in exactly one place.
 
 Only the standard library is imported at module level: numpy reads its
 threading environment once at import time, so the MINDING_LAB_THREADS
@@ -60,12 +62,20 @@ CATALOG_KINDS = {
     "sphere_patch": "metric",
 }
 CATALOG = tuple(CATALOG_KINDS)
+# --out field file -> its channels, in the order they are written
+FIELD_FILES = {
+    "surface.json": ("fx", "fy", "fz", "Nx", "Ny", "Nz", "theta"),
+    "metric.json": ("E", "F", "G"),
+    "chart.json": ("X", "Y", "h"),
+    "factor.json": ("u",),
+    "developing.json": ("phi_re", "phi_im", "dphi_re", "dphi_im"),
+}
 # file flag -> (kind, channels the file must hold)
 SOURCE_FILES = {
     "theta_file": ("angle", ("theta",)),
-    "surface_file": ("surface", ("fx", "fy", "fz", "Nx", "Ny", "Nz", "theta")),
-    "metric_file": ("metric", ("E", "F", "G")),
-    "factor_file": ("factor", ("u",)),
+    "surface_file": ("surface", FIELD_FILES["surface.json"]),
+    "metric_file": ("metric", FIELD_FILES["metric.json"]),
+    "factor_file": ("factor", FIELD_FILES["factor.json"]),
 }
 
 # stage -> (c, p, cap): gate at min(c h^p, cap) * tol_scale, h from the
@@ -197,13 +207,22 @@ class _Run:
         raise _Stop
 
     @contextmanager
-    def stage(self, name: str, *errors: type):
+    def stage(self, name: str, *also: type):
+        """Record a ``SolverError``, or one of ``also``, raised in the block
+        as this stage's failure and end the chain."""
+        from minding_lab.grid import SolverError
+
         try:
             yield
-        except errors as exc:
+        except (SolverError, *also) as exc:
             self.stages.append({"name": name, "passed": False, "error": str(exc)})
             self.solver_error = True
             raise _Stop from exc
+
+    def store(self, name: str, grid, *arrays) -> None:
+        """Keep a field file for ``--out``, one array per channel that
+        ``FIELD_FILES`` lists for it."""
+        self.artifacts[name] = (grid, dict(zip(FIELD_FILES[name], arrays, strict=True)))
 
     def note(self, name: str, **info) -> None:
         self.stages.append({"name": name, "passed": True, **info})
@@ -347,12 +366,11 @@ def _synthesis_stages(run: _Run, theta):
     failure.
     """
     from minding_lab.chebyshev import corollary_conditions, integrate_frame, sine_gordon_residual
-    from minding_lab.chebyshev import SingularAngleError
 
     g = theta.grid
     sg = sine_gordon_residual(theta).interior_abs_max()
     run.gate("sine_gordon", sg, min(run.limit("sine_gordon", g), COMPATIBILITY_TOL))
-    with run.stage("frame_integration", SingularAngleError):
+    with run.stage("frame_integration"):
         result = integrate_frame(theta)
     path = max(result.path_residual_f, result.path_residual_frame)
     run.gate("frame_path_independence", path, run.limit("frame_path_independence", g))
@@ -363,44 +381,21 @@ def _synthesis_stages(run: _Run, theta):
 
 
 def _store_surface(run: _Run, surface) -> None:
-    run.artifacts["surface.json"] = (
-        surface.f.grid,
-        {
-            "fx": surface.f.values[..., 0],
-            "fy": surface.f.values[..., 1],
-            "fz": surface.f.values[..., 2],
-            "Nx": surface.N.values[..., 0],
-            "Ny": surface.N.values[..., 1],
-            "Nz": surface.N.values[..., 2],
-            "theta": surface.theta.theta.values,
-        },
-    )
-
-
-def _store_chart(run: _Run, chart) -> None:
-    run.artifacts["chart.json"] = (
-        chart.grid,
-        {"X": chart.X.values, "Y": chart.Y.values, "h": chart.h.values},
-    )
+    # components first: f's three, then N's
+    run.store("surface.json", surface.f.grid, *surface.f.values.transpose(2, 0, 1),
+              *surface.N.values.transpose(2, 0, 1), surface.theta.theta.values)
 
 
 def _develop_stage(run: _Run, u):
     """Develop the factor into the disk and store the map; the pullback
     is gated by the caller."""
-    from minding_lab.developing import DevelopError, develop
+    from minding_lab.developing import develop
     from minding_lab.grid import GridError
 
-    with run.stage("develop", DevelopError, GridError):
+    with run.stage("develop", GridError):
         dev = develop(u)
-    run.artifacts["developing.json"] = (
-        dev.grid,
-        {
-            "phi_re": dev.phi.real,
-            "phi_im": dev.phi.imag,
-            "dphi_re": dev.dphi.real,
-            "dphi_im": dev.dphi.imag,
-        },
-    )
+    run.store("developing.json", dev.grid, dev.phi.real, dev.phi.imag,
+              dev.dphi.real, dev.dphi.imag)
     return dev
 
 
@@ -409,14 +404,13 @@ def _embedded_metric_stages(run: _Run, surface):
     import numpy as np
 
     from minding_lab.forms import (
-        DegenerateMetricError,
         gauss_curvature_from_forms,
         induced_metric,
         normal_and_second_form,
     )
 
     g = surface.f.grid
-    with run.stage("induced_metric", DegenerateMetricError):
+    with run.stage("induced_metric"):
         metric = induced_metric(surface.f)
     dev = max(
         np.abs(metric.E - 1.0).max(),
@@ -429,7 +423,7 @@ def _embedded_metric_stages(run: _Run, surface):
     worst = float(np.nanmax(np.abs(K.values + 1.0)))
     run.gate("curvature", worst, run.limit("curvature", g),
              k_center=float(K.values[g.ny // 2, g.nx // 2]))
-    run.artifacts["metric.json"] = (g, {"E": metric.E, "F": metric.F, "G": metric.G})
+    run.store("metric.json", g, metric.E, metric.F, metric.G)
     return metric
 
 
@@ -449,19 +443,14 @@ def _isothermic_curvature_stage(run: _Run, h) -> None:
 def _flatten_stages(run: _Run, metric):
     """Flatten and resample onto the image grid; returns the raw image
     factor."""
-    from minding_lab.conformal import (
-        ConformalError,
-        flatten_conformal,
-        inner_image_grid,
-        resample_to_image,
-    )
+    from minding_lab.conformal import flatten_conformal, inner_image_grid, resample_to_image
 
-    with run.stage("flatten", ConformalError):
+    with run.stage("flatten"):
         chart = flatten_conformal(metric)
     run.gate("flatten", max(chart.anisotropy, chart.skew), run.limit("flatten", chart.grid),
              anisotropy=chart.anisotropy, skew=chart.skew)
-    _store_chart(run, chart)
-    with run.stage("image_resample", ConformalError):
+    run.store("chart.json", chart.grid, chart.X.values, chart.Y.values, chart.h.values)
+    with run.stage("image_resample"):
         image = inner_image_grid(chart, run.config.n)
         return resample_to_image(chart.h, chart, image)
 
@@ -471,24 +460,24 @@ def _factor_stages(run: _Run, h_img):
     bootstrap, and developing checks, each gated on the factor's grid."""
     import numpy as np
 
-    from minding_lab.conformal import ConformalError, rescale_to_liouville
+    from minding_lab.conformal import rescale_to_liouville
     from minding_lab.developing import pullback_isometry_check
-    from minding_lab.elliptic import EllipticError, bootstrap_equivalence
+    from minding_lab.elliptic import bootstrap_equivalence
     from minding_lab.grid import GridError, ScalarField
     from minding_lab.weak import bump_lattice, liouville_weak_residual
 
     g = h_img.grid
-    with run.stage("rescale", ConformalError):
+    with run.stage("rescale"):
         h_fit, fit = rescale_to_liouville(h_img)
     run.gate("rescale", abs(fit - 1.0), run.limit("rescale", g), fit=fit)
     u = ScalarField(h_fit.grid, np.log(h_fit.values))
-    run.artifacts["factor.json"] = (u.grid, {"u": u.values})
+    run.store("factor.json", u.grid, u.values)
 
     with run.stage("liouville_weak", GridError):
         weak = liouville_weak_residual(u, bump_lattice(u.grid))
     run.gate("liouville_weak", weak.max_abs(), run.limit("liouville_weak", g),
              test_count=weak.count)
-    with run.stage("bootstrap", EllipticError):
+    with run.stage("bootstrap"):
         gap = bootstrap_equivalence(u)
     run.gate("bootstrap", gap, run.limit("bootstrap", g))
     dev = _develop_stage(run, u)
@@ -553,16 +542,16 @@ def cmd_liouville_check(run: _Run) -> None:
 def cmd_solve(run: _Run) -> None:
     import numpy as np
 
-    from minding_lab.elliptic import EllipticError, solve_liouville_newton
+    from minding_lab.elliptic import solve_liouville_newton
 
     u_ref = _factor(run.config)
-    with run.stage("newton", EllipticError):
+    with run.stage("newton"):
         solution = solve_liouville_newton(u_ref.grid, u_ref)
     run.check("newton_iterations", solution.iterations, NEWTON_BUDGET,
               residuals=list(solution.residuals))
     err = float(np.abs(solution.u.values - u_ref.values)[1:-1, 1:-1].max())
     run.check("newton_accuracy", err, run.limit("newton_accuracy", u_ref.grid))
-    run.artifacts["factor.json"] = (u_ref.grid, {"u": solution.u.values})
+    run.store("factor.json", u_ref.grid, solution.u.values)
 
 
 def cmd_develop(run: _Run) -> None:
@@ -581,7 +570,7 @@ def cmd_verify_minding(run: _Run) -> None:
         # the chart is the identity, so every check runs on the source grid;
         # keep the chart alone: holding the catalog metric and u raises peak memory
         chart = _load_source(run.config)[1]
-        _store_chart(run, chart)
+        run.store("chart.json", chart.grid, chart.X.values, chart.Y.values, chart.h.values)
         h = chart.h
     elif kind == "metric":
         h = _flatten_stages(run, _load_source(run.config))
@@ -649,6 +638,20 @@ def _plot_tables(out: Path) -> dict:
     return tables
 
 
+def _report_stages(path: Path) -> list:
+    """The stage entries of a prior run's report, each an object with a
+    name and a verdict; anything else is a usage error naming the file."""
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+    except (RecursionError, ValueError) as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    stages = report.get("stages") if isinstance(report, dict) else None
+    if not isinstance(stages, list) or not all(
+            isinstance(s, dict) and "name" in s and "passed" in s for s in stages):
+        raise ConfigError(f"{path}: needs a list of stages, each with a name and passed")
+    return stages
+
+
 def cmd_export_plots(out_dir: str | None, force: bool) -> int:
     from minding_lab.fieldio import write_csv
 
@@ -661,8 +664,8 @@ def cmd_export_plots(out_dir: str | None, force: bool) -> int:
     plots = out / "plots"
     if plots.exists() and not force:
         raise ConfigError(f"{plots} already exists; pass --force to recreate")
+    stages = _report_stages(report_path)
     tables = _plot_tables(out)
-    report = json.loads(report_path.read_text())
     if plots.exists():
         shutil.rmtree(plots)
     plots.mkdir(parents=True)
@@ -671,15 +674,8 @@ def cmd_export_plots(out_dir: str | None, force: bool) -> int:
     with open(plots / "residuals.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["stage", "measured", "gate", "passed"])
-        for stage in report["stages"]:
-            writer.writerow(
-                [
-                    stage["name"],
-                    stage.get("measured", ""),
-                    stage.get("gate", ""),
-                    stage["passed"],
-                ]
-            )
+        writer.writerows([s["name"], s.get("measured", ""), s.get("gate", ""), s["passed"]]
+                         for s in stages)
     print(json.dumps({"command": "export-plots", "written": sorted([*tables, "residuals.csv"])},
                      sort_keys=True, indent=2))
     return EXIT_PASS
@@ -724,11 +720,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, help="nodes per side (default 129)")
     common.add_argument("--tol-scale", type=float,
                         help="multiplies every gate but the sine_gordon cap and Newton budget")
-    common.add_argument("--out", help="directory for report.json and field files")
-    common.add_argument("--config", help="JSON file with defaults for these flags")
+    saved = argparse.ArgumentParser(add_help=False)
+    saved.add_argument("--out", help="directory for report.json and field files")
+    saved.add_argument("--config", help="JSON file with defaults for these flags")
     for name in _COMMANDS:
-        sub.add_parser(name, parents=[common])
-    export = sub.add_parser("export-plots", parents=[common])
+        sub.add_parser(name, parents=[common, saved])
+    export = sub.add_parser("export-plots", parents=[saved])
     export.add_argument("--force", action="store_true",
                         help="recreate the plots directory if it exists")
     return parser
@@ -808,23 +805,6 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, cap)
 
 
-def _solver_errors() -> tuple:
-    """The package's solver breakdowns, reported with exit 4.
-
-    Imported on demand because they live next to numpy code.  Anything
-    else escaping a command, apart from usage errors, is a bug and keeps
-    its traceback.
-    """
-    from minding_lab.chebyshev import SingularAngleError
-    from minding_lab.conformal import ConformalError
-    from minding_lab.developing import DevelopError
-    from minding_lab.elliptic import EllipticError
-    from minding_lab.forms import DegenerateMetricError
-
-    return (EllipticError, ConformalError, DevelopError, SingularAngleError,
-            DegenerateMetricError)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -844,12 +824,13 @@ def main(argv=None) -> int:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        from minding_lab.grid import GridError
+        # imported on demand: they live next to numpy code
+        from minding_lab.grid import GridError, SolverError
 
         if isinstance(exc, GridError):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if isinstance(exc, _solver_errors()):
+        if isinstance(exc, SolverError):
             print(f"solver failure: {exc}", file=sys.stderr)
             return EXIT_SOLVER
         raise  # a programming error, not a verdict: keep the traceback

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic
-from .grid import Grid2D, GridError, ScalarField, fd_laplacian, fd_partial
+from .grid import Grid2D, GridError, ScalarField, SolverError, fd_laplacian, fd_partial
 from .forms import MetricField
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-class ConformalError(RuntimeError):
+class ConformalError(SolverError, RuntimeError):
     """Flattening breakdown: singular system or unusable image region."""
 
 

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Grid2D, GridError, ScalarField, _partial_values
+from .grid import Grid2D, GridError, ScalarField, SolverError, _partial_values
 from .chebyshev import _interp_midpoints, _sweep
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 CR_TOL = 1e-2
 
 
-class DevelopError(ValueError):
+class DevelopError(SolverError, ValueError):
     """Map validation failure or undevelopable input."""
 
 

@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import Grid2D, GridError, ScalarField, fd_laplacian
+from .grid import Grid2D, GridError, ScalarField, SolverError, fd_laplacian
 
 __all__ = [
     "EllipticError",
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-class EllipticError(RuntimeError):
+class EllipticError(SolverError, RuntimeError):
     """Solver breakdown or failure to converge."""
 
 
@@ -513,24 +513,19 @@ def _landing(below, kid: int, found: np.ndarray, order: np.ndarray):
     the ring's segment bounds.  ``kid`` is the first parent's child, and
     ``found[i]`` is the first parent's node in slot ``order[i]``; the
     parents are translates, so their children are too and sit in
-    consecutive rows of one stack.  Segments that continue each other's
-    slots in one panel land as one run.  Returns the panels, that first
-    row, and per pair of runs, the later one's rows against the earlier
-    one's columns, the panel and the slices it adds from and into.
+    consecutive rows of one stack.  Returns the panels, that first row,
+    and per pair of ring segments, the later one's rows against the
+    earlier one's columns, the panel and the slices it adds from and
+    into.
     """
     origin, kind, row, left = below
     panels, halves, kid_ring, first, bounds = left[kind[kid]]
     slots = order[np.searchsorted(found, kid_ring[bounds[:-1]] + origin[kid] - origin[first])]
-    runs = []
-    for lo, hi, at in zip(bounds, bounds[1:], slots.tolist()):
-        p = bisect_right(halves, lo) - 1
-        if runs and runs[-1][0] == p and runs[-1][3] + runs[-1][2] - runs[-1][1] == at:
-            runs[-1][2] = hi
-        else:
-            runs.append([p, lo, hi, at])
+    segs = [(bisect_right(halves, lo) - 1, lo, hi, at)
+            for lo, hi, at in zip(bounds, bounds[1:], slots.tolist())]
     adds = [(p, slice(lo - halves[p], hi - halves[p]), slice(at, at + hi - lo),
              slice(at_c, at_c + hi_c - lo_c), slice(lo_c, hi_c))
-            for r, (p, lo, hi, at) in enumerate(runs) for _, lo_c, hi_c, at_c in runs[:r + 1]]
+            for r, (p, lo, hi, at) in enumerate(segs) for _, lo_c, hi_c, at_c in segs[:r + 1]]
     return panels, row[kid], adds
 
 

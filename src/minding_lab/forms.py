@@ -28,6 +28,7 @@ from .grid import (
     Grid2D,
     GridError,
     ScalarField,
+    SolverError,
     VectorField3,
     _partial_values,
     fd_laplacian,
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 
-class DegenerateMetricError(ValueError):
+class DegenerateMetricError(SolverError, ValueError):
     """Metric determinant vanished (or went negative) somewhere."""
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "GridError",
+    "SolverError",
     "Grid2D",
     "ScalarField",
     "VectorField3",
@@ -35,6 +36,11 @@ __all__ = [
 
 class GridError(ValueError):
     """Invalid grid geometry, sample shape, or grid mismatch."""
+
+
+class SolverError(Exception):
+    """A solver gave up: the base of every breakdown the command line
+    reports with exit 4.  Each subclass also keeps its builtin base."""
 
 
 def _require_finite(name: str, value: float) -> None:

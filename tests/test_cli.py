@@ -23,7 +23,7 @@ from minding_lab.cli import (
     main,
 )
 from minding_lab.fieldio import read_field, write_field
-from minding_lab.grid import Grid2D
+from minding_lab.grid import Grid2D, GridError, SolverError
 
 
 def run_cli(capsys, *argv):
@@ -355,6 +355,33 @@ class TestArtifactsAndExport:
         assert main(["export-plots", "--out", str(out), "--force"]) == EXIT_USAGE
         assert "missing channels ['u']" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in (out / "plots").iterdir()} == before
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"stages": [{"name": "x"}]}'],
+                             ids=["not_json", "not_an_object", "stage_without_passed"])
+    def test_export_checks_the_report_before_touching_plots(self, capsys, tmp_path, text):
+        out = tmp_path / "run"
+        run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere",
+                "--n", "17", "--out", str(out))
+        assert run_cli(capsys, "export-plots", "--out", str(out))[0] == EXIT_PASS
+        before = {p.name: p.read_bytes() for p in (out / "plots").iterdir()}
+        (out / "report.json").write_text(text)
+        assert main(["export-plots", "--out", str(out), "--force"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {out / 'report.json'}: " in err and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in (out / "plots").iterdir()} == before
+
+    def test_export_takes_no_source_flags(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere",
+                "--n", "17", "--out", str(out))
+        for flag, value in (("--catalog", "one_soliton"), ("--theta-file", "t.json"),
+                            ("--surface-file", "s.json"), ("--metric-file", "m.json"),
+                            ("--factor-file", "f.json"), ("--n", "17"), ("--tol-scale", "2")):
+            with pytest.raises(SystemExit) as stop:
+                main(["export-plots", flag, value, "--out", str(out)])
+            assert stop.value.code == EXIT_USAGE
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (out / "plots").exists()
 
     def test_export_needs_prior_run(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "export-plots", "--out", str(tmp_path / "nothing"))
@@ -702,6 +729,41 @@ class TestFailureClassification:
         # the artifacts of the stages before flatten are written, none after
         assert sorted(p.name for p in out.iterdir()) == [
             "metric.json", "report.json", "surface.json"]
+
+    @pytest.mark.parametrize("module, function, error, argv, stage", [
+        ("chebyshev", "integrate_frame", "SingularAngleError",
+         ["synthesize", "--catalog", "one_soliton"], "frame_integration"),
+        ("forms", "induced_metric", "DegenerateMetricError",
+         ["metric", "--catalog", "one_soliton"], "induced_metric"),
+        ("conformal", "flatten_conformal", "ConformalError",
+         ["flatten", "--catalog", "flat_plane"], "flatten"),
+        ("elliptic", "bootstrap_equivalence", "EllipticError",
+         ["verify-minding", "--catalog", "half_plane_pseudosphere"], "bootstrap"),
+        ("developing", "develop", "DevelopError",
+         ["develop", "--catalog", "half_plane_pseudosphere"], "develop"),
+    ], ids=["SingularAngleError", "DegenerateMetricError", "ConformalError", "EllipticError",
+            "DevelopError"])
+    def test_every_solver_error_exits_4_at_its_stage(self, capsys, monkeypatch, module,
+                                                     function, error, argv, stage):
+        import importlib
+
+        mod = importlib.import_module(f"minding_lab.{module}")
+        cls = getattr(mod, error)
+        assert issubclass(cls, SolverError)
+
+        def gives_up(*args, **kwargs):
+            raise cls(f"{function} gave up")
+
+        monkeypatch.setattr(mod, function, gives_up)
+        code, report = run_cli(capsys, *argv, "--n", "33")
+        assert code == EXIT_SOLVER
+        assert report["solver_error"] is True and report["failed_stage"] == stage
+        assert report["stages"][-1] == {"name": stage, "passed": False,
+                                        "error": f"{function} gave up"}
+
+    def test_usage_errors_are_no_solver_errors(self):
+        assert not issubclass(GridError, SolverError)
+        assert not issubclass(ConfigError, SolverError)
 
     def test_out_under_a_regular_file(self, capsys, tmp_path):
         blocker = tmp_path / "file"
