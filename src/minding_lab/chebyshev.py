@@ -9,8 +9,12 @@ Gauss curvature is identically -1.
 
 The frame W = (f_x, f_y, N) satisfies W_x = W A and W_y = W B where the
 columns of A express (f_xx, f_xy, N_x), and those of B express
-(f_yx, f_yy, N_y), in the basis (f_x, f_y, N).  ``integrate_frame``
-reconstructs W and f from theta by fourth-order line integration.  The
+(f_yx, f_yy, N_y), in the basis (f_x, f_y, N).  Each matrix holds five
+distinct scalars and four zeros; one slot table per direction places
+the five in their entries.  ``integrate_frame`` reconstructs W and f
+from theta by fourth-order line integration.  Its coefficients travel
+as the five scalars per node and midpoint, and the 3 x 3 is placed for
+each line step only, so no full-grid matrix array is ever built.  The
 frame is never projected back onto its Gram matrix: RK4 drift is of
 truncation order and smooth over the grid, which keeps the residuals
 differenced from the surface at second order.
@@ -151,11 +155,22 @@ def connection_from_samples(theta, theta_x, theta_y) -> tuple[np.ndarray, np.nda
     E = G = 1, F = cos(theta) and the shape operator of the asymptotic
     second form (off-diagonal coefficient sin(theta)).
     """
-    return _connection(theta, theta_x, "x"), _connection(theta, theta_y, "y")
+    return _place(_pack(theta, theta_x), "x"), _place(_pack(theta, theta_y), "y")
 
 
-def _connection(theta, theta_d, axis: str) -> np.ndarray:
-    """A (``axis`` "x", ``theta_d`` = theta_x) or B ("y", theta_y) alone."""
+# Each connection matrix holds five scalars per sample, in this order:
+# (theta_d cot(theta), -theta_d / sin(theta), cot(theta), -1 / sin(theta),
+# sin(theta)), with theta_d = theta_x for A and theta_y for B.  The slot
+# table gives the (rows, columns) they take in A ("x") and in B ("y");
+# the other four entries are zero.
+_SLOTS = {
+    "x": ((0, 1, 0, 1, 2), (0, 0, 2, 2, 1)),
+    "y": ((1, 0, 1, 0, 2), (1, 1, 2, 2, 0)),
+}
+
+
+def _pack(theta, theta_d) -> np.ndarray:
+    """The five connection scalars per sample, shape ``theta.shape + (5,)``."""
     theta = np.asarray(theta, dtype=float)
     sin = np.sin(theta)
     if np.abs(sin).min() < SIN_THETA_FLOOR:
@@ -165,12 +180,14 @@ def _connection(theta, theta_d, axis: str) -> np.ndarray:
     cos = np.cos(theta)
     cot = cos / sin
     inv = 1.0 / sin
-    zero = np.zeros_like(theta)
-    if axis == "x":
-        rows = ([theta_d * cot, zero, cot], [-theta_d * inv, zero, -inv], [zero, sin, zero])
-    else:
-        rows = ([zero, -theta_d * inv, -inv], [zero, theta_d * cot, cot], [sin, zero, zero])
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    return np.stack((theta_d * cot, -theta_d * inv, cot, -inv, sin), axis=-1)
+
+
+def _place(pack: np.ndarray, axis: str) -> np.ndarray:
+    """The 3 x 3 matrices of ``pack``: A (``axis`` "x") or B ("y")."""
+    M = np.zeros(pack.shape[:-1] + (3, 3))
+    M[(...,) + _SLOTS[axis]] = pack
+    return M
 
 
 def chebyshev_connection(theta: AngleField) -> tuple[FrameField, FrameField]:
@@ -297,21 +314,23 @@ def _sweep(out, base, lines, x_first):
     _march_out(*across)
 
 
-def _frame_rate(col, Y, C):
-    """(W | f)' = (W C, W[:, col]) for the frame with f as a fourth column."""
-    return np.concatenate((Y[..., :3] @ C, Y[..., col:col + 1]), axis=-1)
+def _frame_rate(axis, col, Y, C):
+    """(W | f)' = (W M, W[:, col]) for the frame with f as a fourth column,
+    M the connection matrix that ``axis``'s slot table places from the
+    five scalars ``C`` of this line step."""
+    return np.concatenate((Y[..., :3] @ _place(C, axis), Y[..., col:col + 1]), axis=-1)
 
 
 def _line_connections(theta_vals, tx, ty, grid):
     """``_sweep``'s lines for the frame, built once for both orders: per
-    direction (x, then y) the frame rate, the connection at the nodes
-    and at the midpoints along that direction, and the step."""
+    direction (x, then y) the frame rate, the five connection scalars at
+    the nodes and at the midpoints along that direction, and the step."""
 
     def along(name, theta_d, axis, col, step):
         # x runs along array axis 1, y along axis 0
         mids = (_interp_midpoints(v, axis) for v in (theta_vals, theta_d))
-        return (partial(_frame_rate, col), _connection(theta_vals, theta_d, name),
-                _connection(*mids, name), step)
+        return (partial(_frame_rate, name, col), _pack(theta_vals, theta_d),
+                _pack(*mids), step)
 
     return [along("x", tx, 1, 0, grid.dx), along("y", ty, 0, 1, grid.dy)]
 
@@ -324,11 +343,14 @@ def integrate_frame(
     """Synthesize a surface from an angle field.
 
     Integrates W' = W A along the first x-line and W' = W B up every
-    column with classical fourth-order steps (connection entries are
-    interpolated to midpoints at matching order).  The returned
-    surface comes from the x-then-y sweep; the
-    discrepancy against the y-then-x sweep is reported so that an
-    incompatible angle field cannot slip through silently.
+    column with classical fourth-order steps (theta and its partials
+    are interpolated to midpoints at matching order).  The sweeps carry
+    A and B as their five scalars per node and midpoint, and each step
+    places its 3 x 3 from them.  The returned surface comes from the
+    x-then-y sweep; the discrepancy against the y-then-x sweep is
+    reported so that an incompatible angle field cannot slip through
+    silently.  Raises ``SingularAngleError`` where sin(theta) falls
+    below the floor at a node or at an interpolated midpoint.
     """
     grid = theta.grid
     theta_vals = theta.theta.values
@@ -338,10 +360,8 @@ def integrate_frame(
     W0 = _check_initial_frame(W0, theta0)
 
     t = theta.theta
-    tx = fd_partial(t, "x").values
-    ty = fd_partial(t, "y").values
-
-    lines = _line_connections(theta_vals, tx, ty, grid)
+    lines = _line_connections(theta_vals, fd_partial(t, "x").values,
+                              fd_partial(t, "y").values, grid)
 
     def sweep(x_first):
         W = np.empty(grid.shape + (3, 3))
@@ -352,6 +372,11 @@ def integrate_frame(
 
     W_xy, f_xy = sweep(True)
     W_yx, f_yx = sweep(False)
+    # the differences overwrite the y-then-x sweep, and the coefficients
+    # are freed before the result's fields copy the frame
+    path_residual_f = float(np.abs(np.subtract(f_xy, f_yx, out=f_yx), out=f_yx).max())
+    path_residual_frame = float(np.abs(np.subtract(W_xy, W_yx, out=W_yx), out=W_yx).max())
+    del lines
 
     surface = ChebyshevSurface(
         f=VectorField3(grid, f_xy),
@@ -361,8 +386,8 @@ def integrate_frame(
     return FrameIntegrationResult(
         surface=surface,
         frame=FrameField(grid, W_xy),
-        path_residual_f=float(np.abs(f_xy - f_yx).max()),
-        path_residual_frame=float(np.abs(W_xy - W_yx).max()),
+        path_residual_f=path_residual_f,
+        path_residual_frame=path_residual_frame,
     )
 
 

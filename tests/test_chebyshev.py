@@ -1,13 +1,18 @@
 """Angle fields, frame integration, and the surface-condition report."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
-from minding_lab.grid import Grid2D, GridError, ScalarField, interior_abs_max
+from minding_lab.grid import Grid2D, GridError, ScalarField, fd_partial, interior_abs_max
 from minding_lab import forms
 from minding_lab.chebyshev import (
     AngleField,
+    SIN_THETA_FLOOR,
     SingularAngleError,
+    _interp_midpoints,
     _sweep,
     adapted_initial_frame,
     chebyshev_connection,
@@ -323,6 +328,88 @@ class TestBoostedSoliton:
             for key in coarse:
                 order = np.log(coarse[key] / fine[key]) / np.log(h0 / h1)
                 assert order >= 1.9, (key, h1, order)
+
+
+def full_matrix_frame(theta):
+    """Reference march: the full connection matrices at the nodes and the
+    midpoints through ``_sweep``, rate (W C, W[:, col]) for (W | f), both
+    orders from the adapted frame at the first node.  Returns the
+    x-then-y W and f and the two path residuals."""
+    g, t = theta.grid, theta.theta
+    tx, ty = fd_partial(t, "x").values, fd_partial(t, "y").values
+    A, B = chebyshev_connection(theta)
+    A_mid = connection_from_samples(*(_interp_midpoints(v, 1) for v in (t.values, tx, ty)))[0]
+    B_mid = connection_from_samples(*(_interp_midpoints(v, 0) for v in (t.values, tx, ty)))[1]
+
+    def rate(col, Y, C):
+        return np.concatenate((Y[..., :3] @ C, Y[..., col:col + 1]), axis=-1)
+
+    lines = [(partial(rate, 0), A.values, A_mid, g.dx),
+             (partial(rate, 1), B.values, B_mid, g.dy)]
+
+    def sweep(x_first):
+        W, f = np.empty(g.shape + (3, 3)), np.zeros(g.shape + (3,))
+        W[0, 0] = adapted_initial_frame(float(t.values[0, 0]))
+        _sweep((W, f[..., None]), (0, 0), lines, x_first)
+        return W, f
+
+    (W, f), (W_yx, f_yx) = sweep(True), sweep(False)
+    return W, f, float(np.abs(f - f_yx).max()), float(np.abs(W - W_yx).max())
+
+
+def singular_message(fn, *args):
+    with pytest.raises(SingularAngleError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestConnectionPacks:
+    """``integrate_frame`` carries each connection as five scalars per
+    node and midpoint and places the 3 x 3 per line step."""
+
+    def test_bitwise_equal_to_full_matrix_march(self):
+        # nx != ny, dx != dy and no x <-> y symmetry in the field
+        g = Grid2D.from_bounds(-1.0, -0.4, -1.0, -0.25, 97, 129)
+        th = boosted_soliton_angle(g)
+        res = integrate_frame(th)
+        W, f, residual_f, residual_frame = full_matrix_frame(th)
+        assert np.array_equal(res.frame.values, W)
+        assert np.array_equal(res.surface.f.values, f)
+        assert res.path_residual_f == residual_f
+        assert res.path_residual_frame == residual_frame
+
+    def test_peak_memory_under_seven_frames(self):
+        # measured 4.98x the frame's bytes; 10.55x with the four
+        # connections held as full (ny, nx, 3, 3) arrays
+        th = one_soliton_angle(soliton_grid(129))
+        tracemalloc.start()
+        try:
+            res = integrate_frame(th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * res.frame.values.nbytes
+
+    def test_singular_node(self):
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 0.5, 8, 6)
+        values = np.full(g.shape, 1.0)
+        values[3, 4] = 1e-7
+        th = AngleField(ScalarField(g, values))
+        assert singular_message(integrate_frame, th) == singular_message(chebyshev_connection, th)
+
+    def test_singular_only_at_an_interpolated_midpoint(self):
+        # the run a, b, b, a along x interpolates to (18 b - 2 a) / 16 =
+        # 1e-7 between the two b nodes; every node clears the floor
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 0.5, 8, 6)
+        values = np.full(g.shape, 1e-5)
+        values[:, 3:5] = 1.2e-6
+        th = AngleField(ScalarField(g, values))
+        chebyshev_connection(th)
+        mids = _interp_midpoints(values, 1)
+        assert np.sin(mids).min() < SIN_THETA_FLOOR
+        expect = singular_message(connection_from_samples, mids, mids, mids)
+        assert "1.000e-07" in expect
+        assert singular_message(integrate_frame, th) == expect
 
 
 class TestCorollaryConditions:
