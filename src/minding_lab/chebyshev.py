@@ -42,7 +42,7 @@ from .grid import (
     fd_partial,
     interior_abs_max,
 )
-from .forms import FrameField
+from .forms import FrameField, _place
 
 __all__ = [
     "SingularAngleError",
@@ -155,7 +155,8 @@ def connection_from_samples(theta, theta_x, theta_y) -> tuple[np.ndarray, np.nda
     E = G = 1, F = cos(theta) and the shape operator of the asymptotic
     second form (off-diagonal coefficient sin(theta)).
     """
-    return _place(_pack(theta, theta_x), "x"), _place(_pack(theta, theta_y), "y")
+    return (_place(_pack(theta, theta_x), _SLOTS["x"]),
+            _place(_pack(theta, theta_y), _SLOTS["y"]))
 
 
 # Each connection matrix holds five scalars per sample, in this order:
@@ -181,13 +182,6 @@ def _pack(theta, theta_d) -> np.ndarray:
     cot = cos / sin
     inv = 1.0 / sin
     return np.stack((theta_d * cot, -theta_d * inv, cot, -inv, sin), axis=-1)
-
-
-def _place(pack: np.ndarray, axis: str) -> np.ndarray:
-    """The 3 x 3 matrices of ``pack``: A (``axis`` "x") or B ("y")."""
-    M = np.zeros(pack.shape[:-1] + (3, 3))
-    M[(...,) + _SLOTS[axis]] = pack
-    return M
 
 
 def chebyshev_connection(theta: AngleField) -> tuple[FrameField, FrameField]:
@@ -314,11 +308,11 @@ def _sweep(out, base, lines, x_first):
     _march_out(*across)
 
 
-def _frame_rate(axis, col, Y, C):
+def _frame_rate(slots, col, Y, C):
     """(W | f)' = (W M, W[:, col]) for the frame with f as a fourth column,
-    M the connection matrix that ``axis``'s slot table places from the
-    five scalars ``C`` of this line step."""
-    return np.concatenate((Y[..., :3] @ _place(C, axis), Y[..., col:col + 1]), axis=-1)
+    M the connection matrix placed at ``slots`` from the five scalars
+    ``C`` of this line step."""
+    return np.concatenate((Y[..., :3] @ _place(C, slots), Y[..., col:col + 1]), axis=-1)
 
 
 def _line_connections(theta_vals, tx, ty, grid):
@@ -329,7 +323,7 @@ def _line_connections(theta_vals, tx, ty, grid):
     def along(name, theta_d, axis, col, step):
         # x runs along array axis 1, y along axis 0
         mids = (_interp_midpoints(v, axis) for v in (theta_vals, theta_d))
-        return (partial(_frame_rate, name, col), _pack(theta_vals, theta_d),
+        return (partial(_frame_rate, _SLOTS[name], col), _pack(theta_vals, theta_d),
                 _pack(*mids), step)
 
     return [along("x", tx, 1, 0, grid.dx), along("y", ty, 0, 1, grid.dy)]

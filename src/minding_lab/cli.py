@@ -739,11 +739,12 @@ _CONFIG_TYPES = {
 }
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
+def _config_defaults(args: argparse.Namespace, takes=_CONFIG_TYPES) -> dict:
     """The ``--config`` file's flag defaults, or none without one.
 
-    Every key must be a flag name and every value of that flag's type
-    (a boolean is no number); null entries are dropped.
+    Every key must be a flag name, every value of that flag's type (a
+    boolean is no number) and then every key one the command ``takes``.
+    Null entries are dropped.
     """
     if args.config is None:
         return {}
@@ -771,6 +772,9 @@ def _config_defaults(args: argparse.Namespace) -> dict:
             defaults["tol_scale"] = float(defaults["tol_scale"])
         except OverflowError as exc:
             raise ConfigError(f"{args.config}: tol_scale is out of range") from exc
+    extra = sorted(set(defaults) - set(takes))
+    if extra:
+        raise ConfigError(f"{args.config}: {args.command} takes no keys {extra}")
     return {key: value for key, value in defaults.items() if value is not None}
 
 
@@ -812,7 +816,7 @@ def main(argv=None) -> int:
         _apply_thread_cap()
         if args.command == "export-plots":
             # reads a prior run; no surface source of its own
-            out = args.out if args.out is not None else _config_defaults(args).get("out")
+            out = args.out if args.out is not None else _config_defaults(args, ("out",)).get("out")
             return cmd_export_plots(out, args.force)
         return _COMMANDS[args.command](_resolve_config(args))
     except ConfigError as exc:

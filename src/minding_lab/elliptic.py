@@ -381,49 +381,49 @@ def _packing(m: int) -> tuple:
 
 @dataclass(frozen=True)
 class Cholesky:
-    """``H = L L^H`` front by front.
+    """``H = L L^H`` front by front, in the grid's own numbering.
 
-    The unknowns are numbered in elimination order, ``order``.  Each
-    stack holds the fronts of one depth that eliminate ``m`` nodes,
-    whose positions it holds as a slice.  Per front it stores the lower
-    triangle of ``L11^-1``, the inverse of its diagonal Cholesky block,
-    as ``_packing`` lays it out: the full block ``(k, m - h, h)`` and the
+    Each stack holds the fronts of one depth that eliminate ``m`` nodes,
+    and their grid numbers as a C-contiguous ``(m, k)`` index array, one
+    column per front.  Per front it stores the lower triangle of
+    ``L11^-1``, the inverse of its diagonal Cholesky block, as
+    ``_packing`` lays it out: the full block ``(k, m - h, h)`` and the
     packed diagonal triangles ``(m (m + 1) / 2 - h (m - h), k)``.  Per
-    ring size ``b``, a part of the stack holds the ring's positions
+    ring size ``b``, a part of the stack holds the ring's grid numbers
     ``(k, b)`` and the ring block ``Y = L11^-1 F12 = L21^H``
     ``(k, m, b)``.  ``L.nnz`` counts the entries stored per front, which
     are these blocks and no zeros; ``U = L^H`` shares them.
     """
 
     stacks: tuple
-    order: np.ndarray
     L: SimpleNamespace
     U: SimpleNamespace
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``H^-1 b``: forward through the stacks in elimination order,
-        then back.  A packed triangle is applied entry by entry and
-        summed by rows forward, by columns back."""
-        x = np.asarray(b, dtype=complex)[self.order]
+        then back.  Each stack gathers its own nodes and writes them back
+        after its triangle step; a packed triangle is applied entry by
+        entry, summed by rows forward, by columns back."""
+        x = np.array(b, dtype=complex)
         for own, (h, _, J, rows, *_), block, packed, parts in self.stacks:
-            y = x[own].reshape(len(rows), -1)
+            y = x[own]
             below = (block @ y[:h].T[..., None])[..., 0].T
             np.add.reduceat(packed * y[J], rows, axis=0, out=y)
             y[h:] += below
+            x[own] = y
             for fronts, ring, Y in parts:
                 v = Y.transpose(0, 2, 1) @ y[:, fronts].T.conj()[..., None]
                 np.subtract.at(x, ring.ravel(), v.conj().ravel())
         for own, (h, *_, by_col, I, cols), block, packed, parts in reversed(self.stacks):
-            y = x[own].reshape(len(cols), -1)
+            y = x[own]
             for fronts, ring, Y in parts:
                 y[:, fronts] -= (Y @ x[ring][..., None])[..., 0].T
             t = y.conj()
             np.add.reduceat(packed[by_col] * t[I], cols, axis=0, out=y)
             y[:h] += (t[h:].T[:, None, :] @ block)[:, 0].T
             np.conjugate(y, out=y)
-        out = np.empty_like(x)
-        out[self.order] = x
-        return out
+            x[own] = y
+        return x
 
 
 def splu(H: Stencil) -> Cholesky:
@@ -443,7 +443,9 @@ def splu(H: Stencil) -> Cholesky:
     Fronts are factored deepest first, in ``_plan``'s stacks of
     translates: the first front gives the stack's stencil pattern and
     where its children's Schur complements land, as blocks of
-    consecutive slots added in by slices.  A non-positive pivot raises
+    consecutive slots added in by slices.  The factor keeps the grid's
+    numbering: a stack's own nodes are one ``(m, k)`` index array and
+    its rings hold grid numbers.  A non-positive pivot raises
     ``EllipticError``.
     """
     ny, nx = H.diag.shape
@@ -487,20 +489,11 @@ def splu(H: Stencil) -> Cholesky:
                     at += len(fronts)
                 parts.append((slice(start, at), ring_at, Y))
                 stored += Y.size
-            stacks.append((own_at, tables, block, packed, parts))
+            stacks.append((np.ascontiguousarray(own_at.T), tables, block, packed, parts))
             stored += block.size + packed.size
         below = origin, kind, row, left
-    # number the unknowns in elimination order, each stack's own nodes a block
-    order = np.concatenate([own.T.ravel() for own, *_ in stacks])
-    where = np.empty_like(order)
-    where[order] = np.arange(len(order))
-    for *_, parts in stacks:
-        for _, ring, _ in parts:
-            ring[...] = where[ring]
-    at = np.cumsum([0] + [own.size for own, *_ in stacks])
     entries = SimpleNamespace(nnz=stored)
-    return Cholesky(tuple((slice(at[g], at[g + 1]), *rest) for g, (_, *rest) in enumerate(stacks)),
-                    order, entries, entries)
+    return Cholesky(tuple(stacks), entries, entries)
 
 
 def _landing(below, kid: int, found: np.ndarray, order: np.ndarray):

@@ -38,23 +38,12 @@ __all__ = ["write_field", "read_field", "write_csv"]
 
 
 def _flatten(grid: Grid2D, channels: dict[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
-    names: list[str] = []
-    planes: list[np.ndarray] = []
-    for name, arr in channels.items():
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape == grid.shape:
-            names.append(name)
-            planes.append(arr)
-        elif arr.ndim == 3 and arr.shape[:2] == grid.shape:
-            for k in range(arr.shape[2]):
-                names.append(f"{name}_{k}")
-                planes.append(arr[:, :, k])
-        else:
+    """The channel names and their ``(ny, nx)`` planes, node-major."""
+    planes = [np.asarray(arr, dtype=float) for arr in channels.values()]
+    for name, arr in zip(channels, planes):
+        if arr.shape != grid.shape:
             raise GridError(f"channel {name!r} has shape {arr.shape}, grid is {grid.shape}")
-    if len(set(names)) != len(names):
-        raise GridError(f"component names collide: {names}")
-    stacked = np.stack(planes, axis=-1)  # (ny, nx, ncomp)
-    return names, stacked.reshape(-1)
+    return list(channels), np.stack(planes, axis=-1).reshape(-1)
 
 
 def write_field(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray]) -> None:

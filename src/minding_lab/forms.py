@@ -15,7 +15,9 @@ The frame W = (f_x, f_y, N) of a conformal (isothermic) immersion with
          [-h_y/h,  h_x/h, -m/h^2  ],           [ h_x/h,  h_y/h, -n/h^2],
          [ ell,    m,      0      ]]           [ m,      n,      0    ]]
 
-and the flatness of ambient space makes A_y - B_x = AB - BA.
+and the flatness of ambient space makes A_y - B_x = AB - BA.  ``_place``
+puts each together from its eight entries but (2, 2), row by row, through
+one slot table; it places the Chebyshev connections too.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .grid import (
     ScalarField,
     SolverError,
     VectorField3,
+    _freeze,
     _partial_values,
     fd_laplacian,
     fd_partial,
@@ -132,9 +135,7 @@ class FrameField:
             raise GridError(f"frame values must have shape {self.grid.shape + (3, 3)}")
         if not np.isfinite(arr).all():
             raise GridError("frame entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _freeze(arr))
 
     def det(self) -> np.ndarray:
         return np.linalg.det(self.values)
@@ -148,6 +149,17 @@ def _as_matrices(M, grid: Grid2D, name: str) -> np.ndarray:
     if arr.shape != grid.shape + (3, 3):
         raise GridError(f"{name} must be sampled as (ny, nx, 3, 3)")
     return arr
+
+
+# the slots (rows, columns) of every 3 x 3 entry but (2, 2), row by row
+_ROW_BY_ROW = ((0, 0, 0, 1, 1, 1, 2, 2), (0, 1, 2, 0, 1, 2, 0, 1))
+
+
+def _place(pack: np.ndarray, slots: tuple) -> np.ndarray:
+    """3 x 3 matrices holding ``pack``'s last axis at ``slots``, zero elsewhere."""
+    M = np.zeros(pack.shape[:-1] + (3, 3))
+    M[(...,) + slots] = pack
+    return M
 
 
 def induced_metric(f: VectorField3) -> MetricField:
@@ -198,25 +210,11 @@ def isothermic_connection(h: ScalarField, second: SecondForm) -> tuple[FrameFiel
     hy = fd_partial(h, "y").values / hv
     h2 = hv**2
     ell, m, n = second.ell, second.m, second.n
-    zero = np.zeros_like(hv)
-
-    A = np.stack(
-        [
-            np.stack([hx, hy, -ell / h2], axis=-1),
-            np.stack([-hy, hx, -m / h2], axis=-1),
-            np.stack([ell, m, zero], axis=-1),
-        ],
-        axis=-2,
-    )
-    B = np.stack(
-        [
-            np.stack([hy, -hx, -m / h2], axis=-1),
-            np.stack([hx, hy, -n / h2], axis=-1),
-            np.stack([m, n, zero], axis=-1),
-        ],
-        axis=-2,
-    )
-    return FrameField(h.grid, A), FrameField(h.grid, B)
+    # A is frozen before B's entries exist, which keeps the peak down
+    A = FrameField(h.grid, _place(np.stack([hx, hy, -ell / h2, -hy, hx, -m / h2, ell, m],
+                                           axis=-1), _ROW_BY_ROW))
+    B = _place(np.stack([hy, -hx, -m / h2, hx, hy, -n / h2, m, n], axis=-1), _ROW_BY_ROW)
+    return A, FrameField(h.grid, B)
 
 
 def zero_curvature_residual(A, B, grid: Grid2D) -> ScalarField:

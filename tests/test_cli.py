@@ -310,6 +310,23 @@ class TestArtifactsAndExport:
         cfg.write_text(json.dumps({"out": str(out), "outdir": "elsewhere"}))
         assert run_cli(capsys, "export-plots", "--config", str(cfg), "--force")[0] == EXIT_USAGE
 
+    def test_export_config_refuses_pipeline_keys(self, capsys, tmp_path):
+        # export-plots reads a prior run: a config key it cannot use is
+        # refused like the same value given as a flag
+        out = tmp_path / "run"
+        run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere",
+                "--n", "33", "--out", str(out))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(out), "catalog": "one_soliton", "n": 9999,
+                                   "tol_scale": 5}))
+        assert main(["export-plots", "--config", str(cfg), "--force"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cfg}: export-plots takes no keys ['catalog', 'n', 'tol_scale']" in err
+        assert not (out / "plots").exists()
+        with pytest.raises(SystemExit) as info:
+            main(["export-plots", "--out", str(out), "--force", "--catalog", "one_soliton"])
+        assert info.value.code == EXIT_USAGE
+
     @pytest.mark.parametrize("source, channels, missing", [
         ("surface.json", ("fx", "fy", "fz", "Nx", "Ny", "Nz", "angle"), "['theta']"),
         ("developing.json", ("phi_im",), "['phi_re']"),

@@ -13,8 +13,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import minding_lab
+import minding_lab.conformal as conformal
 import minding_lab.elliptic as elliptic
 from minding_lab.conformal import catalog_chart
+from minding_lab.forms import MetricField
 from minding_lab.grid import Grid2D, GridError, ScalarField, fd_laplacian
 from minding_lab.weak import bump_lattice, liouville_weak_residual
 from minding_lab.elliptic import (
@@ -198,6 +200,64 @@ class TestLiouvilleNewton:
             solve_liouville_newton(g, lambda X, Y: -np.log(Y), max_iterations=1)
 
 
+class TestFailurePaths:
+    """Paths no natural input of the suite reaches: the solver is made to
+    take them, and the code is left as it is."""
+
+    @staticmethod
+    def run_cli(capsys, *argv):
+        from minding_lab.cli import main
+
+        code = main(list(argv))
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_overlong_steps_are_halved_back(self, monkeypatch):
+        g = half_plane_grid(33)
+        boundary = lambda X, Y: -np.log(Y)
+        want = solve_liouville_newton(g, boundary)
+        pcg, residual, trials = elliptic._pcg, elliptic._liouville_residual, []
+        monkeypatch.setattr(elliptic, "_pcg", lambda *args: 8.0 * pcg(*args))
+        monkeypatch.setattr(elliptic, "_liouville_residual",
+                            lambda *args: trials.append(1) or residual(*args))
+        got = solve_liouville_newton(g, boundary)
+        # one residual for the start and one per trial step; 10 halvings
+        # over 4 iterations were measured
+        halvings = len(trials) - 1 - got.iterations
+        assert halvings >= got.iterations >= 2
+        assert got.residuals[-1] <= 1e-8
+        assert np.max(np.abs(got.u.values - want.u.values)) <= 1e-10
+
+    def test_a_step_no_halving_rescues_exhausts_the_damping(self, capsys, monkeypatch):
+        # the reversed Newton step raises the residual however short it is
+        pcg = elliptic._pcg
+        monkeypatch.setattr(elliptic, "_pcg", lambda *args: -pcg(*args))
+        with pytest.raises(EllipticError, match="damping exhausted after 10 halvings"):
+            solve_liouville_newton(half_plane_grid(17), lambda X, Y: -np.log(Y))
+        code, report = self.run_cli(capsys, "solve", "--catalog", "half_plane_pseudosphere",
+                                    "--n", "17")
+        assert code == 4
+        assert report["failed_stage"] == "newton" and report["solver_error"] is True
+        assert "damping exhausted" in report["stages"][-1]["error"]
+
+    def test_boundary_data_past_the_float_range_overflow(self):
+        # exp(2 * 400) is no float: the harmonic start's residual is
+        # infinite and its Newton shift overflows
+        with pytest.raises(EllipticError, match=r"overflowed exp\(2u\); last residual inf"):
+            solve_liouville_newton(half_plane_grid(17), 400.0)
+
+    def test_an_unreachable_poisson_gate_raises(self, capsys, monkeypatch):
+        monkeypatch.setattr(elliptic, "_POISSON_TOL", 0.0)
+        g = half_plane_grid(33)
+        _, Y = g.mesh()
+        with pytest.raises(EllipticError, match="exceeds tolerance 0.000e"):
+            bootstrap_equivalence(ScalarField(g, -np.log(Y)))
+        code, report = self.run_cli(capsys, "verify-minding", "--catalog",
+                                    "half_plane_pseudosphere", "--n", "33")
+        assert code == 4
+        assert report["failed_stage"] == "bootstrap" and report["solver_error"] is True
+        assert all(stage["passed"] for stage in report["stages"][:-1])
+
+
 def splu_newton(grid, boundary, tol=1e-8):
     """Reference Newton with one sparse LU per step; (interior u, iterations)."""
     A = laplacian_matrix(grid)
@@ -327,6 +387,38 @@ class TestNewtonLinearSolve:
             assert not loaded, (argv, sorted(loaded))
 
 
+def elimination_order_solve(factor, b):
+    """``factor.solve`` as it ran with the unknowns renumbered in
+    elimination order, each stack's own nodes one slice of ``x``."""
+    order = np.concatenate([own.ravel() for own, *_ in factor.stacks])
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    at = np.cumsum([0] + [own.size for own, *_ in factor.stacks])
+    stacks = [(slice(at[g], at[g + 1]), tables, block, packed,
+               [(fronts, where[ring], Y) for fronts, ring, Y in parts])
+              for g, (_, tables, block, packed, parts) in enumerate(factor.stacks)]
+    x = np.asarray(b, dtype=complex)[order]
+    for own, (h, _, J, rows, *_), block, packed, parts in stacks:
+        y = x[own].reshape(len(rows), -1)
+        below = (block @ y[:h].T[..., None])[..., 0].T
+        np.add.reduceat(packed * y[J], rows, axis=0, out=y)
+        y[h:] += below
+        for fronts, ring, Y in parts:
+            v = Y.transpose(0, 2, 1) @ y[:, fronts].T.conj()[..., None]
+            np.subtract.at(x, ring.ravel(), v.conj().ravel())
+    for own, (h, *_, by_col, I, cols), block, packed, parts in reversed(stacks):
+        y = x[own].reshape(len(cols), -1)
+        for fronts, ring, Y in parts:
+            y[:, fronts] -= (Y @ x[ring][..., None])[..., 0].T
+        t = y.conj()
+        np.add.reduceat(packed[by_col] * t[I], cols, axis=0, out=y)
+        y[:h] += (t[h:].T[:, None, :] @ block)[:, 0].T
+        np.conjugate(y, out=y)
+    out = np.empty_like(x)
+    out[order] = x
+    return out
+
+
 class TestNestedDissection:
     """``elliptic.splu`` against a dense solve of the same stencil."""
 
@@ -408,6 +500,20 @@ class TestNestedDissection:
         stored = sum(block.nbytes + packed.nbytes + sum(Y.nbytes for _, _, Y in parts)
                      for _, _, block, packed, parts in factor.stacks)
         assert stored == 16 * factor.L.nnz
+
+    @pytest.mark.parametrize("system", ["random", "one_soliton"])
+    def test_solve_bitwise_equal_to_elimination_order_solve(self, system):
+        if system == "random":
+            H = self.random_stencil(23, 17, 7)
+        else:
+            # the flatten system of the one_soliton catalog metric at n = 65
+            g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, 65, 65)
+            X, Y = g.mesh()
+            metric = MetricField.chebyshev(4.0 * np.arctan(np.exp(X + Y)), g)
+            H = conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
+        b = [1.0, 1j] @ np.random.default_rng(8).normal(size=(2, H.shape[0]))
+        factor = elliptic.splu(H)
+        assert np.array_equal(factor.solve(b), elimination_order_solve(factor, b))
 
     def test_indefinite_stencil_raises(self):
         H = self.random_stencil(23, 17, 6)

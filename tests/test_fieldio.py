@@ -36,17 +36,17 @@ def test_round_trip_bit_exact(tmp_path, grid):
     # NaNs with payload bits: quiet, negative, and a signalling pattern
     u.view(np.uint64).flat[8:11] = [0x7FF8_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001,
                                     0x7FF0_0000_0000_0001]
-    f = rng.standard_normal(grid.shape + (3,))
-    f[0, 0] = [bits(0x7FF4_0000_0000_0000), np.inf, -np.inf]
+    f = rng.standard_normal((3,) + grid.shape)
+    f[:, 0, 0] = [bits(0x7FF4_0000_0000_0000), np.inf, -np.inf]
     path = tmp_path / "field.json"
-    write_field(path, grid, {"u": u, "f": f})
+    write_field(path, grid, {"u": u, **{f"f_{k}": f[k] for k in range(3)}})
     grid2, channels = read_field(path)
     assert grid2.matches(grid)
     assert sorted(channels) == ["f_0", "f_1", "f_2", "u"]
     # compare bit patterns: -0.0 == 0.0 and NaN != NaN under ==
     assert (channels["u"].view(np.int64) == u.view(np.int64)).all()
     for k in range(3):
-        assert (channels[f"f_{k}"].view(np.int64) == f[:, :, k].view(np.int64)).all()
+        assert (channels[f"f_{k}"].view(np.int64) == f[k].view(np.int64)).all()
     for arr in channels.values():
         assert arr.dtype == np.float64 and arr.dtype.isnative
         assert arr.flags.writeable
@@ -161,11 +161,13 @@ def test_read_rejects_malformed(tmp_path):
             read_field(path)
 
 
-def test_write_rejects_colliding_names(tmp_path, grid):
-    # a vector channel "f" expands to f_0..f_2, which must not shadow "f_1"
-    with pytest.raises(GridError, match="f_1"):
-        write_field(tmp_path / "field.json", grid,
-                    {"f": np.zeros(grid.shape + (3,)), "f_1": np.zeros(grid.shape)})
+def test_write_rejects_a_channel_that_is_not_a_plane(tmp_path, grid):
+    # a field file holds (ny, nx) planes; a stack of them is refused, by name
+    for write in (write_field, write_csv):
+        with pytest.raises(GridError, match="channel 'f' has shape \\(4, 5, 3\\)"):
+            write(tmp_path / "field", grid, {"u": np.zeros(grid.shape),
+                                             "f": np.zeros(grid.shape + (3,))})
+    assert not (tmp_path / "field").exists()
 
 
 def test_read_rejects_wrong_length(tmp_path, grid):
@@ -216,24 +218,16 @@ csv_values = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL))
 
 @st.composite
 def csv_fields(draw):
-    """A grid and one to four components, in scalar and vector channels."""
+    """A grid and one to four channels."""
     nx, ny = draw(st.integers(3, 6)), draw(st.integers(3, 6))
     grid = Grid2D(draw(csv_values.filter(np.isfinite)), draw(csv_values.filter(np.isfinite)),
                   nx, ny, draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3)))
-    budget = draw(st.integers(1, 4))
-    # names without "_", so that no vector component shadows a scalar;
-    # two of them need quoting
+    count, size = draw(st.integers(1, 4)), nx * ny
+    # two of the names need quoting
     channels = {}
-    for name in draw(st.permutations(["u", "v", "a,b", 'say "hi"', "w x"])):
-        if budget == 0:
-            break
-        width = draw(st.integers(1, budget))
-        budget -= width
-        vector = width > 1 or draw(st.booleans())
-        shape = grid.shape + (width,) if vector else grid.shape
-        size = int(np.prod(shape))
+    for name in draw(st.permutations(["u", "v", "a,b", 'say "hi"', "w x"]))[:count]:
         channels[name] = np.array(draw(st.lists(csv_values, min_size=size, max_size=size)),
-                                  dtype=float).reshape(shape)
+                                  dtype=float).reshape(grid.shape)
     return grid, channels
 
 
@@ -243,7 +237,8 @@ def test_csv_matches_csv_writer(tmp_path_factory):
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
     @given(csv_fields())
     @example((Grid2D(-0.1, 0.7, 4, 3, 0.1, 0.30000000000000004),
-              {"f": np.full((3, 4, 2), np.nan), 'q"x': np.full((3, 4), -0.0),
+              {"f_0": np.full((3, 4), np.nan), "f_1": np.full((3, 4), np.nan),
+               'q"x': np.full((3, 4), -0.0),
                "g": np.array(SPECIAL[:4] * 3).reshape(3, 4)}))
     def check(field):
         grid, channels = field
