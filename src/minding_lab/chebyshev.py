@@ -51,10 +51,7 @@ __all__ = [
     "FrameIntegrationResult",
     "CorollaryReport",
     "one_soliton_angle",
-    "constant_angle",
     "sine_gordon_residual",
-    "connection_from_samples",
-    "chebyshev_connection",
     "adapted_initial_frame",
     "integrate_frame",
     "corollary_conditions",
@@ -132,10 +129,6 @@ def one_soliton_angle(grid: Grid2D) -> AngleField:
     return AngleField.from_function(grid, lambda x, y: 4.0 * np.arctan(np.exp(x + y)))
 
 
-def constant_angle(grid: Grid2D, value: float) -> AngleField:
-    return AngleField.from_function(grid, lambda x, y: np.full_like(x, value))
-
-
 def sine_gordon_residual(theta: AngleField) -> ScalarField:
     """theta_xy - sin(theta); interior nodes only (boundary ring NaN)."""
     t = theta.theta
@@ -146,24 +139,13 @@ def sine_gordon_residual(theta: AngleField) -> ScalarField:
     return ScalarField(t.grid, out)
 
 
-def connection_from_samples(theta, theta_x, theta_y) -> tuple[np.ndarray, np.ndarray]:
-    """Connection matrices A, B from raw samples of theta and its partials.
-
-    Returns arrays of shape ``theta.shape + (3, 3)``.  Columns of A hold
-    the basis coefficients of (f_xx, f_xy, N_x); columns of B those of
-    (f_yx, f_yy, N_y).  Derived from the Christoffel symbols of
-    E = G = 1, F = cos(theta) and the shape operator of the asymptotic
-    second form (off-diagonal coefficient sin(theta)).
-    """
-    return (_place(_pack(theta, theta_x), _SLOTS["x"]),
-            _place(_pack(theta, theta_y), _SLOTS["y"]))
-
-
 # Each connection matrix holds five scalars per sample, in this order:
 # (theta_d cot(theta), -theta_d / sin(theta), cot(theta), -1 / sin(theta),
-# sin(theta)), with theta_d = theta_x for A and theta_y for B.  The slot
-# table gives the (rows, columns) they take in A ("x") and in B ("y");
-# the other four entries are zero.
+# sin(theta)), with theta_d = theta_x for A and theta_y for B: the
+# Christoffel symbols of E = G = 1, F = cos(theta) and the shape operator
+# of the asymptotic second form (off-diagonal coefficient sin(theta)).
+# The slot table gives the (rows, columns) they take in A ("x") and in
+# B ("y"); the other four entries are zero.
 _SLOTS = {
     "x": ((0, 1, 0, 1, 2), (0, 0, 2, 2, 1)),
     "y": ((1, 0, 1, 0, 2), (1, 1, 2, 2, 0)),
@@ -184,15 +166,6 @@ def _pack(theta, theta_d) -> np.ndarray:
     return np.stack((theta_d * cot, -theta_d * inv, cot, -inv, sin), axis=-1)
 
 
-def chebyshev_connection(theta: AngleField) -> tuple[FrameField, FrameField]:
-    """A, B sampled on the grid, theta partials by finite differences."""
-    t = theta.theta
-    tx = fd_partial(t, "x").values
-    ty = fd_partial(t, "y").values
-    A, B = connection_from_samples(t.values, tx, ty)
-    return FrameField(theta.grid, A), FrameField(theta.grid, B)
-
-
 def adapted_initial_frame(theta0: float) -> np.ndarray:
     """Frame at the origin: f_x = e1, f_y at angle theta0 in the plane.
 
@@ -206,25 +179,6 @@ def adapted_initial_frame(theta0: float) -> np.ndarray:
             [0.0, 0.0, 1.0],
         ]
     )
-
-
-def _check_initial_frame(W0: np.ndarray, theta0: float) -> np.ndarray:
-    W0 = np.asarray(W0, dtype=float)
-    if W0.shape != (3, 3):
-        raise GridError(f"initial frame must be 3x3, got {W0.shape}")
-    gram = W0.T @ W0
-    target = np.array(
-        [
-            [1.0, np.cos(theta0), 0.0],
-            [np.cos(theta0), 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    if np.abs(gram - target).max() > 1e-8:
-        raise GridError("initial frame does not realize the Chebyshev Gram matrix")
-    if np.dot(np.cross(W0[:, 0], W0[:, 1]), W0[:, 2]) <= 0.0:
-        raise GridError("initial frame must be positively oriented")
-    return W0
 
 
 def _interp_midpoints(values: np.ndarray, axis: int) -> np.ndarray:
@@ -329,14 +283,11 @@ def _line_connections(theta_vals, tx, ty, grid):
     return [along("x", tx, 1, 0, grid.dx), along("y", ty, 0, 1, grid.dy)]
 
 
-def integrate_frame(
-    theta: AngleField,
-    W0: np.ndarray | None = None,
-    f0=(0.0, 0.0, 0.0),
-) -> FrameIntegrationResult:
+def integrate_frame(theta: AngleField) -> FrameIntegrationResult:
     """Synthesize a surface from an angle field.
 
-    Integrates W' = W A along the first x-line and W' = W B up every
+    Starts from the adapted frame and f = 0 at the first node, and
+    integrates W' = W A along the first x-line and W' = W B up every
     column with classical fourth-order steps (theta and its partials
     are interpolated to midpoints at matching order).  The sweeps carry
     A and B as their five scalars per node and midpoint, and each step
@@ -347,20 +298,15 @@ def integrate_frame(
     below the floor at a node or at an interpolated midpoint.
     """
     grid = theta.grid
-    theta_vals = theta.theta.values
-    theta0 = float(theta_vals[0, 0])
-    if W0 is None:
-        W0 = adapted_initial_frame(theta0)
-    W0 = _check_initial_frame(W0, theta0)
-
     t = theta.theta
+    theta_vals = t.values
     lines = _line_connections(theta_vals, fd_partial(t, "x").values,
                               fd_partial(t, "y").values, grid)
 
     def sweep(x_first):
         W = np.empty(grid.shape + (3, 3))
         f = np.empty(grid.shape + (3,))
-        W[0, 0], f[0, 0] = W0, np.asarray(f0, dtype=float).reshape(3)
+        W[0, 0], f[0, 0] = adapted_initial_frame(float(theta_vals[0, 0])), 0.0
         _sweep((W, f[..., None]), (0, 0), lines, x_first)
         return W, f
 

@@ -18,15 +18,13 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Grid2D, GridError, ScalarField, SolverError, _partial_values
+from .grid import Grid2D, GridError, ScalarField, SolverError, _partial_values, _second_values
 from .chebyshev import _interp_midpoints, _sweep
 
 __all__ = [
     "DevelopError",
     "DevelopingMap",
-    "HolomorphicInvariant",
     "u_from_phi",
-    "holomorphic_invariant",
     "develop",
     "develop_path_residual",
     "pullback_isometry_check",
@@ -49,31 +47,6 @@ def _dz(arr: np.ndarray, grid: Grid2D) -> np.ndarray:
 
 def _dbar(arr: np.ndarray, grid: Grid2D) -> np.ndarray:
     return 0.5 * (_partial_values(arr, grid, "x") + 1j * _partial_values(arr, grid, "y"))
-
-
-def _second(arr: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """Direct three-point second difference with one-sided end closures.
-
-    Working from the raw samples keeps the truncation constant small
-    and uniformly second order; stacking two first-derivative passes
-    along the same axis would lose an order on the boundary rings.
-    """
-    v = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    n = v.shape[0]
-    if n >= 5:
-        # Third-order closure so the ends do not dominate the sup error.
-        out[0] = (35.0 * v[0] - 104.0 * v[1] + 114.0 * v[2]
-                  - 56.0 * v[3] + 11.0 * v[4]) / 12.0
-        out[-1] = (35.0 * v[-1] - 104.0 * v[-2] + 114.0 * v[-3]
-                   - 56.0 * v[-4] + 11.0 * v[-5]) / 12.0
-    elif n == 4:
-        out[0] = 2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]
-        out[-1] = 2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]
-    else:
-        out[0] = out[-1] = out[1]
-    return np.moveaxis(out, 0, axis) / step**2
 
 
 @dataclass(frozen=True)
@@ -109,29 +82,9 @@ class DevelopingMap:
                 f"holomorphy defect {defect:.3e} exceeds tolerance {CR_TOL:.3e}"
             )
 
-    @classmethod
-    def from_function(cls, grid: Grid2D, fn, dfn) -> "DevelopingMap":
-        X, Y = grid.mesh()
-        z = X + 1j * Y
-        return cls(grid, fn(z), dfn(z))
-
     def pullback_density(self) -> np.ndarray:
         """Pulled-back hyperbolic metric density ``4|phi'|^2/(1-|phi|^2)^2``."""
         return 4.0 * np.abs(self.dphi) ** 2 / (1.0 - np.abs(self.phi) ** 2) ** 2
-
-
-@dataclass(frozen=True)
-class HolomorphicInvariant:
-    """``T = u_zz - u_z^2`` with its holomorphy defect field.
-
-    The defect field carries NaN on the outer two rings: ``T`` is built
-    from finite differences, so differentiating it once more loses an
-    order on the first interior ring.
-    """
-
-    grid: Grid2D
-    T: np.ndarray
-    cr_residual: ScalarField
 
 
 def u_from_phi(dev: DevelopingMap, exponent: float = 0.5) -> ScalarField:
@@ -155,23 +108,11 @@ def _invariant(u: ScalarField) -> np.ndarray:
     # Second derivatives from the raw samples; composing _dz twice would
     # degrade the boundary rings to first order and quadruple the
     # interior truncation constant.
-    uxx = _second(vals, g.dx, axis=1)
-    uyy = _second(vals, g.dy, axis=0)
+    uxx = _second_values(vals, g, "x")
+    uyy = _second_values(vals, g, "y")
     uxy = _partial_values(_partial_values(vals, g, "x"), g, "y")
     uzz = 0.25 * (uxx - uyy - 2j * uxy)
     return uzz - uz**2
-
-
-def holomorphic_invariant(u: ScalarField) -> HolomorphicInvariant:
-    """``T`` and its holomorphy defect, which a solution of the curvature
-    equation lacks; diagnostic only (nonsolutions are legitimate inputs)."""
-    g = u.grid
-    T = _invariant(u)
-    res = np.abs(_dbar(T, g))
-    margin = 2 if min(g.shape) >= 5 else 1
-    res[:margin, :] = res[-margin:, :] = np.nan
-    res[:, :margin] = res[:, -margin:] = np.nan
-    return HolomorphicInvariant(g, T, ScalarField(g, res))
 
 
 def _psi_rate(direction: complex, s: np.ndarray, T: np.ndarray) -> np.ndarray:

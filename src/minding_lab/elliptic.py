@@ -12,7 +12,8 @@ solve is one transform pair plus a second that corrects by the stencil
 residual of the first, and the residual is gated in max norm.  Newton
 starts from the harmonic extension of the boundary data, solved by one
 transform pair, and applies the Laplacian with the five-point stencil
-of ``grid.fd_laplacian``.  Each Newton step runs conjugate gradients
+of ``grid.fd_laplacian`` to raw arrays, so that a non-finite trial
+step reaches the damping.  Each Newton step runs conjugate gradients
 on the symmetric positive definite system ``(-lap + diag(s)) delta = F``
 with ``s = 2 exp(2u)``, preconditioned by ``(-lap + c I)^-1`` applied
 with one sine transform pair (Concus & Golub 1973).  With
@@ -40,7 +41,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import Grid2D, GridError, ScalarField, SolverError, fd_laplacian
+from .grid import Grid2D, GridError, ScalarField, SolverError, _laplacian_values
 
 __all__ = [
     "EllipticError",
@@ -61,19 +62,17 @@ class EllipticError(SolverError, RuntimeError):
 def boundary_array(grid: Grid2D, data) -> np.ndarray:
     """Full ``(ny, nx)`` array carrying Dirichlet data on its outer ring.
 
-    ``data`` may be a callable of node coordinates, a scalar, an array of
-    grid shape, or a ScalarField on the same grid.  Interior entries of
-    the result are filled too but never read by the solvers.
+    ``data`` is an array of grid shape or a ScalarField on the same grid.
+    Interior entries of the result are copied too but never read by the
+    solvers.
     """
     if isinstance(data, ScalarField):
         if not data.grid.matches(grid):
             raise GridError("boundary data lives on a different grid")
-        values = np.array(data.values, dtype=float)
-    elif callable(data):
-        X, Y = grid.mesh()
-        values = np.broadcast_to(np.asarray(data(X, Y), dtype=float), grid.shape).copy()
-    else:
-        values = np.broadcast_to(np.asarray(data, dtype=float), grid.shape).copy()
+        data = data.values
+    values = np.array(data, dtype=float)
+    if values.shape != grid.shape:
+        raise GridError(f"boundary data must have shape {grid.shape}, got {values.shape}")
     ring = np.concatenate(
         [values[0, :], values[-1, :], values[1:-1, 0], values[1:-1, -1]]
     )
@@ -152,7 +151,7 @@ def _interior_laplacian(grid: Grid2D, ring: np.ndarray, interior: np.ndarray) ->
     """
     full = np.array(ring, dtype=float)
     full[1:-1, 1:-1] = interior.reshape(grid.ny - 2, grid.nx - 2)
-    return fd_laplacian(ScalarField(grid, full)).values[1:-1, 1:-1].ravel()
+    return _laplacian_values(full, grid).ravel()
 
 
 # relative accuracy of each Newton step, in the preconditioned residual
@@ -215,10 +214,6 @@ class Stencil:
     east: np.ndarray  # (ny, nx - 1): (j, i) -> (j, i + 1)
     north: np.ndarray  # (ny - 1, nx): (j, i) -> (j + 1, i)
     northeast: np.ndarray  # (ny - 1, nx - 1): (j, i) -> (j + 1, i + 1)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.diag.size, self.diag.size)
 
     @property
     def nnz(self) -> int:
@@ -639,7 +634,9 @@ class LiouvilleSolution:
 
 
 def _liouville_residual(grid: Grid2D, bd: np.ndarray, u_int: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
+    # a non-finite trial step gives a non-finite residual, which the
+    # damping refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         return _interior_laplacian(grid, bd, u_int) - np.exp(2.0 * u_int)
 
 
@@ -649,10 +646,11 @@ _POISSON_TOL = 1e-10
 _NEWTON_TOL = 1e-8
 # step halvings a Newton step may take before the damping gives up
 _MAX_HALVINGS = 10
+# Newton steps before the iteration gives up
+_MAX_ITERATIONS = 50
 
 
-def solve_liouville_newton(grid: Grid2D, boundary, *,
-                           max_iterations: int = 50) -> LiouvilleSolution:
+def solve_liouville_newton(grid: Grid2D, boundary) -> LiouvilleSolution:
     """Newton iteration for ``lap u = exp(2u)`` with Dirichlet data.
 
     Starts from the harmonic extension of the boundary values, solved
@@ -661,9 +659,10 @@ def solve_liouville_newton(grid: Grid2D, boundary, *,
     the shifted operator ``lap - 2 exp(2u)``; the shift has the good
     sign, so the linear solves stay well posed, and they are done by
     sine-transform preconditioned conjugate gradients.  Steps are halved (at most
-    ``_MAX_HALVINGS`` times) until the residual decreases; exhausted
-    damping, an exhausted conjugate-gradient budget or hitting
-    ``max_iterations`` raises with the cause attached.
+    ``_MAX_HALVINGS`` times) until the residual decreases, and a step
+    whose residual is not finite is halved too; exhausted damping, an
+    exhausted conjugate-gradient budget or ``_MAX_ITERATIONS`` steps
+    raise with the cause attached.
     """
     bd = boundary_array(grid, boundary)
     zero = np.zeros(grid.shape)
@@ -678,9 +677,9 @@ def solve_liouville_newton(grid: Grid2D, boundary, *,
     history = [res]
     iterations = 0
     while res > _NEWTON_TOL:
-        if iterations >= max_iterations:
+        if iterations >= _MAX_ITERATIONS:
             raise EllipticError(
-                f"Newton did not converge in {max_iterations} iterations; "
+                f"Newton did not converge in {_MAX_ITERATIONS} iterations; "
                 f"last residual {res:.3e}"
             )
         with np.errstate(over="ignore"):

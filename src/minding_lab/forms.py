@@ -50,7 +50,6 @@ __all__ = [
     "zero_curvature_entries",
     "gauss_curvature_from_forms",
     "gauss_curvature_isothermic",
-    "gauss_curvature_chebyshev",
 ]
 
 
@@ -87,11 +86,6 @@ class MetricField:
     def conformal(cls, h: ScalarField) -> "MetricField":
         h2 = h.values**2
         return cls(h.grid, h2, np.zeros_like(h2), h2)
-
-    @classmethod
-    def chebyshev(cls, theta_values: np.ndarray, grid: Grid2D) -> "MetricField":
-        ones = np.ones(grid.shape)
-        return cls(grid, ones, np.cos(theta_values), ones)
 
 
 @dataclass(frozen=True)
@@ -136,9 +130,6 @@ class FrameField:
         if not np.isfinite(arr).all():
             raise GridError("frame entries must be finite")
         object.__setattr__(self, "values", _freeze(arr))
-
-    def det(self) -> np.ndarray:
-        return np.linalg.det(self.values)
 
 
 def _as_matrices(M, grid: Grid2D, name: str) -> np.ndarray:
@@ -268,12 +259,3 @@ def gauss_curvature_isothermic(h: ScalarField) -> ScalarField:
         raise DegenerateMetricError("conformal factor must be positive")
     lap = fd_laplacian(ScalarField(h.grid, np.log(h.values)))
     return ScalarField(h.grid, -lap.values / h.values**2)
-
-
-def gauss_curvature_chebyshev(theta: ScalarField) -> ScalarField:
-    """K = -theta_xy / sin(theta) for a Chebyshev net angle (boundary NaN)."""
-    mixed = fd_partial(fd_partial(theta, "x"), "y")
-    vals = -mixed.values / np.sin(theta.values)
-    out = np.full(theta.grid.shape, np.nan)
-    out[1:-1, 1:-1] = vals[1:-1, 1:-1]
-    return ScalarField(theta.grid, out)

@@ -6,9 +6,11 @@ scalar, vector, or matrix sample array.  Arrays are indexed ``[j, i]``
 fastest.  Every first derivative in the package, of fields and of raw
 arrays with trailing component axes alike, goes through the one kernel
 ``_partial_values``: second-order stencils, central inside and
-one-sided on the boundary.  Integrals use tensor-product trapezoid
-sums, over the whole grid or, bit for bit the same, over a box of its
-nodes read as its zero extension.  Second-derivative outputs are only
+one-sided on the boundary.  Every second difference along one axis
+goes through ``_second_values``, the five-point Laplacian's included.
+Integrals use tensor-product trapezoid sums, over the whole grid or,
+bit for bit the same, over a box of its nodes read as its zero
+extension.  Second-derivative outputs are only
 defined on interior nodes and carry NaN on the boundary ring; norms
 therefore come in interior-only flavours.
 """
@@ -184,9 +186,6 @@ class ScalarField:
         X, Y = grid.mesh()
         return cls(grid, np.broadcast_to(fn(X, Y), grid.shape))
 
-    def interior(self) -> np.ndarray:
-        return self.values[1:-1, 1:-1]
-
     def interior_abs_max(self) -> float:
         return interior_abs_max(self.values)
 
@@ -243,10 +242,6 @@ class TestFunction:
         factor = -4.0 * w / self.r**2
         return factor * dx, factor * dy
 
-    def sample(self, grid: Grid2D) -> ScalarField:
-        X, Y = grid.mesh()
-        return ScalarField(grid, self.value(X, Y))
-
     def exact_integral(self) -> float:
         return math.pi * self.r**2 / 3.0
 
@@ -300,16 +295,46 @@ def fd_partial(field: ScalarField, axis: str) -> ScalarField:
     return ScalarField(field.grid, _partial_values(field.values, field.grid, axis))
 
 
+def _second_values(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
+    """Second difference of a raw ``(ny, nx, ...)`` array along ``axis``.
+
+    Three points inside, third-order one-sided closures at the two ends
+    so they do not dominate the sup error.  Working from the raw samples
+    keeps the truncation constant small and uniformly second order;
+    stacking two first-derivative passes along one axis would lose an
+    order on the boundary rings.
+    """
+    at, step = (1, grid.dx) if axis == "x" else (0, grid.dy)
+    v = np.moveaxis(values, at, 0)
+    out = np.empty_like(v)
+    out[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
+    n = v.shape[0]
+    if n >= 5:
+        out[0] = (35.0 * v[0] - 104.0 * v[1] + 114.0 * v[2]
+                  - 56.0 * v[3] + 11.0 * v[4]) / 12.0
+        out[-1] = (35.0 * v[-1] - 104.0 * v[-2] + 114.0 * v[-3]
+                   - 56.0 * v[-4] + 11.0 * v[-5]) / 12.0
+    elif n == 4:
+        out[0] = 2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]
+        out[-1] = 2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]
+    else:
+        out[0] = out[-1] = out[1]
+    return np.moveaxis(out, 0, at) / step**2
+
+
+def _laplacian_values(values: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Five-point Laplacian of a raw ``(ny, nx)`` array on its interior
+    nodes, shape ``(ny - 2, nx - 2)``; no field is built, so non-finite
+    samples pass through."""
+    return (_second_values(values[1:-1], grid, "x")[:, 1:-1]
+            + _second_values(values[:, 1:-1], grid, "y")[1:-1])
+
+
 def fd_laplacian(field: ScalarField) -> ScalarField:
     """Five-point Laplacian; boundary ring is NaN (no stencil there)."""
-    g = field.grid
-    v = field.values
-    out = np.full(g.shape, np.nan)
-    out[1:-1, 1:-1] = (
-        (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / g.dx**2
-        + (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / g.dy**2
-    )
-    return ScalarField(g, out)
+    out = np.full(field.grid.shape, np.nan)
+    out[1:-1, 1:-1] = _laplacian_values(field.values, field.grid)
+    return ScalarField(field.grid, out)
 
 
 def quadrature(field: ScalarField, within: Grid2D | None = None) -> float:

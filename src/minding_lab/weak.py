@@ -50,29 +50,19 @@ __all__ = [
     "product_rule_pointwise_residual",
     "liouville_weak_residual",
     "frame_weak_compatibility",
-    "frame_weak_entry_residual",
 ]
 
 
 @dataclass(frozen=True)
 class WeakResidualReport:
-    """Residuals of one identity over a family of test functions.
-
-    ``normalizers`` holds the integral of |v| for each test, so
-    ``normalized()`` gives dimensionless residuals comparable across
-    bump sizes.
-    """
+    """Residuals of one identity over a family of test functions."""
 
     residuals: tuple
-    normalizers: tuple
 
     def __post_init__(self) -> None:
-        if len(self.residuals) != len(self.normalizers):
-            raise GridError("one normalizer per residual required")
         if len(self.residuals) == 0:
             raise GridError("empty test family")
         object.__setattr__(self, "residuals", tuple(float(r) for r in self.residuals))
-        object.__setattr__(self, "normalizers", tuple(float(n) for n in self.normalizers))
 
     @property
     def count(self) -> int:
@@ -80,9 +70,6 @@ class WeakResidualReport:
 
     def max_abs(self) -> float:
         return max(abs(r) for r in self.residuals)
-
-    def normalized(self) -> tuple:
-        return tuple(r / n for r, n in zip(self.residuals, self.normalizers))
 
 
 def bump_lattice(grid: Grid2D):
@@ -130,7 +117,6 @@ def _pair(grid: Grid2D, tests, fields: dict, rows) -> WeakResidualReport:
             raise GridError("quadrature requires finite samples everywhere")
     X, Y = grid.mesh()
     residuals = []
-    normalizers = []
     for v in tests:
         if not v.supported_inside(grid):
             raise GridError(
@@ -148,8 +134,7 @@ def _pair(grid: Grid2D, tests, fields: dict, rows) -> WeakResidualReport:
                 q = sign * quadrature(ScalarField(window, integrand(t)), within=grid)
                 r = q if r is None else r + q
             residuals.append(r)
-            normalizers.append(v.exact_integral())
-    return WeakResidualReport(tuple(residuals), tuple(normalizers))
+    return WeakResidualReport(tuple(residuals))
 
 
 def _mixed_terms(*entry) -> list:
@@ -174,9 +159,7 @@ def mixed_partials_check(W, tests) -> WeakResidualReport:
             _mixed_terms(p, q) for p in range(3) for q in range(3)
         ])
         return WeakResidualReport(
-            tuple(max(map(abs, entries.residuals[k:k + 9])) for k in range(0, entries.count, 9)),
-            entries.normalizers[::9],
-        )
+            tuple(max(map(abs, entries.residuals[k:k + 9])) for k in range(0, entries.count, 9)))
     fields = {"Wx": fd_partial(W, "x").values, "Wy": fd_partial(W, "y").values}
     return _pair(grid, tests, fields, [_mixed_terms()])
 
@@ -262,24 +245,17 @@ def _entry_terms(p: int, q: int) -> list:
     ]
 
 
-def frame_weak_entry_residual(A, B, grid: Grid2D, p: int, q: int, tests) -> WeakResidualReport:
-    """Weak zero-curvature residual tested against bump * E_pq.
-
-    With v = w E_pq the trace pairing picks out one matrix entry:
-
-        r(w) = -integral(A_pq w_y) + integral(B_pq w_x)
-               - integral((AB - BA)_pq w)
-    """
-    if not (0 <= p < 3 and 0 <= q < 3):
-        raise GridError("entry indices must lie in 0..2")
-    return _pair(grid, tests, _connection_fields(A, B, grid), [_entry_terms(p, q)])
-
-
 def frame_weak_compatibility(A, B, grid: Grid2D, tests) -> WeakResidualReport:
     """Weak zero-curvature identity over all nine elementary matrices.
 
+    Tested against v = w E_pq, the trace pairing picks out one matrix
+    entry:
+
+        r(w) = -integral(A_pq w_y) + integral(B_pq w_x)
+               - integral((AB - BA)_pq w)
+
     One residual per (test, entry) pair, ordered test-major with the
-    entry index q fastest.
+    entry index q fastest, so ``residuals[3 p + q::9]`` is entry (p, q).
     """
     return _pair(grid, tests, _connection_fields(A, B, grid), [
         _entry_terms(p, q) for p in range(3) for q in range(3)

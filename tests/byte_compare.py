@@ -15,6 +15,8 @@ leave every output alone):
   ``develop`` and ``solve`` on both catalog charts there;
 - the same at n = 65 with ``--tol-scale 0.5``, so every gate is
   compared off its default scale too;
+- ``export-plots`` on the first run's ``--out``, whose ``plots/`` CSV
+  files are compared;
 - ``perfbench/audit.py --seed 7``.
 
 Each tree runs with ``PYTHONPATH`` set to its own ``src/``, in its own
@@ -58,11 +60,11 @@ FILES = {"theta-file": "surface.json", "surface-file": "surface.json",
 
 
 def commands():
-    """(label, argv after the interpreter, --out directory or None);
-    ``{root}`` in argv stands for the tree under test."""
+    """(label, argv after the interpreter, the directory whose files are
+    compared or None); ``{root}`` in argv stands for the tree under test."""
+    first = "out/verify-minding-one_soliton-65"
     sources = [("catalog", source, source) for source in SOURCES]
-    sources += [(flag, f"out/verify-minding-one_soliton-65/{name}", flag)
-                for flag, name in FILES.items()]
+    sources += [(flag, f"{first}/{name}", flag) for flag, name in FILES.items()]
     cli = [(command, source, 65, ()) for source in sources for command in COMMANDS]
     for n, scale in ((129, ()), (65, ("--tol-scale", "0.5"))):
         cli += [("verify-minding", ("catalog", source, source), n, scale) for source in SOURCES]
@@ -74,6 +76,8 @@ def commands():
         runs.append((" ".join([command, label, f"n={n}", *scale]),
                      ["-m", "minding_lab.cli", command, f"--{flag}", source,
                       "--n", str(n), *scale, "--out", out], out))
+    runs.append(("export-plots one_soliton n=65",
+                 ["-m", "minding_lab.cli", "export-plots", "--out", first], f"{first}/plots"))
     runs.append(("audit --seed 7", ["{root}/perfbench/audit.py", "--seed", "7"], None))
     return runs
 

@@ -12,12 +12,11 @@ from minding_lab.chebyshev import (
     AngleField,
     SIN_THETA_FLOOR,
     SingularAngleError,
+    _SLOTS,
     _interp_midpoints,
+    _pack,
     _sweep,
     adapted_initial_frame,
-    chebyshev_connection,
-    connection_from_samples,
-    constant_angle,
     corollary_conditions,
     integrate_frame,
     one_soliton_angle,
@@ -29,6 +28,25 @@ SOLITON = dict(x0=-1.0, x1=-0.25, y0=-1.0, y1=-0.25)
 
 def soliton_grid(n=65):
     return Grid2D.from_bounds(SOLITON["x0"], SOLITON["x1"], SOLITON["y0"], SOLITON["y1"], n, n)
+
+
+def constant_angle(grid, value):
+    return AngleField(ScalarField(grid, np.full(grid.shape, value)))
+
+
+def connection(theta, theta_x, theta_y):
+    """Connection matrices A, B, shape ``theta.shape + (3, 3)``, from raw
+    samples of theta and its partials, placed through the synthesis's
+    own slot tables.  Columns of A hold the basis coefficients of
+    (f_xx, f_xy, N_x); columns of B those of (f_yx, f_yy, N_y)."""
+    return (forms._place(_pack(theta, theta_x), _SLOTS["x"]),
+            forms._place(_pack(theta, theta_y), _SLOTS["y"]))
+
+
+def fd_connection(theta):
+    """A, B of an angle field, its partials by finite differences."""
+    t = theta.theta
+    return connection(t.values, fd_partial(t, "x").values, fd_partial(t, "y").values)
 
 
 class TestAngleField:
@@ -47,11 +65,6 @@ class TestAngleField:
             AngleField(ScalarField(g, np.full(g.shape, np.pi)))
         with pytest.raises(GridError):
             AngleField(ScalarField(g, np.zeros(g.shape)))
-
-    def test_constant_angle(self):
-        g = Grid2D.from_bounds(0, 1, 0, 1, 5, 5)
-        th = constant_angle(g, 1.2)
-        assert np.all(th.theta.values == 1.2)
 
 
 class TestSineGordonResidual:
@@ -84,27 +97,27 @@ class TestSineGordonResidual:
 class TestConnection:
     def test_right_angle_matrices(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 9, 9)
-        A, B = chebyshev_connection(constant_angle(g, np.pi / 2))
+        A, B = fd_connection(constant_angle(g, np.pi / 2))
         A_expect = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
         B_expect = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        assert np.allclose(A.values, A_expect[None, None], rtol=0, atol=1e-15)
-        assert np.allclose(B.values, B_expect[None, None], rtol=0, atol=1e-15)
+        assert np.allclose(A, A_expect[None, None], rtol=0, atol=1e-15)
+        assert np.allclose(B, B_expect[None, None], rtol=0, atol=1e-15)
 
     def test_constant_angle_structure(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 9, 9)
         c = 1.1
-        A, B = chebyshev_connection(constant_angle(g, c))
+        A, B = fd_connection(constant_angle(g, c))
         # angle-derivative entries vanish; middle column of A carries sin c
-        assert np.allclose(A.values[:, :, :, 1], np.array([0.0, 0.0, np.sin(c)]), atol=1e-15)
-        assert np.allclose(A.values[:, :, 0, 0], 0.0, atol=1e-15)
-        assert np.allclose(A.values[:, :, 1, 0], 0.0, atol=1e-15)
-        assert np.allclose(B.values[:, :, :, 0], np.array([0.0, 0.0, np.sin(c)]), atol=1e-15)
+        assert np.allclose(A[:, :, :, 1], np.array([0.0, 0.0, np.sin(c)]), atol=1e-15)
+        assert np.allclose(A[:, :, 0, 0], 0.0, atol=1e-15)
+        assert np.allclose(A[:, :, 1, 0], 0.0, atol=1e-15)
+        assert np.allclose(B[:, :, :, 0], np.array([0.0, 0.0, np.sin(c)]), atol=1e-15)
 
     def test_soliton_entries_at_diagonal_point(self):
         # s = x + y = -1: theta = 4 arctan(1/e), theta_x = theta_y = 2 sech(1)
         theta = np.array([[1.410053687110476]])
         tx = np.array([[1.296108547327771]])
-        A, B = connection_from_samples(theta, tx, tx)
+        A, B = connection(theta, tx, tx)
         a = A[0, 0]
         b = B[0, 0]
         assert a[0, 0] == pytest.approx(0.2101530264121984, abs=1e-14)
@@ -123,17 +136,17 @@ class TestConnection:
     def test_fd_connection_matches_exact_derivatives(self):
         g = soliton_grid(65)
         th = one_soliton_angle(g)
-        A_fd, B_fd = chebyshev_connection(th)
+        A_fd, B_fd = fd_connection(th)
         X, Y = g.mesh()
         sech = 1.0 / np.cosh(X + Y)
-        A_ex, B_ex = connection_from_samples(th.theta.values, 2 * sech, 2 * sech)
-        assert np.abs(A_fd.values - A_ex).max() <= 10 * g.h**2
-        assert np.abs(B_fd.values - B_ex).max() <= 10 * g.h**2
+        A_ex, B_ex = connection(th.theta.values, 2 * sech, 2 * sech)
+        assert np.abs(A_fd - A_ex).max() <= 10 * g.h**2
+        assert np.abs(B_fd - B_ex).max() <= 10 * g.h**2
 
     def test_singular_angle_rejected(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 5, 5)
         with pytest.raises(SingularAngleError):
-            chebyshev_connection(constant_angle(g, 1e-7))
+            fd_connection(constant_angle(g, 1e-7))
 
 
 class TestIntegrateFrame:
@@ -178,45 +191,18 @@ class TestIntegrateFrame:
         assert res.path_residual_f <= 100 * g.h**2
         assert res.path_residual_frame <= 100 * g.h**2
 
-    def test_equivariance_under_rigid_motion(self):
-        g = soliton_grid(33)
-        th = one_soliton_angle(g)
-        theta0 = float(th.theta.values[0, 0])
-        W0 = adapted_initial_frame(theta0)
-
-        c, s = np.cos(0.7), np.sin(0.7)
-        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        t = np.array([0.3, -0.2, 0.5])
-
-        base = integrate_frame(th, W0=W0)
-        moved = integrate_frame(th, W0=R @ W0, f0=t)
-
-        expect_f = base.surface.f.values @ R.T + t
-        assert np.abs(moved.surface.f.values - expect_f).max() <= 1e-10
-        expect_N = base.surface.N.values @ R.T
-        assert np.abs(moved.surface.N.values - expect_N).max() <= 1e-10
-
-    def test_initial_frame_validation(self):
-        g = soliton_grid(33)
-        th = one_soliton_angle(g)
-        with pytest.raises(GridError):
-            integrate_frame(th, W0=np.eye(3))  # wrong Gram for this angle
-        with pytest.raises(GridError):
-            integrate_frame(th, W0=np.zeros((2, 2)))
-        # reflected frame flips orientation
-        theta0 = float(th.theta.values[0, 0])
-        W0 = adapted_initial_frame(theta0)
-        W0_flip = W0 @ np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(GridError):
-            integrate_frame(th, W0=W0_flip)
-
     def test_default_initial_frame_is_adapted(self):
         g = soliton_grid(33)
         th = one_soliton_angle(g)
-        theta0 = float(th.theta.values[0, 0])
-        a = integrate_frame(th)
-        b = integrate_frame(th, W0=adapted_initial_frame(theta0))
-        assert np.array_equal(a.surface.f.values, b.surface.f.values)
+        res = integrate_frame(th)
+        W0 = adapted_initial_frame(float(th.theta.values[0, 0]))
+        assert np.array_equal(res.frame.values[0, 0], W0)
+        assert np.array_equal(res.surface.f.values[0, 0], np.zeros(3))
+        # the start realizes the Chebyshev Gram matrix, positively oriented
+        cos0 = np.cos(th.theta.values[0, 0])
+        gram = np.array([[1.0, cos0, 0.0], [cos0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.abs(W0.T @ W0 - gram).max() <= 1e-15
+        assert np.linalg.det(W0) > 0.0
 
     def test_frame_norm_drift_without_renormalization(self):
         # exact constant connection isolates the stepping scheme; the
@@ -337,15 +323,15 @@ def full_matrix_frame(theta):
     x-then-y W and f and the two path residuals."""
     g, t = theta.grid, theta.theta
     tx, ty = fd_partial(t, "x").values, fd_partial(t, "y").values
-    A, B = chebyshev_connection(theta)
-    A_mid = connection_from_samples(*(_interp_midpoints(v, 1) for v in (t.values, tx, ty)))[0]
-    B_mid = connection_from_samples(*(_interp_midpoints(v, 0) for v in (t.values, tx, ty)))[1]
+    A, B = connection(t.values, tx, ty)
+    A_mid = connection(*(_interp_midpoints(v, 1) for v in (t.values, tx, ty)))[0]
+    B_mid = connection(*(_interp_midpoints(v, 0) for v in (t.values, tx, ty)))[1]
 
     def rate(col, Y, C):
         return np.concatenate((Y[..., :3] @ C, Y[..., col:col + 1]), axis=-1)
 
-    lines = [(partial(rate, 0), A.values, A_mid, g.dx),
-             (partial(rate, 1), B.values, B_mid, g.dy)]
+    lines = [(partial(rate, 0), A, A_mid, g.dx),
+             (partial(rate, 1), B, B_mid, g.dy)]
 
     def sweep(x_first):
         W, f = np.empty(g.shape + (3, 3)), np.zeros(g.shape + (3,))
@@ -395,7 +381,7 @@ class TestConnectionPacks:
         values = np.full(g.shape, 1.0)
         values[3, 4] = 1e-7
         th = AngleField(ScalarField(g, values))
-        assert singular_message(integrate_frame, th) == singular_message(chebyshev_connection, th)
+        assert singular_message(integrate_frame, th) == singular_message(fd_connection, th)
 
     def test_singular_only_at_an_interpolated_midpoint(self):
         # the run a, b, b, a along x interpolates to (18 b - 2 a) / 16 =
@@ -404,10 +390,10 @@ class TestConnectionPacks:
         values = np.full(g.shape, 1e-5)
         values[:, 3:5] = 1.2e-6
         th = AngleField(ScalarField(g, values))
-        chebyshev_connection(th)
+        fd_connection(th)
         mids = _interp_midpoints(values, 1)
         assert np.sin(mids).min() < SIN_THETA_FLOOR
-        expect = singular_message(connection_from_samples, mids, mids, mids)
+        expect = singular_message(connection, mids, mids, mids)
         assert "1.000e-07" in expect
         assert singular_message(integrate_frame, th) == expect
 
@@ -475,7 +461,7 @@ class TestCorollaryConditions:
 class TestZeroCurvatureIdentity:
     def test_compatible_connection_residual_small(self):
         g = soliton_grid(65)
-        A, B = chebyshev_connection(one_soliton_angle(g))
+        A, B = fd_connection(one_soliton_angle(g))
         zc = forms.zero_curvature_residual(A, B, g)
         assert zc.interior_abs_max() <= 50 * g.h**2
 
@@ -485,7 +471,7 @@ class TestZeroCurvatureIdentity:
         # (3,1) entry cancels identically
         g = soliton_grid(65)
         th = one_soliton_angle(g)
-        A, B = chebyshev_connection(th)
+        A, B = fd_connection(th)
         R = forms.zero_curvature_entries(A, B, g)
         sg = sine_gordon_residual(th).values / np.sin(th.theta.values)
         core = slice(2, -2)
@@ -497,6 +483,6 @@ class TestZeroCurvatureIdentity:
     def test_incompatible_angle_lights_up_offdiagonal(self):
         # constant angle c has residual magnitude |0 - sin c|/sin c = 1
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
-        A, B = chebyshev_connection(constant_angle(g, 1.0))
+        A, B = fd_connection(constant_angle(g, 1.0))
         R = forms.zero_curvature_entries(A, B, g)
         assert np.nanmax(np.abs(R[2:-2, 2:-2, 0, 1] + 1.0)) <= 1e-12

@@ -40,6 +40,11 @@ def half_plane_grid(n):
     return Grid2D.from_bounds(0.0, 1.0, 1.0, 2.0, n, n)
 
 
+def half_plane_log(grid):
+    """The half-plane log-factor -ln y at the nodes, as boundary data."""
+    return -np.log(grid.mesh()[1])
+
+
 def disk_square_grid(n):
     return Grid2D.from_bounds(-DISK_HALF, DISK_HALF, -DISK_HALF, DISK_HALF, n, n)
 
@@ -76,14 +81,14 @@ class TestPoisson:
     def test_harmonic_linear_is_stencil_exact(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         X, _ = g.mesh()
-        p = dirichlet(g, 0.0, lambda X, Y: X)
+        p = dirichlet(g, 0.0, X)
         w = solve_poisson(p)
         assert np.max(np.abs(w.values - X)) <= 1e-12
 
     def test_quadratic_is_stencil_exact(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         X, Y = g.mesh()
-        p = dirichlet(g, 4.0, lambda X, Y: X**2 + Y**2)
+        p = dirichlet(g, 4.0, X**2 + Y**2)
         w = solve_poisson(p)
         assert np.max(np.abs(w.values - (X**2 + Y**2))) <= 1e-11
 
@@ -92,9 +97,7 @@ class TestPoisson:
         for n in (65, 129):
             g = half_plane_grid(n)
             _, Y = g.mesh()
-            p = dirichlet(
-                g, lambda X, Y: 1.0 / Y**2, lambda X, Y: -np.log(Y)
-            )
+            p = dirichlet(g, lambda X, Y: 1.0 / Y**2, -np.log(Y))
             w = solve_poisson(p)
             errs.append(np.max(np.abs(w.values + np.log(Y))))
         assert errs[0] <= 10 * half_plane_grid(65).h ** 2
@@ -102,7 +105,8 @@ class TestPoisson:
 
     def test_boundary_reproduced_verbatim(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 17, 17)
-        bd = boundary_array(g, lambda X, Y: np.sin(3 * X) - Y)
+        X, Y = g.mesh()
+        bd = np.sin(3 * X) - Y
         p = dirichlet(g, 1.0, bd)
         w = solve_poisson(p)
         assert np.array_equal(w.values[0, :], bd[0, :])
@@ -113,9 +117,8 @@ class TestPoisson:
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         rng = np.random.default_rng(7)
         rhs = ScalarField(g, rng.random(g.shape))
-        p = dirichlet(
-            g, rhs, lambda X, Y: -0.1 - 0.2 * np.abs(np.sin(3 * X + 2 * Y))
-        )
+        X, Y = g.mesh()
+        p = dirichlet(g, rhs, -0.1 - 0.2 * np.abs(np.sin(3 * X + 2 * Y)))
         w = solve_poisson(p)
         assert w.values.max() <= 1e-12
 
@@ -127,7 +130,12 @@ class TestPoisson:
             dirichlet(g, 0.0, bad)
         other = Grid2D.from_bounds(0, 2, 0, 1, 9, 9)
         with pytest.raises(GridError):
-            DirichletProblem(g, ScalarField(other, np.zeros(other.shape)), 0.0)
+            DirichletProblem(g, ScalarField(other, np.zeros(other.shape)), np.zeros(g.shape))
+        # boundary data comes as an array or a field of grid shape
+        with pytest.raises(GridError, match=r"boundary data must have shape \(9, 9\), got \(\)"):
+            dirichlet(g, 0.0, 0.0)
+        with pytest.raises(GridError, match="different grid"):
+            boundary_array(g, ScalarField(other, np.zeros(other.shape)))
 
     def test_matches_sparse_lu_on_a_rectangle(self):
         # nx != ny, dx != dy and data with no x <-> y symmetry, so a
@@ -159,7 +167,7 @@ class TestLiouvilleNewton:
         for n in (65, 129):
             g = disk_square_grid(n)
             X, Y = g.mesh()
-            sol = solve_liouville_newton(g, disk_factor)
+            sol = solve_liouville_newton(g, disk_factor(X, Y))
             assert isinstance(sol, LiouvilleSolution)
             assert sol.iterations <= 8
             assert sol.residuals[-1] <= 1e-8
@@ -170,7 +178,7 @@ class TestLiouvilleNewton:
     def test_half_plane_catalog(self):
         g = half_plane_grid(65)
         _, Y = g.mesh()
-        sol = solve_liouville_newton(g, lambda X, Y: -np.log(Y))
+        sol = solve_liouville_newton(g, -np.log(Y))
         assert sol.iterations <= 8
         assert np.max(np.abs(sol.u.values + np.log(Y))) <= 20 * g.h**2
 
@@ -178,7 +186,7 @@ class TestLiouvilleNewton:
         # once the residual dips below 1e-2 it at least squares per step,
         # up to the 1e-10 floor of the linear solves
         g = disk_square_grid(65)
-        sol = solve_liouville_newton(g, disk_factor)
+        sol = solve_liouville_newton(g, disk_factor(*g.mesh()))
         tail = [r for r in sol.residuals if r < 1e-2]
         assert len(tail) >= 2
         for a, b in zip(tail, tail[1:]):
@@ -189,15 +197,16 @@ class TestLiouvilleNewton:
         # solver reports failure; silent garbage is the only wrong answer
         g = half_plane_grid(65)
         try:
-            sol = solve_liouville_newton(g, lambda X, Y: 10.0 - np.log(Y))
+            sol = solve_liouville_newton(g, 10.0 + half_plane_log(g))
         except EllipticError:
             return
         assert sol.residuals[-1] <= 1e-8
 
-    def test_iteration_budget_is_enforced(self):
+    def test_iteration_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_MAX_ITERATIONS", 1)
         g = half_plane_grid(33)
-        with pytest.raises(EllipticError, match="did not converge"):
-            solve_liouville_newton(g, lambda X, Y: -np.log(Y), max_iterations=1)
+        with pytest.raises(EllipticError, match="did not converge in 1 iterations"):
+            solve_liouville_newton(g, half_plane_log(g))
 
 
 class TestFailurePaths:
@@ -213,7 +222,7 @@ class TestFailurePaths:
 
     def test_overlong_steps_are_halved_back(self, monkeypatch):
         g = half_plane_grid(33)
-        boundary = lambda X, Y: -np.log(Y)
+        boundary = half_plane_log(g)
         want = solve_liouville_newton(g, boundary)
         pcg, residual, trials = elliptic._pcg, elliptic._liouville_residual, []
         monkeypatch.setattr(elliptic, "_pcg", lambda *args: 8.0 * pcg(*args))
@@ -232,7 +241,28 @@ class TestFailurePaths:
         pcg = elliptic._pcg
         monkeypatch.setattr(elliptic, "_pcg", lambda *args: -pcg(*args))
         with pytest.raises(EllipticError, match="damping exhausted after 10 halvings"):
-            solve_liouville_newton(half_plane_grid(17), lambda X, Y: -np.log(Y))
+            solve_liouville_newton(half_plane_grid(17), half_plane_log(half_plane_grid(17)))
+        code, report = self.run_cli(capsys, "solve", "--catalog", "half_plane_pseudosphere",
+                                    "--n", "17")
+        assert code == 4
+        assert report["failed_stage"] == "newton" and report["solver_error"] is True
+        assert "damping exhausted" in report["stages"][-1]["error"]
+
+    def test_a_non_finite_step_is_halved_until_the_damping_gives_up(self, capsys, monkeypatch):
+        # an infinite entry in the step makes every trial's residual
+        # non-finite: the damping refuses each, and the solve ends as a
+        # solver failure, not as a field that refuses an infinite entry
+        pcg = elliptic._pcg
+
+        def poisoned(*args):
+            step = pcg(*args)
+            step[step.size // 2] = np.inf
+            return step
+
+        monkeypatch.setattr(elliptic, "_pcg", poisoned)
+        g = half_plane_grid(17)
+        with pytest.raises(EllipticError, match="damping exhausted after 10 halvings"):
+            solve_liouville_newton(g, half_plane_log(g))
         code, report = self.run_cli(capsys, "solve", "--catalog", "half_plane_pseudosphere",
                                     "--n", "17")
         assert code == 4
@@ -243,7 +273,7 @@ class TestFailurePaths:
         # exp(2 * 400) is no float: the harmonic start's residual is
         # infinite and its Newton shift overflows
         with pytest.raises(EllipticError, match=r"overflowed exp\(2u\); last residual inf"):
-            solve_liouville_newton(half_plane_grid(17), 400.0)
+            solve_liouville_newton(half_plane_grid(17), np.full((17, 17), 400.0))
 
     def test_an_unreachable_poisson_gate_raises(self, capsys, monkeypatch):
         monkeypatch.setattr(elliptic, "_POISSON_TOL", 0.0)
@@ -326,9 +356,11 @@ class TestNewtonLinearSolve:
             boundary = catalog_factor(case, 65)
             grid = boundary.grid
         elif case == "half_plane_dx_ne_dy":
-            grid, boundary = Grid2D.from_bounds(0.0, 1.0, 1.0, 1.6, 65, 29), lambda X, Y: -np.log(Y)
+            grid = Grid2D.from_bounds(0.0, 1.0, 1.0, 1.6, 65, 29)
+            boundary = half_plane_log(grid)
         else:
-            grid, boundary = Grid2D.from_bounds(-0.45, 0.45, -0.3, 0.3, 41, 61), disk_factor
+            grid = Grid2D.from_bounds(-0.45, 0.45, -0.3, 0.3, 41, 61)
+            boundary = disk_factor(*grid.mesh())
         want, iterations = splu_newton(grid, boundary)
         sol = solve_liouville_newton(grid, boundary)
         assert sol.iterations == iterations
@@ -350,7 +382,7 @@ class TestNewtonLinearSolve:
     def test_exhausted_cg_budget_raises(self, monkeypatch):
         monkeypatch.setattr(elliptic, "_pcg_budget", lambda kappa, rtol: 1)
         with pytest.raises(EllipticError, match="conjugate gradients did not converge"):
-            solve_liouville_newton(half_plane_grid(33), lambda X, Y: -np.log(Y))
+            solve_liouville_newton(half_plane_grid(33), half_plane_log(half_plane_grid(33)))
 
     def test_catalog_commands_load_no_spline_tree_or_fft(self, tmp_path):
         # no command loads any scipy module: the catalog charts need none,
@@ -509,9 +541,10 @@ class TestNestedDissection:
             # the flatten system of the one_soliton catalog metric at n = 65
             g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, 65, 65)
             X, Y = g.mesh()
-            metric = MetricField.chebyshev(4.0 * np.arctan(np.exp(X + Y)), g)
+            F = np.cos(4.0 * np.arctan(np.exp(X + Y)))
+            metric = MetricField(g, np.ones(g.shape), F, np.ones(g.shape))
             H = conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
-        b = [1.0, 1j] @ np.random.default_rng(8).normal(size=(2, H.shape[0]))
+        b = [1.0, 1j] @ np.random.default_rng(8).normal(size=(2, H.diag.size))
         factor = elliptic.splu(H)
         assert np.array_equal(factor.solve(b), elimination_order_solve(factor, b))
 
