@@ -546,7 +546,7 @@ def cmd_solve(run: _Run) -> None:
 
     u_ref = _factor(run.config)
     with run.stage("newton"):
-        solution = solve_liouville_newton(u_ref.grid, u_ref)
+        solution = solve_liouville_newton(u_ref.grid, u_ref.values)
     run.check("newton_iterations", solution.iterations, NEWTON_BUDGET,
               residuals=list(solution.residuals))
     err = float(np.abs(solution.u.values - u_ref.values)[1:-1, 1:-1].max())

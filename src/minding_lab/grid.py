@@ -8,11 +8,11 @@ arrays with trailing component axes alike, goes through the one kernel
 ``_partial_values``: second-order stencils, central inside and
 one-sided on the boundary.  Every second difference along one axis
 goes through ``_second_values``, the five-point Laplacian's included.
-Integrals use tensor-product trapezoid sums, over the whole grid or,
-bit for bit the same, over a box of its nodes read as its zero
-extension.  Second-derivative outputs are only
-defined on interior nodes and carry NaN on the boundary ring; norms
-therefore come in interior-only flavours.
+Integrals are tensor-product trapezoid sums of sample arrays over the
+whole grid or, bit for bit the same, over a box of its nodes given as
+row and column slices and read as its zero extension.  Second-derivative
+outputs are only defined on interior nodes and carry NaN on the
+boundary ring; norms therefore come in interior-only flavours.
 """
 
 from __future__ import annotations
@@ -114,13 +114,6 @@ class Grid2D:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Node coordinate arrays ``X, Y`` of shape ``(ny, nx)``."""
         return np.meshgrid(self.x(), self.y())
-
-    def window(self, rows: slice, cols: slice) -> "Grid2D":
-        """Grid of the nodes ``[rows, cols]`` (unit-step slices), same spacings."""
-        j0, j1, _ = rows.indices(self.ny)
-        i0, i1, _ = cols.indices(self.nx)
-        return Grid2D(self.x0 + i0 * self.dx, self.y0 + j0 * self.dy,
-                      i1 - i0, j1 - j0, self.dx, self.dy)
 
     def refined(self) -> "Grid2D":
         """Grid with both spacings halved and the same extent."""
@@ -337,46 +330,43 @@ def fd_laplacian(field: ScalarField) -> ScalarField:
     return ScalarField(field.grid, out)
 
 
-def quadrature(field: ScalarField, within: Grid2D | None = None) -> float:
+def quadrature(values: np.ndarray, grid: Grid2D, box: tuple[slice, slice] | None = None) -> float:
     """Tensor-product trapezoid integral over the full grid rectangle.
 
     A field whose support extends past the rectangle is integrated over
     the rectangle only; the truncation is the caller's responsibility.
 
-    With ``within``, ``field`` samples a box of that grid's nodes (a
-    ``within.window``) and the result is the integral over ``within`` of
-    its zero extension, equal bit for bit to the full-grid integral of
-    the zero-padded samples.  The box's x-trapezoid terms, plus the two
-    half terms that straddle its left and right edges, are written at
-    their own columns of a zero array ``nx - 1`` wide; each row is
-    summed and the sums are written at their own rows of a zero vector
-    ``ny`` long, which gets the same y-trapezoid.  numpy's pairwise sums
-    then meet the same operands in the same positions as on the padded
-    grid; a trapezoid over the box as a grid of its own would regroup
-    them and move the result at rounding level.  Products and the x
-    terms cost the box's nodes, the row sums its rows of ``nx``.
+    With ``box``, unit-step ``(rows, cols)`` slices such as
+    ``TestFunction.node_box`` returns, ``values`` holds the samples at
+    ``grid[box]`` and the result is the integral over ``grid`` of their
+    zero extension, equal bit for bit to the full-grid integral of the
+    zero-padded samples.  The box's x-trapezoid terms, plus the two half
+    terms that straddle its left and right edges, are written at their
+    own columns of a zero array ``nx - 1`` wide; each row is summed and
+    the sums are written at their own rows of a zero vector ``ny`` long,
+    which gets the same y-trapezoid.  numpy's pairwise sums then meet the
+    same operands in the same positions as on the padded grid; a
+    trapezoid over the box as a grid of its own would regroup them and
+    move the result at rounding level.  Products and the x terms cost the
+    box's nodes, the row sums its rows of ``nx``.
     """
-    if np.isnan(field.values).any():
+    rows, cols = box if box is not None else (slice(None), slice(None))
+    (j0, j1, _), (i0, i1, _) = rows.indices(grid.ny), cols.indices(grid.nx)
+    if values.shape != (j1 - j0, i1 - i0):
+        raise GridError(f"samples must have shape {(j1 - j0, i1 - i0)}, got {values.shape}")
+    if not np.isfinite(values).all():
         raise GridError("quadrature requires finite samples everywhere")
-    g = field.grid
-    if within is None:
-        return float(np.trapezoid(np.trapezoid(field.values, dx=g.dx, axis=1), dx=g.dy))
-    i0 = round((g.x0 - within.x0) / within.dx)
-    j0 = round((g.y0 - within.y0) / within.dy)
-    i1, j1 = i0 + g.nx, j0 + g.ny
-    if not (0 <= i0 and i1 <= within.nx and 0 <= j0 and j1 <= within.ny
-            and within.window(slice(j0, j1), slice(i0, i1)).matches(g)):
-        raise GridError(f"{g} is not a box of nodes of {within}")
-    v, d = field.values, within.dx
-    terms = np.zeros((g.ny, within.nx - 1))
-    terms[:, i0:i1 - 1] = d * (v[:, 1:] + v[:, :-1]) / 2.0
+    if box is None:
+        return float(np.trapezoid(np.trapezoid(values, dx=grid.dx, axis=1), dx=grid.dy))
+    terms = np.zeros((j1 - j0, grid.nx - 1))
+    terms[:, i0:i1 - 1] = grid.dx * (values[:, 1:] + values[:, :-1]) / 2.0
     if i0 > 0:
-        terms[:, i0 - 1] = d * (v[:, 0] + 0.0) / 2.0
-    if i1 < within.nx:
-        terms[:, i1 - 1] = d * (0.0 + v[:, -1]) / 2.0
-    rows = np.zeros(within.ny)
-    rows[j0:j1] = terms.sum(axis=1)
-    return float(np.trapezoid(rows, dx=within.dy))
+        terms[:, i0 - 1] = grid.dx * (values[:, 0] + 0.0) / 2.0
+    if i1 < grid.nx:
+        terms[:, i1 - 1] = grid.dx * (0.0 + values[:, -1]) / 2.0
+    sums = np.zeros(grid.ny)
+    sums[j0:j1] = terms.sum(axis=1)
+    return float(np.trapezoid(sums, dx=grid.dy))
 
 
 def interior_abs_max(values: np.ndarray) -> float:

@@ -14,9 +14,10 @@ each bump once and integrates each term through ``quadrature``.
 A bump covers a small part of the grid (on a square grid about 4%, 16%
 and 64% of it for the three radii of ``bump_lattice``), so ``_pair``
 evaluates the bump and every integrand only on the bump's node box,
-where it can be nonzero, plus one node on each side, and integrates the
-box as its zero extension to the grid.  That quadrature is bit for bit
-the full-grid one, so the residuals do not depend on the box.
+where it can be nonzero, plus one node on each side, and hands
+``quadrature`` the box's samples with the box's slices, which integrates
+them as their zero extension to the grid.  That quadrature is bit for
+bit the full-grid one, so the residuals do not depend on the box.
 
 The residual for the curvature equation is the weak form
 
@@ -99,7 +100,7 @@ def _pair(grid: Grid2D, tests, fields: dict, rows) -> WeakResidualReport:
     """Weak residuals of ``rows`` against every test, test-major.
 
     Each row is a list of terms ``(sign, integrand)``; its residual is
-    the running sum of ``sign * quadrature(integrand(t))`` in list
+    the running sum of ``sign * quadrature(integrand(t), grid, box)`` in list
     order.  ``t`` maps ``"v"``, ``"x"`` and ``"y"`` to the bump's samples
     and analytic partials, taken once per bump, and each name of
     ``fields`` to that ``(ny, nx, ...)`` array; all of them are cut to
@@ -123,7 +124,6 @@ def _pair(grid: Grid2D, tests, fields: dict, rows) -> WeakResidualReport:
                 f"test support touches the boundary: center ({v.cx}, {v.cy}) radius {v.r}"
             )
         box = v.node_box(grid)
-        window = grid.window(*box)
         Xb, Yb = X[box], Y[box]
         gx, gy = v.grad(Xb, Yb)
         t = {name: values[box] for name, values in fields.items()}
@@ -131,7 +131,7 @@ def _pair(grid: Grid2D, tests, fields: dict, rows) -> WeakResidualReport:
         for terms in rows:
             r = None
             for sign, integrand in terms:
-                q = sign * quadrature(ScalarField(window, integrand(t)), within=grid)
+                q = sign * quadrature(integrand(t), grid, box)
                 r = q if r is None else r + q
             residuals.append(r)
     return WeakResidualReport(tuple(residuals))

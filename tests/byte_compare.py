@@ -15,6 +15,9 @@ leave every output alone):
   ``develop`` and ``solve`` on both catalog charts there;
 - the same at n = 65 with ``--tol-scale 0.5``, so every gate is
   compared off its default scale too;
+- ``verify-minding`` on both catalog charts at n = 257, the size the
+  benchmark runs them at, so the Poisson solve's gate is compared
+  where the benchmark exercises it;
 - ``export-plots`` on the first run's ``--out``, whose ``plots/`` CSV
   files are compared;
 - ``perfbench/audit.py --seed 7``.
@@ -70,6 +73,7 @@ def commands():
         cli += [("verify-minding", ("catalog", source, source), n, scale) for source in SOURCES]
         cli += [(command, ("catalog", chart, chart), n, scale)
                 for command in ("develop", "solve") for chart in CHARTS]
+    cli += [("verify-minding", ("catalog", chart, chart), 257, ()) for chart in CHARTS]
     runs = []
     for command, (flag, source, label), n, scale in cli:
         out = "-".join([f"out/{command}", label, str(n), *(arg.strip("-") for arg in scale)])

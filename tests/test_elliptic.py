@@ -20,7 +20,6 @@ from minding_lab.forms import MetricField
 from minding_lab.grid import Grid2D, GridError, ScalarField, fd_laplacian
 from minding_lab.weak import bump_lattice, liouville_weak_residual
 from minding_lab.elliptic import (
-    DirichletProblem,
     EllipticError,
     LiouvilleSolution,
     bootstrap_equivalence,
@@ -68,38 +67,26 @@ def boundary_terms(grid, bd):
     return b.ravel()
 
 
-def dirichlet(grid, rhs, boundary):
-    """A problem whose source term is a constant, a function of (X, Y) or a field."""
-    if callable(rhs):
-        rhs = ScalarField.from_function(grid, rhs)
-    elif not isinstance(rhs, ScalarField):
-        rhs = ScalarField(grid, np.full(grid.shape, float(rhs)))
-    return DirichletProblem(grid, rhs, boundary)
-
-
 class TestPoisson:
     def test_harmonic_linear_is_stencil_exact(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         X, _ = g.mesh()
-        p = dirichlet(g, 0.0, X)
-        w = solve_poisson(p)
-        assert np.max(np.abs(w.values - X)) <= 1e-12
+        w = solve_poisson(g, np.zeros(g.shape), X)
+        assert np.max(np.abs(w - X)) <= 1e-12
 
     def test_quadratic_is_stencil_exact(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         X, Y = g.mesh()
-        p = dirichlet(g, 4.0, X**2 + Y**2)
-        w = solve_poisson(p)
-        assert np.max(np.abs(w.values - (X**2 + Y**2))) <= 1e-11
+        w = solve_poisson(g, np.full(g.shape, 4.0), X**2 + Y**2)
+        assert np.max(np.abs(w - (X**2 + Y**2))) <= 1e-11
 
     def test_half_plane_log_catalog(self):
         errs = []
         for n in (65, 129):
             g = half_plane_grid(n)
             _, Y = g.mesh()
-            p = dirichlet(g, lambda X, Y: 1.0 / Y**2, -np.log(Y))
-            w = solve_poisson(p)
-            errs.append(np.max(np.abs(w.values + np.log(Y))))
+            w = solve_poisson(g, 1.0 / Y**2, -np.log(Y))
+            errs.append(np.max(np.abs(w + np.log(Y))))
         assert errs[0] <= 10 * half_plane_grid(65).h ** 2
         assert errs[0] / errs[1] >= 3.5
 
@@ -107,58 +94,101 @@ class TestPoisson:
         g = Grid2D.from_bounds(0, 1, 0, 1, 17, 17)
         X, Y = g.mesh()
         bd = np.sin(3 * X) - Y
-        p = dirichlet(g, 1.0, bd)
-        w = solve_poisson(p)
-        assert np.array_equal(w.values[0, :], bd[0, :])
-        assert np.array_equal(w.values[:, -1], bd[:, -1])
+        w = solve_poisson(g, np.ones(g.shape), bd)
+        assert np.array_equal(w[0, :], bd[0, :])
+        assert np.array_equal(w[:, -1], bd[:, -1])
 
     def test_discrete_maximum_principle(self):
         # nonnegative source with nonpositive boundary keeps w <= 0
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         rng = np.random.default_rng(7)
-        rhs = ScalarField(g, rng.random(g.shape))
         X, Y = g.mesh()
-        p = dirichlet(g, rhs, -0.1 - 0.2 * np.abs(np.sin(3 * X + 2 * Y)))
-        w = solve_poisson(p)
-        assert w.values.max() <= 1e-12
+        w = solve_poisson(g, rng.random(g.shape), -0.1 - 0.2 * np.abs(np.sin(3 * X + 2 * Y)))
+        assert w.max() <= 1e-12
 
     def test_validation(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 9, 9)
         bad = np.zeros(g.shape)
         bad[0, 3] = np.inf
-        with pytest.raises(GridError):
-            dirichlet(g, 0.0, bad)
-        other = Grid2D.from_bounds(0, 2, 0, 1, 9, 9)
-        with pytest.raises(GridError):
-            DirichletProblem(g, ScalarField(other, np.zeros(other.shape)), np.zeros(g.shape))
-        # boundary data comes as an array or a field of grid shape
+        with pytest.raises(GridError, match="finite on the outer ring"):
+            solve_poisson(g, np.zeros(g.shape), bad)
+        # the rhs is read on interior nodes, which must be finite
+        rhs = np.zeros(g.shape)
+        rhs[4, 1] = np.nan
+        with pytest.raises(GridError, match=r"rhs must have shape \(9, 9\) and be finite"):
+            solve_poisson(g, rhs, np.zeros(g.shape))
+        with pytest.raises(GridError, match=r"rhs must have shape \(9, 9\) and be finite"):
+            solve_poisson(g, np.zeros((9, 8)), np.zeros(g.shape))
         with pytest.raises(GridError, match=r"boundary data must have shape \(9, 9\), got \(\)"):
-            dirichlet(g, 0.0, 0.0)
-        with pytest.raises(GridError, match="different grid"):
-            boundary_array(g, ScalarField(other, np.zeros(other.shape)))
+            solve_poisson(g, np.zeros(g.shape), 0.0)
+
+    def test_a_nan_rhs_ring_is_never_read(self):
+        # fd_laplacian leaves NaN on the ring; the solve reads the interior
+        g = Grid2D.from_bounds(-0.3, 0.9, 1.0, 1.5, 21, 14)
+        X, Y = g.mesh()
+        bd = np.sin(3.0 * X) + X * Y**2
+        rhs = fd_laplacian(ScalarField(g, np.exp(X - 2.0 * Y))).values
+        assert np.isnan(rhs[0]).all() and np.isnan(rhs[:, -1]).all()
+        zero_ring = np.zeros(g.shape)
+        zero_ring[1:-1, 1:-1] = rhs[1:-1, 1:-1]
+        want = solve_poisson(g, zero_ring, bd)
+        assert np.array_equal(solve_poisson(g, rhs, bd), want)
 
     def test_matches_sparse_lu_on_a_rectangle(self):
         # nx != ny, dx != dy and data with no x <-> y symmetry, so a
         # swapped axis or step in the transforms cannot cancel out
         g = Grid2D.from_bounds(-0.3, 0.9, 1.0, 1.5, 71, 38)
         X, Y = g.mesh()
-        rhs = ScalarField(g, np.exp(X - 2.0 * Y) + X * Y**3)
+        rhs = np.exp(X - 2.0 * Y) + X * Y**3
         bd = np.sin(3.0 * X) + X * Y**2 - 0.5 * Y
-        want = splu(laplacian_matrix(g)).solve(
-            rhs.values[1:-1, 1:-1].ravel() - boundary_terms(g, bd))
-        w = solve_poisson(DirichletProblem(g, rhs, bd))
-        got = w.values[1:-1, 1:-1].ravel()
+        want = splu(laplacian_matrix(g)).solve(rhs[1:-1, 1:-1].ravel() - boundary_terms(g, bd))
+        got = solve_poisson(g, rhs, bd)[1:-1, 1:-1].ravel()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n", [65, 129, 257])
+    @pytest.mark.parametrize("n", [65, 129, 257, 513])
     @pytest.mark.parametrize("name", ["poincare_disk_patch", "half_plane_pseudosphere"])
     def test_catalog_residual_meets_the_gate(self, name, n):
-        # the bootstrap's own solve, checked against the absolute 1e-10 gate
+        # the bootstrap's own solve, its backward error recomputed here
         u = catalog_factor(name, n)
-        rhs = ScalarField(u.grid, np.exp(2.0 * u.values))
-        w = solve_poisson(DirichletProblem(u.grid, rhs, u.values))
-        res = fd_laplacian(w).values[1:-1, 1:-1] - rhs.values[1:-1, 1:-1]
-        assert np.max(np.abs(res)) <= 1e-10
+        rhs = np.exp(2.0 * u.values)
+        w = solve_poisson(u.grid, rhs, u.values)
+        assert backward_error(u.grid, rhs, u.values, w) <= 0.5 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [65, 257])
+    @pytest.mark.parametrize("name", ["poincare_disk_patch", "half_plane_pseudosphere"])
+    def test_a_solve_off_by_ten_eps_is_refused(self, name, n, monkeypatch):
+        # the correcting pass comes back with a checkerboard of 10 eps
+        # |w| on top, the mode A amplifies most, so |r| ~ 10 eps |A| |w|
+        dst, calls = elliptic._dst_solve, []
+
+        def perturbed(spectrum, c, b):
+            x = dst(spectrum, c, b)
+            calls.append(np.max(np.abs(x)))
+            if len(calls) == 2:
+                board = (-1.0) ** np.add.outer(*map(np.arange, spectrum.shape))
+                x += 10.0 * np.finfo(float).eps * calls[0] * board.ravel()
+            return x
+
+        u = catalog_factor(name, n)
+        monkeypatch.setattr(elliptic, "_dst_solve", perturbed)
+        with pytest.raises(EllipticError, match="backward error .* exceeds tolerance 1.110e-16"):
+            solve_poisson(u.grid, np.exp(2.0 * u.values), u.values)
+
+    @pytest.mark.parametrize("n", [65, 257])
+    @pytest.mark.parametrize("name", ["poincare_disk_patch", "half_plane_pseudosphere"])
+    def test_a_solve_without_the_correcting_pass_is_refused(self, name, n, monkeypatch):
+        # one transform pair alone reads 0.8-1.1 eps on these charts
+        dst, calls = elliptic._dst_solve, []
+
+        def first_pass_only(spectrum, c, b):
+            calls.append(1)
+            return dst(spectrum, c, b) * (len(calls) == 1)
+
+        u = catalog_factor(name, n)
+        monkeypatch.setattr(elliptic, "_dst_solve", first_pass_only)
+        with pytest.raises(EllipticError, match="backward error .* exceeds tolerance"):
+            solve_poisson(u.grid, np.exp(2.0 * u.values), u.values)
+        assert len(calls) == 2
 
 
 class TestLiouvilleNewton:
@@ -318,6 +348,19 @@ def catalog_factor(name, n):
     return catalog_chart(name, n)[2]["u"]
 
 
+def backward_error(grid, rhs, boundary, w):
+    """``|r| / (|A| |w| + |b|)`` in max norms for the eliminated system
+    ``A w = b`` of ``lap w = rhs``.  At this level the rounding of ``r``
+    itself counts, so ``r`` and ``b`` come from ``fd_laplacian``, the
+    stencil the solver applies, and ``|A|`` from the sparse matrix."""
+    ring = np.array(boundary, dtype=float)
+    ring[1:-1, 1:-1] = 0.0
+    b = rhs[1:-1, 1:-1] - fd_laplacian(ScalarField(grid, ring)).values[1:-1, 1:-1]
+    r = fd_laplacian(ScalarField(grid, w)).values[1:-1, 1:-1] - rhs[1:-1, 1:-1]
+    norm_a = np.max(np.abs(laplacian_matrix(grid)).sum(axis=1))
+    return np.max(np.abs(r)) / (norm_a * np.max(np.abs(w[1:-1, 1:-1])) + np.max(np.abs(b)))
+
+
 class TestNewtonLinearSolve:
     @pytest.mark.parametrize("c", [0.0, 37.5])
     def test_dst_inverts_the_shifted_laplacian(self, c):
@@ -353,8 +396,8 @@ class TestNewtonLinearSolve:
                                       "half_plane_dx_ne_dy", "disk_dx_ne_dy"])
     def test_cg_newton_matches_splu_newton(self, case):
         if case in ("poincare_disk_patch", "half_plane_pseudosphere"):
-            boundary = catalog_factor(case, 65)
-            grid = boundary.grid
+            u = catalog_factor(case, 65)
+            grid, boundary = u.grid, u.values
         elif case == "half_plane_dx_ne_dy":
             grid = Grid2D.from_bounds(0.0, 1.0, 1.0, 1.6, 65, 29)
             boundary = half_plane_log(grid)
@@ -376,7 +419,7 @@ class TestNewtonLinearSolve:
             for name in ("poincare_disk_patch", "half_plane_pseudosphere"):
                 calls.clear()
                 u = catalog_factor(name, n)
-                sol = solve_liouville_newton(u.grid, u)
+                sol = solve_liouville_newton(u.grid, u.values)
                 assert len(calls) <= 8 * sol.iterations
 
     def test_exhausted_cg_budget_raises(self, monkeypatch):

@@ -170,25 +170,25 @@ class TestQuadrature:
         g = Grid2D.from_bounds(0, 2, 0, 3, 5, 4)
         f = ScalarField.from_function(g, lambda x, y: 2.0 + x * y)
         # integral of 2 + x*y over [0,2]x[0,3] is 12 + (2^2/2)(3^2/2) = 21
-        assert quadrature(f) == pytest.approx(21.0, abs=1e-12)
+        assert quadrature(f.values, g) == pytest.approx(21.0, abs=1e-12)
 
     def test_bump_integral_pi_over_3(self):
         g = Grid2D.from_bounds(-1.2, 1.2, -1.2, 1.2, 97, 97)
         bump = TestFunction(0.0, 0.0, 1.0)
-        q = quadrature(ScalarField(g, bump.value(*g.mesh())))
+        q = quadrature(bump.value(*g.mesh()), g)
         assert abs(q - math.pi / 3.0) < 10 * g.h**2
 
     def test_bump_truncated_when_support_leaves_grid(self):
         g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 65, 65)
         bump = TestFunction(0.95, 0.5, 0.3)
         assert not bump.supported_inside(g)
-        assert quadrature(ScalarField(g, bump.value(*g.mesh()))) < bump.exact_integral()
+        assert quadrature(bump.value(*g.mesh()), g) < bump.exact_integral()
 
     def test_rejects_nan(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 4, 4)
         f = fd_laplacian(ScalarField(g, np.ones(g.shape)))
         with pytest.raises(GridError):
-            quadrature(f)
+            quadrature(f.values, g)
 
 
 @st.composite
@@ -196,7 +196,8 @@ def boxed_fields(draw):
     """A grid, a box of its nodes, and samples on the box.
 
     Sizes reach past numpy's pairwise-summation blocks (8 and 128), and
-    magnitudes span 16 decades so a regrouped sum would show.
+    magnitudes span 16 decades so a regrouped sum would show.  Boxes
+    run from one node wide to the whole grid.
     """
     nx, ny = draw(st.integers(3, 300)), draw(st.integers(3, 40))
     if draw(st.booleans()):
@@ -204,7 +205,7 @@ def boxed_fields(draw):
     spacing = st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False)
     origin = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
     grid = Grid2D(draw(origin), draw(origin), nx, ny, draw(spacing), draw(spacing))
-    bx, by = draw(st.integers(3, nx)), draw(st.integers(3, ny))
+    bx, by = draw(st.integers(1, nx)), draw(st.integers(1, ny))
     i0, j0 = draw(st.integers(0, nx - bx)), draw(st.integers(0, ny - by))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.standard_normal((by, bx)) * 10.0 ** rng.integers(-8, 8, (by, bx))
@@ -227,25 +228,43 @@ class TestBoxQuadrature:
               np.arange(43 * 55, dtype=float).reshape(43, 55) ** 0.5))
     @example((Grid2D(0.0, 1.4, 57, 45, 1.3 / 56, 1.0 / 44), slice(1, 4), slice(53, 56),
               np.full((3, 3), 1e-3)))
+    # boxes on each edge and corner, where one or both half terms fall away
+    @example((Grid2D(0.0, 1.4, 57, 45, 1.3 / 56, 1.0 / 44), slice(0, 5), slice(0, 7),
+              np.linspace(1.0, 2.0, 35).reshape(5, 7)))
+    @example((Grid2D(0.0, 1.4, 57, 45, 1.3 / 56, 1.0 / 44), slice(40, 45), slice(50, 57),
+              np.linspace(1.0, 2.0, 35).reshape(5, 7)))
+    @example((Grid2D(-0.5, 0.0, 9, 7, 0.5, 0.25), slice(0, 7), slice(3, 9),
+              np.exp(np.arange(42.0).reshape(7, 6) / 7.0)))
+    @example((Grid2D(-0.5, 0.0, 9, 7, 0.5, 0.25), slice(2, 5), slice(0, 9),
+              np.exp(np.arange(27.0).reshape(3, 9) / 7.0)))
+    @example((Grid2D(-0.5, 0.0, 9, 7, 0.5, 0.25), slice(0, 7), slice(0, 9),
+              np.exp(np.arange(63.0).reshape(7, 9) / 7.0)))
+    # boxes one and two nodes wide, inside and on an edge
+    @example((Grid2D(-0.5, 0.0, 9, 7, 0.5, 0.25), slice(2, 5), slice(4, 5),
+              np.array([[1.0], [3.0], [5.0]])))
+    @example((Grid2D(-0.5, 0.0, 9, 7, 0.5, 0.25), slice(6, 7), slice(7, 9),
+              np.array([[1e-7, 3.0]])))
+    @example((Grid2D(-0.5, 0.0, 9, 7, 0.5, 0.25), slice(0, 2), slice(0, 1),
+              np.array([[2.5], [1e8]])))
     def test_zero_extension_is_bit_exact(self, case):
         grid, rows, cols, values = case
         padded = np.zeros(grid.shape)
         padded[rows, cols] = values
-        box = ScalarField(grid.window(rows, cols), values)
-        assert quadrature(box, within=grid) == quadrature(ScalarField(grid, padded))
+        assert quadrature(values, grid, (rows, cols)) == quadrature(padded, grid)
 
-    def test_box_must_sit_on_nodes_inside(self):
+    def test_box_samples_must_have_the_box_shape(self):
         g = Grid2D(0.0, 0.0, 9, 7, 0.5, 0.25)
         ones = np.ones((3, 3))
-        with pytest.raises(GridError, match="not a box of nodes"):
-            # half a cell off the nodes
-            quadrature(ScalarField(Grid2D(0.25, 0.0, 3, 3, 0.5, 0.25), ones), within=g)
-        with pytest.raises(GridError, match="not a box of nodes"):
-            # reaches one node past the right edge
-            quadrature(ScalarField(Grid2D(3.5, 0.0, 3, 3, 0.5, 0.25), ones), within=g)
-        with pytest.raises(GridError, match="not a box of nodes"):
-            # another y spacing
-            quadrature(ScalarField(Grid2D(0.0, 0.0, 3, 3, 0.5, 0.5), ones), within=g)
+        with pytest.raises(GridError, match=r"samples must have shape \(3, 4\), got \(3, 3\)"):
+            quadrature(ones, g, (slice(1, 4), slice(2, 6)))
+        with pytest.raises(GridError, match=r"samples must have shape \(2, 3\), got \(3, 3\)"):
+            # the box reaches past the top edge and is cut there
+            quadrature(ones, g, (slice(5, 8), slice(2, 5)))
+        with pytest.raises(GridError, match=r"samples must have shape \(6, 3\), got \(3, 3\)"):
+            # a step of two picks three of six rows
+            quadrature(ones, g, (slice(0, 6, 2), slice(2, 5)))
+        with pytest.raises(GridError, match=r"samples must have shape \(7, 9\), got \(3, 3\)"):
+            quadrature(ones, g)
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(

@@ -191,9 +191,7 @@ class TestLiouvilleResidual:
         for v, a, b in zip(tests, base.residuals, moved.residuals):
             vals = v.value(*g.mesh())
             expect = quadrature(
-                ScalarField(
-                    g, (np.exp(2 * (u.values + 0.37)) - np.exp(2 * u.values)) * vals
-                )
+                (np.exp(2 * (u.values + 0.37)) - np.exp(2 * u.values)) * vals, g
             )
             assert (b - a) == pytest.approx(expect, abs=1e-13)
 
@@ -289,9 +287,8 @@ def ref_mixed_partials(W, tests):
             worst = 0.0
             for p in range(3):
                 for q in range(3):
-                    r = -quadrature(
-                        ScalarField(grid, Wx[:, :, p, q] * gy)
-                    ) + quadrature(ScalarField(grid, Wy[:, :, p, q] * gx))
+                    r = (-quadrature(Wx[:, :, p, q] * gy, grid)
+                         + quadrature(Wy[:, :, p, q] * gx, grid))
                     worst = max(worst, abs(r))
             residuals.append(worst)
         return residuals
@@ -300,9 +297,7 @@ def ref_mixed_partials(W, tests):
     residuals = []
     for v in tests:
         gx, gy = v.grad(*grid.mesh())
-        r = -quadrature(ScalarField(grid, Wx * gy)) + quadrature(
-            ScalarField(grid, Wy * gx)
-        )
+        r = -quadrature(Wx * gy, grid) + quadrature(Wy * gx, grid)
         residuals.append(r)
     return residuals
 
@@ -316,9 +311,9 @@ def ref_product_rule(P, L, tests, axis):
         gx, gy = v.grad(*grid.mesh())
         dv = gx if axis == "x" else gy
         r = (
-            -quadrature(ScalarField(grid, P.values * L.values * dv))
-            - quadrature(ScalarField(grid, Pd * L.values * vals))
-            + quadrature(ScalarField(grid, L.values * (Pd * vals + P.values * dv)))
+            -quadrature(P.values * L.values * dv, grid)
+            - quadrature(Pd * L.values * vals, grid)
+            + quadrature(L.values * (Pd * vals + P.values * dv), grid)
         )
         residuals.append(r)
     return residuals
@@ -333,9 +328,7 @@ def ref_liouville(u, tests):
     for v in tests:
         vals = v.value(*grid.mesh())
         gx, gy = v.grad(*grid.mesh())
-        r = quadrature(ScalarField(grid, ux * gx + uy * gy)) + quadrature(
-            ScalarField(grid, source * vals)
-        )
+        r = quadrature(ux * gx + uy * gy, grid) + quadrature(source * vals, grid)
         residuals.append(r)
     return residuals
 
@@ -349,9 +342,9 @@ def ref_frame_entry(A, B, grid, p, q, tests):
         vals = w.value(*grid.mesh())
         gx, gy = w.grad(*grid.mesh())
         r = (
-            -quadrature(ScalarField(grid, a * gy))
-            + quadrature(ScalarField(grid, b * gx))
-            - quadrature(ScalarField(grid, commutator * vals))
+            -quadrature(a * gy, grid)
+            + quadrature(b * gx, grid)
+            - quadrature(commutator * vals, grid)
         )
         residuals.append(r)
     return residuals
