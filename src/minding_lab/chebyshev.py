@@ -19,10 +19,13 @@ frame is never projected back onto its Gram matrix: RK4 drift is of
 truncation order and smooth over the grid, which keeps the residuals
 differenced from the surface at second order.
 
-The line march is shared: ``_sweep`` fills a grid from one base node,
-the line through it both ways and then every line across it, with one
-RK4 stepper, ``_rk4_line``.  ``developing`` marches its ODE through the
-same kernel with its own rate and coefficients.
+The line march is shared: ``_sweep`` fills one state array over the
+grid from one base node, the line through it both ways and then every
+line across it, with one RK4 stepper, ``_rk4_line``.  The frame's state
+is (W | f), f as a fourth column of W; ``developing`` marches its ODE
+through the same kernel with its own state, rate and coefficients.
+An ``AngleField`` is a ``ScalarField`` that also checks 0 < theta < pi;
+``sine_gordon_residual`` returns a plain array.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .grid import (
     ScalarField,
     SolverError,
     VectorField3,
-    _partial_values,
     fd_partial,
     interior_abs_max,
 )
@@ -65,23 +67,14 @@ class SingularAngleError(SolverError, ValueError):
 
 
 @dataclass(frozen=True)
-class AngleField:
+class AngleField(ScalarField):
     """Net angle samples, strictly inside (0, pi)."""
 
-    theta: ScalarField
-
     def __post_init__(self) -> None:
-        v = self.theta.values
+        super().__post_init__()
+        v = self.values
         if not ((v > 0.0).all() and (v < np.pi).all()):
             raise GridError("angle field must satisfy 0 < theta < pi at every node")
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.theta.grid
-
-    @classmethod
-    def from_function(cls, grid: Grid2D, fn) -> "AngleField":
-        return cls(ScalarField.from_function(grid, fn))
 
 
 @dataclass(frozen=True)
@@ -129,14 +122,13 @@ def one_soliton_angle(grid: Grid2D) -> AngleField:
     return AngleField.from_function(grid, lambda x, y: 4.0 * np.arctan(np.exp(x + y)))
 
 
-def sine_gordon_residual(theta: AngleField) -> ScalarField:
+def sine_gordon_residual(theta: AngleField) -> np.ndarray:
     """theta_xy - sin(theta); interior nodes only (boundary ring NaN)."""
-    t = theta.theta
-    mixed = fd_partial(fd_partial(t, "x"), "y")
-    res = mixed.values - np.sin(t.values)
-    out = np.full(t.grid.shape, np.nan)
+    g = theta.grid
+    res = fd_partial(fd_partial(theta.values, g, "x"), g, "y") - np.sin(theta.values)
+    out = np.full(g.shape, np.nan)
     out[1:-1, 1:-1] = res[1:-1, 1:-1]
-    return ScalarField(t.grid, out)
+    return out
 
 
 # Each connection matrix holds five scalars per sample, in this order:
@@ -219,28 +211,24 @@ def _rk4_line(Y, step, rate, c_nodes, c_mids):
 def _march_out(out, base, step, rate, nodes, mids):
     """March lines from node ``base`` to both of their ends, in place.
 
-    ``out`` holds m parallel lines, line parameter first, split over
-    arrays (n, m, ..., w) whose concatenation along the last axis is
-    the marched state, known at ``base``; ``nodes`` and ``mids`` give
-    the coefficient at the n nodes and n - 1 midpoints.  The backward
-    half runs on reversed views with the step negated.
+    ``out`` holds the marched state of m parallel lines, line parameter
+    first, shape (n, m, ...), known at ``base``; ``nodes`` and ``mids``
+    give the coefficient at the n nodes and n - 1 midpoints.  The
+    backward half runs on reversed views with the step negated.
     """
-    edges = np.cumsum([0] + [a.shape[-1] for a in out])
-    for h, lines, c_nodes, c_mids in (
-        (step, [a[base:] for a in out], nodes[base:], mids[base:]),
-        (-step, [a[base::-1] for a in out], nodes[base::-1], mids[:base][::-1]),
+    for h, line, c_nodes, c_mids in (
+        (step, out[base:], nodes[base:], mids[base:]),
+        (-step, out[base::-1], nodes[base::-1], mids[:base][::-1]),
     ):
-        Y0 = np.concatenate([a[0] for a in lines], axis=-1)
-        for k, Y in enumerate(_rk4_line(Y0, h, rate, c_nodes, c_mids), 1):
-            for a, lo, hi in zip(lines, edges, edges[1:]):
-                a[k] = Y[..., lo:hi]
+        for k, Y in enumerate(_rk4_line(line[0], h, rate, c_nodes, c_mids), 1):
+            line[k] = Y
 
 
 def _sweep(out, base, lines, x_first):
-    """Fill the per-node arrays ``out`` from one base node, one sweep order.
+    """Fill the per-node state array ``out`` from one base node, one sweep order.
 
-    ``out``: arrays (ny, nx, ..., w), concatenated along the last axis
-    into the marched state, already set at ``base`` = (j, i).
+    ``out``: the marched state per node, shape (ny, nx, ...), already
+    set at ``base`` = (j, i).
     ``lines``: per direction, x then y, the rate, the coefficient at the
     (ny, nx) nodes and at the midpoints along that direction, and the
     step.  The line through the base is marched both ways, along x
@@ -250,7 +238,7 @@ def _sweep(out, base, lines, x_first):
     (rate_x, nodes_x, mids_x, dx), (rate_y, nodes_y, mids_y, dy) = lines
     swap = partial(np.moveaxis, source=1, destination=0)
     # x-lines through transposed views, so every march runs along axis 0
-    x_march = ([swap(a) for a in out], ib, dx, rate_x, swap(nodes_x), swap(mids_x))
+    x_march = (swap(out), ib, dx, rate_x, swap(nodes_x), swap(mids_x))
     y_march = (out, jb, dy, rate_y, nodes_y, mids_y)
     # the line through the base: row jb of the x-lines, column ib of the y-lines
     if x_first:
@@ -258,7 +246,7 @@ def _sweep(out, base, lines, x_first):
     else:
         seed, across, line = y_march, x_march, slice(ib, ib + 1)
     seed_out, b, step, rate, nodes, mids = seed
-    _march_out([a[:, line] for a in seed_out], b, step, rate, nodes[:, line], mids[:, line])
+    _march_out(seed_out[:, line], b, step, rate, nodes[:, line], mids[:, line])
     _march_out(*across)
 
 
@@ -298,34 +286,35 @@ def integrate_frame(theta: AngleField) -> FrameIntegrationResult:
     below the floor at a node or at an interpolated midpoint.
     """
     grid = theta.grid
-    t = theta.theta
-    theta_vals = t.values
-    lines = _line_connections(theta_vals, fd_partial(t, "x").values,
-                              fd_partial(t, "y").values, grid)
+    theta_vals = theta.values
+    lines = _line_connections(theta_vals, fd_partial(theta_vals, grid, "x"),
+                              fd_partial(theta_vals, grid, "y"), grid)
 
     def sweep(x_first):
-        W = np.empty(grid.shape + (3, 3))
-        f = np.empty(grid.shape + (3,))
-        W[0, 0], f[0, 0] = adapted_initial_frame(float(theta_vals[0, 0])), 0.0
-        _sweep((W, f[..., None]), (0, 0), lines, x_first)
-        return W, f
+        # (W | f): the frame with f as a fourth column
+        state = np.empty(grid.shape + (3, 4))
+        state[0, 0, :, :3] = adapted_initial_frame(float(theta_vals[0, 0]))
+        state[0, 0, :, 3] = 0.0
+        _sweep(state, (0, 0), lines, x_first)
+        return state
 
-    W_xy, f_xy = sweep(True)
-    W_yx, f_yx = sweep(False)
+    xy = sweep(True)
+    yx = sweep(False)
     # the differences overwrite the y-then-x sweep, and the coefficients
     # are freed before the result's fields copy the frame
-    path_residual_f = float(np.abs(np.subtract(f_xy, f_yx, out=f_yx), out=f_yx).max())
-    path_residual_frame = float(np.abs(np.subtract(W_xy, W_yx, out=W_yx), out=W_yx).max())
+    diff = np.abs(np.subtract(xy, yx, out=yx), out=yx)
+    path_residual_f = float(diff[..., 3].max())
+    path_residual_frame = float(diff[..., :3].max())
     del lines
 
     surface = ChebyshevSurface(
-        f=VectorField3(grid, f_xy),
-        N=VectorField3(grid, W_xy[:, :, :, 2]),
+        f=VectorField3(grid, xy[..., 3]),
+        N=VectorField3(grid, xy[..., 2]),
         theta=theta,
     )
     return FrameIntegrationResult(
         surface=surface,
-        frame=FrameField(grid, W_xy),
+        frame=FrameField(grid, xy[..., :3]),
         path_residual_f=path_residual_f,
         path_residual_frame=path_residual_frame,
     )
@@ -359,14 +348,13 @@ def corollary_conditions(surface: ChebyshevSurface) -> CorollaryReport:
     grid = surface.grid
     f = surface.f.values
     N = surface.N.values
-    theta = surface.theta.theta.values
-    cos = np.cos(theta)
+    cos = np.cos(surface.theta.values)
 
-    f_x = _partial_values(f, grid, "x")
-    f_y = _partial_values(f, grid, "y")
-    N_x = _partial_values(N, grid, "x")
-    N_y = _partial_values(N, grid, "y")
-    N_xy = _partial_values(N_x, grid, "y")
+    f_x = fd_partial(f, grid, "x")
+    f_y = fd_partial(f, grid, "y")
+    N_x = fd_partial(N, grid, "x")
+    N_y = fd_partial(N, grid, "y")
+    N_xy = fd_partial(N_x, grid, "y")
 
     # vector residuals are reported through their Euclidean length per
     # node so the numbers are invariant under rigid motions

@@ -293,7 +293,9 @@ def _load_source(config: PipelineConfig):
     """The source at its own link: an ``AngleField``, ``ChebyshevSurface``,
     ``MetricField``, log-factor ``ScalarField``, or a chart's catalog
     ``(metric, chart, extras)``.  Each imports only what its kind needs,
-    before ``fieldio``, so no module loads onto a heap a file has grown."""
+    before ``fieldio``, so no module loads onto a heap a file has grown.
+    A file missing a channel its kind reads, or holding a NaN or an
+    infinity in one, is a usage error naming the file and the channel."""
     if config.catalog == "one_soliton":
         from minding_lab.chebyshev import one_soliton_angle
         from minding_lab.grid import Grid2D
@@ -320,11 +322,13 @@ def _load_source(config: PipelineConfig):
     for c in names:
         if c not in channels:
             raise ConfigError(f"{path}: no {c!r} channel")
+        if not np.isfinite(channels[c]).all():
+            raise ConfigError(f"{path}: {c!r} channel has a non-finite sample")
     if kind == "factor":
         return ScalarField(grid, channels["u"])
     if kind == "metric":
         return MetricField(grid, channels["E"], channels["F"], channels["G"])
-    theta = AngleField(ScalarField(grid, channels["theta"]))
+    theta = AngleField(grid, channels["theta"])
     if kind == "angle":
         return theta
     f = VectorField3(grid, np.stack([channels["fx"], channels["fy"], channels["fz"]], axis=-1))
@@ -366,9 +370,10 @@ def _synthesis_stages(run: _Run, theta):
     failure.
     """
     from minding_lab.chebyshev import corollary_conditions, integrate_frame, sine_gordon_residual
+    from minding_lab.grid import interior_abs_max
 
     g = theta.grid
-    sg = sine_gordon_residual(theta).interior_abs_max()
+    sg = interior_abs_max(sine_gordon_residual(theta))
     run.gate("sine_gordon", sg, min(run.limit("sine_gordon", g), COMPATIBILITY_TOL))
     with run.stage("frame_integration"):
         result = integrate_frame(theta)
@@ -383,16 +388,15 @@ def _synthesis_stages(run: _Run, theta):
 def _store_surface(run: _Run, surface) -> None:
     # components first: f's three, then N's
     run.store("surface.json", surface.f.grid, *surface.f.values.transpose(2, 0, 1),
-              *surface.N.values.transpose(2, 0, 1), surface.theta.theta.values)
+              *surface.N.values.transpose(2, 0, 1), surface.theta.values)
 
 
 def _develop_stage(run: _Run, u):
     """Develop the factor into the disk and store the map; the pullback
     is gated by the caller."""
     from minding_lab.developing import develop
-    from minding_lab.grid import GridError
 
-    with run.stage("develop", GridError):
+    with run.stage("develop"):
         dev = develop(u)
     run.store("developing.json", dev.grid, dev.phi.real, dev.phi.imag,
               dev.dphi.real, dev.dphi.imag)
@@ -415,14 +419,14 @@ def _embedded_metric_stages(run: _Run, surface):
     dev = max(
         np.abs(metric.E - 1.0).max(),
         np.abs(metric.G - 1.0).max(),
-        np.abs(metric.F - np.cos(surface.theta.theta.values)).max(),
+        np.abs(metric.F - np.cos(surface.theta.values)).max(),
     )
     run.gate("chebyshev_metric", dev, run.limit("chebyshev_metric", g))
     _, second = normal_and_second_form(surface.f)
     K = gauss_curvature_from_forms(metric, second)
-    worst = float(np.nanmax(np.abs(K.values + 1.0)))
+    worst = float(np.nanmax(np.abs(K + 1.0)))
     run.gate("curvature", worst, run.limit("curvature", g),
-             k_center=float(K.values[g.ny // 2, g.nx // 2]))
+             k_center=float(K[g.ny // 2, g.nx // 2]))
     run.store("metric.json", g, metric.E, metric.F, metric.G)
     return metric
 
@@ -435,9 +439,9 @@ def _isothermic_curvature_stage(run: _Run, h) -> None:
     from minding_lab.forms import gauss_curvature_isothermic
 
     K = gauss_curvature_isothermic(h)
-    worst = float(np.nanmax(np.abs(K.values[2:-2, 2:-2] + 1.0)))
+    worst = float(np.nanmax(np.abs(K[2:-2, 2:-2] + 1.0)))
     run.gate("curvature", worst, run.limit("curvature", h.grid),
-             k_center=float(K.values[h.grid.ny // 2, h.grid.nx // 2]))
+             k_center=float(K[h.grid.ny // 2, h.grid.nx // 2]))
 
 
 def _flatten_stages(run: _Run, metric):
@@ -493,7 +497,7 @@ def _curvature_defect(u) -> float:
     from minding_lab.grid import fd_laplacian
 
     e2u = np.exp(2.0 * u.values)
-    defect = np.abs(fd_laplacian(u).values - e2u) / e2u
+    defect = np.abs(fd_laplacian(u.values, u.grid) - e2u) / e2u
     return float(np.nanmax(defect[2:-2, 2:-2]))
 
 

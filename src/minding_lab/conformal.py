@@ -61,7 +61,7 @@ class Chart:
         g = self.X.grid
         if not (self.Y.grid.matches(g) and self.h.grid.matches(g)):
             raise GridError("chart components live on different grids")
-        if np.nanmin(self.h.values[1:-1, 1:-1]) <= 0.0:
+        if self.h.values[1:-1, 1:-1].min() <= 0.0:
             raise GridError("conformal factor must be positive on interior nodes")
         xx, xy, yx, yy = _jacobian(self.X, self.Y)
         inner = (xx * yy - xy * yx)[1:-1, 1:-1]
@@ -74,8 +74,7 @@ class Chart:
 
 
 def _jacobian(X: ScalarField, Y: ScalarField) -> tuple[np.ndarray, ...]:
-    return (fd_partial(X, "x").values, fd_partial(X, "y").values,
-            fd_partial(Y, "x").values, fd_partial(Y, "y").values)
+    return tuple(fd_partial(c.values, c.grid, axis) for c in (X, Y) for axis in "xy")
 
 
 def _pushforward(metric: MetricField, jacobian):
@@ -303,9 +302,9 @@ def rescale_to_liouville(h: ScalarField) -> tuple[ScalarField, float]:
     ``1/c^2``, and multiplying by its square root removes the stray
     scale.  For a clean factor the fit sits at 1 up to h^2 error.
     """
-    if np.nanmin(h.values[1:-1, 1:-1]) <= 0.0:
+    if h.values[1:-1, 1:-1].min() <= 0.0:
         raise GridError("conformal factor must be positive on interior nodes")
-    lap = fd_laplacian(ScalarField(h.grid, np.log(h.values))).values[1:-1, 1:-1]
+    lap = fd_laplacian(np.log(h.values), h.grid)[1:-1, 1:-1]
     h2 = h.values[1:-1, 1:-1] ** 2
     fit = float(np.sum(lap * h2) / np.sum(h2 * h2))
     if fit <= 0.0:

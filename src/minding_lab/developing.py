@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Grid2D, GridError, ScalarField, SolverError, _partial_values, _second_values
+from .grid import Grid2D, GridError, ScalarField, SolverError, _second_values, fd_partial
 from .chebyshev import _interp_midpoints, _sweep
 
 __all__ = [
@@ -42,11 +42,11 @@ class DevelopError(SolverError, ValueError):
 
 
 def _dz(arr: np.ndarray, grid: Grid2D) -> np.ndarray:
-    return 0.5 * (_partial_values(arr, grid, "x") - 1j * _partial_values(arr, grid, "y"))
+    return 0.5 * (fd_partial(arr, grid, "x") - 1j * fd_partial(arr, grid, "y"))
 
 
 def _dbar(arr: np.ndarray, grid: Grid2D) -> np.ndarray:
-    return 0.5 * (_partial_values(arr, grid, "x") + 1j * _partial_values(arr, grid, "y"))
+    return 0.5 * (fd_partial(arr, grid, "x") + 1j * fd_partial(arr, grid, "y"))
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def _invariant(u: ScalarField) -> np.ndarray:
     # interior truncation constant.
     uxx = _second_values(vals, g, "x")
     uyy = _second_values(vals, g, "y")
-    uxy = _partial_values(_partial_values(vals, g, "x"), g, "y")
+    uxy = fd_partial(fd_partial(vals, g, "x"), g, "y")
     uzz = 0.25 * (uxx - uyy - 2j * uxy)
     return uzz - uz**2
 
@@ -152,7 +152,7 @@ def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
         # together they normalize phi(base) = 0, phi'(base) = e^{u(base)}/2 > 0
         state[jb, ib, 0] = [0.0, 1.0]
         state[jb, ib, 1] = [0.5 * np.exp(u0), -uz0]
-        _sweep((state,), (jb, ib), lines, x_first)
+        _sweep(state, (jb, ib), lines, x_first)
 
     psi1, dpsi1 = state[..., 0, 0], state[..., 1, 0]
     psi2, dpsi2 = state[..., 0, 1], state[..., 1, 1]
@@ -179,8 +179,6 @@ def develop(u: ScalarField, *, base: tuple[int, int] | None = None) -> Developin
     ``pullback_isometry_check``'s to measure and the caller's to judge.
     """
     g = u.grid
-    if not np.isfinite(u.values).all():
-        raise GridError("log-factor must be finite everywhere")
     jb, ib = base if base is not None else (g.ny // 2, g.nx // 2)
     phi, dphi = _march(u, _invariant(u), jb, ib, x_first=True)
     try:

@@ -13,9 +13,9 @@ residual of the first; its normwise backward error is gated at a
 multiple of the unit roundoff, which any grid size can meet (Rigal &
 Gaches 1967; Higham, *Accuracy and Stability*, ch. 7).  Newton starts
 from the harmonic extension of the boundary data, solved by one
-transform pair, and applies the Laplacian with the five-point stencil
-of ``grid.fd_laplacian`` to raw arrays, so that a non-finite trial
-step reaches the damping.  Each Newton step runs conjugate gradients
+transform pair, and applies the Laplacian through the five-point
+kernel of ``grid.fd_laplacian``, which passes a non-finite trial step
+on to the damping.  Each Newton step runs conjugate gradients
 on the symmetric positive definite system ``(-lap + diag(s)) delta = F``
 with ``s = 2 exp(2u)``, preconditioned by ``(-lap + c I)^-1`` applied
 with one sine transform pair (Concus & Golub 1973).  With
@@ -707,7 +707,5 @@ def bootstrap_equivalence(u: ScalarField) -> float:
     of the curvature equation the two agree to discretization error;
     for anything else the gap is order one.
     """
-    if not np.isfinite(u.values).all():
-        raise GridError("candidate field must be finite everywhere")
     w = solve_poisson(u.grid, np.exp(2.0 * u.values), u.values)
     return float(np.max(np.abs(w[1:-1, 1:-1] - u.values[1:-1, 1:-1])))

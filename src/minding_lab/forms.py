@@ -18,6 +18,9 @@ The frame W = (f_x, f_y, N) of a conformal (isothermic) immersion with
 and the flatness of ambient space makes A_y - B_x = AB - BA.  ``_place``
 puts each together from its eight entries but (2, 2), row by row, through
 one slot table; it places the Chebyshev connections too.
+
+Fields and forms enter as samples; curvatures and residuals are
+returned as plain ``(ny, nx)`` arrays, NaN where a stencil is undefined.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .grid import (
     SolverError,
     VectorField3,
     _freeze,
-    _partial_values,
     fd_laplacian,
     fd_partial,
 )
@@ -156,8 +158,8 @@ def _place(pack: np.ndarray, slots: tuple) -> np.ndarray:
 def induced_metric(f: VectorField3) -> MetricField:
     """E, F, G of an immersion by finite differences."""
     grid = f.grid
-    f_x = _partial_values(f.values, grid, "x")
-    f_y = _partial_values(f.values, grid, "y")
+    f_x = fd_partial(f.values, grid, "x")
+    f_y = fd_partial(f.values, grid, "y")
     dot = lambda a, b: np.einsum("jki,jki->jk", a, b)
     return MetricField(grid, dot(f_x, f_x), dot(f_x, f_y), dot(f_y, f_y))
 
@@ -170,16 +172,16 @@ def normal_and_second_form(f: VectorField3) -> tuple[VectorField3, SecondForm]:
     on), with the mixed coefficient measured both ways and averaged.
     """
     grid = f.grid
-    f_x = _partial_values(f.values, grid, "x")
-    f_y = _partial_values(f.values, grid, "y")
+    f_x = fd_partial(f.values, grid, "x")
+    f_y = fd_partial(f.values, grid, "y")
     cross = np.cross(f_x, f_y)
     norm = np.linalg.norm(cross, axis=2)
     if norm.min() <= 0.0:
         raise DegenerateMetricError("tangent planes degenerate; cannot form a normal")
     N = cross / norm[:, :, None]
 
-    N_x = _partial_values(N, grid, "x")
-    N_y = _partial_values(N, grid, "y")
+    N_x = fd_partial(N, grid, "x")
+    N_y = fd_partial(N, grid, "y")
     dot = lambda a, b: np.einsum("jki,jki->jk", a, b)
     ell = -dot(N_x, f_x)
     m1 = -dot(N_x, f_y)
@@ -197,8 +199,8 @@ def isothermic_connection(h: ScalarField, second: SecondForm) -> tuple[FrameFiel
     hv = h.values
     if hv.min() <= 0.0:
         raise DegenerateMetricError("conformal factor must be positive")
-    hx = fd_partial(h, "x").values / hv
-    hy = fd_partial(h, "y").values / hv
+    hx = fd_partial(hv, h.grid, "x") / hv
+    hy = fd_partial(hv, h.grid, "y") / hv
     h2 = hv**2
     ell, m, n = second.ell, second.m, second.n
     # A is frozen before B's entries exist, which keeps the peak down
@@ -208,7 +210,7 @@ def isothermic_connection(h: ScalarField, second: SecondForm) -> tuple[FrameFiel
     return A, FrameField(h.grid, B)
 
 
-def zero_curvature_residual(A, B, grid: Grid2D) -> ScalarField:
+def zero_curvature_residual(A, B, grid: Grid2D) -> np.ndarray:
     """Entrywise max of A_y - B_x - (AB - BA) per node (outer two rings NaN).
 
     Vanishes exactly when the first-order frame system W_x = W A,
@@ -223,7 +225,7 @@ def zero_curvature_residual(A, B, grid: Grid2D) -> ScalarField:
     R = zero_curvature_entries(A, B, grid)
     out = np.full(grid.shape, np.nan)
     out[2:-2, 2:-2] = np.abs(R[2:-2, 2:-2]).max(axis=(2, 3))
-    return ScalarField(grid, out)
+    return out
 
 
 def zero_curvature_entries(A, B, grid: Grid2D) -> np.ndarray:
@@ -236,8 +238,8 @@ def zero_curvature_entries(A, B, grid: Grid2D) -> np.ndarray:
     B = _as_matrices(B, grid, "B")
     if grid.nx < 5 or grid.ny < 5:
         raise GridError("zero-curvature check needs at least a 5x5 grid")
-    A_y = _partial_values(A, grid, "y")
-    B_x = _partial_values(B, grid, "x")
+    A_y = fd_partial(A, grid, "y")
+    B_x = fd_partial(B, grid, "x")
     R = A_y - B_x - (A @ B - B @ A)
     R[:2, :] = np.nan
     R[-2:, :] = np.nan
@@ -246,16 +248,14 @@ def zero_curvature_entries(A, B, grid: Grid2D) -> np.ndarray:
     return R
 
 
-def gauss_curvature_from_forms(metric: MetricField, second: SecondForm) -> ScalarField:
+def gauss_curvature_from_forms(metric: MetricField, second: SecondForm) -> np.ndarray:
     """K = (ell*n - m^2) / (EG - F^2), defined at every node."""
     metric.grid.require_matches(second.grid)
-    K = (second.ell * second.n - second.m**2) / metric.det()
-    return ScalarField(metric.grid, K)
+    return (second.ell * second.n - second.m**2) / metric.det()
 
 
-def gauss_curvature_isothermic(h: ScalarField) -> ScalarField:
+def gauss_curvature_isothermic(h: ScalarField) -> np.ndarray:
     """K = -laplacian(ln h) / h^2 for a conformal factor (boundary NaN)."""
     if h.values.min() <= 0.0:
         raise DegenerateMetricError("conformal factor must be positive")
-    lap = fd_laplacian(ScalarField(h.grid, np.log(h.values)))
-    return ScalarField(h.grid, -lap.values / h.values**2)
+    return -fd_laplacian(np.log(h.values), h.grid) / h.values**2

@@ -3,17 +3,18 @@
 Every quantity in this package lives on a uniform :class:`Grid2D` as a
 scalar, vector, or matrix sample array.  Arrays are indexed ``[j, i]``
 (y index first) so that the C-order flattening is node-major with x
-fastest.  Every first derivative in the package, of fields and of raw
-arrays with trailing component axes alike, goes through the one kernel
-``_partial_values``: second-order stencils, central inside and
+fastest.  A field wraps samples that enter the library and holds a
+finite sample at every node; derivatives, curvatures and residuals are
+plain arrays.  Every first derivative in the package, of fields' samples
+and of arrays with trailing component axes alike, goes through the one
+kernel ``fd_partial``: second-order stencils, central inside and
 one-sided on the boundary.  Every second difference along one axis
 goes through ``_second_values``, the five-point Laplacian's included.
 Integrals are tensor-product trapezoid sums of sample arrays over the
 whole grid or, bit for bit the same, over a box of its nodes given as
-row and column slices and read as its zero extension.  Second-derivative
-outputs are only defined on interior nodes and carry NaN on the
-boundary ring; norms therefore come in interior-only flavours.
-"""
+row and column slices and read as its zero extension.  The Laplacian
+is only defined on interior nodes and carries NaN on the boundary ring;
+norms therefore come in interior-only flavours."""
 
 from __future__ import annotations
 
@@ -142,24 +143,13 @@ def _freeze(values: np.ndarray) -> np.ndarray:
 
 
 def _check_values(values: np.ndarray, where: str) -> None:
-    if np.isinf(values).any():
-        raise GridError(f"{where}: infinite entries are not allowed")
-    # NaN marks nodes where a stencil is undefined; it may only appear
-    # in the outer two rings.  A NaN in the core is always a bug.
-    margin = 2 if min(values.shape[0], values.shape[1]) >= 5 else 1
-    core = values[margin:-margin, margin:-margin]
-    if np.isnan(core).any():
-        raise GridError(f"{where}: NaN on interior nodes")
+    if not np.isfinite(values).all():
+        raise GridError(f"{where}: samples must be finite at every node")
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar samples on a grid.
-
-    Core entries must be finite.  The outer two rings may carry NaN,
-    the convention used to mark nodes where a derivative stencil is
-    undefined or loses accuracy.  Norm helpers skip NaN entries.
-    """
+    """Scalar samples on a grid, finite at every node."""
 
     grid: Grid2D
     values: np.ndarray
@@ -179,13 +169,10 @@ class ScalarField:
         X, Y = grid.mesh()
         return cls(grid, np.broadcast_to(fn(X, Y), grid.shape))
 
-    def interior_abs_max(self) -> float:
-        return interior_abs_max(self.values)
-
 
 @dataclass(frozen=True)
 class VectorField3:
-    """R^3-valued samples on a grid, shape ``(ny, nx, 3)``."""
+    """R^3-valued samples on a grid, shape ``(ny, nx, 3)``, finite at every node."""
 
     grid: Grid2D
     values: np.ndarray
@@ -270,8 +257,12 @@ def _support_span(nodes: np.ndarray, c: float, r: float) -> slice:
     return slice(min(lo, nodes.size - 3), max(hi, 3))
 
 
-def _partial_values(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
-    """Second-order partial of a raw ``(ny, nx, ...)`` array along ``axis``."""
+def fd_partial(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
+    """Second-order partial of a ``(ny, nx, ...)`` array along ``axis``.
+
+    Central differences on interior nodes, second-order one-sided
+    stencils on the boundary, so the output is defined everywhere.
+    """
     if axis == "x":
         return np.gradient(values, grid.dx, axis=1, edge_order=2)
     if axis == "y":
@@ -279,17 +270,8 @@ def _partial_values(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
     raise GridError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def fd_partial(field: ScalarField, axis: str) -> ScalarField:
-    """Second-order partial derivative along ``axis``.
-
-    Central differences on interior nodes, second-order one-sided
-    stencils on the boundary, so the output is defined everywhere.
-    """
-    return ScalarField(field.grid, _partial_values(field.values, field.grid, axis))
-
-
 def _second_values(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
-    """Second difference of a raw ``(ny, nx, ...)`` array along ``axis``.
+    """Second difference of a ``(ny, nx, ...)`` array along ``axis``.
 
     Three points inside, third-order one-sided closures at the two ends
     so they do not dominate the sup error.  Working from the raw samples
@@ -316,18 +298,18 @@ def _second_values(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
 
 
 def _laplacian_values(values: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Five-point Laplacian of a raw ``(ny, nx)`` array on its interior
-    nodes, shape ``(ny - 2, nx - 2)``; no field is built, so non-finite
-    samples pass through."""
+    """Five-point Laplacian of a ``(ny, nx)`` array on its interior
+    nodes, shape ``(ny - 2, nx - 2)``; non-finite samples pass through."""
     return (_second_values(values[1:-1], grid, "x")[:, 1:-1]
             + _second_values(values[:, 1:-1], grid, "y")[1:-1])
 
 
-def fd_laplacian(field: ScalarField) -> ScalarField:
-    """Five-point Laplacian; boundary ring is NaN (no stencil there)."""
-    out = np.full(field.grid.shape, np.nan)
-    out[1:-1, 1:-1] = _laplacian_values(field.values, field.grid)
-    return ScalarField(field.grid, out)
+def fd_laplacian(values: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Five-point Laplacian of a ``(ny, nx)`` array; the boundary ring
+    is NaN (no stencil there)."""
+    out = np.full(grid.shape, np.nan)
+    out[1:-1, 1:-1] = _laplacian_values(values, grid)
+    return out
 
 
 def quadrature(values: np.ndarray, grid: Grid2D, box: tuple[slice, slice] | None = None) -> float:
@@ -370,6 +352,6 @@ def quadrature(values: np.ndarray, grid: Grid2D, box: tuple[slice, slice] | None
 
 
 def interior_abs_max(values: np.ndarray) -> float:
-    """Max-abs over interior nodes of a raw ``(ny, nx, ...)`` array."""
+    """Max-abs over interior nodes of a ``(ny, nx, ...)`` array."""
     core = values[1:-1, 1:-1]
     return float(np.nanmax(np.abs(core)))

@@ -38,7 +38,6 @@ from .grid import (
     GridError,
     ScalarField,
     TestFunction,
-    _partial_values,
     fd_partial,
     quadrature,
 )
@@ -152,16 +151,14 @@ def mixed_partials_check(W, tests) -> WeakResidualReport:
     field or a matrix field; matrix residuals report the worst entry.
     """
     grid = W.grid
-    if isinstance(W, FrameField):
-        fields = {"Wx": _partial_values(W.values, grid, "x"),
-                  "Wy": _partial_values(W.values, grid, "y")}
-        entries = _pair(grid, tests, fields, [
-            _mixed_terms(p, q) for p in range(3) for q in range(3)
-        ])
-        return WeakResidualReport(
-            tuple(max(map(abs, entries.residuals[k:k + 9])) for k in range(0, entries.count, 9)))
-    fields = {"Wx": fd_partial(W, "x").values, "Wy": fd_partial(W, "y").values}
-    return _pair(grid, tests, fields, [_mixed_terms()])
+    fields = {"Wx": fd_partial(W.values, grid, "x"), "Wy": fd_partial(W.values, grid, "y")}
+    if not isinstance(W, FrameField):
+        return _pair(grid, tests, fields, [_mixed_terms()])
+    entries = _pair(grid, tests, fields, [
+        _mixed_terms(p, q) for p in range(3) for q in range(3)
+    ])
+    return WeakResidualReport(
+        tuple(max(map(abs, entries.residuals[k:k + 9])) for k in range(0, entries.count, 9)))
 
 
 def product_rule_check(P: ScalarField, L: ScalarField, tests, axis: str = "x") -> WeakResidualReport:
@@ -185,7 +182,7 @@ def product_rule_check(P: ScalarField, L: ScalarField, tests, axis: str = "x") -
     """
     P.grid.require_matches(L.grid)
     Pv, Lv = P.values, L.values
-    Pd = fd_partial(P, axis).values
+    Pd = fd_partial(Pv, P.grid, axis)
     fields = {"P": Pv, "L": Lv, "Pd": Pd, "PL": Pv * Lv, "PdL": Pd * Lv}
     return _pair(P.grid, tests, fields, [[
         (-1.0, lambda t: t["PL"] * t[axis]),
@@ -203,12 +200,11 @@ def product_rule_pointwise_residual(P: ScalarField, L: ScalarField, axis: str = 
     which is exactly why the weak reading above exists.
     """
     P.grid.require_matches(L.grid)
-    grid = P.grid
-    pl = ScalarField(grid, P.values * L.values)
+    grid, Pv, Lv = P.grid, P.values, L.values
     resid = (
-        fd_partial(pl, axis).values
-        - fd_partial(P, axis).values * L.values
-        - P.values * fd_partial(L, axis).values
+        fd_partial(Pv * Lv, grid, axis)
+        - fd_partial(Pv, grid, axis) * Lv
+        - Pv * fd_partial(Lv, grid, axis)
     )
     return float(np.abs(resid[1:-1, 1:-1]).max())
 
@@ -221,8 +217,8 @@ def liouville_weak_residual(u: ScalarField, tests) -> WeakResidualReport:
     lap(u) = e^{2u}, i.e. when h^2(dx^2+dy^2) has curvature -1.
     """
     fields = {
-        "ux": fd_partial(u, "x").values,
-        "uy": fd_partial(u, "y").values,
+        "ux": fd_partial(u.values, u.grid, "x"),
+        "uy": fd_partial(u.values, u.grid, "y"),
         "source": np.exp(2.0 * u.values),
     }
     return _pair(u.grid, tests, fields, [[

@@ -249,7 +249,7 @@ class TestFactorCommands:
         assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: quadrature requires finite samples everywhere" in captured.err
+        assert captured.err == f"error: {path}: 'u' channel has a non-finite sample\n"
 
     def test_metric_from_theta_file_matches_catalog(self, capsys, tmp_path):
         out = tmp_path / "run"
@@ -668,6 +668,8 @@ TAKES = {
 }
 REFUSED = [(command, source) for command, (_, takes) in TAKES.items()
            for source in ALL_SOURCES if source not in takes]
+ACCEPTED_FILES = [(command, flag) for command, (_, takes) in TAKES.items()
+                  for flag in SOURCE_FILES if flag in takes]
 
 
 @pytest.fixture(scope="module")
@@ -699,6 +701,29 @@ class TestRefusedSources:
         assert code == EXIT_USAGE
         assert "synthesize needs" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNonFiniteSourceFile:
+    """A NaN or an infinity in a channel a file flag reads is a usage
+    error under every command that takes the flag, whatever stage would
+    read the node first."""
+
+    @pytest.mark.parametrize("bad", ["nan_on_edge", "inf_in_core"])
+    @pytest.mark.parametrize("command, flag", ACCEPTED_FILES)
+    def test_exits_2_naming_file_and_channel(self, capsys, tmp_path, command, flag, bad):
+        names = SOURCE_FILES[flag][1]
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 9, 9)
+        channels = {c: np.full(g.shape, 1.0) for c in names}
+        channel, node, value = ((names[0], (0, 4), np.nan) if bad == "nan_on_edge"
+                                else (names[-1], (4, 4), np.inf))
+        channels[channel][node] = value
+        path = tmp_path / f"{flag}.json"
+        write_field(path, g, channels)
+        code = main([command, f"--{flag.replace('_', '-')}", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {channel!r} channel has a non-finite sample\n"
 
 
 class TestFailureClassification:

@@ -16,6 +16,7 @@ from minding_lab.grid import (
     GridError,
     ScalarField,
     TestFunction,
+    VectorField3,
     fd_laplacian,
     fd_partial,
     quadrature,
@@ -77,35 +78,17 @@ class TestScalarField:
             for i in range(g.nx):
                 assert flat[j * g.nx + i] == pytest.approx(g.x()[i] + 10.0 * g.y()[j])
 
-    def test_rejects_interior_nan_and_any_inf(self):
-        g = Grid2D.from_bounds(0, 1, 0, 1, 4, 4)
-        bad = np.zeros(g.shape)
-        bad[1, 1] = np.nan
-        with pytest.raises(GridError):
-            ScalarField(g, bad)
-        bad = np.zeros(g.shape)
-        bad[0, 0] = np.inf
-        with pytest.raises(GridError):
-            ScalarField(g, bad)
-
-    def test_boundary_nan_allowed(self):
-        g = Grid2D.from_bounds(0, 1, 0, 1, 4, 4)
-        vals = np.ones(g.shape)
-        vals[0, :] = np.nan
-        f = ScalarField(g, vals)
-        assert f.interior_abs_max() == pytest.approx(1.0)
-
-    def test_nan_rules_on_larger_grid(self):
-        # two outer rings may be NaN, the core may not
+    # no ring is exempt: a field holds a finite sample at every node
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("node", [(0, 3), (1, 1), (3, 3)], ids=["edge", "ring2", "core"])
+    @pytest.mark.parametrize("cls, tail", [(ScalarField, ()), (VectorField3, (3,))],
+                             ids=["scalar", "vector"])
+    def test_rejects_any_non_finite_sample(self, cls, tail, node, value):
         g = Grid2D.from_bounds(0, 1, 0, 1, 7, 7)
-        vals = np.ones(g.shape)
-        vals[1, 1] = np.nan
-        f = ScalarField(g, vals)
-        assert f.interior_abs_max() == pytest.approx(1.0)
-        vals = np.ones(g.shape)
-        vals[3, 3] = np.nan
-        with pytest.raises(GridError):
-            ScalarField(g, vals)
+        bad = np.ones(g.shape + tail)
+        bad[node] = value
+        with pytest.raises(GridError, match="finite"):
+            cls(g, bad)
 
     def test_values_read_only(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 4, 4)
@@ -121,24 +104,24 @@ class TestStencils:
         g = Grid2D.from_bounds(-1, 1, -1, 1, 11, 13)
         f = ScalarField.from_function(g, lambda x, y: 2.0 * x**2 - x * y + 3.0 * y**2)
         X, Y = g.mesh()
-        np.testing.assert_allclose(fd_partial(f, "x").values, 4.0 * X - Y, atol=1e-12)
-        np.testing.assert_allclose(fd_partial(f, "y").values, -X + 6.0 * Y, atol=1e-12)
+        np.testing.assert_allclose(fd_partial(f.values, g, "x"), 4.0 * X - Y, atol=1e-12)
+        np.testing.assert_allclose(fd_partial(f.values, g, "y"), -X + 6.0 * Y, atol=1e-12)
 
     def test_partial_linearity(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 12, 12)
         rng = np.random.default_rng(7)
-        a = ScalarField(g, rng.standard_normal(g.shape))
-        b = ScalarField(g, rng.standard_normal(g.shape))
-        combo = ScalarField(g, 2.5 * a.values - 1.25 * b.values)
-        expect = 2.5 * fd_partial(a, "x").values - 1.25 * fd_partial(b, "x").values
-        np.testing.assert_allclose(fd_partial(combo, "x").values, expect, atol=1e-12)
+        a = rng.standard_normal(g.shape)
+        b = rng.standard_normal(g.shape)
+        expect = 2.5 * fd_partial(a, g, "x") - 1.25 * fd_partial(b, g, "x")
+        np.testing.assert_allclose(fd_partial(2.5 * a - 1.25 * b, g, "x"), expect, atol=1e-12)
 
     def test_partial_second_order_with_richardson_factor(self):
         g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 33, 33)
         errors = {}
         for grid in (g, g.refined()):
-            err_x = np.abs(fd_partial(smooth_field(grid), "x").values - smooth_dx(grid)).max()
-            err_y = np.abs(fd_partial(smooth_field(grid), "y").values - smooth_dy(grid)).max()
+            f = smooth_field(grid).values
+            err_x = np.abs(fd_partial(f, grid, "x") - smooth_dx(grid)).max()
+            err_y = np.abs(fd_partial(f, grid, "y") - smooth_dy(grid)).max()
             errors[grid.nx] = (err_x, err_y)
         assert errors[33][0] < 10 * g.dx**2
         assert errors[33][1] < 10 * g.dy**2
@@ -148,10 +131,23 @@ class TestStencils:
     def test_laplacian_stencil_exact_on_x2_plus_y2(self):
         g = Grid2D.from_bounds(0, 2, 0, 1, 9, 7)
         f = ScalarField.from_function(g, lambda x, y: x**2 + y**2)
-        lap = fd_laplacian(f)
-        assert np.isnan(lap.values[0, :]).all()
-        assert np.isnan(lap.values[:, -1]).all()
-        np.testing.assert_allclose(lap.values[1:-1, 1:-1], 4.0, atol=1e-11)
+        lap = fd_laplacian(f.values, g)
+        assert np.isnan(lap[0, :]).all()
+        assert np.isnan(lap[:, -1]).all()
+        np.testing.assert_allclose(lap[1:-1, 1:-1], 4.0, atol=1e-11)
+
+    # solve_poisson's backward-error gate holds by only about 1.5x against
+    # rounding in its stencil residual, so the Laplacian's operation order
+    # is pinned here, where a reordered sum fails first
+    @pytest.mark.parametrize("nx, ny", [(9, 7), (65, 33), (257, 257)])
+    def test_laplacian_operation_order(self, nx, ny):
+        g = Grid2D.from_bounds(0.0, 1.3, -0.4, 0.5, nx, ny)
+        assert g.dx != g.dy
+        rng = np.random.default_rng(nx)
+        v = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-3.0, 3.0, g.shape)
+        expect = ((v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / g.dx**2
+                  + (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / g.dy**2)
+        assert np.array_equal(fd_laplacian(v, g)[1:-1, 1:-1], expect)
 
     def test_laplacian_richardson_factor(self):
         g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 33, 33)
@@ -159,7 +155,7 @@ class TestStencils:
         def err(grid):
             X, Y = grid.mesh()
             exact = (1.3**2 * -np.sin(1.3 * X) + 0.4**2 * np.sin(1.3 * X)) * np.exp(0.4 * Y)
-            lap = fd_laplacian(smooth_field(grid)).values
+            lap = fd_laplacian(smooth_field(grid).values, grid)
             return np.abs(lap[1:-1, 1:-1] - exact[1:-1, 1:-1]).max()
 
         assert err(g) / err(g.refined()) >= 3.5
@@ -186,9 +182,8 @@ class TestQuadrature:
 
     def test_rejects_nan(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 4, 4)
-        f = fd_laplacian(ScalarField(g, np.ones(g.shape)))
         with pytest.raises(GridError):
-            quadrature(f.values, g)
+            quadrature(fd_laplacian(np.ones(g.shape), g), g)
 
 
 @st.composite
