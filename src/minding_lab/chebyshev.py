@@ -25,7 +25,7 @@ line across it, with one RK4 stepper, ``_rk4_line``.  The frame's state
 is (W | f), f as a fourth column of W; ``developing`` marches its ODE
 through the same kernel with its own state, rate and coefficients.
 An ``AngleField`` is a ``ScalarField`` that also checks 0 < theta < pi;
-``sine_gordon_residual`` returns a plain array.
+``sine_gordon_residual`` returns a plain array of the interior nodes.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class SingularAngleError(SolverError, ValueError):
     """sin(theta) fell below the floor; the net degenerates there."""
 
 
-@dataclass(frozen=True)
 class AngleField(ScalarField):
     """Net angle samples, strictly inside (0, pi)."""
 
@@ -123,12 +122,14 @@ def one_soliton_angle(grid: Grid2D) -> AngleField:
 
 
 def sine_gordon_residual(theta: AngleField) -> np.ndarray:
-    """theta_xy - sin(theta); interior nodes only (boundary ring NaN)."""
+    """theta_xy - sin(theta) on interior nodes, shape ``(ny - 2, nx - 2)``.
+
+    The mixed difference is central there; the boundary ring's one-sided
+    stencils are left out.
+    """
     g = theta.grid
-    res = fd_partial(fd_partial(theta.values, g, "x"), g, "y") - np.sin(theta.values)
-    out = np.full(g.shape, np.nan)
-    out[1:-1, 1:-1] = res[1:-1, 1:-1]
-    return out
+    theta_xy = fd_partial(fd_partial(theta.values, g, "x"), g, "y")
+    return theta_xy[1:-1, 1:-1] - np.sin(theta.values[1:-1, 1:-1])
 
 
 # Each connection matrix holds five scalars per sample, in this order:

@@ -20,7 +20,8 @@ with ``_load_source`` and walks from that link to the one it needs.
 Every command body records its stages on one ``_Run``.  ``limit``
 reads a stage's gate from one table, ``GATES`` or ``FLATTENED_GATES``.
 ``gate`` records a measured residual against its gate and ends the
-chain when it fails, ``check`` records one without ending it,
+chain when it fails, ``check`` records one without ending it (one that
+is not finite as a failed gate with an error in its place),
 ``exceeded`` records a residual beyond the float range as a failed gate
 and ends the chain, and ``stage`` records a ``SolverError`` as that
 stage's failure and ends the chain.  ``store`` keeps a ``--out`` field
@@ -186,6 +187,10 @@ class _Run:
         return min(c * grid.h**p, cap) * self.config.tol_scale
 
     def check(self, name: str, measured: float, gate: float, **info) -> bool:
+        if not math.isfinite(measured):
+            self.stages.append({"name": name, "gate": float(gate), "passed": False,
+                                "error": f"measured residual is {float(measured)}"})
+            return False
         entry = {
             "name": name,
             "measured": float(measured),
@@ -370,10 +375,9 @@ def _synthesis_stages(run: _Run, theta):
     failure.
     """
     from minding_lab.chebyshev import corollary_conditions, integrate_frame, sine_gordon_residual
-    from minding_lab.grid import interior_abs_max
 
     g = theta.grid
-    sg = interior_abs_max(sine_gordon_residual(theta))
+    sg = float(abs(sine_gordon_residual(theta)).max())
     run.gate("sine_gordon", sg, min(run.limit("sine_gordon", g), COMPATIBILITY_TOL))
     with run.stage("frame_integration"):
         result = integrate_frame(theta)
@@ -424,7 +428,7 @@ def _embedded_metric_stages(run: _Run, surface):
     run.gate("chebyshev_metric", dev, run.limit("chebyshev_metric", g))
     _, second = normal_and_second_form(surface.f)
     K = gauss_curvature_from_forms(metric, second)
-    worst = float(np.nanmax(np.abs(K + 1.0)))
+    worst = float(np.max(np.abs(K + 1.0)))
     run.gate("curvature", worst, run.limit("curvature", g),
              k_center=float(K[g.ny // 2, g.nx // 2]))
     run.store("metric.json", g, metric.E, metric.F, metric.G)
@@ -438,10 +442,10 @@ def _isothermic_curvature_stage(run: _Run, h) -> None:
 
     from minding_lab.forms import gauss_curvature_isothermic
 
-    K = gauss_curvature_isothermic(h)
-    worst = float(np.nanmax(np.abs(K[2:-2, 2:-2] + 1.0)))
+    K = gauss_curvature_isothermic(h)  # interior nodes: K[j, i] is node (j + 1, i + 1)
+    worst = float(np.max(np.abs(K[1:-1, 1:-1] + 1.0)))
     run.gate("curvature", worst, run.limit("curvature", h.grid),
-             k_center=float(K[h.grid.ny // 2, h.grid.nx // 2]))
+             k_center=float(K[h.grid.ny // 2 - 1, h.grid.nx // 2 - 1]))
 
 
 def _flatten_stages(run: _Run, metric):
@@ -496,9 +500,9 @@ def _curvature_defect(u) -> float:
 
     from minding_lab.grid import fd_laplacian
 
-    e2u = np.exp(2.0 * u.values)
+    e2u = np.exp(2.0 * u.values[1:-1, 1:-1])
     defect = np.abs(fd_laplacian(u.values, u.grid) - e2u) / e2u
-    return float(np.nanmax(defect[2:-2, 2:-2]))
+    return float(np.max(defect[1:-1, 1:-1]))
 
 
 def _calibration_block(dev, u) -> dict:
@@ -802,7 +806,7 @@ def _apply_thread_cap() -> None:
     cap = os.environ.get("MINDING_LAB_THREADS")
     if cap is None:
         return
-    if not cap.isdigit() or int(cap) < 1:
+    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
         raise ConfigError(f"MINDING_LAB_THREADS must be a positive integer, got {cap!r}")
     for var in (
         "OMP_NUM_THREADS",

@@ -304,7 +304,7 @@ def rescale_to_liouville(h: ScalarField) -> tuple[ScalarField, float]:
     """
     if h.values[1:-1, 1:-1].min() <= 0.0:
         raise GridError("conformal factor must be positive on interior nodes")
-    lap = fd_laplacian(np.log(h.values), h.grid)[1:-1, 1:-1]
+    lap = fd_laplacian(np.log(h.values), h.grid)
     h2 = h.values[1:-1, 1:-1] ** 2
     fit = float(np.sum(lap * h2) / np.sum(h2 * h2))
     if fit <= 0.0:

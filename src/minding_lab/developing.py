@@ -18,7 +18,15 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Grid2D, GridError, ScalarField, SolverError, _second_values, fd_partial
+from .grid import (
+    Grid2D,
+    GridError,
+    ScalarField,
+    SolverError,
+    _samples,
+    _second_values,
+    fd_partial,
+)
 from .chebyshev import _interp_midpoints, _sweep
 
 __all__ = [
@@ -65,12 +73,8 @@ class DevelopingMap:
 
     def __post_init__(self) -> None:
         for name in ("phi", "dphi"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.shape != self.grid.shape:
-                raise GridError(f"{name} must have shape {self.grid.shape}")
-            if not np.isfinite(arr).all():
-                raise GridError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _samples(getattr(self, name), self.grid.shape,
+                                                    name, complex))
         top = float(np.max(np.abs(self.phi)))
         if top >= 1.0:
             raise DevelopError(f"map leaves the unit disk: max |phi| = {top:.6f}")
@@ -103,14 +107,13 @@ def u_from_phi(dev: DevelopingMap, exponent: float = 0.5) -> ScalarField:
 def _invariant(u: ScalarField) -> np.ndarray:
     """Complex invariant ``T = u_zz - u_z^2`` of a sampled log-factor."""
     g = u.grid
-    vals = u.values.astype(float)
-    uz = _dz(vals, g)
+    uz = _dz(u.values, g)
     # Second derivatives from the raw samples; composing _dz twice would
     # degrade the boundary rings to first order and quadruple the
     # interior truncation constant.
-    uxx = _second_values(vals, g, "x")
-    uyy = _second_values(vals, g, "y")
-    uxy = fd_partial(fd_partial(vals, g, "x"), g, "y")
+    uxx = _second_values(u.values, g, "x")
+    uyy = _second_values(u.values, g, "y")
+    uxy = fd_partial(fd_partial(u.values, g, "x"), g, "y")
     uzz = 0.25 * (uxx - uyy - 2j * uxy)
     return uzz - uz**2
 
@@ -140,7 +143,7 @@ def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
     g = u.grid
     state = np.full(g.shape + (2, 2), np.nan, dtype=complex)
     u0 = float(u.values[jb, ib])
-    uz0 = _dz(u.values.astype(float), g)[jb, ib]
+    uz0 = _dz(u.values, g)[jb, ib]
     lines = [(partial(_psi_rate, 1.0), T, _interp_midpoints(T, axis=1), g.dx),
              (partial(_psi_rate, 1.0j), T, _interp_midpoints(T, axis=0), g.dy)]
 

@@ -43,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import Grid2D, GridError, ScalarField, SolverError, _laplacian_values
+from .grid import Grid2D, GridError, ScalarField, SolverError, _samples, fd_laplacian
 
 __all__ = [
     "EllipticError",
@@ -127,7 +127,7 @@ def _interior_laplacian(grid: Grid2D, ring: np.ndarray, interior: np.ndarray) ->
     """
     full = np.array(ring, dtype=float)
     full[1:-1, 1:-1] = interior.reshape(grid.ny - 2, grid.nx - 2)
-    return _laplacian_values(full, grid).ravel()
+    return fd_laplacian(full, grid).ravel()
 
 
 # relative accuracy of each Newton step, in the preconditioned residual
@@ -574,17 +574,15 @@ def _factor_shape(columns, nx, own, ring, shift, tables, below, kids, panels, ha
 def solve_poisson(grid: Grid2D, rhs: np.ndarray, boundary) -> np.ndarray:
     """Solve ``lap w = rhs`` with the given boundary ring; returns ``w``.
 
-    ``rhs`` has grid shape and is read on interior nodes only, so a NaN
-    ring such as ``fd_laplacian`` leaves is accepted; ``w`` carries the
+    ``rhs`` holds the interior nodes, shape ``(ny - 2, nx - 2)``, as
+    ``fd_laplacian`` returns them; ``w`` has grid shape and carries the
     ring of ``boundary`` verbatim.  One sine transform pair solves the
     eliminated system ``A w = b`` and a second corrects by the stencil
     residual ``r`` of the first.  A solve whose backward error
     ``|r| / (|A| |w| + |b|)``, in max norms, exceeds ``_POISSON_TOL`` raises.
     """
     bd = boundary_array(grid, boundary)
-    if rhs.shape != grid.shape or not np.isfinite(rhs[1:-1, 1:-1]).all():
-        raise GridError(f"rhs must have shape {grid.shape} and be finite on interior nodes")
-    rhs = rhs[1:-1, 1:-1].ravel()
+    rhs = _samples(rhs, (grid.ny - 2, grid.nx - 2), "rhs").ravel()
     spectrum = _laplacian_spectrum(grid)
     minus_b = _interior_laplacian(grid, bd, np.zeros(rhs.size)) - rhs
     w_int = _dst_solve(spectrum, 0.0, minus_b)
@@ -707,5 +705,5 @@ def bootstrap_equivalence(u: ScalarField) -> float:
     of the curvature equation the two agree to discretization error;
     for anything else the gap is order one.
     """
-    w = solve_poisson(u.grid, np.exp(2.0 * u.values), u.values)
+    w = solve_poisson(u.grid, np.exp(2.0 * u.values[1:-1, 1:-1]), u.values)
     return float(np.max(np.abs(w[1:-1, 1:-1] - u.values[1:-1, 1:-1])))

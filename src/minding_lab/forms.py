@@ -19,8 +19,13 @@ and the flatness of ambient space makes A_y - B_x = AB - BA.  ``_place``
 puts each together from its eight entries but (2, 2), row by row, through
 one slot table; it places the Chebyshev connections too.
 
-Fields and forms enter as samples; curvatures and residuals are
-returned as plain ``(ny, nx)`` arrays, NaN where a stencil is undefined.
+Fields and forms enter as samples; ``FrameField`` is a ``grid.Field``
+with a 3 x 3 matrix at each node, and ``SecondForm`` runs the same
+shape and finiteness check on each coefficient.  Curvatures and
+residuals are returned as plain arrays holding only the nodes their
+stencils define: every node for the determinant formula, the interior
+for the isothermic one, and the core two nodes in for the zero-curvature
+residual.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    Field,
     Grid2D,
     GridError,
     ScalarField,
     SolverError,
     VectorField3,
-    _freeze,
+    _samples,
     fd_laplacian,
     fd_partial,
 )
@@ -107,31 +113,16 @@ class SecondForm:
 
     def __post_init__(self) -> None:
         for name in ("ell", "m", "n"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != self.grid.shape:
-                raise GridError(f"{name} must have shape {self.grid.shape}")
-            if not np.isfinite(arr).all():
-                raise GridError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _samples(getattr(self, name), self.grid.shape, name))
 
 
-@dataclass(frozen=True)
-class FrameField:
+class FrameField(Field):
     """A 3x3 real matrix at every node, shape ``(ny, nx, 3, 3)``.
 
     Carries connection matrices or an integrated moving frame.
     """
 
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != self.grid.shape + (3, 3):
-            raise GridError(f"frame values must have shape {self.grid.shape + (3, 3)}")
-        if not np.isfinite(arr).all():
-            raise GridError("frame entries must be finite")
-        object.__setattr__(self, "values", _freeze(arr))
+    node_shape = (3, 3)
 
 
 def _as_matrices(M, grid: Grid2D, name: str) -> np.ndarray:
@@ -211,28 +202,25 @@ def isothermic_connection(h: ScalarField, second: SecondForm) -> tuple[FrameFiel
 
 
 def zero_curvature_residual(A, B, grid: Grid2D) -> np.ndarray:
-    """Entrywise max of A_y - B_x - (AB - BA) per node (outer two rings NaN).
+    """Entrywise max of A_y - B_x - (AB - BA) per node of the core two
+    nodes in from the edge, shape ``(ny - 4, nx - 4)``.
 
     Vanishes exactly when the first-order frame system W_x = W A,
     W_y = W B is integrable.
 
-    Two rings are masked, not one: connection samples are usually
+    Two rings are left out, not one: connection samples are usually
     assembled from on-grid derivatives, whose boundary values come from
     one-sided stencils with a different error constant.  Differencing
     across that ring mixes the constants and drops an order, so the
     first interior ring of the raw residual is only O(h) accurate.
     """
-    R = zero_curvature_entries(A, B, grid)
-    out = np.full(grid.shape, np.nan)
-    out[2:-2, 2:-2] = np.abs(R[2:-2, 2:-2]).max(axis=(2, 3))
-    return out
+    return np.abs(zero_curvature_entries(A, B, grid)).max(axis=(2, 3))
 
 
 def zero_curvature_entries(A, B, grid: Grid2D) -> np.ndarray:
-    """Raw entries of A_y - B_x - (AB - BA), shape (ny, nx, 3, 3).
-
-    Outer two rings are NaN; see zero_curvature_residual for why two.
-    Accepts FrameField or bare arrays.
+    """Raw entries of A_y - B_x - (AB - BA) on the core two nodes in,
+    shape ``(ny - 4, nx - 4, 3, 3)``; see zero_curvature_residual for
+    why two.  Accepts FrameField or bare arrays.
     """
     A = _as_matrices(A, grid, "A")
     B = _as_matrices(B, grid, "B")
@@ -240,12 +228,7 @@ def zero_curvature_entries(A, B, grid: Grid2D) -> np.ndarray:
         raise GridError("zero-curvature check needs at least a 5x5 grid")
     A_y = fd_partial(A, grid, "y")
     B_x = fd_partial(B, grid, "x")
-    R = A_y - B_x - (A @ B - B @ A)
-    R[:2, :] = np.nan
-    R[-2:, :] = np.nan
-    R[:, :2] = np.nan
-    R[:, -2:] = np.nan
-    return R
+    return (A_y - B_x - (A @ B - B @ A))[2:-2, 2:-2]
 
 
 def gauss_curvature_from_forms(metric: MetricField, second: SecondForm) -> np.ndarray:
@@ -255,7 +238,8 @@ def gauss_curvature_from_forms(metric: MetricField, second: SecondForm) -> np.nd
 
 
 def gauss_curvature_isothermic(h: ScalarField) -> np.ndarray:
-    """K = -laplacian(ln h) / h^2 for a conformal factor (boundary NaN)."""
+    """K = -laplacian(ln h) / h^2 for a conformal factor on interior
+    nodes, shape ``(ny - 2, nx - 2)``."""
     if h.values.min() <= 0.0:
         raise DegenerateMetricError("conformal factor must be positive")
-    return -fd_laplacian(np.log(h.values), h.grid) / h.values**2
+    return -fd_laplacian(np.log(h.values), h.grid) / h.values[1:-1, 1:-1]**2

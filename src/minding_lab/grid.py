@@ -3,23 +3,26 @@
 Every quantity in this package lives on a uniform :class:`Grid2D` as a
 scalar, vector, or matrix sample array.  Arrays are indexed ``[j, i]``
 (y index first) so that the C-order flattening is node-major with x
-fastest.  A field wraps samples that enter the library and holds a
-finite sample at every node; derivatives, curvatures and residuals are
-plain arrays.  Every first derivative in the package, of fields' samples
-and of arrays with trailing component axes alike, goes through the one
-kernel ``fd_partial``: second-order stencils, central inside and
-one-sided on the boundary.  Every second difference along one axis
-goes through ``_second_values``, the five-point Laplacian's included.
-Integrals are tensor-product trapezoid sums of sample arrays over the
-whole grid or, bit for bit the same, over a box of its nodes given as
-row and column slices and read as its zero extension.  The Laplacian
-is only defined on interior nodes and carries NaN on the boundary ring;
-norms therefore come in interior-only flavours."""
+fastest.  A field wraps samples that enter the library: every field
+class is a :class:`Field` keyed by its shape per node, whose one check
+refuses a wrong shape or a non-finite sample.  Derivatives, curvatures
+and residuals are plain arrays, and a kernel returns the nodes it
+defines and no others.  Every first derivative in the package, of
+fields' samples and of arrays with trailing component axes alike, goes
+through the one kernel ``fd_partial``: second-order stencils, central
+inside and one-sided on the boundary, so it is defined everywhere.
+Every second difference along one axis goes through ``_second_values``,
+the five-point Laplacian's included; the Laplacian is defined on the
+interior nodes only and returns those.  Integrals are tensor-product
+trapezoid sums of sample arrays over the whole grid or, bit for bit the
+same, over a box of its nodes given as row and column slices and read
+as its zero extension."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "GridError",
     "SolverError",
     "Grid2D",
+    "Field",
     "ScalarField",
     "VectorField3",
     "TestFunction",
@@ -136,32 +140,36 @@ class Grid2D:
             raise GridError(f"grids differ: {self} vs {other}")
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-def _check_values(values: np.ndarray, where: str) -> None:
-    if not np.isfinite(values).all():
-        raise GridError(f"{where}: samples must be finite at every node")
+def _samples(values, shape: tuple, what: str, dtype=float) -> np.ndarray:
+    """``values`` as a ``dtype`` array, refused unless it has ``shape`` and
+    is finite at every node."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.shape != shape:
+        raise GridError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise GridError(f"{what} must be finite at every node")
+    return arr
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Scalar samples on a grid, finite at every node."""
+class Field:
+    """Read-only samples on a grid, an array of ``node_shape`` at each
+    node, finite at every node."""
 
     grid: Grid2D
     values: np.ndarray
 
+    node_shape: ClassVar[tuple[int, ...]] = ()
+
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape:
-            raise GridError(
-                f"scalar samples must have shape {self.grid.shape}, got {values.shape}"
-            )
-        _check_values(values, "ScalarField")
-        object.__setattr__(self, "values", _freeze(values))
+        values = np.array(_samples(self.values, self.grid.shape + self.node_shape,
+                                   f"{type(self).__name__} samples"), copy=True)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+
+class ScalarField(Field):
+    """Scalar samples, shape ``(ny, nx)``."""
 
     @classmethod
     def from_function(cls, grid: Grid2D, fn) -> "ScalarField":
@@ -170,21 +178,10 @@ class ScalarField:
         return cls(grid, np.broadcast_to(fn(X, Y), grid.shape))
 
 
-@dataclass(frozen=True)
-class VectorField3:
-    """R^3-valued samples on a grid, shape ``(ny, nx, 3)``, finite at every node."""
+class VectorField3(Field):
+    """R^3-valued samples, shape ``(ny, nx, 3)``."""
 
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape + (3,):
-            raise GridError(
-                f"vector samples must have shape {self.grid.shape + (3,)}, got {values.shape}"
-            )
-        _check_values(values, "VectorField3")
-        object.__setattr__(self, "values", _freeze(values))
+    node_shape = (3,)
 
 
 @dataclass(frozen=True)
@@ -297,19 +294,12 @@ def _second_values(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:
     return np.moveaxis(out, 0, at) / step**2
 
 
-def _laplacian_values(values: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Five-point Laplacian of a ``(ny, nx)`` array on its interior
-    nodes, shape ``(ny - 2, nx - 2)``; non-finite samples pass through."""
+def fd_laplacian(values: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Five-point Laplacian of a ``(ny, nx)`` array on its interior nodes,
+    the only ones it is defined on: shape ``(ny - 2, nx - 2)``.  Non-finite
+    samples pass through."""
     return (_second_values(values[1:-1], grid, "x")[:, 1:-1]
             + _second_values(values[:, 1:-1], grid, "y")[1:-1])
-
-
-def fd_laplacian(values: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Five-point Laplacian of a ``(ny, nx)`` array; the boundary ring
-    is NaN (no stencil there)."""
-    out = np.full(grid.shape, np.nan)
-    out[1:-1, 1:-1] = _laplacian_values(values, grid)
-    return out
 
 
 def quadrature(values: np.ndarray, grid: Grid2D, box: tuple[slice, slice] | None = None) -> float:
@@ -353,5 +343,4 @@ def quadrature(values: np.ndarray, grid: Grid2D, box: tuple[slice, slice] | None
 
 def interior_abs_max(values: np.ndarray) -> float:
     """Max-abs over interior nodes of a ``(ny, nx, ...)`` array."""
-    core = values[1:-1, 1:-1]
-    return float(np.nanmax(np.abs(core)))
+    return float(np.max(np.abs(values[1:-1, 1:-1])))

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from minding_lab.grid import Grid2D, GridError, fd_partial, interior_abs_max
+from minding_lab.grid import Grid2D, GridError, fd_partial
 from minding_lab import forms
 from minding_lab.chebyshev import (
     AngleField,
@@ -71,12 +71,12 @@ class TestSineGordonResidual:
     def test_right_angle_residual_is_minus_one_exactly(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 17, 17)
         r = sine_gordon_residual(constant_angle(g, np.pi / 2))
-        assert np.all(r[1:-1, 1:-1] == -1.0)
+        assert r.shape == (15, 15) and np.all(r == -1.0)
 
     def test_one_soliton_is_compatible(self):
         g = soliton_grid(65)
         r = sine_gordon_residual(one_soliton_angle(g))
-        assert interior_abs_max(r) <= 10 * g.h**2
+        assert np.abs(r).max() <= 10 * g.h**2
 
     def test_linear_tilt_residual_matches_closed_form(self):
         # theta = pi/2 + 0.1 x: the mixed derivative vanishes exactly
@@ -85,12 +85,12 @@ class TestSineGordonResidual:
         th = AngleField.from_function(g, lambda X, Y: np.pi / 2 + 0.1 * X)
         r = sine_gordon_residual(th)
         expect = -np.sin(np.pi / 2 + 0.1 * g.mesh()[0])
-        assert np.allclose(r[1:-1, 1:-1], expect[1:-1, 1:-1], rtol=0, atol=1e-13)
+        assert np.allclose(r, expect[1:-1, 1:-1], rtol=0, atol=1e-13)
 
     def test_refinement_improves_soliton_residual(self):
         g = soliton_grid(33)
-        coarse = interior_abs_max(sine_gordon_residual(one_soliton_angle(g)))
-        fine = interior_abs_max(sine_gordon_residual(one_soliton_angle(g.refined())))
+        coarse = np.abs(sine_gordon_residual(one_soliton_angle(g))).max()
+        fine = np.abs(sine_gordon_residual(one_soliton_angle(g.refined()))).max()
         assert coarse / fine >= 3.5
 
 
@@ -156,7 +156,7 @@ class TestIntegrateFrame:
         g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 65, 65)
         theta = constant_angle(g, np.pi / 2)
         res = integrate_frame(theta)
-        assert interior_abs_max(sine_gordon_residual(theta)) == pytest.approx(1.0)
+        assert np.abs(sine_gordon_residual(theta)).max() == pytest.approx(1.0)
         assert res.path_residual_f > 0.1
 
         f = res.surface.f.values
@@ -182,7 +182,7 @@ class TestIntegrateFrame:
         metric = forms.induced_metric(res.surface.f)
         _, second = forms.normal_and_second_form(res.surface.f)
         K = forms.gauss_curvature_from_forms(metric, second)
-        err = np.nanmax(np.abs(K[2:-2, 2:-2] + 1.0))
+        err = np.abs(K[2:-2, 2:-2] + 1.0).max()
         assert err <= 20 * g.h**2
 
     def test_soliton_path_independence(self):
@@ -462,7 +462,7 @@ class TestZeroCurvatureIdentity:
         g = soliton_grid(65)
         A, B = fd_connection(one_soliton_angle(g))
         zc = forms.zero_curvature_residual(A, B, g)
-        assert interior_abs_max(zc) <= 50 * g.h**2
+        assert zc.max() <= 50 * g.h**2
 
     def test_residual_entries_carry_the_wave_equation(self):
         # the commutator identity concentrates the angle equation in the
@@ -472,16 +472,16 @@ class TestZeroCurvatureIdentity:
         th = one_soliton_angle(g)
         A, B = fd_connection(th)
         R = forms.zero_curvature_entries(A, B, g)
-        sg = sine_gordon_residual(th) / np.sin(th.values)
-        core = slice(2, -2)
+        # R holds the core two nodes in, the residual the interior
+        sg = (sine_gordon_residual(th) / np.sin(th.values[1:-1, 1:-1]))[1:-1, 1:-1]
         tol = 50 * g.h**2
-        assert np.abs(R[core, core, 0, 1] - sg[core, core]).max() <= tol
-        assert np.abs(R[core, core, 1, 0] + sg[core, core]).max() <= tol
-        assert np.abs(R[core, core, 2, 0]).max() <= tol
+        assert np.abs(R[..., 0, 1] - sg).max() <= tol
+        assert np.abs(R[..., 1, 0] + sg).max() <= tol
+        assert np.abs(R[..., 2, 0]).max() <= tol
 
     def test_incompatible_angle_lights_up_offdiagonal(self):
         # constant angle c has residual magnitude |0 - sin c|/sin c = 1
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         A, B = fd_connection(constant_angle(g, 1.0))
         R = forms.zero_curvature_entries(A, B, g)
-        assert np.nanmax(np.abs(R[2:-2, 2:-2, 0, 1] + 1.0)) <= 1e-12
+        assert np.abs(R[..., 0, 1] + 1.0).max() <= 1e-12

@@ -1,6 +1,7 @@
 """Command driver: exit codes, reports, artifacts, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import minding_lab
+import minding_lab.grid as grid
+from minding_lab import cli
 from minding_lab.cli import (
     CATALOG,
     COMPATIBILITY_TOL,
@@ -23,7 +26,7 @@ from minding_lab.cli import (
     main,
 )
 from minding_lab.fieldio import read_field, write_field
-from minding_lab.grid import Grid2D, GridError, SolverError
+from minding_lab.grid import Grid2D, GridError, ScalarField, SolverError
 
 
 def run_cli(capsys, *argv):
@@ -468,6 +471,21 @@ class TestUsage:
         code, _ = run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere")
         assert code == EXIT_USAGE
 
+    # str.isdigit takes these; int() refuses the first and reads 3 from the second
+    @pytest.mark.parametrize("cap", ["\u00b2", "\u0663"], ids=["superscript_two", "arabic_three"])
+    def test_thread_cap_takes_ascii_digits_only(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("MINDING_LAB_THREADS", cap)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        code = main(["develop", "--catalog", "half_plane_pseudosphere", "--n", "17"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: MINDING_LAB_THREADS must be a positive integer, got {cap!r}\n")
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
     def test_thread_cap_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("MINDING_LAB_THREADS", "1")
         code, _ = run_cli(capsys, "liouville-check", "--catalog",
@@ -724,6 +742,46 @@ class TestNonFiniteSourceFile:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err == f"error: {path}: {channel!r} channel has a non-finite sample\n"
+
+
+class TestNonFiniteMeasurement:
+    """A measurement that is not finite fails its gate, and the report
+    stays strict JSON: no NaN token, no measured value."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_recorded_as_failed_gate_with_error(self, value):
+        run = cli._Run("liouville-check", PipelineConfig(catalog="half_plane_pseudosphere"))
+        assert run.check("curvature_defect", value, 1e-3, test_count=4) is False
+        assert run.stages == [{"name": "curvature_defect", "gate": 1e-3, "passed": False,
+                               "error": f"measured residual is {value}"}]
+        report = json.loads(json.dumps(run.report(), allow_nan=False))
+        assert report["failed_stage"] == "curvature_defect"
+        assert run.exit_code() == EXIT_TOLERANCE
+
+
+class TestInteriorNanIsNotSkipped:
+    """A NaN at a node a reduction covers comes back from it, so the gate
+    it feeds fails instead of passing on the other nodes."""
+
+    @pytest.mark.parametrize("node", [(2, 2), (4, 5)], ids=["first_gated_node", "core"])
+    @pytest.mark.parametrize("reduction", ["interior_abs_max", "curvature_defect"])
+    def test_nan_comes_back(self, monkeypatch, reduction, node):
+        g = Grid2D.from_bounds(0.0, 1.0, 1.0, 2.0, 9, 9)
+        if reduction == "interior_abs_max":
+            values = np.ones(g.shape)
+            values[node] = np.nan
+            measured = grid.interior_abs_max(values)
+        else:
+            laplacian = grid.fd_laplacian
+
+            def planted(values, at):
+                out = laplacian(values, at).copy()
+                out[node[0] - 1, node[1] - 1] = np.nan  # the Laplacian's [0, 0] is node (1, 1)
+                return out
+
+            monkeypatch.setattr(grid, "fd_laplacian", planted)
+            measured = cli._curvature_defect(ScalarField(g, np.zeros(g.shape)))
+        assert math.isnan(measured)
 
 
 class TestFailureClassification:

@@ -223,13 +223,13 @@ class TestCatalog:
         _, chart, extras = catalog_chart("half_plane_pseudosphere", 65)
         K = gauss_curvature_isothermic(chart.h)
         g = chart.grid
-        assert np.nanmax(np.abs(K[1:-1, 1:-1] + 1.0)) <= 10 * g.h**2
+        assert np.abs(K + 1.0).max() <= 10 * g.h**2
         assert np.allclose(extras["u"].values, np.log(chart.h.values), atol=1e-14)
 
     def test_sphere_curvature_is_plus_one(self):
         _, chart, extras = catalog_chart("sphere_patch", 65)
         K = gauss_curvature_isothermic(chart.h)
-        assert np.nanmax(np.abs(K[1:-1, 1:-1] - 1.0)) <= 10 * chart.grid.h**2
+        assert np.abs(K - 1.0).max() <= 10 * chart.grid.h**2
         assert np.allclose(extras["u"].values, np.log(chart.h.values), atol=1e-14)
 
     def test_flat_chart_is_the_shear(self):
@@ -509,7 +509,7 @@ class TestImageResampling:
         ig = inner_image_grid(chart, 65)
         h_img = resample_to_image(chart.h, chart, ig)
         K = gauss_curvature_isothermic(h_img)
-        assert np.nanmax(np.abs(K[2:-2, 2:-2] + 1.0)) <= 1e-2
+        assert np.abs(K[1:-1, 1:-1] + 1.0).max() <= 1e-2
 
     def test_resample_requires_matching_grid(self):
         _, chart, _ = catalog_chart("half_plane_pseudosphere", 33)

@@ -160,16 +160,16 @@ class TestUFromPhi:
         # curvature defect |lap u - e^{2u}| / e^{2u} under the five-point
         # Laplacian, on the wide patch where the corner values are largest
         u = u_from_phi(identity_map(n, DISK_HALF_WIDE), exponent=0.5)
-        e2u = np.exp(2.0 * u.values)
+        e2u = np.exp(2.0 * u.values[1:-1, 1:-1])
         defect = np.abs(fd_laplacian(u.values, u.grid) - e2u) / e2u
-        assert np.nanmax(defect) <= 10.0 * u.grid.h**2
+        assert defect.max() <= 10.0 * u.grid.h**2
 
     @pytest.mark.parametrize("n", [65, 129])
     def test_exponent_quarter_fails_by_order_one(self, n):
         u = u_from_phi(identity_map(n, DISK_HALF_WIDE), exponent=0.25)
-        e2u = np.exp(2.0 * u.values)
+        e2u = np.exp(2.0 * u.values[1:-1, 1:-1])
         defect = np.abs(fd_laplacian(u.values, u.grid) - e2u) / e2u
-        assert np.nanmax(defect) >= 0.5
+        assert defect.max() >= 0.5
 
     def test_constant_map_rejected(self):
         g = disk_grid(17)

@@ -3,6 +3,7 @@
 import json
 import os
 import subprocess
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,13 +72,13 @@ class TestPoisson:
     def test_harmonic_linear_is_stencil_exact(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         X, _ = g.mesh()
-        w = solve_poisson(g, np.zeros(g.shape), X)
+        w = solve_poisson(g, np.zeros((31, 31)), X)
         assert np.max(np.abs(w - X)) <= 1e-12
 
     def test_quadratic_is_stencil_exact(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         X, Y = g.mesh()
-        w = solve_poisson(g, np.full(g.shape, 4.0), X**2 + Y**2)
+        w = solve_poisson(g, np.full((31, 31), 4.0), X**2 + Y**2)
         assert np.max(np.abs(w - (X**2 + Y**2))) <= 1e-11
 
     def test_half_plane_log_catalog(self):
@@ -85,7 +86,7 @@ class TestPoisson:
         for n in (65, 129):
             g = half_plane_grid(n)
             _, Y = g.mesh()
-            w = solve_poisson(g, 1.0 / Y**2, -np.log(Y))
+            w = solve_poisson(g, 1.0 / Y[1:-1, 1:-1]**2, -np.log(Y))
             errs.append(np.max(np.abs(w + np.log(Y))))
         assert errs[0] <= 10 * half_plane_grid(65).h ** 2
         assert errs[0] / errs[1] >= 3.5
@@ -94,7 +95,7 @@ class TestPoisson:
         g = Grid2D.from_bounds(0, 1, 0, 1, 17, 17)
         X, Y = g.mesh()
         bd = np.sin(3 * X) - Y
-        w = solve_poisson(g, np.ones(g.shape), bd)
+        w = solve_poisson(g, np.ones((15, 15)), bd)
         assert np.array_equal(w[0, :], bd[0, :])
         assert np.array_equal(w[:, -1], bd[:, -1])
 
@@ -103,7 +104,8 @@ class TestPoisson:
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         rng = np.random.default_rng(7)
         X, Y = g.mesh()
-        w = solve_poisson(g, rng.random(g.shape), -0.1 - 0.2 * np.abs(np.sin(3 * X + 2 * Y)))
+        w = solve_poisson(g, rng.random(g.shape)[1:-1, 1:-1],
+                          -0.1 - 0.2 * np.abs(np.sin(3 * X + 2 * Y)))
         assert w.max() <= 1e-12
 
     def test_validation(self):
@@ -111,28 +113,17 @@ class TestPoisson:
         bad = np.zeros(g.shape)
         bad[0, 3] = np.inf
         with pytest.raises(GridError, match="finite on the outer ring"):
-            solve_poisson(g, np.zeros(g.shape), bad)
-        # the rhs is read on interior nodes, which must be finite
-        rhs = np.zeros(g.shape)
-        rhs[4, 1] = np.nan
-        with pytest.raises(GridError, match=r"rhs must have shape \(9, 9\) and be finite"):
+            solve_poisson(g, np.zeros((7, 7)), bad)
+        # the rhs holds the interior nodes only, each finite
+        rhs = np.zeros((7, 7))
+        rhs[3, 0] = np.nan
+        with pytest.raises(GridError, match="rhs must be finite at every node"):
             solve_poisson(g, rhs, np.zeros(g.shape))
-        with pytest.raises(GridError, match=r"rhs must have shape \(9, 9\) and be finite"):
-            solve_poisson(g, np.zeros((9, 8)), np.zeros(g.shape))
+        for shape in ((9, 9), (7, 6)):
+            with pytest.raises(GridError, match=re.escape(f"shape (7, 7), got {shape}")):
+                solve_poisson(g, np.zeros(shape), np.zeros(g.shape))
         with pytest.raises(GridError, match=r"boundary data must have shape \(9, 9\), got \(\)"):
-            solve_poisson(g, np.zeros(g.shape), 0.0)
-
-    def test_a_nan_rhs_ring_is_never_read(self):
-        # fd_laplacian leaves NaN on the ring; the solve reads the interior
-        g = Grid2D.from_bounds(-0.3, 0.9, 1.0, 1.5, 21, 14)
-        X, Y = g.mesh()
-        bd = np.sin(3.0 * X) + X * Y**2
-        rhs = fd_laplacian(np.exp(X - 2.0 * Y), g)
-        assert np.isnan(rhs[0]).all() and np.isnan(rhs[:, -1]).all()
-        zero_ring = np.zeros(g.shape)
-        zero_ring[1:-1, 1:-1] = rhs[1:-1, 1:-1]
-        want = solve_poisson(g, zero_ring, bd)
-        assert np.array_equal(solve_poisson(g, rhs, bd), want)
+            solve_poisson(g, np.zeros((7, 7)), 0.0)
 
     def test_matches_sparse_lu_on_a_rectangle(self):
         # nx != ny, dx != dy and data with no x <-> y symmetry, so a
@@ -142,7 +133,7 @@ class TestPoisson:
         rhs = np.exp(X - 2.0 * Y) + X * Y**3
         bd = np.sin(3.0 * X) + X * Y**2 - 0.5 * Y
         want = splu(laplacian_matrix(g)).solve(rhs[1:-1, 1:-1].ravel() - boundary_terms(g, bd))
-        got = solve_poisson(g, rhs, bd)[1:-1, 1:-1].ravel()
+        got = solve_poisson(g, rhs[1:-1, 1:-1], bd)[1:-1, 1:-1].ravel()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [65, 129, 257, 513])
@@ -150,7 +141,7 @@ class TestPoisson:
     def test_catalog_residual_meets_the_gate(self, name, n):
         # the bootstrap's own solve, its backward error recomputed here
         u = catalog_factor(name, n)
-        rhs = np.exp(2.0 * u.values)
+        rhs = np.exp(2.0 * u.values[1:-1, 1:-1])
         w = solve_poisson(u.grid, rhs, u.values)
         assert backward_error(u.grid, rhs, u.values, w) <= 0.5 * np.finfo(float).eps
 
@@ -172,7 +163,7 @@ class TestPoisson:
         u = catalog_factor(name, n)
         monkeypatch.setattr(elliptic, "_dst_solve", perturbed)
         with pytest.raises(EllipticError, match="backward error .* exceeds tolerance 1.110e-16"):
-            solve_poisson(u.grid, np.exp(2.0 * u.values), u.values)
+            solve_poisson(u.grid, np.exp(2.0 * u.values[1:-1, 1:-1]), u.values)
 
     @pytest.mark.parametrize("n", [65, 257])
     @pytest.mark.parametrize("name", ["poincare_disk_patch", "half_plane_pseudosphere"])
@@ -187,7 +178,7 @@ class TestPoisson:
         u = catalog_factor(name, n)
         monkeypatch.setattr(elliptic, "_dst_solve", first_pass_only)
         with pytest.raises(EllipticError, match="backward error .* exceeds tolerance"):
-            solve_poisson(u.grid, np.exp(2.0 * u.values), u.values)
+            solve_poisson(u.grid, np.exp(2.0 * u.values[1:-1, 1:-1]), u.values)
         assert len(calls) == 2
 
 
@@ -350,13 +341,14 @@ def catalog_factor(name, n):
 
 def backward_error(grid, rhs, boundary, w):
     """``|r| / (|A| |w| + |b|)`` in max norms for the eliminated system
-    ``A w = b`` of ``lap w = rhs``.  At this level the rounding of ``r``
+    ``A w = b`` of ``lap w = rhs``, ``rhs`` on the interior nodes.  At
+    this level the rounding of ``r``
     itself counts, so ``r`` and ``b`` come from ``fd_laplacian``, the
     stencil the solver applies, and ``|A|`` from the sparse matrix."""
     ring = np.array(boundary, dtype=float)
     ring[1:-1, 1:-1] = 0.0
-    b = rhs[1:-1, 1:-1] - fd_laplacian(ring, grid)[1:-1, 1:-1]
-    r = fd_laplacian(w, grid)[1:-1, 1:-1] - rhs[1:-1, 1:-1]
+    b = rhs - fd_laplacian(ring, grid)
+    r = fd_laplacian(w, grid) - rhs
     norm_a = np.max(np.abs(laplacian_matrix(grid)).sum(axis=1))
     return np.max(np.abs(r)) / (norm_a * np.max(np.abs(w[1:-1, 1:-1])) + np.max(np.abs(b)))
 

@@ -15,7 +15,6 @@ from minding_lab.grid import (
     ScalarField,
     VectorField3,
     fd_partial,
-    interior_abs_max,
 )
 from minding_lab.chebyshev import integrate_frame, one_soliton_angle, sine_gordon_residual
 from minding_lab.forms import (
@@ -253,8 +252,7 @@ def test_rigid_motion_invariance_property(tmp_path_factory):
         for a, b in ((II1.ell, II2.ell), (II1.m, II2.m), (II1.n, II2.n)):
             assert np.abs(a - b).max() <= second_order_tol
         K2 = gauss_curvature_from_forms(m2, II2)
-        assert np.array_equal(np.isnan(K1), np.isnan(K2))
-        assert np.nanmax(np.abs(K1 - K2)) <= second_order_tol
+        assert np.abs(K1 - K2).max() <= second_order_tol
         cli2 = metric_command_measurements(folder / "moved.json", surface, f2, N @ R.T)
         assert cli2.keys() == cli1.keys() == {"chebyshev_metric", "curvature"}
         assert abs(cli2["chebyshev_metric"] - cli1["chebyshev_metric"]) <= 1e-12
@@ -353,14 +351,14 @@ class TestZeroCurvature:
         g = Grid2D.from_bounds(0, 1, 0, 1, 9, 9)
         Z = np.zeros(g.shape + (3, 3))
         r = zero_curvature_residual(Z, Z, g)
-        assert interior_abs_max(r) == 0.0
+        assert r.shape == (5, 5) and r.max() == 0.0
 
     def test_half_plane_chart_is_compatible(self):
         g = half_plane_patch(65)
         _, Y = g.mesh()
         A, B = isothermic_connection(ScalarField(g, 1.0 / Y), tractroid_second_form(g))
         r = zero_curvature_residual(A, B, g)
-        assert interior_abs_max(r) <= 50 * g.h**2
+        assert r.max() <= 50 * g.h**2
 
     def test_residual_converges_at_second_order(self):
         def sup(n):
@@ -369,7 +367,7 @@ class TestZeroCurvature:
             A, B = isothermic_connection(
                 ScalarField(g, 1.0 / Y), tractroid_second_form(g)
             )
-            return interior_abs_max(zero_curvature_residual(A, B, g))
+            return zero_curvature_residual(A, B, g).max()
 
         assert sup(65) / sup(129) >= 3.5
 
@@ -383,14 +381,14 @@ class TestZeroCurvature:
             ScalarField(g, ones), SecondForm(g, zeros, ones, zeros)
         )
         r = zero_curvature_residual(A, B_other, g)
-        assert interior_abs_max(r) >= 0.1
+        assert r.max() >= 0.1
 
     def test_entries_masked_and_validated(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 9, 9)
         Z = np.zeros(g.shape + (3, 3))
+        # the core two nodes in, and no others
         R = zero_curvature_entries(Z, Z, g)
-        assert np.isnan(R[:2]).all() and np.isnan(R[:, :2]).all()
-        assert np.isfinite(R[2:-2, 2:-2]).all()
+        assert R.shape == (5, 5, 3, 3) and np.isfinite(R).all()
         with pytest.raises(GridError):
             zero_curvature_entries(np.zeros((3, 3)), Z, g)
         small = Grid2D.from_bounds(0, 1, 0, 1, 4, 4)
@@ -416,13 +414,13 @@ class TestCurvatureRoutes:
     def test_unit_factor_is_flat(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 17, 17)
         K = gauss_curvature_isothermic(ScalarField(g, np.ones(g.shape)))
-        assert np.nanmax(np.abs(K)) == 0.0
+        assert K.shape == (15, 15) and np.abs(K).max() == 0.0
 
     def test_half_plane_factor(self):
         g = Grid2D.from_bounds(0.0, 1.0, 1.0, 2.0, 65, 65)
         _, Y = g.mesh()
         K = gauss_curvature_isothermic(ScalarField(g, 1.0 / Y))
-        assert np.nanmax(np.abs(K + 1.0)) <= 10 * g.h**2
+        assert np.abs(K + 1.0).max() <= 10 * g.h**2
 
     def test_disk_factor(self):
         # square inscribed in the radius-0.7 disk
@@ -430,7 +428,7 @@ class TestCurvatureRoutes:
         g = Grid2D.from_bounds(-half, half, -half, half, 65, 65)
         X, Y = g.mesh()
         K = gauss_curvature_isothermic(ScalarField(g, 2.0 / (1.0 - X**2 - Y**2)))
-        assert np.nanmax(np.abs(K + 1.0)) <= 10 * g.h**2
+        assert np.abs(K + 1.0).max() <= 10 * g.h**2
 
     def test_nonpositive_factor_rejected(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 5, 5)
@@ -443,12 +441,11 @@ class TestCurvatureRoutes:
         # the net angle's curvature -theta_xy / sin(theta), from the
         # sine-Gordon residual theta_xy - sin(theta)
         theta = res.surface.theta
-        K_angle = -1.0 - sine_gordon_residual(theta) / np.sin(theta.values)
+        K_angle = -1.0 - sine_gordon_residual(theta) / np.sin(theta.values[1:-1, 1:-1])
         metric = induced_metric(res.surface.f)
         _, II = normal_and_second_form(res.surface.f)
         K_forms = gauss_curvature_from_forms(metric, II)
-        diff = np.abs(K_angle - K_forms)
-        assert np.nanmax(diff[1:-1, 1:-1]) <= 100 * g.h**2
+        assert np.abs(K_angle - K_forms[1:-1, 1:-1]).max() <= 100 * g.h**2
 
     def test_log_factor_identity_in_quadrature(self):
         # integral of |lap(ln h) - h^2| over the interior shrinks at
@@ -458,9 +455,9 @@ class TestCurvatureRoutes:
         def integral(n):
             g = Grid2D.from_bounds(0.0, 1.0, 1.0, 2.0, n, n)
             _, Y = g.mesh()
-            resid = np.abs(fd_laplacian(np.log(1.0 / Y), g) - 1.0 / Y**2)
+            resid = np.abs(fd_laplacian(np.log(1.0 / Y), g) - 1.0 / Y[1:-1, 1:-1]**2)
             inner = Grid2D(g.x0 + g.dx, g.y0 + g.dy, g.nx - 2, g.ny - 2, g.dx, g.dy)
-            return quadrature(resid[1:-1, 1:-1], inner), g.h
+            return quadrature(resid, inner), g.h
 
         val65, h65 = integral(65)
         val129, _ = integral(129)

@@ -132,9 +132,8 @@ class TestStencils:
         g = Grid2D.from_bounds(0, 2, 0, 1, 9, 7)
         f = ScalarField.from_function(g, lambda x, y: x**2 + y**2)
         lap = fd_laplacian(f.values, g)
-        assert np.isnan(lap[0, :]).all()
-        assert np.isnan(lap[:, -1]).all()
-        np.testing.assert_allclose(lap[1:-1, 1:-1], 4.0, atol=1e-11)
+        assert lap.shape == (5, 7)  # the interior nodes, and no others
+        np.testing.assert_allclose(lap, 4.0, atol=1e-11)
 
     # solve_poisson's backward-error gate holds by only about 1.5x against
     # rounding in its stencil residual, so the Laplacian's operation order
@@ -147,7 +146,7 @@ class TestStencils:
         v = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-3.0, 3.0, g.shape)
         expect = ((v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / g.dx**2
                   + (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / g.dy**2)
-        assert np.array_equal(fd_laplacian(v, g)[1:-1, 1:-1], expect)
+        assert np.array_equal(fd_laplacian(v, g), expect)
 
     def test_laplacian_richardson_factor(self):
         g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 33, 33)
@@ -156,7 +155,7 @@ class TestStencils:
             X, Y = grid.mesh()
             exact = (1.3**2 * -np.sin(1.3 * X) + 0.4**2 * np.sin(1.3 * X)) * np.exp(0.4 * Y)
             lap = fd_laplacian(smooth_field(grid).values, grid)
-            return np.abs(lap[1:-1, 1:-1] - exact[1:-1, 1:-1]).max()
+            return np.abs(lap - exact[1:-1, 1:-1]).max()
 
         assert err(g) / err(g.refined()) >= 3.5
 
@@ -182,8 +181,10 @@ class TestQuadrature:
 
     def test_rejects_nan(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 4, 4)
-        with pytest.raises(GridError):
-            quadrature(fd_laplacian(np.ones(g.shape), g), g)
+        values = np.ones(g.shape)
+        values[1, 2] = np.nan
+        with pytest.raises(GridError, match="finite"):
+            quadrature(values, g)
 
 
 @st.composite
