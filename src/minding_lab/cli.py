@@ -161,10 +161,11 @@ class _Stop(Exception):
 
 
 class _Run:
-    """Accumulates stage results and artifact files for one command.
+    """Accumulates stage results for one command.
 
     Creates the ``--out`` directory up front, so an unusable one fails
-    before the first stage.
+    before the first stage, and writes each field file there as it is
+    stored, so the run holds none of them for the end.
     """
 
     def __init__(self, command: str, config: PipelineConfig) -> None:
@@ -172,7 +173,6 @@ class _Run:
         self.config = config
         self.gates = GATES if _source_kind(config) in ("chart", "factor") else FLATTENED_GATES
         self.stages: list[dict] = []
-        self.artifacts: dict[str, tuple] = {}
         self.solver_error = False
         self.extra: dict = {}
         if config.out_dir is not None:
@@ -225,9 +225,13 @@ class _Run:
             raise _Stop from exc
 
     def store(self, name: str, grid, *arrays) -> None:
-        """Keep a field file for ``--out``, one array per channel that
+        """Write a field file into ``--out``, one array per channel that
         ``FIELD_FILES`` lists for it."""
-        self.artifacts[name] = (grid, dict(zip(FIELD_FILES[name], arrays, strict=True)))
+        channels = dict(zip(FIELD_FILES[name], arrays, strict=True))
+        if self.config.out_dir is not None:
+            from minding_lab.fieldio import write_field
+
+            write_field(Path(self.config.out_dir) / name, grid, channels)
 
     def note(self, name: str, **info) -> None:
         self.stages.append({"name": name, "passed": True, **info})
@@ -276,10 +280,6 @@ def _emit(run: _Run) -> int:
     if run.config.out_dir is not None:
         out = Path(run.config.out_dir)
         (out / "report.json").write_text(text)
-        from minding_lab.fieldio import write_field
-
-        for name, (grid, channels) in run.artifacts.items():
-            write_field(out / name, grid, channels)
     return run.exit_code()
 
 
@@ -586,7 +586,9 @@ def cmd_verify_minding(run: _Run) -> None:
         surface = _surface(run)
         if kind == "angle":
             _store_surface(run, surface)
-        h = _flatten_stages(run, _embedded_metric_stages(run, surface))
+        metric = _embedded_metric_stages(run, surface)
+        del surface  # the flatten needs only the metric, and its factor sets the peak
+        h = _flatten_stages(run, metric)
     if kind in ("chart", "metric"):
         # the factor's is the only curvature these sources have; an embedded
         # one gates its forms' instead, as differencing a resampled factor

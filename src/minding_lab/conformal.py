@@ -181,17 +181,47 @@ def _triangle_rows(metric: MetricField) -> tuple[np.ndarray, np.ndarray]:
     return w / sq_a - 1j * (w * b / (a * s)), 1j * (w / s)
 
 
+# The reports were first made with a gradient that formed
+# ``k * (w1 - w0)`` over both orientations at once, which numpy evaluates
+# in place in the difference, as ``(w1 - w0) * k``, once that temporary
+# reaches 256 KiB (its temporary elision).  A complex product rounds its
+# imaginary part by operand order, so ``_gradient`` multiplies in the
+# order numpy took there and the reports stay bitwise the same.
+_ELIDED_BYTES = 256 * 1024
+# cells in a band of rows that the gradient takes at a time
+_BAND = 1 << 12
+
+
 def _gradient(k1: np.ndarray, k2: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``A^H (A w)`` for node images ``w`` of grid shape, ``A`` the
-    triangle rows ``k1, k2``: the conformal energy's gradient."""
-    w0, w1, w2 = _vertices(w)
-    r = k1 * (w1 - w0) + k2 * (w2 - w0)
-    a1, a2 = np.conj(k1) * r, np.conj(k2) * r
+    triangle rows ``k1, k2``: the conformal energy's gradient.
+
+    Bands of about ``_BAND`` cells are taken from the top row down, so
+    only band-sized temporaries are held.  Each node sums its terms in
+    one fixed order: from the cell above right of it, then above left,
+    both in its band or in one taken earlier, then below left and below
+    right, both in its band.
+    """
+    ny, nx = w.shape
+    swap = k1.nbytes >= _ELIDED_BYTES
     out = np.zeros(w.shape, dtype=complex)
-    out[:-1, :-1] -= (a1 + a2).sum(axis=0)
-    out[:-1, 1:] += a1[0]
-    out[1:, 1:] += a1[1] + a2[0]
-    out[1:, :-1] += a2[1]
+    rows = max(1, _BAND // (nx - 1))
+    for top in range(ny - 1, 0, -rows):
+        cells = slice(max(top - rows, 0), top)
+        v, band = w[cells.start:top + 1], out[cells.start:top + 1]
+        w0, corners = v[:-1, :-1], (v[:-1, 1:], v[1:, 1:], v[1:, :-1])
+        terms = []
+        for t in range(2):
+            r, edge = corners[t] - w0, corners[t + 1] - w0
+            for k, d in ((k1[t, cells], r), (k2[t, cells], edge)):
+                np.multiply(*((d, k) if swap else (k, d)), out=d)
+            r += edge
+            terms.append([np.conj(c[t, cells]) * r for c in (k1, k2)])
+        (a10, a20), (a11, a21) = terms
+        band[:-1, :-1] -= (a10 + a20) + (a11 + a21)
+        band[:-1, 1:] += a10
+        band[1:, 1:] += a11 + a20
+        band[1:, :-1] += a21
     return out
 
 
@@ -274,6 +304,7 @@ def flatten_conformal(metric: MetricField) -> Chart:
     pins = np.zeros(g.shape, dtype=complex)
     pins[0, -1] = L
     b = -_gradient(k1, k2, pins)  # -L H_fp on the free rows
+    del pins
     b[0, [0, -1]] = 0.0, L
     z = spsolve(NormalEquations.assemble(k1, k2), b.ravel()).reshape(g.shape)
     z[0, [0, -1]] = 0.0, L

@@ -53,6 +53,13 @@ def _dz(arr: np.ndarray, grid: Grid2D) -> np.ndarray:
     return 0.5 * (fd_partial(arr, grid, "x") - 1j * fd_partial(arr, grid, "y"))
 
 
+def _dz_at(arr: np.ndarray, grid: Grid2D, j: int, i: int) -> complex:
+    """``_dz(arr, grid)[j, i]`` from row ``j`` and column ``i`` alone."""
+    ux = fd_partial(arr[j:j + 1], grid, "x")[0, i]
+    uy = fd_partial(arr[:, i:i + 1], grid, "y")[j, 0]
+    return 0.5 * (ux - 1j * uy)
+
+
 def _dbar(arr: np.ndarray, grid: Grid2D) -> np.ndarray:
     return 0.5 * (fd_partial(arr, grid, "x") + 1j * fd_partial(arr, grid, "y"))
 
@@ -143,7 +150,7 @@ def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
     g = u.grid
     state = np.full(g.shape + (2, 2), np.nan, dtype=complex)
     u0 = float(u.values[jb, ib])
-    uz0 = _dz(u.values, g)[jb, ib]
+    uz0 = _dz_at(u.values, g, jb, ib)
     lines = [(partial(_psi_rate, 1.0), T, _interp_midpoints(T, axis=1), g.dx),
              (partial(_psi_rate, 1.0j), T, _interp_midpoints(T, axis=0), g.dy)]
 

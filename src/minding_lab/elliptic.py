@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -183,13 +183,29 @@ class Stencil:
     their main diagonal.  ``diag`` holds the real diagonal; ``east``,
     ``north`` and ``northeast`` hold the entry from each node to its
     neighbour one step ahead along x, along y and along both.  The entries
-    back are their conjugates.
+    back are their conjugates.  All four are views of one complex
+    ``(4, ny, nx)`` block, ``entries``, whose plane ``s`` holds at node
+    ``(j, i)`` the entry of stencil slot ``s`` that the node owns, so
+    ``splu`` gathers a front's entries from it in one take.
     """
 
     diag: np.ndarray  # (ny, nx)
     east: np.ndarray  # (ny, nx - 1): (j, i) -> (j, i + 1)
     north: np.ndarray  # (ny - 1, nx): (j, i) -> (j + 1, i)
     northeast: np.ndarray  # (ny - 1, nx - 1): (j, i) -> (j + 1, i + 1)
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ny, nx = np.shape(self.diag)
+        entries = np.zeros((4, ny, nx), dtype=complex)
+        entries[0] = self.diag
+        entries[1, :, :-1] = self.east
+        entries[2, :-1] = self.north
+        entries[3, :-1, :-1] = self.northeast
+        for name, view in zip(("entries", "diag", "east", "north", "northeast"),
+                              (entries, entries[0].real, entries[1, :, :-1], entries[2, :-1],
+                               entries[3, :-1, :-1])):
+            object.__setattr__(self, name, view)
 
     @property
     def nnz(self) -> int:
@@ -197,23 +213,13 @@ class Stencil:
         return int(np.count_nonzero(self.diag)) + 2 * sum(
             int(np.count_nonzero(a)) for a in (self.east, self.north, self.northeast))
 
-    def _columns(self) -> np.ndarray:
-        """``(7, N)`` entries of each row toward its neighbour at each of
-        ``_OFFSETS``; zero where the neighbour is off the grid."""
-        ny, nx = self.diag.shape
-        v = np.zeros((7, ny, nx), dtype=complex)
-        v[0] = self.diag
-        v[1, :, :-1] = self.east
-        v[2, :, 1:] = np.conj(self.east)
-        v[3, :-1] = self.north
-        v[4, 1:] = np.conj(self.north)
-        v[5, :-1, :-1] = self.northeast
-        v[6, 1:, 1:] = np.conj(self.northeast)
-        return v.reshape(7, -1)
 
-
-# (dj, di) of the seven stencil entries, in the order of Stencil._columns
-_OFFSETS = np.array([(0, 0), (0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1)])
+# (dj, di) of the seven stencil entries of a row: itself, then the three
+# ahead, whose entries the row's node owns in planes 1-3 of
+# Stencil.entries, then the three back, the conjugates of the entries
+# their neighbours own in the same planes
+_OFFSETS = np.array([(0, 0), (0, 1), (1, 0), (1, 1), (0, -1), (-1, 0), (-1, -1)])
+_PLANES = np.array([0, 1, 2, 3, 1, 2, 3])
 # most nodes in a leaf of the dissection: larger leaves store more fill
 _LEAF = 16
 # complex entries of the frontal matrices factored as one stack
@@ -420,7 +426,6 @@ def splu(H: Stencil) -> Cholesky:
     ``EllipticError``.
     """
     ny, nx = H.diag.shape
-    columns = H._columns()
     stacks, packing, stored, below = [], {}, 0, None
     for origin, kind, row, kids, kinds in reversed(_plan(nx, ny)):
         left = [None] * len(kinds)
@@ -450,7 +455,7 @@ def splu(H: Stencil) -> Cholesky:
                     panels = [np.empty((len(fronts), hi - lo, hi), dtype=complex)
                               for lo, hi in zip(halves[:-1], halves[1:])]
                     children = kids[fronts[0]] if kids[fronts[0], 0] >= 0 else ()
-                    _factor_shape(columns, nx, own, ring, shift, tables, below, children,
+                    _factor_shape(H.entries, own, ring, shift, tables, below, children,
                                   panels, halves, block[rows], packed[:, rows], Y[local])
                     left[s] = (panels, halves, ring, fronts[0], bounds)
                     for kid in children:
@@ -521,38 +526,45 @@ def _invert_lower(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _factor_shape(columns, nx, own, ring, shift, tables, below, kids, panels, halves,
+def _factor_shape(entries, own, ring, shift, tables, below, kids, panels, halves,
                   block, packed, Y) -> None:
     """Factor a stack of translated fronts, ``_STACK`` entries at a time.
 
-    ``own`` and ``ring`` are the first front's nodes, ``shift`` each
-    front's node offset from it, and ``kids`` its children in ``below``,
-    whose Schur complements ``_landing`` adds in.  Writes each front's
-    inverse triangle into ``block`` and the columns of ``packed``, as
-    ``tables`` lays it out, its ring block into ``Y``, and the lower
-    triangle of the Schur complement it leaves on its ring into
-    ``panels``: the rows between two of ``halves``, against every column
-    up to the last of them.  Besides its frontal matrix, a step holds
-    only block-sized temporaries.
+    ``entries`` is the ``Stencil``'s block, ``own`` and ``ring`` are the
+    first front's nodes, ``shift`` each front's node offset from it, and
+    ``kids`` its children in ``below``, whose Schur complements
+    ``_landing`` adds in.  Writes each front's inverse triangle into
+    ``block`` and the columns of ``packed``, as ``tables`` lays it out,
+    its ring block into ``Y``, and the lower triangle of the Schur
+    complement it leaves on its ring into ``panels``: the rows between
+    two of ``halves``, against every column up to the last of them.
+    Besides its frontal matrix, a step holds only block-sized
+    temporaries.
     """
-    N = columns.shape[1]
+    _, ny, nx = entries.shape
     m, b = len(own), len(ring)
     h, I, J = tables[:3]
     front = np.concatenate([own, ring])
     order = np.argsort(front)
     # stencil entries of the own rows; those toward a child's nodes were
-    # added in by the child's front and have no slot here
+    # added in by the child's front and have no slot here.  Of an edge's
+    # two nodes the lower-numbered one owns its entry, and the entries
+    # back, the last ones found, are conjugated after the gather
     qj, qi = own // nx + _OFFSETS[:, :1], own % nx + _OFFSETS[:, 1:]
-    q = np.where((qj >= 0) & (qj < N // nx) & (qi >= 0) & (qi < nx), qj * nx + qi, -1)
+    q = np.where((qj >= 0) & (qj < ny) & (qi >= 0) & (qi < nx), qj * nx + qi, -1)
     at = np.minimum(np.searchsorted(front[order], q), m + b - 1)
     d, a = np.nonzero((q >= 0) & (front[order][at] == q))
-    into, source = a * (m + b) + order[at[d, a]], d * N + own[a]
+    into = a * (m + b) + order[at[d, a]]
+    source = _PLANES[d] * (ny * nx) + np.minimum(own[a], q[d, a])
+    back = np.searchsorted(d, 4)
     merges = [_landing(below, kid, front[order], order) for kid in kids]
     size = max(1, _STACK // (m + b) ** 2)
     for start in range(0, len(shift), size):
         part = slice(start, start + size)
         F = np.zeros((len(shift[part]), m + b, m + b), dtype=complex)
-        F.reshape(len(F), -1)[:, into] = columns.take(source + shift[part])
+        values = entries.take(source + shift[part])
+        np.conjugate(values[:, back:], out=values[:, back:])
+        F.reshape(len(F), -1)[:, into] = values
         for kid_panels, base, adds in merges:
             rows = slice(base + start, base + start + len(F))
             for p, from_r, into_r, into_c, from_c in adds:

@@ -18,6 +18,10 @@ leave every output alone):
 - ``verify-minding`` on both catalog charts at n = 257, the size the
   benchmark runs them at, so the Poisson solve's gate is compared
   where the benchmark exercises it;
+- the benchmark's two ``soliton-chain`` runs: ``verify-minding`` on
+  ``one_soliton`` at n = 257 with ``--out``, and on ``sphere_patch`` at
+  n = 129 without it, so the flatten's factor is compared at the sizes
+  the benchmark factors;
 - ``export-plots`` on the first run's ``--out``, whose ``plots/`` CSV
   files are compared;
 - ``perfbench/audit.py --seed 7``.
@@ -74,12 +78,16 @@ def commands():
         cli += [(command, ("catalog", chart, chart), n, scale)
                 for command in ("develop", "solve") for chart in CHARTS]
     cli += [("verify-minding", ("catalog", chart, chart), 257, ()) for chart in CHARTS]
+    cli += [("verify-minding", ("catalog", "one_soliton", "one_soliton"), 257, ())]
     runs = []
     for command, (flag, source, label), n, scale in cli:
         out = "-".join([f"out/{command}", label, str(n), *(arg.strip("-") for arg in scale)])
         runs.append((" ".join([command, label, f"n={n}", *scale]),
                      ["-m", "minding_lab.cli", command, f"--{flag}", source,
                       "--n", str(n), *scale, "--out", out], out))
+    runs.append(("verify-minding sphere_patch n=129 without --out",
+                 ["-m", "minding_lab.cli", "verify-minding", "--catalog", "sphere_patch",
+                  "--n", "129"], None))
     runs.append(("export-plots one_soliton n=65",
                  ["-m", "minding_lab.cli", "export-plots", "--out", first], f"{first}/plots"))
     runs.append(("audit --seed 7", ["{root}/perfbench/audit.py", "--seed", "7"], None))

@@ -464,7 +464,9 @@ class TestFlattenKernel:
     def test_factor_memory(self):
         # the sphere_patch system at n = 129: the factor's blocks take
         # 9.0 MiB; a factor that stored square inverse blocks and full
-        # Schur complements peaked at 18.8 MiB, this one at 13.6 MiB
+        # Schur complements peaked at 18.8 MiB, one that gathered its
+        # stencil entries from a (7, N) table at 13.7 MiB, this one at
+        # 11.9 MiB
         g = Grid2D.from_bounds(-0.35, 0.35, -0.35, 0.35, 129, 129)
         X, Y = g.mesh()
         h = 2.0 / (1.0 + X**2 + Y**2)
@@ -476,7 +478,63 @@ class TestFlattenKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 13 * 2**20
+
+    def test_flatten_working_memory(self):
+        # one_soliton's flatten system at n = 129: besides the factor's
+        # own arrays, the solve and its correction take 8.8 N complex
+        # entries at their peak, the update stack and the frontal
+        # matrices included; a factor that gathered from a (7, N) table
+        # of stencil entries, with a gradient over both triangle
+        # orientations at once, took 15.8 N
+        c = 10.0
+        g, metric = soliton_metric(129)
+        H = conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
+        held = {}
+
+        def walk(x):
+            if isinstance(x, np.ndarray):
+                held[id(x)] = x.nbytes
+            elif isinstance(x, (tuple, list)):
+                for v in x:
+                    walk(v)
+
+        factor = elliptic.splu(H)
+        walk(factor.stacks)
+        # the stored blocks are 16 L.nnz bytes; the rest are index arrays
+        assert sum(held.values()) > 16 * factor.L.nnz
+        del factor
+        b = np.ones(H.diag.size, dtype=complex)
+        tracemalloc.start()
+        try:
+            conformal.spsolve(H, b)
+            rise = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rise <= sum(held.values()) + c * 16 * H.diag.size
+
+    @pytest.mark.parametrize("ny, nx", [(9, 13), (65, 33), (100, 100), (257, 129)])
+    def test_gradient_is_bitwise_the_two_orientation_expression(self, ny, nx):
+        # the reports were made with the gradient over both orientations
+        # at once; at 100 x 100 numpy evaluates its products k * (w1 - w0)
+        # in place in the difference, and at 257 x 129 the gradient takes
+        # eight bands of rows
+        rng = np.random.default_rng(ny * nx)
+
+        def sample(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        k1, k2, w = sample(2, ny - 1, nx - 1), sample(2, ny - 1, nx - 1), sample(ny, nx)
+        w0 = w[:-1, :-1]
+        w1, w2 = np.stack([w[:-1, 1:], w[1:, 1:]]), np.stack([w[1:, 1:], w[1:, :-1]])
+        r = k1 * (w1 - w0) + k2 * (w2 - w0)
+        a1, a2 = np.conj(k1) * r, np.conj(k2) * r
+        want = np.zeros(w.shape, dtype=complex)
+        want[:-1, :-1] -= (a1 + a2).sum(axis=0)
+        want[:-1, 1:] += a1[0]
+        want[1:, 1:] += a1[1] + a2[0]
+        want[1:, :-1] += a2[1]
+        assert np.array_equal(conformal._gradient(k1, k2, w), want)
 
     def test_singular_system_is_a_conformal_error(self, asymmetric_soliton_metric):
         H = conformal.NormalEquations.assemble(*conformal._triangle_rows(asymmetric_soliton_metric))

@@ -18,6 +18,8 @@ from minding_lab.developing import (
     pullback_isometry_check,
     u_from_phi,
     _dbar,
+    _dz,
+    _dz_at,
     _invariant,
     _march,
 )
@@ -328,6 +330,18 @@ class TestMarchFromEdges:
             phi, dphi = _march(u, T, *base, x_first=x_first)
             assert phi[base] == 0.0
             assert dphi[base] == np.exp(u.values[base]) / 2.0
+
+
+    @pytest.mark.parametrize("base", [(0, 0), (16, 28), (0, 11), (16, 5), (7, 0), (9, 28),
+                                      (8, 13), (1, 1)], ids=str)
+    def test_base_derivative_is_bitwise_the_full_grid_one(self, base):
+        # a 17 x 29 grid with unequal steps: corners, the four edges and
+        # interior nodes, one next to a corner
+        g = Grid2D.from_bounds(-0.3, 0.5, 0.1, 0.35, 29, 17)
+        X, Y = g.mesh()
+        values = np.sin(3.0 * X) * np.exp(Y) + X * Y**2
+        got, want = _dz_at(values, g, *base), _dz(values, g)[base]
+        assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
 
 
 class TestPullbackCheck:

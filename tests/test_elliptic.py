@@ -552,6 +552,39 @@ class TestNestedDissection:
         got = elliptic.splu(H).solve(b)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @staticmethod
+    def stencil_matvec(H, x):
+        """``H x`` from the four stencil arrays, the entries back conjugated."""
+        x = x.reshape(H.diag.shape)
+        y = H.diag * x
+        for a, ahead, back in ((H.east, np.s_[:, 1:], np.s_[:, :-1]),
+                               (H.north, np.s_[1:], np.s_[:-1]),
+                               (H.northeast, np.s_[1:, 1:], np.s_[:-1, :-1])):
+            y[back] += a * x[ahead]
+            y[ahead] += np.conj(a) * x[back]
+        return y.ravel()
+
+    def test_solve_reaches_the_stencil_residual(self):
+        # complex couplings in all three directions: a back entry taken
+        # unconjugated, from the wrong row or from the wrong front's
+        # translate leaves a residual far above rounding
+        H = self.random_stencil(23, 17, 11)
+        assert all(np.abs(a.imag).min() > 0 for a in (H.east, H.north, H.northeast))
+        b = [1.0, 1j] @ np.random.default_rng(12).normal(size=(2, H.diag.size))
+        x = elliptic.splu(H).solve(b)
+        assert np.max(np.abs(self.stencil_matvec(H, x) - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_stencil_arrays_are_views_of_one_block(self):
+        H = self.random_stencil(7, 5, 13)
+        assert H.entries.shape == (4, 5, 7)
+        for a in (H.diag, H.east, H.north, H.northeast):
+            assert np.shares_memory(a, H.entries)
+        diag = H.diag.copy()
+        diag[2, 3] = 9.0
+        G = replace(H, diag=diag)
+        assert G.entries[0, 2, 3] == 9.0 and H.entries[0, 2, 3] != 9.0
+        assert np.array_equal(G.east, H.east) and np.shares_memory(G.east, G.entries)
+
     def test_stored_entries_count_each_front_once(self):
         # 5 x 4 nodes: the middle column (4 nodes, no ring) over two 2 x 4
         # leaves, each ringed by that column; a front stores the lower
