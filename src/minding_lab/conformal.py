@@ -184,10 +184,10 @@ def _triangle_rows(metric: MetricField) -> tuple[np.ndarray, np.ndarray]:
 # The reports were first made with a gradient that formed
 # ``k * (w1 - w0)`` over both orientations at once, which numpy evaluates
 # in place in the difference, as ``(w1 - w0) * k``, once that temporary
-# reaches 256 KiB (its temporary elision).  A complex product rounds its
-# imaginary part by operand order, so ``_gradient`` multiplies in the
-# order numpy took there and the reports stay bitwise the same.
-_ELIDED_BYTES = 256 * 1024
+# reaches ``elliptic._ELIDED_BYTES`` (its temporary elision).  A complex
+# product rounds its imaginary part by operand order, so ``_gradient``
+# multiplies in the order numpy took there and the reports stay bitwise
+# the same.
 # cells in a band of rows that the gradient takes at a time
 _BAND = 1 << 12
 
@@ -203,7 +203,7 @@ def _gradient(k1: np.ndarray, k2: np.ndarray, w: np.ndarray) -> np.ndarray:
     right, both in its band.
     """
     ny, nx = w.shape
-    swap = k1.nbytes >= _ELIDED_BYTES
+    swap = k1.nbytes >= elliptic._ELIDED_BYTES
     out = np.zeros(w.shape, dtype=complex)
     rows = max(1, _BAND // (nx - 1))
     for top in range(ny - 1, 0, -rows):

@@ -9,6 +9,13 @@ ODE along grid lines to build the map from ``u``, together with the
 pullback identity that certifies the result as an isometry.  The march
 is ``chebyshev._sweep``, the two-way line sweep that also synthesizes
 the Chebyshev frame, run here with the ODE's rate and coefficient T.
+
+A march holds little beyond its state, two solutions and their
+derivatives per node: T is formed one partial derivative at a time,
+the seed line gets only its own line of T-midpoints, T and its
+midpoints are dropped once the sweep returns, and the map and its
+derivative take one temporary.  Every value is the one the whole-grid
+expressions give, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +57,11 @@ class DevelopError(SolverError, ValueError):
 
 
 def _dz(arr: np.ndarray, grid: Grid2D) -> np.ndarray:
-    return 0.5 * (fd_partial(arr, grid, "x") - 1j * fd_partial(arr, grid, "y"))
+    """``0.5 * (arr_x - 1j * arr_y)``, one partial alive at a time."""
+    dz = 1j * fd_partial(arr, grid, "y")
+    np.subtract(fd_partial(arr, grid, "x"), dz, out=dz)
+    dz *= 0.5
+    return dz
 
 
 def _dz_at(arr: np.ndarray, grid: Grid2D, j: int, i: int) -> complex:
@@ -112,17 +123,20 @@ def u_from_phi(dev: DevelopingMap, exponent: float = 0.5) -> ScalarField:
 
 
 def _invariant(u: ScalarField) -> np.ndarray:
-    """Complex invariant ``T = u_zz - u_z^2`` of a sampled log-factor."""
+    """Complex invariant ``T = u_zz - u_z^2`` of a sampled log-factor,
+    ``u_zz = 0.25 * (u_xx - u_yy - 2j * u_xy)``, formed in place with
+    one partial derivative alive at a time."""
     g = u.grid
     uz = _dz(u.values, g)
     # Second derivatives from the raw samples; composing _dz twice would
     # degrade the boundary rings to first order and quadruple the
     # interior truncation constant.
-    uxx = _second_values(u.values, g, "x")
-    uyy = _second_values(u.values, g, "y")
-    uxy = fd_partial(fd_partial(u.values, g, "x"), g, "y")
-    uzz = 0.25 * (uxx - uyy - 2j * uxy)
-    return uzz - uz**2
+    real = _second_values(u.values, g, "x")
+    real -= _second_values(u.values, g, "y")
+    uzz = 2j * fd_partial(fd_partial(u.values, g, "x"), g, "y")
+    np.subtract(real, uzz, out=uzz)
+    uzz *= 0.25
+    return np.subtract(uzz, np.square(uz, out=uz), out=uzz)
 
 
 def _psi_rate(direction: complex, s: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -137,10 +151,14 @@ def _psi_rate(direction: complex, s: np.ndarray, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
-           x_first: bool) -> tuple[np.ndarray, np.ndarray]:
+def _march(u: ScalarField, jb: int, ib: int, x_first: bool) -> tuple[np.ndarray, np.ndarray]:
     """Map and derivative from one march out of node ``(jb, ib)``, base
     row first or base column first.
+
+    The coefficient T is formed here and dropped with its midpoints as
+    soon as the sweep returns.  The seed line reads only its own row
+    (``x_first``) or column of midpoints along it, so only that one is
+    formed and broadcast to the shape ``_sweep`` indexes.
 
     A non-finite state or a vanishing denominator solution means the
     factor is not developable from here and raises ``DevelopError``.
@@ -148,11 +166,15 @@ def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
     ``|psi1/psi2| < 1``, so ``psi2`` cannot.
     """
     g = u.grid
-    state = np.full(g.shape + (2, 2), np.nan, dtype=complex)
+    T = _invariant(u)
+    mids_x = _interp_midpoints(T[jb:jb + 1] if x_first else T, axis=1)
+    mids_y = _interp_midpoints(T if x_first else T[:, ib:ib + 1], axis=0)
+    lines = [(partial(_psi_rate, 1.0), T, np.broadcast_to(mids_x, (g.ny, g.nx - 1)), g.dx),
+             (partial(_psi_rate, 1.0j), T, np.broadcast_to(mids_y, (g.ny - 1, g.nx)), g.dy)]
+    del T, mids_x, mids_y
     u0 = float(u.values[jb, ib])
     uz0 = _dz_at(u.values, g, jb, ib)
-    lines = [(partial(_psi_rate, 1.0), T, _interp_midpoints(T, axis=1), g.dx),
-             (partial(_psi_rate, 1.0j), T, _interp_midpoints(T, axis=0), g.dy)]
+    state = np.full(g.shape + (2, 2), np.nan, dtype=complex)
 
     # a large factor overflows the seed and the march; the finiteness
     # check below is the verdict
@@ -163,6 +185,7 @@ def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
         state[jb, ib, 0] = [0.0, 1.0]
         state[jb, ib, 1] = [0.5 * np.exp(u0), -uz0]
         _sweep(state, (jb, ib), lines, x_first)
+    del lines
 
     psi1, dpsi1 = state[..., 0, 0], state[..., 1, 0]
     psi2, dpsi2 = state[..., 0, 1], state[..., 1, 1]
@@ -172,7 +195,11 @@ def _march(u: ScalarField, T: np.ndarray, jb: int, ib: int,
     if float(np.min(np.abs(psi2))) < 1e-8:
         raise DevelopError("not developable on this patch: denominator solution crossed zero")
     phi = psi1 / psi2
-    dphi = (dpsi1 * psi2 - dpsi2 * psi1) / psi2**2
+    # dphi = (dpsi1 * psi2 - dpsi2 * psi1) / psi2**2 through one temporary
+    dphi = dpsi1 * psi2
+    temp = dpsi2 * psi1
+    np.subtract(dphi, temp, out=dphi)
+    np.divide(dphi, np.square(psi2, out=temp), out=dphi)
     return phi, dphi
 
 
@@ -190,7 +217,7 @@ def develop(u: ScalarField, *, base: tuple[int, int] | None = None) -> Developin
     """
     g = u.grid
     jb, ib = base if base is not None else (g.ny // 2, g.nx // 2)
-    phi, dphi = _march(u, _invariant(u), jb, ib, x_first=True)
+    phi, dphi = _march(u, jb, ib, x_first=True)
     try:
         return DevelopingMap(g, phi, dphi)
     except DevelopError as exc:
@@ -200,10 +227,9 @@ def develop(u: ScalarField, *, base: tuple[int, int] | None = None) -> Developin
 def develop_path_residual(u: ScalarField, base: tuple[int, int] | None = None) -> float:
     """Sup difference between row-first and column-first integrations."""
     g = u.grid
-    T = _invariant(u)
     jb, ib = base if base is not None else (g.ny // 2, g.nx // 2)
-    phi_xy, _ = _march(u, T, jb, ib, x_first=True)
-    phi_yx, _ = _march(u, T, jb, ib, x_first=False)
+    phi_xy, _ = _march(u, jb, ib, x_first=True)
+    phi_yx, _ = _march(u, jb, ib, x_first=False)
     return float(np.max(np.abs(phi_xy - phi_yx)))
 
 

@@ -224,6 +224,13 @@ _PLANES = np.array([0, 1, 2, 3, 1, 2, 3])
 _LEAF = 16
 # complex entries of the frontal matrices factored as one stack
 _STACK = 1 << 20
+# packed triangle entries a solve applies at a time
+_SOLVE_CHUNK = 1 << 12
+# numpy forms a product in place in an operand that is a temporary of at
+# least this many bytes (its temporary elision), swapping the operands
+# when that is the right one; a complex product rounds its imaginary
+# part by operand order
+_ELIDED_BYTES = 256 * 1024
 
 
 def _dissect(nx: int, ny: int) -> list[tuple[np.ndarray, ...]]:
@@ -378,29 +385,58 @@ class Cholesky:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``H^-1 b``: forward through the stacks in elimination order,
-        then back.  Each stack gathers its own nodes and writes them back
-        after its triangle step; a packed triangle is applied entry by
-        entry, summed by rows forward, by columns back."""
+        then back.  Each stack applies its triangles, and each of its
+        parts its ring products, in chunks of fronts in front order, so
+        only chunk-sized temporaries are held; the ring products are
+        scattered into ``x`` in the order the fronts come.  A chunk
+        gathers its own nodes and writes them back after its step.  A
+        packed triangle is applied entry by entry, summed by rows
+        forward, by columns back."""
         x = np.array(b, dtype=complex)
         for own, (h, _, J, rows, *_), block, packed, parts in self.stacks:
-            y = x[own]
-            below = (block @ y[:h].T[..., None])[..., 0].T
-            np.add.reduceat(packed * y[J], rows, axis=0, out=y)
-            y[h:] += below
-            x[own] = y
+            # the whole-stack product packed * y[J] was formed in place
+            # in y[J] once that reached numpy's temporary elision
+            swap = packed.nbytes >= _ELIDED_BYTES
+            for c in _chunks(slice(0, len(block)), len(packed)):
+                y = x[own[:, c]]
+                below = (block[c] @ y[:h].T[..., None])[..., 0].T
+                t = y[J]
+                np.multiply(*((t, packed[:, c]) if swap else (packed[:, c], t)), out=t)
+                np.add.reduceat(t, rows, axis=0, out=y)
+                y[h:] += below
+                x[own[:, c]] = y
             for fronts, ring, Y in parts:
-                v = Y.transpose(0, 2, 1) @ y[:, fronts].T.conj()[..., None]
-                np.subtract.at(x, ring.ravel(), v.conj().ravel())
+                for c in _chunks(fronts, len(packed)):
+                    at = slice(c.start - fronts.start, c.stop - fronts.start)
+                    v = Y[at].transpose(0, 2, 1) @ x[own[:, c]].T.conj()[..., None]
+                    np.subtract.at(x, ring[at].ravel(), v.conj().ravel())
         for own, (h, *_, by_col, I, cols), block, packed, parts in reversed(self.stacks):
-            y = x[own]
             for fronts, ring, Y in parts:
-                y[:, fronts] -= (Y @ x[ring][..., None])[..., 0].T
-            t = y.conj()
-            np.add.reduceat(packed[by_col] * t[I], cols, axis=0, out=y)
-            y[:h] += (t[h:].T[:, None, :] @ block)[:, 0].T
-            np.conjugate(y, out=y)
-            x[own] = y
+                for c in _chunks(fronts, len(packed)):
+                    at = slice(c.start - fronts.start, c.stop - fronts.start)
+                    x[own[:, c]] -= (Y[at] @ x[ring[at]][..., None])[..., 0].T
+            for c in _chunks(slice(0, len(block)), len(packed)):
+                y = x[own[:, c]]
+                t = y.conj()
+                p = packed[by_col, c]
+                p *= t[I]
+                np.add.reduceat(p, cols, axis=0, out=y)
+                y[:h] += (t[h:].T[:, None, :] @ block[c])[:, 0].T
+                np.conjugate(y, out=y)
+                x[own[:, c]] = y
         return x
+
+
+def _chunks(fronts: slice, size: int):
+    """``fronts`` in order as slices of about ``_SOLVE_CHUNK`` packed
+    entries, ``size`` per front.  A slice holds two fronts or more
+    unless ``fronts`` holds one: a chunk's matrix-vector products then
+    read their vectors at a stride, as the whole stack's did, and BLAS
+    rounds a unit-stride vector differently."""
+    count = fronts.stop - fronts.start
+    pieces = max(1, count // max(2, _SOLVE_CHUNK // size))
+    bounds = [fronts.start + count * k // pieces for k in range(pieces + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def splu(H: Stencil) -> Cholesky:

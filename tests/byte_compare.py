@@ -15,13 +15,16 @@ leave every output alone):
   ``develop`` and ``solve`` on both catalog charts there;
 - the same at n = 65 with ``--tol-scale 0.5``, so every gate is
   compared off its default scale too;
-- ``verify-minding`` on both catalog charts at n = 257, the size the
-  benchmark runs them at, so the Poisson solve's gate is compared
-  where the benchmark exercises it;
+- ``verify-minding`` and ``solve`` on both catalog charts at n = 257,
+  the benchmark's ``chart-solve`` commands, so the Poisson solve's gate
+  and the developing map are compared where the benchmark exercises
+  them;
 - the benchmark's two ``soliton-chain`` runs: ``verify-minding`` on
   ``one_soliton`` at n = 257 with ``--out``, and on ``sphere_patch`` at
   n = 129 without it, so the flatten's factor is compared at the sizes
   the benchmark factors;
+- ``develop --factor-file`` on that n = 257 run's ``factor.json``, as
+  the benchmark's ``artifact-replay`` runs it;
 - ``export-plots`` on the first run's ``--out``, whose ``plots/`` CSV
   files are compared;
 - ``perfbench/audit.py --seed 7``.
@@ -30,7 +33,9 @@ Each tree runs with ``PYTHONPATH`` set to its own ``src/``, in its own
 scratch directory, with the same relative ``--out`` paths.  Exit code,
 stdout, stderr and every file under each ``--out`` directory are
 compared byte for byte.  Prints each difference and exits 1 if there is
-any, 0 otherwise.  pytest does not collect this file.
+any, 0 otherwise.  Each command's peak resident memory on both trees,
+from ``os.wait4``, is printed beside it for information; it never
+counts as a difference.  pytest does not collect this file.
 
 With ``--rel TOL`` an output may differ in its numbers.  Each output is
 cut into its text and its numeric leaves: every number in the text, and
@@ -77,7 +82,8 @@ def commands():
         cli += [("verify-minding", ("catalog", source, source), n, scale) for source in SOURCES]
         cli += [(command, ("catalog", chart, chart), n, scale)
                 for command in ("develop", "solve") for chart in CHARTS]
-    cli += [("verify-minding", ("catalog", chart, chart), 257, ()) for chart in CHARTS]
+    cli += [(command, ("catalog", chart, chart), 257, ())
+            for command in ("verify-minding", "solve") for chart in CHARTS]
     cli += [("verify-minding", ("catalog", "one_soliton", "one_soliton"), 257, ())]
     runs = []
     for command, (flag, source, label), n, scale in cli:
@@ -85,6 +91,10 @@ def commands():
         runs.append((" ".join([command, label, f"n={n}", *scale]),
                      ["-m", "minding_lab.cli", command, f"--{flag}", source,
                       "--n", str(n), *scale, "--out", out], out))
+    factor = "out/verify-minding-one_soliton-257/factor.json"
+    runs.append(("develop factor-file one_soliton n=257",
+                 ["-m", "minding_lab.cli", "develop", "--factor-file", factor,
+                  "--out", "out/develop-factor-257"], "out/develop-factor-257"))
     runs.append(("verify-minding sphere_patch n=129 without --out",
                  ["-m", "minding_lab.cli", "verify-minding", "--catalog", "sphere_patch",
                   "--n", "129"], None))
@@ -94,20 +104,27 @@ def commands():
     return runs
 
 
-def run(root: Path, workdir: Path, argv: list[str], out: str | None) -> dict[str, bytes]:
-    """Everything one command leaves, keyed by what it is."""
+def run(root: Path, workdir: Path, argv: list[str],
+        out: str | None) -> tuple[dict[str, bytes], float]:
+    """Everything one command leaves, keyed by what it is, and the
+    command's peak resident memory in MB (2^20 bytes)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     argv = [arg.replace("{root}", str(root)) for arg in argv]
-    done = subprocess.run([sys.executable, *argv], cwd=workdir, env=env,
-                          capture_output=True)
-    result = {"exit code": str(done.returncode).encode(),
-              "stdout": done.stdout, "stderr": done.stderr}
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        child = subprocess.Popen([sys.executable, *argv], cwd=workdir, env=env,
+                                 stdout=stdout, stderr=stderr)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        result = {"exit code": str(child.returncode).encode(),
+                  "stdout": stdout.read(), "stderr": stderr.read()}
     if out is not None:
         base = workdir / out
         for path in sorted(base.rglob("*")) if base.exists() else ():
             if path.is_file():
                 result[f"file {path.relative_to(base)}"] = path.read_bytes()
-    return result
+    return result, usage.ru_maxrss / 1024.0
 
 
 def first_difference(a: bytes, b: bytes) -> str:
@@ -168,8 +185,8 @@ def main(argv=None) -> int:
         for d in dirs.values():
             d.mkdir()
         for label, argv_run, out in commands():
-            old = run(parent, dirs["parent"], argv_run, out)
-            new = run(HERE, dirs["tree"], argv_run, out)
+            old, rss_old = run(parent, dirs["parent"], argv_run, out)
+            new, rss_new = run(HERE, dirs["tree"], argv_run, out)
             found = []
             for key in sorted(set(old) | set(new)):
                 if key not in old or key not in new:
@@ -188,7 +205,8 @@ def main(argv=None) -> int:
                         found.append(f"{key}: moved by {move[0]:.2e} > {args.rel:.1e}")
             for line in found:
                 print(f"DIFF {label}: {line}")
-            print(f"{'differs' if found else 'same'}: {label} ({len(new)} outputs)", flush=True)
+            print(f"{'differs' if found else 'same'}: {label} ({len(new)} outputs; peak RSS "
+                  f"{rss_old:.1f} -> {rss_new:.1f} MB)", flush=True)
             differences += len(found)
     if moves:
         print(f"{len(moves)} output(s) moved, the most {max(moves)[0]:.2e} in {max(moves)[1]}")

@@ -1,12 +1,14 @@
 """Developing maps, their invariant, and the pullback isometry."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minding_lab.grid import Grid2D, GridError, ScalarField, fd_laplacian
+from minding_lab.chebyshev import _interp_midpoints, _sweep
 from minding_lab.fieldio import read_field, write_field
 from minding_lab.developing import (
     DevelopError,
@@ -22,6 +24,7 @@ from minding_lab.developing import (
     _dz_at,
     _invariant,
     _march,
+    _psi_rate,
 )
 
 # half-diagonal of the square inscribed in the radius-r disk
@@ -260,6 +263,21 @@ class TestDevelop:
         b = develop(u)
         assert np.array_equal(a.phi, b.phi) and np.array_equal(a.dphi, b.dphi)
 
+    def test_peak_memory_per_node(self):
+        # measured 112 bytes per node: the march state (64), then phi,
+        # phi' and one temporary; 160 with T and both midpoint fields
+        # held through the march and phi' formed in three temporaries
+        from minding_lab.conformal import catalog_chart
+
+        u = catalog_chart("poincare_disk_patch", 129)[2]["u"]
+        tracemalloc.start()
+        try:
+            develop(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * u.values.size
+
     def test_pullback_gate_on_result(self):
         u = half_plane_factor(65)
         dev = develop(u)
@@ -325,12 +343,29 @@ class TestMarchFromEdges:
     def test_path_residual_and_base_normalization(self, factor, bound, base):
         u = factor(65)
         assert develop_path_residual(u, base) <= bound
-        T = _invariant(u)
         for x_first in (True, False):
-            phi, dphi = _march(u, T, *base, x_first=x_first)
+            phi, dphi = _march(u, *base, x_first=x_first)
             assert phi[base] == 0.0
             assert dphi[base] == np.exp(u.values[base]) / 2.0
 
+
+    @pytest.mark.parametrize("base", EDGE_BASES + [(32, 32), (20, 41)], ids=str)
+    def test_march_is_bitwise_the_full_midpoint_march(self, base):
+        # the seed line is given only its own row or column of
+        # midpoints; a sweep that read any other would differ here
+        u = quadratic_map_factor(65)
+        g, T = u.grid, _invariant(u)
+        lines = [(functools.partial(_psi_rate, 1.0), T, _interp_midpoints(T, axis=1), g.dx),
+                 (functools.partial(_psi_rate, 1.0j), T, _interp_midpoints(T, axis=0), g.dy)]
+        for x_first in (True, False):
+            state = np.full(g.shape + (2, 2), np.nan, dtype=complex)
+            state[base + (0,)] = [0.0, 1.0]
+            state[base + (1,)] = [0.5 * np.exp(u.values[base]), -_dz_at(u.values, g, *base)]
+            _sweep(state, base, lines, x_first)
+            phi, dphi = _march(u, *base, x_first=x_first)
+            psi1, dpsi1, psi2, dpsi2 = (state[..., k, c] for c in (0, 1) for k in (0, 1))
+            assert np.array_equal(phi, psi1 / psi2)
+            assert np.array_equal(dphi, (dpsi1 * psi2 - dpsi2 * psi1) / psi2**2)
 
     @pytest.mark.parametrize("base", [(0, 0), (16, 28), (0, 11), (16, 5), (7, 0), (9, 28),
                                       (8, 13), (1, 1)], ids=str)
