@@ -625,7 +625,9 @@ def _plot_tables(out: Path) -> dict:
     """Every CSV table the run's field files give, each file read once.
 
     A file that is absent gives none; one that lacks a channel it plots
-    is a usage error, raised before anything is written.
+    is a usage error, raised before anything is written.  Each table
+    keeps its own copies of the channels it plots, and ``phi.csv`` only
+    ``|phi|``, so each file's read is freed before the next.
     """
     import numpy as np
 
@@ -641,10 +643,11 @@ def _plot_tables(out: Path) -> dict:
         if missing:
             raise ConfigError(f"{path}: missing channels {missing} to plot")
         for csv_name, names in csvs.items():
-            tables[csv_name] = (grid, {c: data[c] for c in names})
-    if "phi.csv" in tables:
-        grid, data = tables["phi.csv"]
-        tables["phi.csv"] = (grid, {"phi_abs": np.hypot(data["phi_re"], data["phi_im"])})
+            if csv_name == "phi.csv":
+                tables[csv_name] = (grid, {"phi_abs": np.hypot(data["phi_re"], data["phi_im"])})
+            else:
+                tables[csv_name] = (grid, {c: data[c].copy() for c in names})
+        del data
     return tables
 
 

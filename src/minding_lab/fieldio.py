@@ -18,6 +18,11 @@ The reader takes exactly these eight keys, integer node counts and
 distinct string component names, and refuses anything else: a payload
 outside the base64 alphabet, badly padded or of the wrong length, or a
 list holding anything but numbers and nulls.
+Both directions hold about one payload at a time.  The writer streams
+the bytes ``json.dumps`` gives the document, the payload's text a slice
+at a time; the reader decodes the payload string a slice at a time
+into the array it returns, and takes and refuses exactly what one
+``base64.b64decode(values, validate=True)`` call does.
 CSV export is one node per row with x, y and the components as columns,
 written as ``csv.writer`` writes them (floats through ``repr``).
 """
@@ -25,6 +30,7 @@ written as ``csv.writer`` writes them (floats through ``repr``).
 from __future__ import annotations
 
 import base64
+import binascii
 import csv
 import json
 from itertools import repeat
@@ -35,6 +41,10 @@ import numpy as np
 from .grid import Grid2D, GridError
 
 __all__ = ["write_field", "read_field", "write_csv"]
+
+# payload bytes per base64 slice, a multiple of 3 so that the slices'
+# text joins into the whole payload's; the reader's slices are that text
+_CHUNK = 3 << 16
 
 
 def _flatten(grid: Grid2D, channels: dict[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
@@ -47,9 +57,15 @@ def _flatten(grid: Grid2D, channels: dict[str, np.ndarray]) -> tuple[list[str], 
 
 
 def write_field(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray]) -> None:
-    """Write named components on one grid to a JSON field file."""
+    """Write named components on one grid to a JSON field file.
+
+    The bytes are those of ``json.dumps`` of the document plus ``"\\n"``,
+    streamed: the header is dumped with an empty payload and cut before
+    its closing ``"}``, and the payload follows it ``_CHUNK`` bytes of
+    the flat array at a time, so only the flat array is held whole.
+    """
     names, flat = _flatten(grid, channels)
-    payload = base64.b64encode(np.ascontiguousarray(flat, dtype="<f8").tobytes())
+    data = memoryview(np.ascontiguousarray(flat, dtype="<f8")).cast("B")
     doc = {
         "nx": grid.nx,
         "ny": grid.ny,
@@ -58,9 +74,14 @@ def write_field(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray])
         "dx": grid.dx,
         "dy": grid.dy,
         "components": names,
-        "values": payload.decode("ascii"),
+        "values": "",
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    head = json.dumps(doc)
+    with open(path, "wb") as handle:
+        handle.write(head[:-2].encode("ascii"))
+        for at in range(0, len(data), _CHUNK):
+            handle.write(binascii.b2a_base64(data[at:at + _CHUNK], newline=False))
+        handle.write(b'"}\n')
 
 
 _HEADER_INTS = ("nx", "ny")
@@ -98,16 +119,51 @@ def _header(doc) -> tuple[Grid2D, list[str]]:
     return grid, names
 
 
+def _decoded_slices(text: str, size: int) -> np.ndarray | None:
+    """The ``size`` little-endian float64 values of a base64 payload,
+    decoded ``4 * _CHUNK // 3`` characters at a time into one array, or
+    ``None`` if a slice fails or the bytes cannot fill the array exactly.
+
+    Each slice is taken as ``base64.b64decode(..., validate=True)``
+    takes it.  Every slice but the last is a multiple of 4 long and must
+    hold no padding, so each ends where a whole-string decode ends a
+    quad, and together they decode to what the whole string does.
+    """
+    if 32 * size > 3 * len(text):
+        return None  # too short to hold the values; allocate nothing
+    flat = np.empty(size, dtype="<f8")
+    out, at, step = memoryview(flat).cast("B"), 0, 4 * (_CHUNK // 3)
+    for start in range(0, len(text), step):
+        piece = text[start:start + step]
+        if start + step < len(text) and "=" in piece:
+            return None
+        try:
+            part = base64.b64decode(piece, validate=True)
+        except ValueError:
+            return None
+        if at + len(part) > out.nbytes:
+            return None
+        out[at:at + len(part)] = part
+        at += len(part)
+    return flat if at == out.nbytes else None
+
+
 def _values(values, size: int) -> np.ndarray:
     """The ``size`` float64 values of a payload string or a value list."""
     if type(values) is str:
-        # validate=True refuses characters outside the alphabet and bad
-        # padding; non-ASCII text raises ValueError
-        raw = base64.b64decode(values, validate=True)
-        if len(raw) != 8 * size:
-            raise GridError(f"expected {size} values ({8 * size} bytes), got {len(raw)} bytes")
-        # frombuffer is read-only and little-endian: copy to native float64
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        # slices where they decode, else the whole string in one call,
+        # which returns its value or raises its error
+        flat = _decoded_slices(values, size)
+        if flat is None:
+            # validate=True refuses characters outside the alphabet and bad
+            # padding; non-ASCII text raises ValueError
+            raw = base64.b64decode(values, validate=True)
+            if len(raw) != 8 * size:
+                raise GridError(f"expected {size} values ({8 * size} bytes), "
+                                f"got {len(raw)} bytes")
+            flat = np.frombuffer(raw, dtype="<f8")
+        # frombuffer is read-only; both are little-endian: to native float64
+        return flat.astype(np.float64, copy=not flat.flags.writeable)
     # a bool or a numeric string would cast like a number
     if type(values) is not list or not set(map(type, values)) <= _VALUE_TYPES:
         raise GridError("values must be a base64 string or a flat list of numbers and nulls")

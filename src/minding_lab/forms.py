@@ -25,7 +25,9 @@ shape and finiteness check on each coefficient.  Curvatures and
 residuals are returned as plain arrays holding only the nodes their
 stencils define: every node for the determinant formula, the interior
 for the isothermic one, and the core two nodes in for the zero-curvature
-residual.
+residual.  ``normal_and_second_form`` works in bands of rows, each read
+with the halo its stencils need, so it holds band-sized temporaries
+and returns bitwise what one whole-grid pass returns.
 """
 
 from __future__ import annotations
@@ -155,32 +157,56 @@ def induced_metric(f: VectorField3) -> MetricField:
     return MetricField(grid, dot(f_x, f_x), dot(f_x, f_y), dot(f_y, f_y))
 
 
+# nodes in a band of rows that the second form takes at a time
+_BAND = 1 << 12
+
+
 def normal_and_second_form(f: VectorField3) -> tuple[VectorField3, SecondForm]:
     """Unit normal and second form of an immersion.
 
     N is the normalized cross product of the coordinate tangents; the
     coefficients come from derivatives of N (ell = -<N_x, f_x> and so
     on), with the mixed coefficient measured both ways and averaged.
+
+    Bands of about ``_BAND`` nodes are taken in turn, so only band-sized
+    temporaries are held.  N_y on a band needs N a row beyond it, and
+    that row's f_y needs f one row further; at the grid's edge a
+    one-sided stencil needs three rows.  Each band's slab of f carries
+    those rows, and every stencil then reads the samples it reads on
+    the whole grid, so the results are bitwise those of one pass.
     """
     grid = f.grid
-    f_x = fd_partial(f.values, grid, "x")
-    f_y = fd_partial(f.values, grid, "y")
-    cross = np.cross(f_x, f_y)
-    norm = np.linalg.norm(cross, axis=2)
-    if norm.min() <= 0.0:
-        raise DegenerateMetricError("tangent planes degenerate; cannot form a normal")
-    N = cross / norm[:, :, None]
-
-    N_x = fd_partial(N, grid, "x")
-    N_y = fd_partial(N, grid, "y")
+    ny = grid.ny
+    N = np.empty(f.values.shape)
+    ell, m, n = (np.empty(grid.shape) for _ in range(3))
+    asymmetry = []
     dot = lambda a, b: np.einsum("jki,jki->jk", a, b)
-    ell = -dot(N_x, f_x)
-    m1 = -dot(N_x, f_y)
-    m2 = -dot(N_y, f_x)
-    n = -dot(N_y, f_y)
-    second = SecondForm(
-        grid, ell, 0.5 * (m1 + m2), n, m_asymmetry=float(np.abs(m1 - m2).max())
-    )
+    rows = max(1, _BAND // grid.nx)
+    for j0 in range(0, ny, rows):
+        j1 = min(j0 + rows, ny)
+        # N on rows [a, b) and f on rows [lo, hi), each at least three rows
+        a, b = max(min(j0 - 1, ny - 3), 0), min(max(j1 + 1, 3), ny)
+        lo, hi = max(min(a - 1, ny - 3), 0), min(max(b + 1, 3), ny)
+        f_x = fd_partial(f.values[a:b], grid, "x")
+        f_y = fd_partial(f.values[lo:hi], grid, "y")[a - lo:b - lo]
+        cross = np.cross(f_x, f_y)
+        norm = np.linalg.norm(cross, axis=2)
+        if norm.min() <= 0.0:
+            raise DegenerateMetricError("tangent planes degenerate; cannot form a normal")
+        N_ab = cross / norm[:, :, None]
+
+        band = slice(j0 - a, j1 - a)
+        N_x = fd_partial(N_ab[band], grid, "x")
+        N_y = fd_partial(N_ab, grid, "y")[band]
+        f_x, f_y = f_x[band], f_y[band]
+        ell[j0:j1] = -dot(N_x, f_x)
+        m1 = -dot(N_x, f_y)
+        m2 = -dot(N_y, f_x)
+        n[j0:j1] = -dot(N_y, f_y)
+        m[j0:j1] = 0.5 * (m1 + m2)
+        asymmetry.append(np.abs(m1 - m2).max())
+        N[j0:j1] = N_ab[band]
+    second = SecondForm(grid, ell, m, n, m_asymmetry=float(np.max(asymmetry)))
     return VectorField3(grid, N), second
 
 

@@ -23,8 +23,10 @@ leave every output alone):
   ``one_soliton`` at n = 257 with ``--out``, and on ``sphere_patch`` at
   n = 129 without it, so the flatten's factor is compared at the sizes
   the benchmark factors;
-- ``develop --factor-file`` on that n = 257 run's ``factor.json``, as
-  the benchmark's ``artifact-replay`` runs it;
+- the benchmark's ``artifact-replay`` commands on that n = 257 run:
+  ``develop --factor-file`` on its ``factor.json``, ``metric
+  --surface-file`` on its ``surface.json`` and ``export-plots --force``
+  on its ``--out``, whose ``plots/`` CSV files are compared;
 - ``export-plots`` on the first run's ``--out``, whose ``plots/`` CSV
   files are compared;
 - ``perfbench/audit.py --seed 7``.
@@ -91,10 +93,16 @@ def commands():
         runs.append((" ".join([command, label, f"n={n}", *scale]),
                      ["-m", "minding_lab.cli", command, f"--{flag}", source,
                       "--n", str(n), *scale, "--out", out], out))
-    factor = "out/verify-minding-one_soliton-257/factor.json"
+    replay = "out/verify-minding-one_soliton-257"
     runs.append(("develop factor-file one_soliton n=257",
-                 ["-m", "minding_lab.cli", "develop", "--factor-file", factor,
+                 ["-m", "minding_lab.cli", "develop", "--factor-file", f"{replay}/factor.json",
                   "--out", "out/develop-factor-257"], "out/develop-factor-257"))
+    runs.append(("metric surface-file one_soliton n=257",
+                 ["-m", "minding_lab.cli", "metric", "--surface-file", f"{replay}/surface.json"],
+                 None))
+    runs.append(("export-plots one_soliton n=257",
+                 ["-m", "minding_lab.cli", "export-plots", "--out", replay, "--force"],
+                 f"{replay}/plots"))
     runs.append(("verify-minding sphere_patch n=129 without --out",
                  ["-m", "minding_lab.cli", "verify-minding", "--catalog", "sphere_patch",
                   "--n", "129"], None))

@@ -3,11 +3,13 @@
 import base64
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from minding_lab import fieldio
 from minding_lab.fieldio import _flatten, read_field, write_csv, write_field
 from minding_lab.grid import Grid2D, GridError
 
@@ -180,6 +182,72 @@ def test_read_rejects_wrong_length(tmp_path, grid):
         path.write_text(json.dumps({**doc, "values": values}))
         with pytest.raises(GridError):
             read_field(path)
+
+
+def dumped_document(grid, channels):
+    """A field file's bytes as one ``json.dumps`` of the whole document."""
+    flat = np.stack(list(channels.values()), axis=-1).reshape(-1)
+    doc = {"nx": grid.nx, "ny": grid.ny, "x0": grid.x0, "y0": grid.y0,
+           "dx": grid.dx, "dy": grid.dy, "components": list(channels),
+           "values": base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")}
+    return (json.dumps(doc) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("chunk", [3, 9, None])
+def test_write_is_one_dump_of_the_document(tmp_path, monkeypatch, chunk):
+    # 101 x 131 nodes in two channels are 211696 payload bytes: more than
+    # one default slice and not a multiple of 3, so the text ends padded
+    if chunk is not None:
+        monkeypatch.setattr(fieldio, "_CHUNK", chunk)
+    big = Grid2D.from_bounds(-0.5, 0.25, 1.0, 3.0, 101, 131)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(big.shape)
+    u.flat[:4] = [np.nan, -0.0, np.inf, 5e-324]
+    for grid, channels in (
+        (big, {"u": u, 'say "h\u00e9"': rng.standard_normal(big.shape)}),
+        (Grid2D(0.0, 0.0, 3, 3, 0.1, 0.3), {"a": np.arange(9.0).reshape(3, 3)}),
+    ):
+        path = tmp_path / "field.json"
+        write_field(path, grid, channels)
+        assert path.read_bytes() == dumped_document(grid, channels)
+
+
+def surface_sized_channels():
+    """Seven channels on a 257 x 257 grid, the shape of ``surface.json``."""
+    grid = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, 257, 257)
+    rng = np.random.default_rng(11)
+    return grid, {name: rng.standard_normal(grid.shape)
+                  for name in ("fx", "fy", "fz", "Nx", "Ny", "Nz", "theta")}
+
+
+def test_write_peak_memory(tmp_path):
+    # measured 1.11x the payload's bytes; 6.34x with the payload encoded,
+    # decoded and dumped whole
+    grid, channels = surface_sized_channels()
+    tracemalloc.start()
+    try:
+        write_field(tmp_path / "field.json", grid, channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * grid.nx * grid.ny * len(channels)
+
+
+def test_read_peak_memory(tmp_path):
+    # measured 2.00x the file's bytes, its text and the payload string
+    # that json builds from it; 2.75x with the payload decoded whole and
+    # then copied while the document was alive
+    grid, channels = surface_sized_channels()
+    path = tmp_path / "field.json"
+    write_field(path, grid, channels)
+    del channels
+    tracemalloc.start()
+    try:
+        read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * path.stat().st_size
 
 
 def test_csv_layout(tmp_path, grid):

@@ -10,7 +10,10 @@ List entries are replaced by numbers, ``null``, booleans, numeric and
 other strings, lists and objects; only numbers and ``null`` are values.
 Payload strings have one character replaced, deleted or inserted, bytes
 cut, added or overwritten, or the whole string replaced; only standard
-base64 of exactly the listed values is a payload.
+base64 of exactly the listed values is a payload.  The reader decodes
+a payload in slices; on those edits and on hand-made ones, at several
+slice sizes, it must take exactly what one ``base64.b64decode`` call
+with ``validate=True`` takes.
 """
 
 import base64
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minding_lab import fieldio
 from minding_lab.fieldio import read_field, write_field
 from minding_lab.grid import Grid2D, GridError
 
@@ -266,5 +270,64 @@ def test_read_field_payload_edits(tmp_path_factory):
             return
         got = read_field(path)[1]["u"]
         assert np.array_equal(got.view(np.int64), want[1]["u"].view(np.int64))
+
+    check()
+
+
+def b64decode_values(text, size):
+    """The values one ``b64decode(..., validate=True)`` call gives ``text``,
+    or None where it raises or gives other than ``size`` values."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:
+        return None
+    return np.frombuffer(raw, dtype="<f8") if len(raw) == 8 * size else None
+
+
+@pytest.mark.parametrize("chunk", [3, 6, 12, None])
+def test_read_field_payload_is_one_b64decode(tmp_path_factory, monkeypatch, chunk):
+    # slices of 4, 8 and 16 characters and the default, which holds the
+    # whole payload; the 72-byte payload below is 96 characters
+    if chunk is not None:
+        monkeypatch.setattr(fieldio, "_CHUNK", chunk)
+    path = tmp_path_factory.mktemp("fuzz") / "field.json"
+    grid = Grid2D(0.0, 0.0, 3, 3, 1.0, 1.0)
+    write_field(path, grid, {"u": np.arange(1.0, 10.0).reshape(grid.shape)})
+    base = json.loads(path.read_text())
+    good = base["values"]
+    raw = base64.b64decode(good)
+
+    def payload(data):
+        return base64.b64encode(data).decode("ascii")
+
+    short = payload(raw[:-1])
+
+    def check_one(values):
+        path.write_text(json.dumps(dict(base, values=values)))
+        want = b64decode_values(values, 9)
+        if want is None:
+            with pytest.raises(GridError, match=re.escape(str(path))):
+                read_field(path)
+            return
+        got = read_field(path)[1]["u"].ravel()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    # the payloads test_fieldio refuses, padding at a slice's end or start,
+    # padding past a complete payload, and two payloads joined, which
+    # decode to the nine values slice by slice where padding ends a slice
+    joined = [payload(raw[:k]) + payload(raw[k:]) for k in (1, 2, 3)]
+    for values in (good, good[:40] + "*" + good[40:], good[:40] + "\n" + good[40:],
+                   good[:40] + "-" + good[40:], short[:-1], short + "=", short,
+                   short[:-4] + "=" + short[-4:-1], good[:40] + "\u00e9" + good[40:],
+                   payload(raw[:-8]), payload(raw * 2),
+                   good[:3] + "=" + good[4:], good[:2] + "==" + good[4:],
+                   good[:4] + "=" + good[4:], good + "=", good + "==", good + "===",
+                   short + "==", "=" + good, "", *joined):
+        check_one(values)
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(edited_payloads(good).filter(lambda values: type(values) is str))
+    def check(values):
+        check_one(values)
 
     check()

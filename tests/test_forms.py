@@ -16,6 +16,7 @@ from minding_lab.grid import (
     VectorField3,
     fd_partial,
 )
+from minding_lab import forms
 from minding_lab.chebyshev import integrate_frame, one_soliton_angle, sine_gordon_residual
 from minding_lab.forms import (
     DegenerateMetricError,
@@ -189,6 +190,61 @@ class TestNormalAndSecondForm:
         assert np.abs(II1.ell - II2.ell).max() <= 1e-11
         assert np.abs(II1.m - II2.m).max() <= 1e-11
         assert np.abs(II1.n - II2.n).max() <= 1e-11
+
+
+def whole_grid_second_form(f):
+    """N, ell, m, n and the m asymmetry of ``f`` in one whole-grid pass."""
+    g = f.grid
+    f_x, f_y = fd_partial(f.values, g, "x"), fd_partial(f.values, g, "y")
+    cross = np.cross(f_x, f_y)
+    N = cross / np.linalg.norm(cross, axis=2)[:, :, None]
+    N_x, N_y = fd_partial(N, g, "x"), fd_partial(N, g, "y")
+    dot = lambda a, b: np.einsum("jki,jki->jk", a, b)
+    m1, m2 = -dot(N_x, f_y), -dot(N_y, f_x)
+    return N, -dot(N_x, f_x), 0.5 * (m1 + m2), -dot(N_y, f_y), float(np.abs(m1 - m2).max())
+
+
+class TestBandedSecondForm:
+    """``normal_and_second_form`` takes bands of rows with a halo."""
+
+    @pytest.mark.parametrize("nx, ny", [(37, 53), (41, 3), (41, 4), (41, 5)])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
+    def test_bitwise_equal_to_whole_grid_pass(self, monkeypatch, nx, ny, rows):
+        # dx != dy and nx != ny; rows=None keeps the default band, which
+        # holds every row of these grids
+        if rows is not None:
+            monkeypatch.setattr(forms, "_BAND", rows * nx)
+        g = Grid2D.from_bounds(-0.6, 0.5, -0.3, 0.9, nx, ny)
+        X, Y = g.mesh()
+        f = VectorField3(g, np.stack([X + 0.1 * Y**2, Y - 0.2 * X * Y,
+                                      np.sin(X * Y) + 0.3 * X**2], axis=-1))
+        N, II = normal_and_second_form(f)
+        N_ref, *forms_ref, asymmetry = whole_grid_second_form(f)
+        assert np.array_equal(N.values, N_ref)
+        for got, want in zip((II.ell, II.m, II.n), forms_ref):
+            assert np.array_equal(got, want)
+        assert II.m_asymmetry == asymmetry
+
+    def test_degenerate_row_in_a_later_band_rejected(self, monkeypatch):
+        monkeypatch.setattr(forms, "_BAND", 2 * 17)
+        g = Grid2D.from_bounds(0, 1, 0, 1, 17, 17)
+        X, Y = g.mesh()
+        Y[9:] = Y[9]  # f_y vanishes from row 10 up
+        with pytest.raises(DegenerateMetricError, match="tangent planes degenerate"):
+            normal_and_second_form(VectorField3(g, np.stack([X, Y, np.zeros_like(X)], axis=-1)))
+
+    def test_peak_memory_per_node(self):
+        # measured 74 bytes per node above the surface at n = 257; 216
+        # with whole-grid temporaries
+        g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, 257, 257)
+        f = integrate_frame(one_soliton_angle(g)).surface.f
+        tracemalloc.start()
+        try:
+            normal_and_second_form(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * g.nx * g.ny
 
 
 def quaternion_rotation(q):
