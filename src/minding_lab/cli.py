@@ -113,7 +113,7 @@ NEWTON_BUDGET = 8
 
 
 class ConfigError(ValueError):
-    """Unusable command line or config file input."""
+    """Unusable command line input."""
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,10 @@ class _Run:
         self.gates = GATES if _source_kind(config) in ("chart", "factor") else FLATTENED_GATES
         self.stages: list[dict] = []
         self.solver_error = False
-        self.extra: dict = {}
         if config.out_dir is not None:
             try:
                 Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-            except ValueError as exc:  # a NUL or lone surrogate, as JSON can hold
+            except ValueError as exc:  # a NUL or lone surrogate, as main(argv) can pass
                 raise ConfigError(f"unusable --out path {config.out_dir!r}: {exc}") from exc
 
     def limit(self, name: str, grid) -> float:
@@ -248,7 +247,6 @@ class _Run:
         }
         if self.solver_error:
             doc["solver_error"] = True
-        doc.update(self.extra)
         return doc
 
     def exit_code(self) -> int:
@@ -491,7 +489,6 @@ def _factor_stages(run: _Run, h_img):
     dev = _develop_stage(run, u)
     run.gate("pullback_isometry", pullback_isometry_check(dev, u),
              run.limit("pullback_isometry", g))
-    return dev, u
 
 
 def _curvature_defect(u) -> float:
@@ -503,15 +500,6 @@ def _curvature_defect(u) -> float:
     e2u = np.exp(2.0 * u.values[1:-1, 1:-1])
     defect = np.abs(fd_laplacian(u.values, u.grid) - e2u) / e2u
     return float(np.max(defect[1:-1, 1:-1]))
-
-
-def _calibration_block(dev, u) -> dict:
-    """Equation residual of the developed factor under both exponent
-    conventions; the order-one gap is the recorded normalization fact."""
-    from minding_lab.developing import u_from_phi
-
-    return {label: _curvature_defect(u_from_phi(dev, exponent=exponent))
-            for label, exponent in (("exponent_half", 0.5), ("exponent_quarter", 0.25))}
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +557,6 @@ def cmd_develop(run: _Run) -> None:
     dev = _develop_stage(run, u)
     run.check("pullback_isometry", pullback_isometry_check(dev, u),
               run.limit("pullback_isometry", u.grid))
-    run.extra["calibration"] = _calibration_block(dev, u)
 
 
 def cmd_verify_minding(run: _Run) -> None:
@@ -594,9 +581,7 @@ def cmd_verify_minding(run: _Run) -> None:
         # one gates its forms' instead, as differencing a resampled factor
         # twice amplifies node-scale noise by 1/h^2
         _isothermic_curvature_stage(run, h)
-    dev_u = _factor_stages(run, h)
-    if kind == "chart":
-        run.extra["calibration"] = _calibration_block(*dev_u)
+    _factor_stages(run, h)
 
 
 def _execute(command: str, body, kinds: tuple, needs: str, config: PipelineConfig) -> int:
@@ -735,7 +720,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="multiplies every gate but the sine_gordon cap and Newton budget")
     saved = argparse.ArgumentParser(add_help=False)
     saved.add_argument("--out", help="directory for report.json and field files")
-    saved.add_argument("--config", help="JSON file with defaults for these flags")
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common, saved])
     export = sub.add_parser("export-plots", parents=[saved])
@@ -744,67 +728,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the JSON types each --config key takes; null leaves the key unset
-_CONFIG_TYPES = {
-    **dict.fromkeys(("catalog", *SOURCE_FILES, "out"), ((str,), "a string")),
-    "n": ((int,), "an integer"),
-    "tol_scale": ((int, float), "a number"),
-}
-
-
-def _config_defaults(args: argparse.Namespace, takes=_CONFIG_TYPES) -> dict:
-    """The ``--config`` file's flag defaults, or none without one.
-
-    Every key must be a flag name, every value of that flag's type (a
-    boolean is no number) and then every key one the command ``takes``.
-    Null entries are dropped.
-    """
-    if args.config is None:
-        return {}
-    path = Path(args.config)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {args.config}")
-    try:
-        defaults = json.loads(path.read_text(encoding="utf-8"))
-    except (RecursionError, ValueError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
-        raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
-    if not isinstance(defaults, dict):
-        raise ConfigError(f"{args.config}: config must be a JSON object of flag defaults")
-    unknown = set(defaults) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
-    for key, value in defaults.items():
-        types, kind = _CONFIG_TYPES[key]
-        if value is not None and type(value) not in types:
-            raise ConfigError(
-                f"{args.config}: {key} must be {kind}, got {type(value).__name__}"
-            )
-    if defaults.get("tol_scale") is not None:
-        try:
-            defaults["tol_scale"] = float(defaults["tol_scale"])
-        except OverflowError as exc:
-            raise ConfigError(f"{args.config}: tol_scale is out of range") from exc
-    extra = sorted(set(defaults) - set(takes))
-    if extra:
-        raise ConfigError(f"{args.config}: {args.command} takes no keys {extra}")
-    return {key: value for key, value in defaults.items() if value is not None}
-
-
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    defaults = _config_defaults(args)
-
-    # a flag wins over its --config default; unset values keep the dataclass's
-    picked = {key: getattr(args, key) if getattr(args, key) is not None else defaults.get(key)
-              for key in _CONFIG_TYPES}
-    picked["out_dir"] = picked.pop("out")
-    try:
-        return PipelineConfig(**{key: value for key, value in picked.items()
-                                 if value is not None})
-    except ConfigError as exc:
-        if args.config is None:
-            raise
-        raise ConfigError(f"{exc} (flags merged with {args.config})") from exc
+    # an unset flag keeps the dataclass's default
+    picked = {key: getattr(args, key) for key in ("catalog", *SOURCE_FILES, "n", "tol_scale")}
+    return PipelineConfig(out_dir=args.out, **{key: value for key, value in picked.items()
+                                               if value is not None})
 
 
 def _apply_thread_cap() -> None:
@@ -829,8 +757,7 @@ def main(argv=None) -> int:
         _apply_thread_cap()
         if args.command == "export-plots":
             # reads a prior run; no surface source of its own
-            out = args.out if args.out is not None else _config_defaults(args, ("out",)).get("out")
-            return cmd_export_plots(out, args.force)
+            return cmd_export_plots(args.out, args.force)
         return _COMMANDS[args.command](_resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -115,9 +115,8 @@ def u_from_phi(dev: DevelopingMap, exponent: float = 0.5) -> ScalarField:
     ``u = exponent * ln(4|phi'|^2 / (1-|phi|^2)^2)``.  The default
     exponent 1/2 is the value calibrated against the identity map on a
     disk patch: it is the one for which ``lap u = exp(2u)`` holds under
-    the standard five-point Laplacian.  Other exponents are accepted so
-    the calibration experiment can be rerun (they fail the equation by
-    an order-one margin).
+    the standard five-point Laplacian.  The tests pass 1/4 as well, which
+    fails the equation by an order-one margin.
     """
     return ScalarField(dev.grid, exponent * np.log(dev.pullback_density()))
 

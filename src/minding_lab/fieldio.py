@@ -49,6 +49,8 @@ _CHUNK = 3 << 16
 
 def _flatten(grid: Grid2D, channels: dict[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
     """The channel names and their ``(ny, nx)`` planes, node-major."""
+    if not channels:
+        raise GridError("a field needs at least one channel")
     planes = [np.asarray(arr, dtype=float) for arr in channels.values()]
     for name, arr in zip(channels, planes):
         if arr.shape != grid.shape:

@@ -35,9 +35,12 @@ Each tree runs with ``PYTHONPATH`` set to its own ``src/``, in its own
 scratch directory, with the same relative ``--out`` paths.  Exit code,
 stdout, stderr and every file under each ``--out`` directory are
 compared byte for byte.  Prints each difference and exits 1 if there is
-any, 0 otherwise.  Each command's peak resident memory on both trees,
-from ``os.wait4``, is printed beside it for information; it never
-counts as a difference.  pytest does not collect this file.
+any, 0 otherwise.  Each command's peak resident memory on both trees
+is printed beside it for information; it never counts as a difference.
+A small launcher process spawns each command and reads its peak with
+``os.wait4``: a child's ``ru_maxrss`` starts from the high-water mark
+of the process it was forked from, which would be this one's.  pytest
+does not collect this file.
 
 With ``--rel TOL`` an output may differ in its numbers.  Each output is
 cut into its text and its numeric leaves: every number in the text, and
@@ -112,27 +115,39 @@ def commands():
     return runs
 
 
+# spawns the command after the report descriptor and writes its exit
+# code and ru_maxrss (KiB) there, leaving stdout and stderr to the command
+LAUNCHER = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(child.pid, 0)
+os.write(int(sys.argv[1]), f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}".encode())
+"""
+
+
 def run(root: Path, workdir: Path, argv: list[str],
         out: str | None) -> tuple[dict[str, bytes], float]:
     """Everything one command leaves, keyed by what it is, and the
     command's peak resident memory in MB (2^20 bytes)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     argv = [arg.replace("{root}", str(root)) for arg in argv]
-    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
-        child = subprocess.Popen([sys.executable, *argv], cwd=workdir, env=env,
-                                 stdout=stdout, stderr=stderr)
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
+    with (tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr,
+          tempfile.TemporaryFile() as report):
+        fd = report.fileno()
+        subprocess.run([sys.executable, "-c", LAUNCHER, str(fd), sys.executable, *argv],
+                       cwd=workdir, env=env, stdout=stdout, stderr=stderr, pass_fds=(fd,),
+                       check=True)
+        report.seek(0)
+        code, maxrss = report.read().split()
         stdout.seek(0)
         stderr.seek(0)
-        result = {"exit code": str(child.returncode).encode(),
-                  "stdout": stdout.read(), "stderr": stderr.read()}
+        result = {"exit code": code, "stdout": stdout.read(), "stderr": stderr.read()}
     if out is not None:
         base = workdir / out
         for path in sorted(base.rglob("*")) if base.exists() else ():
             if path.is_file():
                 result[f"file {path.relative_to(base)}"] = path.read_bytes()
-    return result, usage.ru_maxrss / 1024.0
+    return result, int(maxrss) / 1024.0
 
 
 def first_difference(a: bytes, b: bytes) -> str:

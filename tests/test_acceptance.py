@@ -238,7 +238,7 @@ def test_isothermic_flattening_accuracy():
           f"skew {chart.skew:.2e}, |K+1| {defect:.3e}")
 
 
-def test_exponent_calibration_audit(capsys):
+def test_exponent_calibration_audit():
     half = 0.7 / np.sqrt(2.0)
     g = Grid2D.from_bounds(-half, half, -half, half, 129, 129)
     X, Y = g.mesh()
@@ -247,13 +247,5 @@ def test_exponent_calibration_audit(capsys):
     residual_quarter = liouville_defect(u_from_phi(dev, 0.25))
     assert residual_half <= 10.0 * g.h**2
     assert residual_quarter >= 0.5
-
-    code, report = run_cli(capsys, "develop", "--catalog",
-                           "poincare_disk_patch", "--n", "65")
-    assert code == 0
-    cal = report["calibration"]
-    assert cal["exponent_half"] <= 10.0 * Grid2D.from_bounds(
-        -half, half, -half, half, 65, 65).h ** 2
-    assert cal["exponent_quarter"] >= 0.5
     print(f"calibration: exponent 1/2 residual {residual_half:.3e}, "
           f"exponent 1/4 residual {residual_quarter:.3e}")

@@ -108,15 +108,6 @@ class TestVerifyCatalog:
             "pullback_isometry",
         ]
 
-    def test_calibration_block(self, capsys):
-        _, report = run_cli(
-            capsys, "verify-minding", "--catalog", "half_plane_pseudosphere", "--n", "65"
-        )
-        cal = report["calibration"]
-        g = Grid2D.from_bounds(0.0, 1.0, 1.0, 2.0, 65, 65)
-        assert cal["exponent_half"] <= 10.0 * g.h**2
-        assert cal["exponent_quarter"] >= 0.5
-
     def test_synthesized_passes(self, capsys):
         code, report = run_cli(
             capsys, "verify-minding", "--catalog", "one_soliton", "--n", "65"
@@ -210,8 +201,6 @@ class TestFactorCommands:
             capsys, "develop", "--catalog", "half_plane_pseudosphere", "--n", "65"
         )
         assert code == EXIT_PASS
-        assert "exponent_half" in report["calibration"]
-        assert "exponent_quarter" in report["calibration"]
 
     def test_liouville_check_catalog(self, capsys):
         code, report = run_cli(
@@ -302,33 +291,15 @@ class TestArtifactsAndExport:
         assert run_cli(capsys, "export-plots", "--out", str(out))[0] == EXIT_USAGE
         assert run_cli(capsys, "export-plots", "--out", str(out), "--force")[0] == EXIT_PASS
 
-    def test_export_out_from_config(self, capsys, tmp_path):
+    def test_export_refuses_pipeline_flags(self, capsys, tmp_path):
+        # export-plots reads a prior run and takes no source of its own
         out = tmp_path / "run"
         run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere",
                 "--n", "33", "--out", str(out))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"out": str(out)}))
-        assert run_cli(capsys, "export-plots", "--config", str(cfg))[0] == EXIT_PASS
-        assert (out / "plots" / "u.csv").is_file()
-        cfg.write_text(json.dumps({"out": str(out), "outdir": "elsewhere"}))
-        assert run_cli(capsys, "export-plots", "--config", str(cfg), "--force")[0] == EXIT_USAGE
-
-    def test_export_config_refuses_pipeline_keys(self, capsys, tmp_path):
-        # export-plots reads a prior run: a config key it cannot use is
-        # refused like the same value given as a flag
-        out = tmp_path / "run"
-        run_cli(capsys, "verify-minding", "--catalog", "half_plane_pseudosphere",
-                "--n", "33", "--out", str(out))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"out": str(out), "catalog": "one_soliton", "n": 9999,
-                                   "tol_scale": 5}))
-        assert main(["export-plots", "--config", str(cfg), "--force"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert f"{cfg}: export-plots takes no keys ['catalog', 'n', 'tol_scale']" in err
-        assert not (out / "plots").exists()
         with pytest.raises(SystemExit) as info:
             main(["export-plots", "--out", str(out), "--force", "--catalog", "one_soliton"])
         assert info.value.code == EXIT_USAGE
+        assert not (out / "plots").exists()
 
     @pytest.mark.parametrize("source, channels, missing", [
         ("surface.json", ("fx", "fy", "fz", "Nx", "Ny", "Nz", "angle"), "['theta']"),
@@ -552,87 +523,23 @@ class TestUsage:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr[-500:]
 
-    def test_config_file_defaults_and_flag_wins(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", "n": 33}))
-        code, report = run_cli(capsys, "liouville-check", "--config", str(cfg))
-        assert code == EXIT_PASS
-        assert report["config"]["n"] == 33
-        code, report = run_cli(capsys, "liouville-check", "--config", str(cfg),
-                               "--catalog", "poincare_disk_patch")
-        assert code == EXIT_PASS
-        assert report["config"]["catalog"] == "poincare_disk_patch"
-
-    def test_config_file_unknown_key(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"surface": "one_soliton"}))
-        code, _ = run_cli(capsys, "liouville-check", "--config", str(cfg))
-        assert code == EXIT_USAGE
-
-    @pytest.mark.parametrize("text", ["[]", "3", '"x"'])
-    def test_config_file_not_an_object(self, capsys, tmp_path, text):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        for argv in (["liouville-check", "--config", str(cfg)],
-                     ["export-plots", "--config", str(cfg)]):
-            assert main(argv) == EXIT_USAGE
-            err = capsys.readouterr().err
-            assert str(cfg) in err and "JSON object" in err
-
-    @pytest.mark.parametrize("doc, message", [
-        ({"n": "abc"}, "n must be an integer, got str"),
-        ({"n": 65.9}, "n must be an integer, got float"),
-        ({"n": True}, "n must be an integer, got bool"),
-        ({"tol_scale": "x"}, "tol_scale must be a number, got str"),
-        ({"tol_scale": False}, "tol_scale must be a number, got bool"),
-        ({"tol_scale": 10**400}, "tol_scale is out of range"),
-        ({"out": 3}, "out must be a string, got int"),
-        ({"catalog": ["one_soliton"]}, "catalog must be a string, got list"),
-    ])
-    def test_config_file_value_types(self, capsys, tmp_path, doc, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", **doc}))
-        for argv in (["solve", "--config", str(cfg)], ["export-plots", "--config", str(cfg)]):
-            assert main(argv) == EXIT_USAGE
-            assert f"{cfg}: {message}" in capsys.readouterr().err
-
-    def test_config_file_not_utf8(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(b'{"catalog": "\xff"}')
-        assert main(["solve", "--config", str(cfg)]) == EXIT_USAGE
-        assert str(cfg) in capsys.readouterr().err
-
-    def test_config_file_range_errors_name_the_file(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        for doc in ({"catalog": "half_plane_pseudosphere", "n": 5},
-                    {"catalog": "half_plane_pseudosphere", "tol_scale": 1e400},
-                    {"n": 33}):
-            cfg.write_text(json.dumps(doc))
-            assert main(["solve", "--config", str(cfg)]) == EXIT_USAGE
-            assert str(cfg) in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["liouville-check", "--catalog", "half_plane_pseudosphere", "--n", "9"],
+        ["export-plots", "--out", "run"],
+    ], ids=["pipeline", "export-plots"])
+    def test_config_is_an_unknown_argument(self, capsys, argv):
+        # every run is set by its flags alone; there is no file of defaults
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--config", "x.json"])
+        assert info.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out", ["a\x00b", "\ud800"])
-    def test_config_out_path_the_file_system_refuses(self, capsys, tmp_path, out):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", "n": 9, "out": out}))
-        assert main(["liouville-check", "--config", str(cfg)]) == EXIT_USAGE
+    def test_out_path_the_file_system_refuses(self, capsys, out):
+        code = main(["liouville-check", "--catalog", "half_plane_pseudosphere", "--n", "9",
+                     "--out", out])
+        assert code == EXIT_USAGE
         assert "unusable --out path" in capsys.readouterr().err
-
-    def test_config_file_null_leaves_a_key_unset(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", "n": 33,
-                                   "tol_scale": None, "factor_file": None}))
-        code, report = run_cli(capsys, "liouville-check", "--config", str(cfg))
-        assert code == EXIT_PASS
-        assert (report["config"]["tol_scale"], report["config"]["factor_file"]) == (1.0, None)
-
-    def test_config_file_seed_is_an_unknown_key(self, capsys, tmp_path):
-        # the CLI has no seed; a config key naming one is refused like
-        # any other unknown key
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"catalog": "half_plane_pseudosphere", "seed": 1}))
-        assert main(["solve", "--config", str(cfg)]) == EXIT_USAGE
-        assert f"{cfg}: unknown keys ['seed']" in capsys.readouterr().err
 
     def test_factor_file_float_overflow(self, capsys, tmp_path):
         path = tmp_path / "u.json"

@@ -172,6 +172,14 @@ def test_write_rejects_a_channel_that_is_not_a_plane(tmp_path, grid):
     assert not (tmp_path / "field").exists()
 
 
+@pytest.mark.parametrize("write", [write_field, write_csv])
+def test_write_rejects_no_channels(tmp_path, grid, write):
+    # the reader takes an empty component list, but nothing writes one
+    with pytest.raises(GridError, match="at least one channel"):
+        write(tmp_path / "field", grid, {})
+    assert not (tmp_path / "field").exists()
+
+
 def test_read_rejects_wrong_length(tmp_path, grid):
     path = tmp_path / "field.json"
     write_field(path, grid, {"u": np.zeros(grid.shape)})

@@ -32,6 +32,7 @@ ALLOWED = {
         "weak.product_rule_pointwise_residual",
     ], "perfbench/audit.py runs it for the identity-audit workload"),
     "elliptic.Stencil.nnz": "perfbench/spantrace.py reads the flatten system's nonzeros",
+    "developing.u_from_phi": "perfbench/spantrace.py pins it; the exponent oracle of the tests",
     **dict.fromkeys(["forms.zero_curvature_residual", "forms.zero_curvature_entries"],
                     "the isothermic frame's pointwise check, decided with that frame"),
     "grid.Grid2D.refined": "the finer grid of a planned convergence command",
