@@ -188,7 +188,7 @@ def _triangle_rows(metric: MetricField) -> tuple[np.ndarray, np.ndarray]:
 # product rounds its imaginary part by operand order, so ``_gradient``
 # multiplies in the order numpy took there and the reports stay bitwise
 # the same.
-# cells in a band of rows that the gradient takes at a time
+# cells or points a band holds: the gradient's rows, a spline's points
 _BAND = 1 << 12
 
 
@@ -445,7 +445,8 @@ def _spline(grid: Grid2D, values: np.ndarray):
     ``f_xx``, ``f_yy`` and ``f_xxyy``; in a cell the spline is the
     tensor product of the 1-D cubic in value/second-derivative form, 16
     terms.  Returns ``evaluate(x, y) -> (f, f_x, f_y)`` at points, all
-    three from one cell lookup.
+    three from one cell lookup, ``_BAND`` points at a time: a band's
+    cell table holds 16 doubles per point.
     """
     nx = grid.nx
     f_xx = values @ _second_derivative_map(nx, grid.dx).T
@@ -455,19 +456,29 @@ def _spline(grid: Grid2D, values: np.ndarray):
     corners = np.array([[0, 1], [nx, nx + 1]])[..., None]  # [row, column]
 
     def evaluate(x: np.ndarray, y: np.ndarray):
-        jx, wx, wx_slope = _cell_weights(x, grid.x0, grid.dx, nx)
-        jy, wy, wy_slope = _cell_weights(y, grid.y0, grid.dy, grid.ny)
-        cell = nodes[:, :, jy * nx + jx + corners]  # [y kind, x kind, row, column, point]
-        along = (cell * wx[None, :, None]).sum(axis=(1, 3))  # [y kind, row, point]
-        along_x = (cell * wx_slope[None, :, None]).sum(axis=(1, 3))
-        return ((along * wy).sum(axis=(0, 1)), (along_x * wy).sum(axis=(0, 1)),
-                (along * wy_slope).sum(axis=(0, 1)))
+        out = np.empty((3, len(x)))
+        for band in (slice(k, k + _BAND) for k in range(0, len(x), _BAND)):
+            jx, wx, wx_slope = _cell_weights(x[band], grid.x0, grid.dx, nx)
+            jy, wy, wy_slope = _cell_weights(y[band], grid.y0, grid.dy, grid.ny)
+            cell = nodes[:, :, jy * nx + jx + corners]  # [y kind, x kind, row, column, point]
+            along = (cell * wx[None, :, None]).sum(axis=(1, 3))  # [y kind, row, point]
+            along_x = (cell * wx_slope[None, :, None]).sum(axis=(1, 3))
+            out[:, band] = ((along * wy).sum(axis=(0, 1)), (along_x * wy).sum(axis=(0, 1)),
+                            (along * wy_slope).sum(axis=(0, 1)))
+        return tuple(out)
 
     return evaluate
 
 
 # sup-norm of the image residual at which the preimage Newton solve stops
 _PREIMAGE_TOL = 1e-11
+
+
+def _nearest(tx: np.ndarray, ty: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Index of the first nearest point ``(px, py)`` to each target, raveled,
+    taken a row of targets ``(tx, ty)`` at a time."""
+    return np.concatenate([np.argmin((x[:, None] - px) ** 2 + (y[:, None] - py) ** 2, axis=1)
+                           for x, y in zip(tx, ty)])
 
 
 def chart_preimage(chart: Chart, image_grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
@@ -478,11 +489,12 @@ def chart_preimage(chart: Chart, image_grid: Grid2D) -> tuple[np.ndarray, np.nda
     spline once, for its value and both first derivatives.  The coarse
     level is a fixed 33 x 33 grid on ``image_grid``'s rectangle, each node
     seeded at the source point of its nearest node image on a source grid
-    subsampled to about 33 x 33 nodes: a dense argmin of about 10 MB at
-    any size, so memory stays O(n^2) on n x n grids.  Every node of
-    ``image_grid`` then starts from the cubic spline of the coarse
-    preimages.  Nodes must lie inside the image; use ``inner_image_grid``
-    to stay there.
+    subsampled to about 33 x 33 nodes, one coarse row at a time: a table
+    of about 0.3 MB at any size.  Every node of ``image_grid`` then
+    starts from the cubic spline of the coarse preimages, and the splines
+    evaluate in bands, so memory stays O(n^2) on n x n grids: 272 bytes
+    per image node at n = 257.  Nodes must lie inside the image; use
+    ``inner_image_grid`` to stay there.
     """
     g = chart.grid
     sx = _spline(g, chart.X.values)
@@ -506,12 +518,12 @@ def chart_preimage(chart: Chart, image_grid: Grid2D) -> tuple[np.ndarray, np.nda
 
     coarse = Grid2D.from_bounds(image_grid.x0, image_grid.x1,
                                 image_grid.y0, image_grid.y1, 33, 33)
-    XC, YC = (c.ravel() for c in coarse.mesh())
+    XC, YC = coarse.mesh()
     step = max(1, (min(g.nx, g.ny) - 1) // 32)
     px, py, xs, ys = (a[::step, ::step].ravel()
                       for a in (chart.X.values, chart.Y.values, *g.mesh()))
-    seed = np.argmin((XC[:, None] - px) ** 2 + (YC[:, None] - py) ** 2, axis=1)
-    xc, yc = newton(XC, YC, xs[seed], ys[seed])
+    seed = _nearest(XC, YC, px, py)
+    xc, yc = newton(XC.ravel(), YC.ravel(), xs[seed], ys[seed])
 
     XT, YT = (c.ravel() for c in image_grid.mesh())
     x0, y0 = (_spline(coarse, p.reshape(coarse.shape))(XT, YT)[0] for p in (xc, yc))

@@ -375,13 +375,51 @@ class Cholesky:
     packed diagonal triangles ``(m (m + 1) / 2 - h (m - h), k)``.  Per
     ring size ``b``, a part of the stack holds the ring's grid numbers
     ``(k, b)`` and the ring block ``Y = L11^-1 F12 = L21^H``
-    ``(k, m, b)``.  ``L.nnz`` counts the entries stored per front, which
-    are these blocks and no zeros; ``U = L^H`` shares them.
+    ``(k, m, b)``.  A leaf's ``F12`` holds only stencil entries, so a
+    part of leaves keeps instead, per stack of translates, the gather of
+    them from ``entries``, the ``Stencil``'s block, and ``ring_blocks``
+    rebuilds its ``Y`` by the product the factorization ran (8.0 of the
+    45.5 MiB the one_soliton factor held at n = 257).  ``L.nnz`` counts
+    every block, stored or rebuilt, without zeros; ``U = L^H`` shares them.
     """
 
     stacks: tuple
     L: SimpleNamespace
     U: SimpleNamespace
+    entries: np.ndarray
+
+    def ring_blocks(self, s: int, p: int):
+        """Part ``p`` of stack ``s`` in chunks of fronts, in front order:
+        per chunk, its slice of the stack, its rows in the part and their
+        ring blocks, a view of the stored ones or a leaf's rebuilt.  A
+        rebuilt chunk holds about ``_SOLVE_CHUNK`` entries of ``Y``."""
+        stack = self.stacks[s]
+        fronts, ring, Y = part = stack[4][p]
+        stored = isinstance(Y, np.ndarray)
+        for c in _chunks(fronts, len(stack[3]) if stored else len(stack[0]) * ring.shape[1]):
+            at = slice(c.start - fronts.start, c.stop - fronts.start)
+            yield c, at, Y[at] if stored else self._rebuild(stack, part, c, at)
+
+    def _rebuild(self, stack, part, c: slice, at: slice) -> np.ndarray:
+        """Ring blocks of the leaves ``c`` of a stack, rows ``at`` of its
+        part, by the product ``_factor_shape`` formed them with:
+        ``L11^-1`` from the stored inverse times ``F12`` gathered from
+        ``entries`` by the stacks of translates that cover ``at``."""
+        own, (h, I, J, *_), block, packed, _ = stack
+        fronts, ring, kinds = part
+        m, b = len(own), ring.shape[1]
+        X = np.zeros((c.stop - c.start, m, m), dtype=complex)
+        X[:, h:, :h] = block[c]
+        X[:, I, J] = packed[:, c].T
+        F = np.zeros((len(X), m * b), dtype=complex)
+        for lo, hi, src, into, back in kinds[bisect_right(kinds, at.start, key=lambda k: k[0]) - 1:]:
+            if lo >= at.stop:
+                break
+            lo, hi = max(lo, at.start), min(hi, at.stop)
+            values = self.entries.take(src + own[0, fronts.start + lo:fronts.start + hi, None])
+            np.conjugate(values[:, back:], out=values[:, back:])
+            F[lo - at.start:hi - at.start, into] = values
+        return np.matmul(X, F.reshape(len(X), m, b))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``H^-1 b``: forward through the stacks in elimination order,
@@ -393,7 +431,7 @@ class Cholesky:
         packed triangle is applied entry by entry, summed by rows
         forward, by columns back."""
         x = np.array(b, dtype=complex)
-        for own, (h, _, J, rows, *_), block, packed, parts in self.stacks:
+        for s, (own, (h, _, J, rows, *_), block, packed, parts) in enumerate(self.stacks):
             # the whole-stack product packed * y[J] was formed in place
             # in y[J] once that reached numpy's temporary elision
             swap = packed.nbytes >= _ELIDED_BYTES
@@ -405,16 +443,15 @@ class Cholesky:
                 np.add.reduceat(t, rows, axis=0, out=y)
                 y[h:] += below
                 x[own[:, c]] = y
-            for fronts, ring, Y in parts:
-                for c in _chunks(fronts, len(packed)):
-                    at = slice(c.start - fronts.start, c.stop - fronts.start)
-                    v = Y[at].transpose(0, 2, 1) @ x[own[:, c]].T.conj()[..., None]
+            for p, (_, ring, _) in enumerate(parts):
+                for c, at, Y in self.ring_blocks(s, p):
+                    v = Y.transpose(0, 2, 1) @ x[own[:, c]].T.conj()[..., None]
                     np.subtract.at(x, ring[at].ravel(), v.conj().ravel())
-        for own, (h, *_, by_col, I, cols), block, packed, parts in reversed(self.stacks):
-            for fronts, ring, Y in parts:
-                for c in _chunks(fronts, len(packed)):
-                    at = slice(c.start - fronts.start, c.stop - fronts.start)
-                    x[own[:, c]] -= (Y[at] @ x[ring[at]][..., None])[..., 0].T
+        for s in reversed(range(len(self.stacks))):
+            own, (h, *_, by_col, I, cols), block, packed, parts = self.stacks[s]
+            for p, (_, ring, _) in enumerate(parts):
+                for c, at, Y in self.ring_blocks(s, p):
+                    x[own[:, c]] -= (Y @ x[ring[at]][..., None])[..., 0].T
             for c in _chunks(slice(0, len(block)), len(packed)):
                 y = x[own[:, c]]
                 t = y.conj()
@@ -481,7 +518,10 @@ def splu(H: Stencil) -> Cholesky:
             for b in sorted({len(kinds[s][2]) for s in members}):
                 group = [s for s in members if len(kinds[s][2]) == b]
                 start, count = at, sum(len(kinds[s][0]) for s in group)
-                ring_at, Y = np.empty((count, b), dtype=int), np.empty((count, m, b), dtype=complex)
+                # a part of leaves keeps how to rebuild its ring blocks
+                leaves = all(kids[kinds[s][0][0], 0] < 0 for s in group)
+                ring_at = np.empty((count, b), dtype=int)
+                Y = [] if leaves else np.empty((count, m, b), dtype=complex)
                 for s in group:
                     fronts, own, ring, bounds, halves = kinds[s]
                     shift = (origin[fronts] - origin[fronts[0]])[:, None]
@@ -491,21 +531,24 @@ def splu(H: Stencil) -> Cholesky:
                     panels = [np.empty((len(fronts), hi - lo, hi), dtype=complex)
                               for lo, hi in zip(halves[:-1], halves[1:])]
                     children = kids[fronts[0]] if kids[fronts[0], 0] >= 0 else ()
-                    _factor_shape(H.entries, own, ring, shift, tables, below, children,
-                                  panels, halves, block[rows], packed[:, rows], Y[local])
+                    gather = _factor_shape(H.entries, own, ring, shift, tables, below, children,
+                                           panels, halves, block[rows], packed[:, rows],
+                                           None if leaves else Y[local])
+                    if leaves:
+                        Y.append((local.start, local.stop, *gather))
                     left[s] = (panels, halves, ring, fronts[0], bounds)
                     for kid in children:
                         readers[below[1][kid]] -= 1
                         if not readers[below[1][kid]]:
                             below[3][below[1][kid]] = None
                     at += len(fronts)
-                parts.append((slice(start, at), ring_at, Y))
-                stored += Y.size
+                parts.append((slice(start, at), ring_at, tuple(Y) if leaves else Y))
+                stored += count * m * b
             stacks.append((np.ascontiguousarray(own_at.T), tables, block, packed, parts))
             stored += block.size + packed.size
         below = origin, kind, row, left
     entries = SimpleNamespace(nnz=stored)
-    return Cholesky(tuple(stacks), entries, entries)
+    return Cholesky(tuple(stacks), entries, entries, H.entries)
 
 
 def _landing(below, kid: int, found: np.ndarray, order: np.ndarray):
@@ -563,7 +606,7 @@ def _invert_lower(L: np.ndarray) -> np.ndarray:
 
 
 def _factor_shape(entries, own, ring, shift, tables, below, kids, panels, halves,
-                  block, packed, Y) -> None:
+                  block, packed, Y) -> tuple:
     """Factor a stack of translated fronts, ``_STACK`` entries at a time.
 
     ``entries`` is the ``Stencil``'s block, ``own`` and ``ring`` are the
@@ -574,8 +617,10 @@ def _factor_shape(entries, own, ring, shift, tables, below, kids, panels, halves
     its ring block into ``Y``, and the lower triangle of the Schur
     complement it leaves on its ring into ``panels``: the rows between
     two of ``halves``, against every column up to the last of them.
-    Besides its frontal matrix, a step holds only block-sized
-    temporaries.
+    With ``Y`` None the ring blocks are formed one batch at a time and
+    dropped.  Besides its frontal matrix, a step holds only block-sized
+    temporaries.  Returns the gather of the ring block's stencil
+    entries, as ``Cholesky._rebuild`` reads it.
     """
     _, ny, nx = entries.shape
     m, b = len(own), len(ring)
@@ -610,13 +655,16 @@ def _factor_shape(entries, own, ring, shift, tables, below, kids, panels, halves
         except np.linalg.LinAlgError as exc:
             raise EllipticError("Cholesky factorization met a non-positive pivot") from exc
         X = _invert_lower(L11)
-        np.matmul(X, F[:, :m, m:], out=Y[part])
+        R = np.matmul(X, F[:, :m, m:], out=None if Y is None else Y[part])
         block[part] = X[:, h:, :h]
         packed[:, part] = X[:, I, J].T
         for panel, lo, hi in zip(panels, halves[:-1], halves[1:]):
             out = panel[part]
-            np.matmul(Y[part, :, lo:hi].conj().transpose(0, 2, 1), Y[part, :, :hi], out=out)
+            np.matmul(R[:, :, lo:hi].conj().transpose(0, 2, 1), R[:, :, :hi], out=out)
             np.subtract(F[:, m + lo:m + hi, m:m + hi], out, out=out)
+    ring_cols = into % (m + b) >= m  # the ring block's entries, laid out (m, b)
+    return (source[ring_cols] - own[0], (into // (m + b) * b + into % (m + b) - m)[ring_cols],
+            np.count_nonzero(ring_cols[:back]))
 
 
 def solve_poisson(grid: Grid2D, rhs: np.ndarray, boundary) -> np.ndarray:

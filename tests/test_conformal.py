@@ -36,23 +36,31 @@ def soliton_metric(n):
     return g, chebyshev_metric(g)
 
 
+def part_ring_blocks(factor, s, p):
+    """The ring blocks of part ``p`` of stack ``s`` as one array, stored or
+    rebuilt, read through ``Cholesky.ring_blocks``."""
+    return np.concatenate([Y for *_, Y in factor.ring_blocks(s, p)])
+
+
 def whole_stack_solve(factor, b):
     """``elliptic.Cholesky.solve`` with each stack's triangles and ring
     products applied to all of its fronts at once."""
     x = np.array(b, dtype=complex)
-    for own, (h, _, J, rows, *_), block, packed, parts in factor.stacks:
+    for s, (own, (h, _, J, rows, *_), block, packed, parts) in enumerate(factor.stacks):
         y = x[own]
         below = (block @ y[:h].T[..., None])[..., 0].T
         np.add.reduceat(packed * y[J], rows, axis=0, out=y)
         y[h:] += below
         x[own] = y
-        for fronts, ring, Y in parts:
+        for p, (fronts, ring, _) in enumerate(parts):
+            Y = part_ring_blocks(factor, s, p)
             v = Y.transpose(0, 2, 1) @ y[:, fronts].T.conj()[..., None]
             np.subtract.at(x, ring.ravel(), v.conj().ravel())
-    for own, (h, *_, by_col, I, cols), block, packed, parts in reversed(factor.stacks):
+    for s in reversed(range(len(factor.stacks))):
+        own, (h, *_, by_col, I, cols), block, packed, parts = factor.stacks[s]
         y = x[own]
-        for fronts, ring, Y in parts:
-            y[:, fronts] -= (Y @ x[ring][..., None])[..., 0].T
+        for p, (fronts, ring, _) in enumerate(parts):
+            y[:, fronts] -= (part_ring_blocks(factor, s, p) @ x[ring][..., None])[..., 0].T
         t = y.conj()
         np.add.reduceat(packed[by_col] * t[I], cols, axis=0, out=y)
         y[:h] += (t[h:].T[:, None, :] @ block)[:, 0].T
@@ -505,11 +513,27 @@ class TestFlattenKernel:
             tracemalloc.stop()
         assert peak < 13 * 2**20
 
+    def test_factor_holds_no_leaf_ring_blocks(self):
+        # one_soliton's flatten system at n = 129: a factor that stored
+        # the leaves' ring blocks held 9.75 MiB, one that rebuilds them
+        # 7.8 MiB
+        g, metric = soliton_metric(129)
+        H = conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
+        tracemalloc.start()
+        try:
+            factor = elliptic.splu(H)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert factor.L.nnz > 0
+        assert held <= 8.5 * 2**20
+
     def test_flatten_working_memory(self):
         # one_soliton's flatten system at n = 129: besides the factor's
-        # own arrays, the solve and its correction take 8.8 N complex
+        # own arrays, the solve and its correction take 9.85 N complex
         # entries at their peak, the update stack and the frontal
-        # matrices included; a factor that gathered from a (7, N) table
+        # matrices included (9.8 N while the factor stored the leaves'
+        # ring blocks); a factor that gathered from a (7, N) table
         # of stencil entries, with a gradient over both triangle
         # orientations at once, took 15.8 N
         c = 10.0
@@ -526,8 +550,13 @@ class TestFlattenKernel:
 
         factor = elliptic.splu(H)
         walk(factor.stacks)
-        # the stored blocks are 16 L.nnz bytes; the rest are index arrays
-        assert sum(held.values()) > 16 * factor.L.nnz
+        # the stored blocks and the leaves' rebuilt ring blocks are
+        # 16 L.nnz bytes; the rest held are index arrays
+        rebuilt = sum(Y.nbytes for s, stack in enumerate(factor.stacks)
+                      for p in range(len(stack[4])) for *_, Y in factor.ring_blocks(s, p)
+                      if Y.base is None)
+        assert rebuilt > 0
+        assert sum(held.values()) + rebuilt > 16 * factor.L.nnz
         del factor
         b = np.ones(H.diag.size, dtype=complex)
         tracemalloc.start()
@@ -539,9 +568,11 @@ class TestFlattenKernel:
         assert rise <= sum(held.values()) + c * 16 * H.diag.size
 
     def test_solve_working_memory(self):
-        # one solve of one_soliton's flatten system at n = 129 rises 1.3 N
-        # complex entries beyond its result; applied to a whole stack at
-        # a time, the packed triangles and ring products rose 3.7 N
+        # one solve of one_soliton's flatten system at n = 129 rises 1.75 N
+        # complex entries beyond its result, the leaves' rebuilt ring
+        # blocks included (1.3 N while the factor stored them); applied
+        # to a whole stack at a time, the packed triangles and ring
+        # products rose 3.7 N
         g, metric = soliton_metric(129)
         H = conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
         factor = elliptic.splu(H)
@@ -655,6 +686,37 @@ class TestSpline:
         assert np.max(np.abs(f_x - oracle.ev(py, px, dy=1))) <= 1e-11
         assert np.max(np.abs(f_y - oracle.ev(py, px, dx=1))) <= 1e-11
 
+    @pytest.mark.parametrize("band", [1, 7, None])
+    def test_banded_evaluate_is_bitwise_the_whole_array_one(self, monkeypatch, band):
+        # the spline as it evaluated every point at once, one cell table
+        # of 16 doubles per point
+        g = Grid2D.from_bounds(-0.3, 1.1, 0.2, 0.9, 57, 41)
+        X, Y = g.mesh()
+        values = np.sin(2.1 * X + 0.4 * Y**2) * np.exp(0.7 * Y) + X**3 * Y
+        f_xx = values @ conformal._second_derivative_map(g.nx, g.dx).T
+        sy = conformal._second_derivative_map(g.ny, g.dy)
+        nodes = np.stack([values, f_xx, sy @ values, sy @ f_xx]).reshape(2, 2, -1)
+        corners = np.array([[0, 1], [g.nx, g.nx + 1]])[..., None]
+        rng = np.random.default_rng(9)
+        # more points than the default band, every node, and the last
+        # row and column between nodes
+        px = np.concatenate([rng.uniform(g.x0, g.x1, 3000), X.ravel(),
+                             np.full(200, g.x1), rng.uniform(g.x0, g.x1, 200)])
+        py = np.concatenate([rng.uniform(g.y0, g.y1, 3000), Y.ravel(),
+                             rng.uniform(g.y0, g.y1, 200), np.full(200, g.y1)])
+        assert len(px) > conformal._BAND
+        jx, wx, wx_slope = conformal._cell_weights(px, g.x0, g.dx, g.nx)
+        jy, wy, wy_slope = conformal._cell_weights(py, g.y0, g.dy, g.ny)
+        cell = nodes[:, :, jy * g.nx + jx + corners]
+        along = (cell * wx[None, :, None]).sum(axis=(1, 3))
+        along_x = (cell * wx_slope[None, :, None]).sum(axis=(1, 3))
+        want = ((along * wy).sum(axis=(0, 1)), (along_x * wy).sum(axis=(0, 1)),
+                (along * wy_slope).sum(axis=(0, 1)))
+        if band is not None:
+            monkeypatch.setattr(conformal, "_BAND", band)
+        got = conformal._spline(g, values)(px, py)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_needs_four_nodes_per_axis(self):
         g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 9, 3)
         with pytest.raises(ConformalError, match="4 nodes"):
@@ -724,8 +786,42 @@ class TestImageStage:
 
 
 class TestPreimageSeed:
-    """The coarse level's dense nearest-image seed is sized to the
-    coarse grid, not to the image grid."""
+    """The coarse level's nearest-image seed is sized to the coarse
+    grid, not to the image grid, and taken one coarse row at a time."""
+
+    @pytest.mark.parametrize("case", ["lattice", "chart"])
+    def test_row_by_row_seeds_are_the_dense_argmin(self, case, asymmetric_soliton_chart):
+        if case == "lattice":
+            # every point twice, and targets at half steps, each as near
+            # to two or four lattice points: ties everywhere
+            i, j = np.meshgrid(np.arange(6.0), np.arange(5.0))
+            px, py = np.tile(i.ravel(), 2), np.tile(j.ravel(), 2)
+            tx, ty = np.meshgrid(np.arange(-1.0, 6.5, 0.5), np.arange(-1.0, 5.5, 0.5))
+        else:
+            chart = asymmetric_soliton_chart
+            coarse = inner_image_grid(chart, 33)
+            tx, ty = coarse.mesh()
+            px, py = chart.X.values[::2, ::2].ravel(), chart.Y.values[::2, ::2].ravel()
+        dense = (tx.ravel()[:, None] - px) ** 2 + (ty.ravel()[:, None] - py) ** 2
+        if case == "lattice":
+            assert ((dense == dense.min(axis=1, keepdims=True)).sum(axis=1) > 1).all()
+        assert np.array_equal(conformal._nearest(tx, ty, px, py), np.argmin(dense, axis=1))
+
+    def test_preimage_peak_per_image_node(self):
+        # one_soliton's chart at n = 257 onto a 257 x 257 image grid: a
+        # dense seed argmin and whole-array spline evaluations peaked at
+        # 649 bytes per image node, row-by-row seeds and banded
+        # evaluations at 272
+        g, metric = soliton_metric(257)
+        chart = flatten_conformal(metric)
+        image = inner_image_grid(chart, 257)
+        tracemalloc.start()
+        try:
+            chart_preimage(chart, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 320 * image.nx * image.ny
 
     def test_preimage_memory_is_quadratic(self):
         # a dense seed holds (129^2 image nodes) x (65^2 seed nodes)

@@ -454,6 +454,12 @@ class TestNewtonLinearSolve:
             assert not loaded, (argv, sorted(loaded))
 
 
+def part_ring_blocks(factor, s, p):
+    """The ring blocks of part ``p`` of stack ``s`` as one array, stored or
+    rebuilt, read through ``Cholesky.ring_blocks``."""
+    return np.concatenate([Y for *_, Y in factor.ring_blocks(s, p)])
+
+
 def elimination_order_solve(factor, b):
     """``factor.solve`` as it ran with the unknowns renumbered in
     elimination order, each stack's own nodes one slice of ``x``."""
@@ -462,7 +468,8 @@ def elimination_order_solve(factor, b):
     where[order] = np.arange(len(order))
     at = np.cumsum([0] + [own.size for own, *_ in factor.stacks])
     stacks = [(slice(at[g], at[g + 1]), tables, block, packed,
-               [(fronts, where[ring], Y) for fronts, ring, Y in parts])
+               [(fronts, where[ring], part_ring_blocks(factor, g, p))
+                for p, (fronts, ring, _) in enumerate(parts)])
               for g, (_, tables, block, packed, parts) in enumerate(factor.stacks)]
     x = np.asarray(b, dtype=complex)[order]
     for own, (h, _, J, rows, *_), block, packed, parts in stacks:
@@ -484,6 +491,15 @@ def elimination_order_solve(factor, b):
     out = np.empty_like(x)
     out[order] = x
     return out
+
+
+def one_soliton_system(n):
+    """The flatten system of the one_soliton catalog metric at ``n``."""
+    g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, n, n)
+    X, Y = g.mesh()
+    F = np.cos(4.0 * np.arctan(np.exp(X + Y)))
+    metric = MetricField(g, np.ones(g.shape), F, np.ones(g.shape))
+    return conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
 
 
 class TestNestedDissection:
@@ -595,23 +611,44 @@ class TestNestedDissection:
     @pytest.mark.parametrize("nx, ny", [(5, 4), (23, 17)])
     def test_stored_blocks_take_the_counted_bytes(self, nx, ny):
         # the inverse triangles, with no zeros above their diagonals, and
-        # the ring blocks are all a factor keeps of its fronts
+        # the ring blocks, stored or a leaf's rebuilt, are all a factor
+        # has of its fronts
         factor = elliptic.splu(self.random_stencil(nx, ny, 5))
-        stored = sum(block.nbytes + packed.nbytes + sum(Y.nbytes for _, _, Y in parts)
-                     for _, _, block, packed, parts in factor.stacks)
-        assert stored == 16 * factor.L.nnz
+        stored = sum(block.nbytes + packed.nbytes for _, _, block, packed, _ in factor.stacks)
+        ring = [part_ring_blocks(factor, s, p) for s, stack in enumerate(factor.stacks)
+                for p in range(len(stack[4]))]
+        assert any(not isinstance(Y, np.ndarray) for *_, parts in factor.stacks
+                   for _, _, Y in parts)
+        assert stored + sum(Y.nbytes for Y in ring) == 16 * factor.L.nnz
+
+    @pytest.mark.parametrize("system", ["random", "one_soliton"])
+    def test_rebuilt_ring_blocks_are_bitwise_the_factored_ones(self, monkeypatch, system):
+        # a leaf's ring block, as the factorization formed it with the
+        # strided ring columns of its frontal matrix, against the one
+        # ring_blocks rebuilds from a contiguous gather of them
+        H = self.random_stencil(29, 19, 3) if system == "random" else one_soliton_system(129)
+        formed = []
+        factor_shape = elliptic._factor_shape
+
+        def capture(*args):
+            *args, Y = args
+            if Y is None:
+                _, own, ring, shift = args[:4]
+                Y = np.empty((len(shift), len(own), len(ring)), dtype=complex)
+                formed.append(Y)
+            return factor_shape(*args, Y)
+
+        monkeypatch.setattr(elliptic, "_factor_shape", capture)
+        factor = elliptic.splu(H)
+        rebuilt = [part_ring_blocks(factor, s, p) for s, (*_, parts) in enumerate(factor.stacks)
+                   for p, (_, _, Y) in enumerate(parts) if not isinstance(Y, np.ndarray)]
+        rebuilt, formed = (np.concatenate([Y.ravel() for Y in a]) for a in (rebuilt, formed))
+        assert len(rebuilt) == len(formed) > 0
+        assert np.array_equal(rebuilt, formed)
 
     @pytest.mark.parametrize("system", ["random", "one_soliton"])
     def test_solve_bitwise_equal_to_elimination_order_solve(self, system):
-        if system == "random":
-            H = self.random_stencil(23, 17, 7)
-        else:
-            # the flatten system of the one_soliton catalog metric at n = 65
-            g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, 65, 65)
-            X, Y = g.mesh()
-            F = np.cos(4.0 * np.arctan(np.exp(X + Y)))
-            metric = MetricField(g, np.ones(g.shape), F, np.ones(g.shape))
-            H = conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
+        H = self.random_stencil(23, 17, 7) if system == "random" else one_soliton_system(65)
         b = [1.0, 1j] @ np.random.default_rng(8).normal(size=(2, H.diag.size))
         factor = elliptic.splu(H)
         assert np.array_equal(factor.solve(b), elimination_order_solve(factor, b))

@@ -23,10 +23,11 @@ says so, with
 
     PYTHONPATH=src python3 tests/test_report_contract.py
 
-which prints, under each golden it rewrites, every leaf that moved: its
-JSON path, then old -> new.  Floats count as moved beyond a relative
-1e-9, anything else on any change, and a key or item that appears or
-goes shows the other side as ``<absent>``.
+which rewrites a golden only when it is new or a leaf of it moved, and
+prints, under each golden it rewrites, every leaf that moved: its JSON
+path, then old -> new.  Floats count as moved beyond a relative 1e-9,
+anything else on any change, and a key or item that appears or goes
+shows the other side as ``<absent>``.
 """
 
 import json
@@ -162,14 +163,38 @@ def moved_leaves(old, new, where="$"):
         yield where, old, new
 
 
-def write_golden(name: str, doc: dict) -> None:
-    path = GOLDEN / f"{name}.json"
+def write_golden(name: str, doc: dict, golden: Path = GOLDEN) -> bool:
+    """Write ``doc`` as the golden ``name`` under ``golden`` if it is new
+    or ``moved_leaves`` lists a leaf of it, and print what moved.
+    Returns whether it wrote."""
+    path = golden / f"{name}.json"
     old = json.loads(path.read_text()) if path.is_file() else None
+    moved = [] if old is None else list(moved_leaves(old, doc))
+    if old is not None and not moved:
+        return False
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {name}.json (exit {doc['exit_code']})", file=sys.stderr)
-    if old is not None:
-        for where, a, b in moved_leaves(old, doc):
-            print(f"  {where}: {a!r} -> {b!r}", file=sys.stderr)
+    for where, a, b in moved:
+        print(f"  {where}: {a!r} -> {b!r}", file=sys.stderr)
+    return True
+
+
+def test_write_golden_rewrites_only_new_or_moved_goldens(tmp_path, capsys):
+    doc = {"exit_code": 0, "report": {"skew": 1e-14, "stages": [1, "ok"]}}
+    path = tmp_path / "case.json"
+    assert write_golden("case", doc, tmp_path)
+    assert json.loads(path.read_text()) == doc
+    # rounding noise within a relative 1e-9 leaves the file alone
+    path.write_text(json.dumps(doc) + "\n")
+    kept = path.read_text()
+    noise = {"exit_code": 0, "report": {"skew": 1e-14 * (1 + 1e-12), "stages": [1, "ok"]}}
+    assert not write_golden("case", noise, tmp_path)
+    assert path.read_text() == kept
+    capsys.readouterr()
+    moved = {"exit_code": 0, "report": {"skew": 1e-14, "stages": [2, "ok"]}}
+    assert write_golden("case", moved, tmp_path)
+    assert json.loads(path.read_text()) == moved
+    assert capsys.readouterr().err.splitlines()[1:] == ["  $.report.stages[0]: 1 -> 2"]
 
 
 @pytest.mark.parametrize("source", CATALOG)
