@@ -19,11 +19,14 @@ frame is never projected back onto its Gram matrix: RK4 drift is of
 truncation order and smooth over the grid, which keeps the residuals
 differenced from the surface at second order.
 
-The line march is shared: ``_sweep`` fills one state array over the
-grid from one base node, the line through it both ways and then every
-line across it, with one RK4 stepper, ``_rk4_line``.  The frame's state
-is (W | f), f as a fourth column of W; ``developing`` marches its ODE
-through the same kernel with its own state, rate and coefficients.
+The line march is shared: ``_sweep_lines`` marches one sweep order from
+one base node, the line through it both ways and then every line across
+it, with one RK4 stepper, ``_rk4_line``, and yields the states a grid
+line at a time.  ``_sweep`` stores them in one state array; a path
+residual streams the other order against that array, so it never holds
+a second one.  The frame's state is (W | f), f as a fourth column of W,
+and the surface's fields are views of it; ``developing`` marches its
+ODE through the same kernel with its own state, rate and coefficients.
 An ``AngleField`` is a ``ScalarField`` that also checks 0 < theta < pi;
 ``sine_gordon_residual`` returns a plain array of the interior nodes.
 """
@@ -41,10 +44,11 @@ from .grid import (
     ScalarField,
     SolverError,
     VectorField3,
+    _frozen,
     fd_partial,
     interior_abs_max,
 )
-from .forms import FrameField, _place
+from .forms import FrameField
 
 __all__ = [
     "SingularAngleError",
@@ -145,6 +149,13 @@ _SLOTS = {
 }
 
 
+def _place(pack: np.ndarray, slots: tuple) -> np.ndarray:
+    """3 x 3 matrices holding ``pack``'s last axis at ``slots``, zero elsewhere."""
+    M = np.zeros(pack.shape[:-1] + (3, 3))
+    M[(...,) + slots] = pack
+    return M
+
+
 def _pack(theta, theta_d) -> np.ndarray:
     """The five connection scalars per sample, shape ``theta.shape + (5,)``."""
     theta = np.asarray(theta, dtype=float)
@@ -209,46 +220,59 @@ def _rk4_line(Y, step, rate, c_nodes, c_mids):
         yield Y
 
 
-def _march_out(out, base, step, rate, nodes, mids):
-    """March lines from node ``base`` to both of their ends, in place.
+def _march_out(start, base, step, rate, nodes, mids):
+    """March m parallel lines from node ``base`` to both of their ends.
 
-    ``out`` holds the marched state of m parallel lines, line parameter
-    first, shape (n, m, ...), known at ``base``; ``nodes`` and ``mids``
-    give the coefficient at the n nodes and n - 1 midpoints.  The
-    backward half runs on reversed views with the step negated.
+    ``start`` is the state of the m lines at ``base``, shape (m, ...);
+    ``nodes`` and ``mids`` give the coefficient at the n nodes and n - 1
+    midpoints, line parameter first.  Yields ``(k, state at node k)``,
+    the forward half first; the backward half runs on reversed
+    coefficients with the step negated.
     """
-    for h, line, c_nodes, c_mids in (
-        (step, out[base:], nodes[base:], mids[base:]),
-        (-step, out[base::-1], nodes[base::-1], mids[:base][::-1]),
+    for h, way, c_nodes, c_mids in (
+        (step, 1, nodes[base:], mids[base:]),
+        (-step, -1, nodes[base::-1], mids[:base][::-1]),
     ):
-        for k, Y in enumerate(_rk4_line(line[0], h, rate, c_nodes, c_mids), 1):
-            line[k] = Y
+        for k, Y in enumerate(_rk4_line(start, h, rate, c_nodes, c_mids), 1):
+            yield base + way * k, Y
 
 
-def _sweep(out, base, lines, x_first):
-    """Fill the per-node state array ``out`` from one base node, one sweep order.
+def _sweep_lines(start, base, lines, x_first):
+    """One sweep order from the state ``start`` at ``base`` = (j, i),
+    yielded grid line by grid line and never held whole.
 
-    ``out``: the marched state per node, shape (ny, nx, ...), already
-    set at ``base`` = (j, i).
     ``lines``: per direction, x then y, the rate, the coefficient at the
     (ny, nx) nodes and at the midpoints along that direction, and the
     step.  The line through the base is marched both ways, along x
-    (``x_first``) or y; then every line across it, all at once.
+    (``x_first``) or y, and yielded; then every line across it marches
+    out from it, all at once, and each line of nodes parallel to the
+    first is yielded as the march reaches it.  Yields ``(k, states)``:
+    the state at row k (``x_first``) or column k, node by node along it.
     """
     jb, ib = base
     (rate_x, nodes_x, mids_x, dx), (rate_y, nodes_y, mids_y, dy) = lines
     swap = partial(np.moveaxis, source=1, destination=0)
-    # x-lines through transposed views, so every march runs along axis 0
-    x_march = (swap(out), ib, dx, rate_x, swap(nodes_x), swap(mids_x))
-    y_march = (out, jb, dy, rate_y, nodes_y, mids_y)
-    # the line through the base: row jb of the x-lines, column ib of the y-lines
-    if x_first:
-        seed, across, line = x_march, y_march, slice(jb, jb + 1)
-    else:
-        seed, across, line = y_march, x_march, slice(ib, ib + 1)
-    seed_out, b, step, rate, nodes, mids = seed
-    _march_out(seed_out[:, line], b, step, rate, nodes[:, line], mids[:, line])
-    _march_out(*across)
+    # x-lines through transposed coefficients, so every march runs along axis 0
+    x_march = (ib, dx, rate_x, swap(nodes_x), swap(mids_x))
+    y_march = (jb, dy, rate_y, nodes_y, mids_y)
+    seed, across, at = (x_march, y_march, jb) if x_first else (y_march, x_march, ib)
+    b, step, rate, nodes, mids = seed
+    # the seed line as one line of the march, shape (n, 1, ...)
+    line = np.empty((nodes.shape[0], 1) + start.shape, dtype=start.dtype)
+    line[b, 0] = start
+    seed_at = slice(at, at + 1)
+    for k, Y in _march_out(line[b], b, step, rate, nodes[:, seed_at], mids[:, seed_at]):
+        line[k] = Y
+    yield at, line[:, 0]
+    yield from _march_out(line[:, 0], *across)
+
+
+def _sweep(out, base, lines, x_first):
+    """Fill the per-node state array ``out``, shape (ny, nx, ...) and
+    already set at ``base``, in the sweep order ``_sweep_lines`` marches."""
+    rows = out if x_first else np.moveaxis(out, 1, 0)
+    for k, states in _sweep_lines(out[base], base, lines, x_first):
+        rows[k] = states
 
 
 def _frame_rate(slots, col, Y, C):
@@ -281,43 +305,44 @@ def integrate_frame(theta: AngleField) -> FrameIntegrationResult:
     are interpolated to midpoints at matching order).  The sweeps carry
     A and B as their five scalars per node and midpoint, and each step
     places its 3 x 3 from them.  The returned surface comes from the
-    x-then-y sweep; the discrepancy against the y-then-x sweep is
-    reported so that an incompatible angle field cannot slip through
-    silently.  Raises ``SingularAngleError`` where sin(theta) falls
-    below the floor at a node or at an interpolated midpoint.
+    x-then-y sweep, and its fields share that sweep's state; the
+    discrepancy against the y-then-x sweep, taken column by column as
+    that sweep runs, is reported so that an incompatible angle field
+    cannot slip through silently.  Raises ``SingularAngleError`` where
+    sin(theta) falls below the floor at a node or at an interpolated
+    midpoint.
     """
     grid = theta.grid
     theta_vals = theta.values
     lines = _line_connections(theta_vals, fd_partial(theta_vals, grid, "x"),
                               fd_partial(theta_vals, grid, "y"), grid)
 
-    def sweep(x_first):
-        # (W | f): the frame with f as a fourth column
-        state = np.empty(grid.shape + (3, 4))
-        state[0, 0, :, :3] = adapted_initial_frame(float(theta_vals[0, 0]))
-        state[0, 0, :, 3] = 0.0
-        _sweep(state, (0, 0), lines, x_first)
-        return state
-
-    xy = sweep(True)
-    yx = sweep(False)
-    # the differences overwrite the y-then-x sweep, and the coefficients
-    # are freed before the result's fields copy the frame
-    diff = np.abs(np.subtract(xy, yx, out=yx), out=yx)
-    path_residual_f = float(diff[..., 3].max())
-    path_residual_frame = float(diff[..., :3].max())
+    # (W | f): the frame with f as a fourth column, x-then-y
+    state = np.empty(grid.shape + (3, 4))
+    state[0, 0, :, :3] = adapted_initial_frame(float(theta_vals[0, 0]))
+    state[0, 0, :, 3] = 0.0
+    _sweep(state, (0, 0), lines, True)
+    # the y-then-x sweep, column by column against the stored one
+    path_f = path_frame = -np.inf
+    columns = np.moveaxis(state, 1, 0)
+    for i, states in _sweep_lines(state[0, 0], (0, 0), lines, False):
+        diff = np.abs(columns[i] - states)
+        path_f = np.maximum(path_f, diff[..., 3].max())
+        path_frame = np.maximum(path_frame, diff[..., :3].max())
     del lines
 
+    # the fields are views of the frozen state, not copies
+    state = _frozen(state)
     surface = ChebyshevSurface(
-        f=VectorField3(grid, xy[..., 3]),
-        N=VectorField3(grid, xy[..., 2]),
+        f=VectorField3(grid, state[..., 3]),
+        N=VectorField3(grid, state[..., 2]),
         theta=theta,
     )
     return FrameIntegrationResult(
         surface=surface,
-        frame=FrameField(grid, xy[..., :3]),
-        path_residual_f=path_residual_f,
-        path_residual_frame=path_residual_frame,
+        frame=FrameField(grid, state[..., :3]),
+        path_residual_f=float(path_f),
+        path_residual_frame=float(path_frame),
     )
 
 

@@ -355,9 +355,13 @@ def _metric(run: _Run):
 
 
 def _factor(config: PipelineConfig):
-    """The log-factor: a factor file as read, or a chart's exact ``u``."""
-    source = _load_source(config)
-    return source[2]["u"] if _source_kind(config) == "chart" else source
+    """The log-factor: a factor file as read, or a chart's exact ``u``
+    built alone, without the catalog metric and chart."""
+    if _source_kind(config) == "chart":
+        from minding_lab.conformal import catalog_factor
+
+        return catalog_factor(config.catalog, config.n)
+    return _load_source(config)
 
 
 # ---------------------------------------------------------------------------

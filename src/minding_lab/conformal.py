@@ -30,6 +30,7 @@ __all__ = [
     "ConformalError",
     "Chart",
     "catalog_chart",
+    "catalog_factor",
     "flatten_conformal",
     "rescale_to_liouville",
     "inner_image_grid",
@@ -119,6 +120,23 @@ def catalog_chart(name: str, n: int = 65):
         chart = Chart(ScalarField(g, X + c * Y), ScalarField(g, float(np.sin(np.pi / 3.0)) * Y),
                       ScalarField(g, ones))
         return metric, chart, {"u": ScalarField(g, np.zeros(g.shape))}
+    g, X, Y, h = _curved_chart(name, n)
+    h = ScalarField(g, h)
+    metric = MetricField.conformal(h)
+    chart = Chart(ScalarField(g, X), ScalarField(g, Y), h)
+    return metric, chart, {"u": catalog_factor(name, n)}
+
+
+def catalog_factor(name: str, n: int = 65) -> ScalarField:
+    """The exact log-factor ``u = ln h`` of a catalog chart other than the
+    flat one, built without the chart and its metric."""
+    g, _, Y, h = _curved_chart(name, n)
+    return ScalarField(g, -np.log(Y) if name == "half_plane_pseudosphere" else np.log(h))
+
+
+def _curved_chart(name: str, n: int):
+    """Grid, node coordinates ``X, Y`` and conformal factor ``h`` of a
+    catalog chart other than the flat one."""
     if name == "half_plane_pseudosphere":
         g = Grid2D.from_bounds(0.0, 1.0, 1.0, 2.0, n, n)
         X, Y = g.mesh()
@@ -134,11 +152,7 @@ def catalog_chart(name: str, n: int = 65):
         h = 2.0 / (1.0 + X**2 + Y**2)
     else:
         raise ValueError(f"unknown catalog chart {name!r}")
-    h = ScalarField(g, h)
-    metric = MetricField.conformal(h)
-    chart = Chart(ScalarField(g, X), ScalarField(g, Y), h)
-    u = -np.log(Y) if name == "half_plane_pseudosphere" else np.log(h.values)
-    return metric, chart, {"u": ScalarField(g, u)}
+    return g, X, Y, h
 
 
 def _vertices(a: np.ndarray) -> tuple[np.ndarray, ...]:

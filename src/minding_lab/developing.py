@@ -14,8 +14,9 @@ A march holds little beyond its state, two solutions and their
 derivatives per node: T is formed one partial derivative at a time,
 the seed line gets only its own line of T-midpoints, T and its
 midpoints are dropped once the sweep returns, and the map and its
-derivative take one temporary.  Every value is the one the whole-grid
-expressions give, bit for bit.
+derivative take one temporary.  The path residual holds one march's
+map and streams the other march against it a column at a time.  Every
+value is the one the whole-grid expressions give, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .grid import (
     _second_values,
     fd_partial,
 )
-from .chebyshev import _interp_midpoints, _sweep
+from .chebyshev import _interp_midpoints, _sweep, _sweep_lines
 
 __all__ = [
     "DevelopError",
@@ -150,19 +151,17 @@ def _psi_rate(direction: complex, s: np.ndarray, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _march(u: ScalarField, jb: int, ib: int, x_first: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Map and derivative from one march out of node ``(jb, ib)``, base
-    row first or base column first.
+def _march_lines(u: ScalarField, jb: int, ib: int, x_first: bool):
+    """``_sweep``'s lines for one march out of node ``(jb, ib)``, base row
+    first or base column first, and the state at that node.
 
-    The coefficient T is formed here and dropped with its midpoints as
-    soon as the sweep returns.  The seed line reads only its own row
-    (``x_first``) or column of midpoints along it, so only that one is
-    formed and broadcast to the shape ``_sweep`` indexes.
-
-    A non-finite state or a vanishing denominator solution means the
-    factor is not developable from here and raises ``DevelopError``.
-    On a valid map neither happens: the Wronskian never vanishes and
-    ``|psi1/psi2| < 1``, so ``psi2`` cannot.
+    The coefficient T is formed here; the lines hold it and its
+    midpoints, so they go when the lines do.  The seed line reads only
+    its own row (``x_first``) or column of midpoints along it, so only
+    that one is formed and broadcast to the shape ``_sweep`` indexes.
+    Solution 0 vanishes at the base with derivative e^u/2 (this is the
+    Wronskian), solution 1 starts at 1 with derivative -u_z: together
+    they normalize phi(base) = 0, phi'(base) = e^{u(base)}/2 > 0.
     """
     g = u.grid
     T = _invariant(u)
@@ -170,29 +169,48 @@ def _march(u: ScalarField, jb: int, ib: int, x_first: bool) -> tuple[np.ndarray,
     mids_y = _interp_midpoints(T if x_first else T[:, ib:ib + 1], axis=0)
     lines = [(partial(_psi_rate, 1.0), T, np.broadcast_to(mids_x, (g.ny, g.nx - 1)), g.dx),
              (partial(_psi_rate, 1.0j), T, np.broadcast_to(mids_y, (g.ny - 1, g.nx)), g.dy)]
-    del T, mids_x, mids_y
-    u0 = float(u.values[jb, ib])
-    uz0 = _dz_at(u.values, g, jb, ib)
-    state = np.full(g.shape + (2, 2), np.nan, dtype=complex)
-
-    # a large factor overflows the seed and the march; the finiteness
-    # check below is the verdict
+    start = np.empty((2, 2), dtype=complex)
+    # a large factor overflows the seed and the march; the march's
+    # finiteness check is the verdict
     with np.errstate(over="ignore", invalid="ignore"):
-        # solution 0 vanishes at the base with derivative e^u/2 (this is
-        # the Wronskian), solution 1 starts at 1 with derivative -u_z:
-        # together they normalize phi(base) = 0, phi'(base) = e^{u(base)}/2 > 0
-        state[jb, ib, 0] = [0.0, 1.0]
-        state[jb, ib, 1] = [0.5 * np.exp(u0), -uz0]
+        start[0] = [0.0, 1.0]
+        start[1] = [0.5 * np.exp(float(u.values[jb, ib])), -_dz_at(u.values, g, jb, ib)]
+    return lines, start
+
+
+def _developable(finite: bool, floor: float) -> None:
+    """Raise ``DevelopError`` unless a march stayed finite and its
+    denominator solution ``psi2`` kept ``floor`` = min |psi2| off zero.
+
+    On a valid map neither fails: the Wronskian never vanishes and
+    ``|psi1/psi2| < 1``, so ``psi2`` cannot.
+    """
+    if not finite:
+        raise DevelopError(
+            "not developable on this patch: integration produced non-finite values")
+    if floor < 1e-8:
+        raise DevelopError("not developable on this patch: denominator solution crossed zero")
+
+
+def _march(u: ScalarField, jb: int, ib: int, x_first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Map and derivative from one march out of node ``(jb, ib)``, base
+    row first or base column first.
+
+    T and its midpoints are dropped as soon as the sweep returns.  A
+    non-finite state or a vanishing denominator solution means the
+    factor is not developable from here and raises ``DevelopError``.
+    """
+    lines, start = _march_lines(u, jb, ib, x_first)
+    state = np.full(u.grid.shape + (2, 2), np.nan, dtype=complex)
+    state[jb, ib] = start
+    with np.errstate(over="ignore", invalid="ignore"):
         _sweep(state, (jb, ib), lines, x_first)
     del lines
 
     psi1, dpsi1 = state[..., 0, 0], state[..., 1, 0]
     psi2, dpsi2 = state[..., 0, 1], state[..., 1, 1]
-    if not np.isfinite(state).all():
-        raise DevelopError(
-            "not developable on this patch: integration produced non-finite values")
-    if float(np.min(np.abs(psi2))) < 1e-8:
-        raise DevelopError("not developable on this patch: denominator solution crossed zero")
+    finite = bool(np.isfinite(state).all())
+    _developable(finite, float(np.min(np.abs(psi2))) if finite else np.nan)
     phi = psi1 / psi2
     # dphi = (dpsi1 * psi2 - dpsi2 * psi1) / psi2**2 through one temporary
     dphi = dpsi1 * psi2
@@ -224,12 +242,28 @@ def develop(u: ScalarField, *, base: tuple[int, int] | None = None) -> Developin
 
 
 def develop_path_residual(u: ScalarField, base: tuple[int, int] | None = None) -> float:
-    """Sup difference between row-first and column-first integrations."""
+    """Sup difference between row-first and column-first integrations.
+
+    The column-first march is never held whole: each column of its map
+    is compared with the row-first map as the march reaches it.  Its
+    finiteness and denominator checks are collected on the way and
+    raised after it, as ``_march`` raises them.
+    """
     g = u.grid
     jb, ib = base if base is not None else (g.ny // 2, g.nx // 2)
-    phi_xy, _ = _march(u, jb, ib, x_first=True)
-    phi_yx, _ = _march(u, jb, ib, x_first=False)
-    return float(np.max(np.abs(phi_xy - phi_yx)))
+    columns = np.moveaxis(_march(u, jb, ib, x_first=True)[0], 1, 0)
+    lines, start = _march_lines(u, jb, ib, x_first=False)
+    residual, finite, floor = -np.inf, True, np.inf
+    # columns after a non-finite one are skipped; the checks then raise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, states in _sweep_lines(start, (jb, ib), lines, False):
+            finite = finite and bool(np.isfinite(states).all())
+            if finite:
+                psi1, psi2 = states[:, 0, 0], states[:, 0, 1]
+                floor = min(floor, float(np.min(np.abs(psi2))))
+                residual = np.maximum(residual, np.max(np.abs(columns[i] - psi1 / psi2)))
+    _developable(finite, floor)
+    return float(residual)
 
 
 def pullback_isometry_check(dev: DevelopingMap, u: ScalarField) -> float:

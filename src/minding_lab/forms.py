@@ -15,9 +15,10 @@ The frame W = (f_x, f_y, N) of a conformal (isothermic) immersion with
          [-h_y/h,  h_x/h, -m/h^2  ],           [ h_x/h,  h_y/h, -n/h^2],
          [ ell,    m,      0      ]]           [ m,      n,      0    ]]
 
-and the flatness of ambient space makes A_y - B_x = AB - BA.  ``_place``
-puts each together from its eight entries but (2, 2), row by row, through
-one slot table; it places the Chebyshev connections too.
+and the flatness of ambient space makes A_y - B_x = AB - BA.
+``isothermic_connection`` writes each one's eight entries but (2, 2),
+row by row through one slot table, into the array its field then
+takes over.
 
 Fields and forms enter as samples; ``FrameField`` is a ``grid.Field``
 with a 3 x 3 matrix at each node, and ``SecondForm`` runs the same
@@ -43,6 +44,7 @@ from .grid import (
     ScalarField,
     SolverError,
     VectorField3,
+    _frozen,
     _samples,
     fd_laplacian,
     fd_partial,
@@ -141,13 +143,6 @@ def _as_matrices(M, grid: Grid2D, name: str) -> np.ndarray:
 _ROW_BY_ROW = ((0, 0, 0, 1, 1, 1, 2, 2), (0, 1, 2, 0, 1, 2, 0, 1))
 
 
-def _place(pack: np.ndarray, slots: tuple) -> np.ndarray:
-    """3 x 3 matrices holding ``pack``'s last axis at ``slots``, zero elsewhere."""
-    M = np.zeros(pack.shape[:-1] + (3, 3))
-    M[(...,) + slots] = pack
-    return M
-
-
 def induced_metric(f: VectorField3) -> MetricField:
     """E, F, G of an immersion by finite differences."""
     grid = f.grid
@@ -207,7 +202,7 @@ def normal_and_second_form(f: VectorField3) -> tuple[VectorField3, SecondForm]:
         asymmetry.append(np.abs(m1 - m2).max())
         N[j0:j1] = N_ab[band]
     second = SecondForm(grid, ell, m, n, m_asymmetry=float(np.max(asymmetry)))
-    return VectorField3(grid, N), second
+    return VectorField3(grid, _frozen(N)), second
 
 
 def isothermic_connection(h: ScalarField, second: SecondForm) -> tuple[FrameField, FrameField]:
@@ -220,11 +215,16 @@ def isothermic_connection(h: ScalarField, second: SecondForm) -> tuple[FrameFiel
     hy = fd_partial(hv, h.grid, "y") / hv
     h2 = hv**2
     ell, m, n = second.ell, second.m, second.n
-    # A is frozen before B's entries exist, which keeps the peak down
-    A = FrameField(h.grid, _place(np.stack([hx, hy, -ell / h2, -hy, hx, -m / h2, ell, m],
-                                           axis=-1), _ROW_BY_ROW))
-    B = _place(np.stack([hy, -hx, -m / h2, hx, hy, -n / h2, m, n], axis=-1), _ROW_BY_ROW)
-    return A, FrameField(h.grid, B)
+    # each entry is written in place and each matrix field handed over;
+    # B's entries are formed only once A is done
+    A = np.zeros(h.grid.shape + (3, 3))
+    for r, c, entry in zip(*_ROW_BY_ROW, (hx, hy, -ell / h2, -hy, hx, -m / h2, ell, m)):
+        A[..., r, c] = entry
+    A = FrameField(h.grid, _frozen(A))
+    B = np.zeros(h.grid.shape + (3, 3))
+    for r, c, entry in zip(*_ROW_BY_ROW, (hy, -hx, -m / h2, hx, hy, -n / h2, m, n)):
+        B[..., r, c] = entry
+    return A, FrameField(h.grid, _frozen(B))
 
 
 def zero_curvature_residual(A, B, grid: Grid2D) -> np.ndarray:

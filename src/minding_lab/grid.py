@@ -5,12 +5,17 @@ scalar, vector, or matrix sample array.  Arrays are indexed ``[j, i]``
 (y index first) so that the C-order flattening is node-major with x
 fastest.  A field wraps samples that enter the library: every field
 class is a :class:`Field` keyed by its shape per node, whose one check
-refuses a wrong shape or a non-finite sample.  Derivatives, curvatures
-and residuals are plain arrays, and a kernel returns the nodes it
-defines and no others.  Every first derivative in the package, of
-fields' samples and of arrays with trailing component axes alike, goes
-through the one kernel ``fd_partial``: second-order stencils, central
-inside and one-sided on the boundary, so it is defined everywhere.
+refuses a wrong shape or a non-finite sample.  A field's samples are
+read-only, and a field takes them by one rule: a read-only array is
+taken as it is, views included, and a writeable one is copied.  A
+producer that is done with an array freezes it and hands it over, so
+its fields share it; nothing may write to an array once it is frozen.
+Derivatives, curvatures and residuals are plain arrays, and a kernel
+returns the nodes it defines and no others.  Every first derivative in
+the package, of fields' samples and of arrays with trailing component
+axes alike, goes through the one kernel ``fd_partial``: second-order
+stencils, central inside and one-sided on the boundary, so it is
+defined everywhere.
 Every second difference along one axis goes through ``_second_values``,
 the five-point Laplacian's included; the Laplacian is defined on the
 interior nodes only and returns those.  Integrals are tensor-product
@@ -151,6 +156,12 @@ def _samples(values, shape: tuple, what: str, dtype=float) -> np.ndarray:
     return arr
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """``values``, made read-only, for a field to take over."""
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class Field:
     """Read-only samples on a grid, an array of ``node_shape`` at each
@@ -162,10 +173,12 @@ class Field:
     node_shape: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self) -> None:
-        values = np.array(_samples(self.values, self.grid.shape + self.node_shape,
-                                   f"{type(self).__name__} samples"), copy=True)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        values = _samples(self.values, self.grid.shape + self.node_shape,
+                          f"{type(self).__name__} samples")
+        # a read-only array is handed over; a writeable one is copied
+        if values is self.values and values.flags.writeable:
+            values = values.copy()
+        object.__setattr__(self, "values", _frozen(values))
 
 
 class ScalarField(Field):
@@ -175,7 +188,9 @@ class ScalarField(Field):
     def from_function(cls, grid: Grid2D, fn) -> "ScalarField":
         """Sample ``fn(X, Y)`` at the nodes."""
         X, Y = grid.mesh()
-        return cls(grid, np.broadcast_to(fn(X, Y), grid.shape))
+        values = np.empty(grid.shape)
+        values[...] = fn(X, Y)
+        return cls(grid, _frozen(values))
 
 
 class VectorField3(Field):

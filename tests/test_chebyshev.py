@@ -15,6 +15,7 @@ from minding_lab.chebyshev import (
     _SLOTS,
     _interp_midpoints,
     _pack,
+    _place,
     _sweep,
     adapted_initial_frame,
     corollary_conditions,
@@ -39,8 +40,8 @@ def connection(theta, theta_x, theta_y):
     samples of theta and its partials, placed through the synthesis's
     own slot tables.  Columns of A hold the basis coefficients of
     (f_xx, f_xy, N_x); columns of B those of (f_yx, f_yy, N_y)."""
-    return (forms._place(_pack(theta, theta_x), _SLOTS["x"]),
-            forms._place(_pack(theta, theta_y), _SLOTS["y"]))
+    return (_place(_pack(theta, theta_x), _SLOTS["x"]),
+            _place(_pack(theta, theta_y), _SLOTS["y"]))
 
 
 def fd_connection(theta):
@@ -364,8 +365,9 @@ class TestConnectionPacks:
         assert res.path_residual_frame == residual_frame
 
     def test_peak_memory_under_seven_frames(self):
-        # measured 4.98x the frame's bytes; 10.55x with the four
-        # connections held as full (ny, nx, 3, 3) arrays
+        # measured 3.66x the frame's bytes; 4.97x with the y-then-x sweep
+        # held whole and the fields copying the march state, 10.55x with
+        # the four connections held as full (ny, nx, 3, 3) arrays
         th = one_soliton_angle(soliton_grid(129))
         tracemalloc.start()
         try:
@@ -373,7 +375,7 @@ class TestConnectionPacks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * res.frame.values.nbytes
+        assert peak <= 3.9 * res.frame.values.nbytes
 
     def test_singular_node(self):
         g = Grid2D.from_bounds(0.0, 1.0, 0.0, 0.5, 8, 6)

@@ -379,6 +379,35 @@ class TestMarchFromEdges:
         assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
 
 
+def two_march_path_residual(u, base):
+    """The path residual from two whole marches, both held at once."""
+    phi_xy, _ = _march(u, *base, x_first=True)
+    phi_yx, _ = _march(u, *base, x_first=False)
+    return float(np.max(np.abs(phi_xy - phi_yx)))
+
+
+def wide_strip_factor(n):
+    # the strip factor on a grid with nx != ny and dx != dy
+    g = Grid2D.from_bounds(-0.5, 0.3, -0.4, 0.5, n, n - 16)
+    _, Y = g.mesh()
+    return ScalarField(g, -np.log(np.cos(Y)))
+
+
+class TestStreamedPathResidual:
+    """The column-first march is compared column by column as it runs."""
+
+    @pytest.mark.parametrize("factor", [quadratic_map_factor, strip_factor, wide_strip_factor])
+    @pytest.mark.parametrize("base", ["centre", "corner"])
+    def test_bitwise_the_two_march_residual(self, factor, base):
+        u = factor(65)
+        g = u.grid
+        at = (g.ny // 2, g.nx // 2) if base == "centre" else (g.ny - 1, 0)
+        got = develop_path_residual(u, None if base == "centre" else at)
+        want = two_march_path_residual(u, at)
+        assert got > 0.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestPullbackCheck:
     def test_half_plane_analytic_exact(self):
         dev = half_plane_map(65)

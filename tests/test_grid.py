@@ -97,6 +97,47 @@ class TestScalarField:
             f.values[0, 0] = 1.0
 
 
+class TestFieldOwnership:
+    """A field copies a writeable input and takes a read-only one as it is."""
+
+    def test_writeable_input_is_copied(self):
+        g = Grid2D.from_bounds(0, 1, 0, 1, 5, 4)
+        samples = np.arange(60.0).reshape(g.shape + (3,))
+        field = VectorField3(g, samples)
+        assert not np.shares_memory(field.values, samples)
+        samples[1, 2] = -1.0
+        assert np.array_equal(field.values, np.arange(60.0).reshape(g.shape + (3,)))
+
+    def test_read_only_input_is_shared(self):
+        # a frozen array and a strided view of one, as a march hands over
+        g = Grid2D.from_bounds(0, 1, 0, 1, 5, 4)
+        state = np.arange(240.0).reshape(g.shape + (3, 4))
+        state.setflags(write=False)
+        whole = ScalarField(g, state[..., 0, 0])
+        column = VectorField3(g, state[..., 3])
+        assert np.shares_memory(whole.values, state)
+        assert np.shares_memory(column.values, state)
+        assert np.array_equal(column.values, state[..., 3])
+
+    @pytest.mark.parametrize("samples", [
+        np.ones((4, 5)), np.ones((4, 5), dtype=int), [[1.0] * 5] * 4,
+        np.broadcast_to(2.0, (4, 5)),
+    ], ids=["writeable", "converted", "list", "read-only"])
+    def test_values_always_read_only(self, samples):
+        g = Grid2D.from_bounds(0, 1, 0, 1, 5, 4)
+        values = ScalarField(g, samples).values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
+
+    def test_from_function_owns_contiguous_samples(self):
+        g = Grid2D.from_bounds(0, 1, 0, 1, 5, 4)
+        values = ScalarField.from_function(g, lambda x, y: 3).values
+        assert values.dtype == float and values.flags.c_contiguous
+        assert not values.flags.writeable
+        assert np.array_equal(values, np.full(g.shape, 3.0))
+
+
 class TestStencils:
     def test_partial_exact_on_quadratics(self):
         # Central and one-sided second-order stencils reproduce the
