@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic
-from .grid import Grid2D, GridError, ScalarField, SolverError, fd_laplacian, fd_partial
+from .grid import Grid2D, GridError, ScalarField, SolverError, bands, fd_laplacian, fd_partial
 from .forms import MetricField
 
 __all__ = [
@@ -195,40 +195,26 @@ def _triangle_rows(metric: MetricField) -> tuple[np.ndarray, np.ndarray]:
     return w / sq_a - 1j * (w * b / (a * s)), 1j * (w / s)
 
 
-# The reports were first made with a gradient that formed
-# ``k * (w1 - w0)`` over both orientations at once, which numpy evaluates
-# in place in the difference, as ``(w1 - w0) * k``, once that temporary
-# reaches ``elliptic._ELIDED_BYTES`` (its temporary elision).  A complex
-# product rounds its imaginary part by operand order, so ``_gradient``
-# multiplies in the order numpy took there and the reports stay bitwise
-# the same.
-# cells or points a band holds: the gradient's rows, a spline's points
-_BAND = 1 << 12
-
-
 def _gradient(k1: np.ndarray, k2: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``A^H (A w)`` for node images ``w`` of grid shape, ``A`` the
     triangle rows ``k1, k2``: the conformal energy's gradient.
 
-    Bands of about ``_BAND`` cells are taken from the top row down, so
-    only band-sized temporaries are held.  Each node sums its terms in
-    one fixed order: from the cell above right of it, then above left,
-    both in its band or in one taken earlier, then below left and below
-    right, both in its band.
+    ``grid.bands`` of cells are taken from the top row down, so only
+    band-sized temporaries are held.  Each node sums its terms in one
+    fixed order whatever the bands: from the cell above right of it,
+    then above left, both in its band or in one taken earlier, then
+    below left and below right, both in its band.
     """
     ny, nx = w.shape
-    swap = k1.nbytes >= elliptic._ELIDED_BYTES
     out = np.zeros(w.shape, dtype=complex)
-    rows = max(1, _BAND // (nx - 1))
-    for top in range(ny - 1, 0, -rows):
-        cells = slice(max(top - rows, 0), top)
-        v, band = w[cells.start:top + 1], out[cells.start:top + 1]
+    for cells in reversed(bands(ny - 1, nx - 1)):
+        v, band = w[cells.start:cells.stop + 1], out[cells.start:cells.stop + 1]
         w0, corners = v[:-1, :-1], (v[:-1, 1:], v[1:, 1:], v[1:, :-1])
         terms = []
         for t in range(2):
             r, edge = corners[t] - w0, corners[t + 1] - w0
             for k, d in ((k1[t, cells], r), (k2[t, cells], edge)):
-                np.multiply(*((d, k) if swap else (k, d)), out=d)
+                np.multiply(k, d, out=d)
             r += edge
             terms.append([np.conj(c[t, cells]) * r for c in (k1, k2)])
         (a10, a20), (a11, a21) = terms
@@ -459,7 +445,7 @@ def _spline(grid: Grid2D, values: np.ndarray):
     ``f_xx``, ``f_yy`` and ``f_xxyy``; in a cell the spline is the
     tensor product of the 1-D cubic in value/second-derivative form, 16
     terms.  Returns ``evaluate(x, y) -> (f, f_x, f_y)`` at points, all
-    three from one cell lookup, ``_BAND`` points at a time: a band's
+    three from one cell lookup, in ``grid.bands`` of points: a band's
     cell table holds 16 doubles per point.
     """
     nx = grid.nx
@@ -471,7 +457,7 @@ def _spline(grid: Grid2D, values: np.ndarray):
 
     def evaluate(x: np.ndarray, y: np.ndarray):
         out = np.empty((3, len(x)))
-        for band in (slice(k, k + _BAND) for k in range(0, len(x), _BAND)):
+        for band in bands(len(x), 1):
             jx, wx, wx_slope = _cell_weights(x[band], grid.x0, grid.dx, nx)
             jy, wy, wy_slope = _cell_weights(y[band], grid.y0, grid.dy, grid.ny)
             cell = nodes[:, :, jy * nx + jx + corners]  # [y kind, x kind, row, column, point]

@@ -43,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import Grid2D, GridError, ScalarField, SolverError, _samples, fd_laplacian
+from .grid import Grid2D, GridError, ScalarField, SolverError, _samples, bands, fd_laplacian
 
 __all__ = [
     "EllipticError",
@@ -222,15 +222,8 @@ _OFFSETS = np.array([(0, 0), (0, 1), (1, 0), (1, 1), (0, -1), (-1, 0), (-1, -1)]
 _PLANES = np.array([0, 1, 2, 3, 1, 2, 3])
 # most nodes in a leaf of the dissection: larger leaves store more fill
 _LEAF = 16
-# complex entries of the frontal matrices factored as one stack
+# complex entries of the frontal matrices factored as one band
 _STACK = 1 << 20
-# packed triangle entries a solve applies at a time
-_SOLVE_CHUNK = 1 << 12
-# numpy forms a product in place in an operand that is a temporary of at
-# least this many bytes (its temporary elision), swapping the operands
-# when that is the right one; a complex product rounds its imaginary
-# part by operand order
-_ELIDED_BYTES = 256 * 1024
 
 
 def _dissect(nx: int, ny: int) -> list[tuple[np.ndarray, ...]]:
@@ -389,15 +382,18 @@ class Cholesky:
     entries: np.ndarray
 
     def ring_blocks(self, s: int, p: int):
-        """Part ``p`` of stack ``s`` in chunks of fronts, in front order:
-        per chunk, its slice of the stack, its rows in the part and their
-        ring blocks, a view of the stored ones or a leaf's rebuilt.  A
-        rebuilt chunk holds about ``_SOLVE_CHUNK`` entries of ``Y``."""
+        """Part ``p`` of stack ``s`` in ``grid.bands`` of fronts, in front
+        order: per band, its slice of the stack, its rows in the part and
+        their ring blocks, a view of the stored ones or a leaf's rebuilt.
+        A front with ``m`` own nodes and ``b`` ring nodes counts the
+        ``m + b`` values the solve gathers for it, or the ``m b`` entries
+        of ``Y`` it rebuilds."""
         stack = self.stacks[s]
         fronts, ring, Y = part = stack[4][p]
+        m, b = len(stack[0]), ring.shape[1]
         stored = isinstance(Y, np.ndarray)
-        for c in _chunks(fronts, len(stack[3]) if stored else len(stack[0]) * ring.shape[1]):
-            at = slice(c.start - fronts.start, c.stop - fronts.start)
+        for at in bands(fronts.stop - fronts.start, m + b if stored else m * b):
+            c = slice(fronts.start + at.start, fronts.start + at.stop)
             yield c, at, Y[at] if stored else self._rebuild(stack, part, c, at)
 
     def _rebuild(self, stack, part, c: slice, at: slice) -> np.ndarray:
@@ -424,22 +420,19 @@ class Cholesky:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``H^-1 b``: forward through the stacks in elimination order,
         then back.  Each stack applies its triangles, and each of its
-        parts its ring products, in chunks of fronts in front order, so
-        only chunk-sized temporaries are held; the ring products are
-        scattered into ``x`` in the order the fronts come.  A chunk
+        parts its ring products, in ``grid.bands`` of fronts in front
+        order, so only band-sized temporaries are held; the ring products
+        are scattered into ``x`` in the order the fronts come.  A band
         gathers its own nodes and writes them back after its step.  A
         packed triangle is applied entry by entry, summed by rows
         forward, by columns back."""
         x = np.array(b, dtype=complex)
         for s, (own, (h, _, J, rows, *_), block, packed, parts) in enumerate(self.stacks):
-            # the whole-stack product packed * y[J] was formed in place
-            # in y[J] once that reached numpy's temporary elision
-            swap = packed.nbytes >= _ELIDED_BYTES
-            for c in _chunks(slice(0, len(block)), len(packed)):
+            for c in bands(len(block), len(packed)):
                 y = x[own[:, c]]
                 below = (block[c] @ y[:h].T[..., None])[..., 0].T
                 t = y[J]
-                np.multiply(*((t, packed[:, c]) if swap else (packed[:, c], t)), out=t)
+                np.multiply(packed[:, c], t, out=t)
                 np.add.reduceat(t, rows, axis=0, out=y)
                 y[h:] += below
                 x[own[:, c]] = y
@@ -452,7 +445,7 @@ class Cholesky:
             for p, (_, ring, _) in enumerate(parts):
                 for c, at, Y in self.ring_blocks(s, p):
                     x[own[:, c]] -= (Y @ x[ring[at]][..., None])[..., 0].T
-            for c in _chunks(slice(0, len(block)), len(packed)):
+            for c in bands(len(block), len(packed)):
                 y = x[own[:, c]]
                 t = y.conj()
                 p = packed[by_col, c]
@@ -462,18 +455,6 @@ class Cholesky:
                 np.conjugate(y, out=y)
                 x[own[:, c]] = y
         return x
-
-
-def _chunks(fronts: slice, size: int):
-    """``fronts`` in order as slices of about ``_SOLVE_CHUNK`` packed
-    entries, ``size`` per front.  A slice holds two fronts or more
-    unless ``fronts`` holds one: a chunk's matrix-vector products then
-    read their vectors at a stride, as the whole stack's did, and BLAS
-    rounds a unit-stride vector differently."""
-    count = fronts.stop - fronts.start
-    pieces = max(1, count // max(2, _SOLVE_CHUNK // size))
-    bounds = [fronts.start + count * k // pieces for k in range(pieces + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def splu(H: Stencil) -> Cholesky:
@@ -607,7 +588,8 @@ def _invert_lower(L: np.ndarray) -> np.ndarray:
 
 def _factor_shape(entries, own, ring, shift, tables, below, kids, panels, halves,
                   block, packed, Y) -> tuple:
-    """Factor a stack of translated fronts, ``_STACK`` entries at a time.
+    """Factor a stack of translated fronts in ``grid.bands`` of ``_STACK``
+    frontal entries.
 
     ``entries`` is the ``Stencil``'s block, ``own`` and ``ring`` are the
     first front's nodes, ``shift`` each front's node offset from it, and
@@ -639,15 +621,13 @@ def _factor_shape(entries, own, ring, shift, tables, below, kids, panels, halves
     source = _PLANES[d] * (ny * nx) + np.minimum(own[a], q[d, a])
     back = np.searchsorted(d, 4)
     merges = [_landing(below, kid, front[order], order) for kid in kids]
-    size = max(1, _STACK // (m + b) ** 2)
-    for start in range(0, len(shift), size):
-        part = slice(start, start + size)
-        F = np.zeros((len(shift[part]), m + b, m + b), dtype=complex)
+    for part in bands(len(shift), (m + b) ** 2, _STACK):
+        F = np.zeros((part.stop - part.start, m + b, m + b), dtype=complex)
         values = entries.take(source + shift[part])
         np.conjugate(values[:, back:], out=values[:, back:])
         F.reshape(len(F), -1)[:, into] = values
         for kid_panels, base, adds in merges:
-            rows = slice(base + start, base + start + len(F))
+            rows = slice(base + part.start, base + part.stop)
             for p, from_r, into_r, into_c, from_c in adds:
                 F[:, into_r, into_c] += kid_panels[p][rows, from_r, from_c]
         try:

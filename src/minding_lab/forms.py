@@ -46,6 +46,7 @@ from .grid import (
     VectorField3,
     _frozen,
     _samples,
+    bands,
     fd_laplacian,
     fd_partial,
 )
@@ -152,10 +153,6 @@ def induced_metric(f: VectorField3) -> MetricField:
     return MetricField(grid, dot(f_x, f_x), dot(f_x, f_y), dot(f_y, f_y))
 
 
-# nodes in a band of rows that the second form takes at a time
-_BAND = 1 << 12
-
-
 def normal_and_second_form(f: VectorField3) -> tuple[VectorField3, SecondForm]:
     """Unit normal and second form of an immersion.
 
@@ -163,7 +160,7 @@ def normal_and_second_form(f: VectorField3) -> tuple[VectorField3, SecondForm]:
     coefficients come from derivatives of N (ell = -<N_x, f_x> and so
     on), with the mixed coefficient measured both ways and averaged.
 
-    Bands of about ``_BAND`` nodes are taken in turn, so only band-sized
+    ``grid.bands`` of rows are taken in turn, so only band-sized
     temporaries are held.  N_y on a band needs N a row beyond it, and
     that row's f_y needs f one row further; at the grid's edge a
     one-sided stencil needs three rows.  Each band's slab of f carries
@@ -176,9 +173,8 @@ def normal_and_second_form(f: VectorField3) -> tuple[VectorField3, SecondForm]:
     ell, m, n = (np.empty(grid.shape) for _ in range(3))
     asymmetry = []
     dot = lambda a, b: np.einsum("jki,jki->jk", a, b)
-    rows = max(1, _BAND // grid.nx)
-    for j0 in range(0, ny, rows):
-        j1 = min(j0 + rows, ny)
+    for rows in bands(ny, grid.nx):
+        j0, j1 = rows.start, rows.stop
         # N on rows [a, b) and f on rows [lo, hi), each at least three rows
         a, b = max(min(j0 - 1, ny - 3), 0), min(max(j1 + 1, 3), ny)
         lo, hi = max(min(a - 1, ny - 3), 0), min(max(b + 1, 3), ny)

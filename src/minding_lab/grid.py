@@ -43,6 +43,8 @@ __all__ = [
     "fd_laplacian",
     "quadrature",
     "interior_abs_max",
+    "BAND",
+    "bands",
 ]
 
 
@@ -267,6 +269,19 @@ def _support_span(nodes: np.ndarray, c: float, r: float) -> slice:
     lo = max(int(near[0]) - 1, 0)
     hi = min(int(near[-1]) + 2, nodes.size)
     return slice(min(lo, nodes.size - 3), max(hi, 3))
+
+
+# entries a band holds: every kernel that works a band at a time cuts
+# its bands by this budget
+BAND = 1 << 12
+
+
+def bands(count: int, per: int, budget: int | None = None) -> list[slice]:
+    """``count`` items as consecutive slices of ``budget // per`` items
+    each, at least one, ``per`` entries to an item (an item of none
+    counts one).  ``budget`` defaults to ``BAND``, read at call time."""
+    size = max(1, (BAND if budget is None else budget) // max(per, 1))
+    return [slice(k, min(k + size, count)) for k in range(0, count, size)]
 
 
 def fd_partial(values: np.ndarray, grid: Grid2D, axis: str) -> np.ndarray:

@@ -32,12 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import _BAND, FrameField, _as_matrices
+from .forms import FrameField, _as_matrices
 from .grid import (
     Grid2D,
     GridError,
     ScalarField,
     TestFunction,
+    bands,
     fd_partial,
     quadrature,
 )
@@ -228,13 +229,11 @@ def liouville_weak_residual(u: ScalarField, tests) -> WeakResidualReport:
 
 
 def _connection_fields(A, B, grid: Grid2D) -> dict:
-    """A, B and AB - BA, the commutator formed in bands of rows of about
-    ``forms._BAND`` nodes, so only band-sized products are held."""
+    """A, B and AB - BA, the commutator formed in ``grid.bands`` of rows,
+    so only band-sized products are held."""
     A, B = _as_matrices(A, grid, "A"), _as_matrices(B, grid, "B")
     commutator = np.empty(A.shape)
-    rows = max(1, _BAND // grid.nx)
-    for j in range(0, grid.ny, rows):
-        band = slice(j, j + rows)
+    for band in bands(grid.ny, grid.nx):
         np.subtract(A[band] @ B[band], B[band] @ A[band], out=commutator[band])
     return {"A": A, "B": B, "commutator": commutator}
 

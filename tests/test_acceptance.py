@@ -7,6 +7,7 @@ statement and absolute where it is a verdict.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from minding_lab.chebyshev import (
     one_soliton_angle,
 )
 from minding_lab.conformal import (
+    _spline,
     catalog_chart,
     flatten_conformal,
     inner_image_grid,
@@ -30,6 +32,7 @@ from minding_lab.developing import (
     u_from_phi,
 )
 from minding_lab.elliptic import bootstrap_equivalence, solve_liouville_newton
+from minding_lab.fieldio import read_field
 from minding_lab.forms import (
     MetricField,
     SecondForm,
@@ -213,6 +216,53 @@ def test_end_to_end_pipeline_verdicts(capsys):
         assert code != 0, control
         assert report["failed_stage"] == "curvature", control
     print(f"end to end: soliton pullback {pull['measured']:.3e}, controls rejected")
+
+
+def disk_distance(a, b):
+    """Hyperbolic distance of points of the unit disk, curvature -1."""
+    return 2.0 * np.arctanh(np.abs(a - b) / np.abs(1.0 - np.conj(a) * b))
+
+
+def test_chain_ends_in_an_isometry_onto_the_disk(tmp_path, capsys):
+    # one_soliton's metric is the pseudosphere's: w = (x - y) + i cosh(x + y)
+    # carries it onto the upper half-plane, so Psi* = (w - i) / (w + i) is
+    # an isometry into the disk.  The chain's Psi = phi o (X + iY) differs
+    # from it by a disk Mobius map (Minding), so distances agree without
+    # fitting one.  From the node whose phi is nearest 0 the gap measured
+    # 2.25 and 2.39 h^2, at order 1.92, and between all pairs of 400
+    # nodes 4.35 and 4.58 h^2, at order 1.93.  A K = -0.995 surface, the
+    # exact distances over sqrt(0.995), misses the chain's by 8.4e-4 and
+    # 7.6e-4 from that node and by 1.6e-3 and 1.5e-3 between the pairs
+    gaps, steps = [], []
+    for n in (65, 129):
+        out = tmp_path / str(n)
+        code, _ = run_cli(capsys, "verify-minding", "--catalog", "one_soliton",
+                          "--n", str(n), "--out", str(out))
+        assert code == 0
+        source, chart = read_field(out / "chart.json")
+        image, dev = read_field(out / "developing.json")
+        X, Y = chart["X"].ravel(), chart["Y"].ravel()
+        # source nodes whose image lies 2 image nodes inside the image grid
+        keep = ((X >= image.x0 + 2 * image.dx) & (X <= image.x1 - 2 * image.dx)
+                & (Y >= image.y0 + 2 * image.dy) & (Y <= image.y1 - 2 * image.dy))
+        X, Y = X[keep], Y[keep]
+        psi = _spline(image, dev["phi_re"])(X, Y)[0] + 1j * _spline(image, dev["phi_im"])(X, Y)[0]
+        x, y = (c.ravel()[keep] for c in source.mesh())
+        w = (x - y) + 1j * np.cosh(x + y)
+        exact = (w - 1j) / (w + 1j)
+        base = np.argmin(np.abs(psi))
+        pick = np.linspace(0, len(psi) - 1, 400).round().astype(int)[:, None]
+        gap = []
+        for c, (a, b) in ((3.0, (base, slice(None))), (6.0, (pick, pick.T))):
+            chain, truth = disk_distance(psi[a], psi[b]), disk_distance(exact[a], exact[b])
+            gap.append(float(np.max(np.abs(chain - truth))))
+            assert gap[-1] <= c * image.h**2
+            assert np.max(np.abs(truth / math.sqrt(0.995) - chain)) > c * image.h**2
+        gaps.append(gap)
+        steps.append(image.h)
+    for coarse, fine in zip(*gaps):
+        assert math.log(coarse / fine) / math.log(steps[0] / steps[1]) >= 1.9
+    print(f"isometry oracle: gaps {gaps}")
 
 
 def test_isothermic_flattening_accuracy():

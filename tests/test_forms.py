@@ -16,7 +16,7 @@ from minding_lab.grid import (
     VectorField3,
     fd_partial,
 )
-from minding_lab import forms
+from minding_lab import grid
 from minding_lab.chebyshev import integrate_frame, one_soliton_angle, sine_gordon_residual
 from minding_lab.forms import (
     DegenerateMetricError,
@@ -213,7 +213,7 @@ class TestBandedSecondForm:
         # dx != dy and nx != ny; rows=None keeps the default band, which
         # holds every row of these grids
         if rows is not None:
-            monkeypatch.setattr(forms, "_BAND", rows * nx)
+            monkeypatch.setattr(grid, "BAND", rows * nx)
         g = Grid2D.from_bounds(-0.6, 0.5, -0.3, 0.9, nx, ny)
         X, Y = g.mesh()
         f = VectorField3(g, np.stack([X + 0.1 * Y**2, Y - 0.2 * X * Y,
@@ -226,7 +226,7 @@ class TestBandedSecondForm:
         assert II.m_asymmetry == asymmetry
 
     def test_degenerate_row_in_a_later_band_rejected(self, monkeypatch):
-        monkeypatch.setattr(forms, "_BAND", 2 * 17)
+        monkeypatch.setattr(grid, "BAND", 2 * 17)
         g = Grid2D.from_bounds(0, 1, 0, 1, 17, 17)
         X, Y = g.mesh()
         Y[9:] = Y[9]  # f_y vanishes from row 10 up

@@ -17,6 +17,7 @@ from minding_lab.grid import (
     ScalarField,
     TestFunction,
     VectorField3,
+    bands,
     fd_laplacian,
     fd_partial,
     quadrature,
@@ -199,6 +200,23 @@ class TestStencils:
             return np.abs(lap - exact[1:-1, 1:-1]).max()
 
         assert err(g) / err(g.refined()) >= 3.5
+
+
+class TestBands:
+    def test_consecutive_slices_of_the_budget(self):
+        assert bands(10, 3, 7) == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8),
+                                   slice(8, 10)]
+        assert bands(5, 2, 100) == [slice(0, 5)]
+        assert bands(0, 2, 100) == []
+
+    def test_at_least_one_item_a_slice(self):
+        assert bands(3, 9, 4) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert bands(3, 0, 4) == [slice(0, 3)]
+
+    def test_default_budget_is_read_at_call_time(self, monkeypatch):
+        assert bands(10**4, 1) == bands(10**4, 1, 1 << 12)
+        monkeypatch.setattr("minding_lab.grid.BAND", 3000)
+        assert bands(10**4, 1)[0] == slice(0, 3000)
 
 
 class TestQuadrature:

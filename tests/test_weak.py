@@ -9,6 +9,7 @@ from minding_lab.grid import Grid2D, GridError, ScalarField, TestFunction, fd_pa
 from minding_lab.forms import FrameField, SecondForm, isothermic_connection
 from minding_lab.weak import (
     WeakResidualReport,
+    _connection_fields,
     bump_lattice,
     frame_weak_compatibility,
     liouville_weak_residual,
@@ -417,3 +418,11 @@ class TestKernelEquivalence:
         for p in range(3):
             for q in range(3):
                 assert full.residuals[3 * p + q::9] == tuple(ref_frame_entry(A, B, g, p, q, tests))
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_banded_commutator_is_bitwise_the_whole_grid_one(self, monkeypatch, setup, rows):
+        # the default band holds every row of this grid
+        g, A, B, _ = setup
+        monkeypatch.setattr("minding_lab.grid.BAND", rows * g.nx)
+        commutator = _connection_fields(A, B, g)["commutator"]
+        assert np.array_equal(commutator, A.values @ B.values - B.values @ A.values)
