@@ -19,9 +19,9 @@ defined everywhere.
 Every second difference along one axis goes through ``_second_values``,
 the five-point Laplacian's included; the Laplacian is defined on the
 interior nodes only and returns those.  Integrals are tensor-product
-trapezoid sums of sample arrays over the whole grid or, bit for bit the
-same, over a box of its nodes given as row and column slices and read
-as its zero extension."""
+trapezoid sums of sample arrays over the whole grid or over a box of
+its nodes given as unit-step row and column slices; a box whose edge
+nodes are zero integrates, up to rounding, as its zero extension."""
 
 from __future__ import annotations
 
@@ -340,35 +340,20 @@ def quadrature(values: np.ndarray, grid: Grid2D, box: tuple[slice, slice] | None
 
     With ``box``, unit-step ``(rows, cols)`` slices such as
     ``TestFunction.node_box`` returns, ``values`` holds the samples at
-    ``grid[box]`` and the result is the integral over ``grid`` of their
-    zero extension, equal bit for bit to the full-grid integral of the
-    zero-padded samples.  The box's x-trapezoid terms, plus the two half
-    terms that straddle its left and right edges, are written at their
-    own columns of a zero array ``nx - 1`` wide; each row is summed and
-    the sums are written at their own rows of a zero vector ``ny`` long,
-    which gets the same y-trapezoid.  numpy's pairwise sums then meet the
-    same operands in the same positions as on the padded grid; a
-    trapezoid over the box as a grid of its own would regroup them and
-    move the result at rounding level.  Products and the x terms cost the
-    box's nodes, the row sums its rows of ``nx``.
+    ``grid[box]`` and the result is the trapezoid over the box's own
+    rectangle with the grid's spacings.  For samples that vanish on the
+    box's edge nodes that is, up to rounding, the full-grid integral of
+    their zero extension.
     """
     rows, cols = box if box is not None else (slice(None), slice(None))
-    (j0, j1, _), (i0, i1, _) = rows.indices(grid.ny), cols.indices(grid.nx)
+    (j0, j1, sj), (i0, i1, si) = rows.indices(grid.ny), cols.indices(grid.nx)
+    if (sj, si) != (1, 1):
+        raise GridError(f"box slices must have step 1, got steps {sj} and {si}")
     if values.shape != (j1 - j0, i1 - i0):
         raise GridError(f"samples must have shape {(j1 - j0, i1 - i0)}, got {values.shape}")
     if not np.isfinite(values).all():
         raise GridError("quadrature requires finite samples everywhere")
-    if box is None:
-        return float(np.trapezoid(np.trapezoid(values, dx=grid.dx, axis=1), dx=grid.dy))
-    terms = np.zeros((j1 - j0, grid.nx - 1))
-    terms[:, i0:i1 - 1] = grid.dx * (values[:, 1:] + values[:, :-1]) / 2.0
-    if i0 > 0:
-        terms[:, i0 - 1] = grid.dx * (values[:, 0] + 0.0) / 2.0
-    if i1 < grid.nx:
-        terms[:, i1 - 1] = grid.dx * (0.0 + values[:, -1]) / 2.0
-    sums = np.zeros(grid.ny)
-    sums[j0:j1] = terms.sum(axis=1)
-    return float(np.trapezoid(sums, dx=grid.dy))
+    return float(np.trapezoid(np.trapezoid(values, dx=grid.dx, axis=1), dx=grid.dy))
 
 
 def interior_abs_max(values: np.ndarray) -> float:

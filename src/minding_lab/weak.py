@@ -7,17 +7,18 @@ Each checker below integrates both sides of an identity against a
 family of bumps and reports the residuals.  Gradients of the test
 functions are always closed-form, never finite differences, so a
 nonzero residual points at the field under test (or at quadrature
-error, which shrinks at second order).  Every checker is a list of
-signed terms handed to the one pairing kernel ``_pair``, which samples
-each bump once and integrates each term through ``quadrature``.
+error, which shrinks at second order).  Every checker hands the one
+pairing kernel ``_pair`` one integrand per residual, the identity's
+signed sum, which ``_pair`` integrates through one ``quadrature``.
 
 A bump covers a small part of the grid (on a square grid about 4%, 16%
 and 64% of it for the three radii of ``bump_lattice``), so ``_pair``
 evaluates the bump and every integrand only on the bump's node box,
-where it can be nonzero, plus one node on each side, and hands
-``quadrature`` the box's samples with the box's slices, which integrates
-them as their zero extension to the grid.  That quadrature is bit for
-bit the full-grid one, so the residuals do not depend on the box.
+where it can be nonzero, plus one node on each side, and integrates
+the box's samples as the trapezoid over the box alone.  The box is at
+least three nodes a side, lies strictly inside the grid and its edge
+nodes are zero, so in exact arithmetic that is the full-grid integral;
+in floating point the residuals depend on the box only at rounding.
 
 The residual for the curvature equation is the weak form
 
@@ -96,22 +97,19 @@ def bump_lattice(grid: Grid2D):
     return tests
 
 
-def _pair(grid: Grid2D, tests, fields: dict, rows) -> WeakResidualReport:
-    """Weak residuals of ``rows`` against every test, test-major.
+def _pair(grid: Grid2D, tests, fields: dict, integrands) -> WeakResidualReport:
+    """Weak residuals of ``integrands`` against every test, test-major.
 
-    Each row is a list of terms ``(sign, integrand)``; its residual is
-    the running sum of ``sign * quadrature(integrand(t), grid, box)`` in list
-    order.  ``t`` maps ``"v"``, ``"x"`` and ``"y"`` to the bump's samples
-    and analytic partials, taken once per bump, and each name of
-    ``fields`` to that ``(ny, nx, ...)`` array; all of them are cut to
-    the bump's ``node_box``.  Outside the box the bump and its partials
-    are exactly zero, so each integrand is too, and the box quadrature
-    of its zero extension equals the full-grid one bit for bit.  That
-    holds for finite fields only (NaN * 0 is NaN), so every field is
-    checked whole, once, and a non-finite sample anywhere is refused as
-    the full-grid quadrature refused it.  Terms stay separate
-    quadratures: the trapezoid rule is linear only in exact arithmetic,
-    so merging them would move residuals at rounding level.
+    Each residual is ``quadrature(integrand(t), grid, box)``.  ``t`` maps
+    ``"v"``, ``"x"`` and ``"y"`` to the bump's samples and analytic
+    partials, taken once per bump, and each name of ``fields`` to that
+    ``(ny, nx, ...)`` array; all of them are cut to the bump's
+    ``node_box``.  Outside the box and on its edge nodes the bump and
+    its partials are exactly zero, so each integrand is too, and the
+    box's trapezoid is the full-grid one up to rounding.  That holds
+    for finite fields only (NaN * 0 is NaN), so every field is checked
+    whole, once, and a non-finite sample anywhere is refused as the
+    full-grid quadrature refused it.
     """
     for values in fields.values():
         if not np.isfinite(values).all():
@@ -128,18 +126,13 @@ def _pair(grid: Grid2D, tests, fields: dict, rows) -> WeakResidualReport:
         gx, gy = v.grad(Xb, Yb)
         t = {name: values[box] for name, values in fields.items()}
         t.update(v=v.value(Xb, Yb), x=gx, y=gy)
-        for terms in rows:
-            r = None
-            for sign, integrand in terms:
-                q = sign * quadrature(integrand(t), grid, box)
-                r = q if r is None else r + q
-            residuals.append(r)
+        residuals.extend(quadrature(integrand(t), grid, box) for integrand in integrands)
     return WeakResidualReport(tuple(residuals))
 
 
-def _mixed_terms(*entry) -> list:
+def _mixed_terms(*entry):
     e = (..., *entry)
-    return [(-1.0, lambda t: t["Wx"][e] * t["y"]), (1.0, lambda t: t["Wy"][e] * t["x"])]
+    return lambda t: -t["Wx"][e] * t["y"] + t["Wy"][e] * t["x"]
 
 
 def mixed_partials_check(W, tests) -> WeakResidualReport:
@@ -174,22 +167,19 @@ def product_rule_check(P: ScalarField, L: ScalarField, tests, axis: str = "x") -
     where ' is the analytic test derivative along ``axis`` and the last
     term realizes (P dL)(v) = (dL)(P v) = -integral(L (P v)') with the
     product differentiated through the same fd(P) and analytic v' as
-    the other terms.  The identity then holds at the summation level
-    for any integrable L, which is the point of the distributional
-    reading: no derivative of L is ever taken.  The classical reading
-    that does differentiate L lives in
+    the other terms.  The three integrands cancel node by node, so the
+    identity holds up to rounding for any integrable L, which is the
+    point of the distributional reading: no derivative of L is ever
+    taken.  The classical reading that does differentiate L lives in
     ``product_rule_pointwise_residual`` and genuinely fails for
     discontinuous L.
     """
     P.grid.require_matches(L.grid)
-    Pv, Lv = P.values, L.values
-    Pd = fd_partial(Pv, P.grid, axis)
-    fields = {"P": Pv, "L": Lv, "Pd": Pd, "PL": Pv * Lv, "PdL": Pd * Lv}
-    return _pair(P.grid, tests, fields, [[
-        (-1.0, lambda t: t["PL"] * t[axis]),
-        (-1.0, lambda t: t["PdL"] * t["v"]),
-        (1.0, lambda t: t["L"] * (t["Pd"] * t["v"] + t["P"] * t[axis])),
-    ]])
+    fields = {"P": P.values, "L": L.values, "Pd": fd_partial(P.values, P.grid, axis)}
+    return _pair(P.grid, tests, fields, [
+        lambda t: -t["P"] * t["L"] * t[axis] - t["Pd"] * t["L"] * t["v"]
+        + t["L"] * (t["Pd"] * t["v"] + t["P"] * t[axis])
+    ])
 
 
 def product_rule_pointwise_residual(P: ScalarField, L: ScalarField, axis: str = "x") -> float:
@@ -222,10 +212,9 @@ def liouville_weak_residual(u: ScalarField, tests) -> WeakResidualReport:
         "uy": fd_partial(u.values, u.grid, "y"),
         "source": np.exp(2.0 * u.values),
     }
-    return _pair(u.grid, tests, fields, [[
-        (1.0, lambda t: t["ux"] * t["x"] + t["uy"] * t["y"]),
-        (1.0, lambda t: t["source"] * t["v"]),
-    ]])
+    return _pair(u.grid, tests, fields, [
+        lambda t: t["ux"] * t["x"] + t["uy"] * t["y"] + t["source"] * t["v"]
+    ])
 
 
 def _connection_fields(A, B, grid: Grid2D) -> dict:
@@ -238,13 +227,9 @@ def _connection_fields(A, B, grid: Grid2D) -> dict:
     return {"A": A, "B": B, "commutator": commutator}
 
 
-def _entry_terms(p: int, q: int) -> list:
+def _entry_terms(p: int, q: int):
     e = (..., p, q)
-    return [
-        (-1.0, lambda t: t["A"][e] * t["y"]),
-        (1.0, lambda t: t["B"][e] * t["x"]),
-        (-1.0, lambda t: t["commutator"][e] * t["v"]),
-    ]
+    return lambda t: -t["A"][e] * t["y"] + t["B"][e] * t["x"] - t["commutator"][e] * t["v"]
 
 
 def frame_weak_compatibility(A, B, grid: Grid2D, tests) -> WeakResidualReport:

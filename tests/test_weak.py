@@ -300,7 +300,8 @@ class TestNonFiniteRefused:
 
 
 # Reference implementations: the per-check loops the pairing kernel
-# replaced, kept verbatim so the kernel can be held to exact equality.
+# replaced, one full-grid quadrature per term, kept verbatim as the
+# oracle the kernel is held to within rounding.
 
 
 def ref_mixed_partials(W, tests):
@@ -377,8 +378,17 @@ def ref_frame_entry(A, B, grid, p, q, tests):
     return residuals
 
 
+def assert_rounding_close(residuals, reference):
+    """Same count, and each residual within an absolute 1e-14 of the
+    reference loop's: the kernel integrates one signed sum over each
+    bump's box where the loops integrate each term over the whole grid,
+    which agree in exact arithmetic."""
+    assert len(residuals) == len(reference)
+    assert max(abs(a - b) for a, b in zip(residuals, reference)) <= 1e-14
+
+
 class TestKernelEquivalence:
-    """The pairing kernel reproduces the reference loops bit for bit.
+    """The pairing kernel reproduces the reference loops to rounding.
 
     The grid has nx != ny and dx != dy, so a swapped axis or spacing
     cannot hide behind the x<->y symmetry of the square oracles.
@@ -401,23 +411,26 @@ class TestKernelEquivalence:
         P = ScalarField.from_function(g, lambda X, Y: np.cos(X + 0.3 * Y))
         L = ScalarField.from_function(g, lambda X, Y: np.abs(Y - 1.9) + X**2)
         u = ScalarField.from_function(g, lambda X, Y: -np.log(Y) + 0.05 * X)
-        assert mixed_partials_check(W, tests).residuals == tuple(ref_mixed_partials(W, tests))
+        assert_rounding_close(mixed_partials_check(W, tests).residuals,
+                              ref_mixed_partials(W, tests))
         for axis in ("x", "y"):
             rep = product_rule_check(P, L, tests, axis=axis)
-            assert rep.residuals == tuple(ref_product_rule(P, L, tests, axis))
+            assert_rounding_close(rep.residuals, ref_product_rule(P, L, tests, axis))
         rep = liouville_weak_residual(u, tests)
-        assert rep.residuals == tuple(ref_liouville(u, tests))
+        assert_rounding_close(rep.residuals, ref_liouville(u, tests))
 
     def test_frame_checks(self, setup):
         g, A, B, tests = setup
-        assert mixed_partials_check(A, tests).residuals == tuple(ref_mixed_partials(A, tests))
+        assert_rounding_close(mixed_partials_check(A, tests).residuals,
+                              ref_mixed_partials(A, tests))
         # test-major with the entry index fastest: entry (p, q) is the
         # slice [3 p + q::9], as perfbench/audit.py reads (0, 1)
         full = frame_weak_compatibility(A, B, g, tests)
         assert full.count == 9 * len(tests)
         for p in range(3):
             for q in range(3):
-                assert full.residuals[3 * p + q::9] == tuple(ref_frame_entry(A, B, g, p, q, tests))
+                assert_rounding_close(full.residuals[3 * p + q::9],
+                                      ref_frame_entry(A, B, g, p, q, tests))
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_banded_commutator_is_bitwise_the_whole_grid_one(self, monkeypatch, setup, rows):
