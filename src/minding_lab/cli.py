@@ -31,8 +31,8 @@ command stops in exactly one place.
 
 Only the standard library is imported at module level: numpy reads its
 threading environment once at import time, so the MINDING_LAB_THREADS
-cap must be applied before anything numeric loads.  Every command body
-imports what it needs after that.
+cap, one thread unless set, must be applied before anything numeric
+loads.  Every command body imports what it needs after that.
 """
 
 from __future__ import annotations
@@ -740,9 +740,8 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _apply_thread_cap() -> None:
-    cap = os.environ.get("MINDING_LAB_THREADS")
-    if cap is None:
-        return
+    # one thread unless set: a product split over other threads rounds differently
+    cap = os.environ.get("MINDING_LAB_THREADS", "1")
     if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
         raise ConfigError(f"MINDING_LAB_THREADS must be a positive integer, got {cap!r}")
     for var in (

@@ -341,21 +341,6 @@ def _plan(nx: int, ny: int) -> list[tuple]:
     return plan
 
 
-def _packing(m: int) -> tuple:
-    """How an ``m x m`` lower triangle is stored: its rows from
-    ``h = m // 2`` on and columns before ``h`` as one full block, and the
-    two triangles left on the diagonal, of orders ``h`` and ``m - h``,
-    packed row by row.  Returns ``h``; each packed entry's row and
-    column; where each row starts; and the packed entries in column
-    order, with their rows and where each column starts."""
-    h = m // 2
-    (I, J), (I2, J2) = np.tril_indices(h), np.tril_indices(m - h)
-    I, J = np.concatenate([I, I2 + h]), np.concatenate([J, J2 + h])
-    by_col = np.lexsort((I, J))
-    return (h, I, J, np.searchsorted(I, np.arange(m)), by_col, I[by_col],
-            np.searchsorted(J[by_col], np.arange(m)))
-
-
 @dataclass(frozen=True)
 class Cholesky:
     """``H = L L^H`` front by front, in the grid's own numbering.
@@ -363,23 +348,33 @@ class Cholesky:
     Each stack holds the fronts of one depth that eliminate ``m`` nodes,
     and their grid numbers as a C-contiguous ``(m, k)`` index array, one
     column per front.  Per front it stores the lower triangle of
-    ``L11^-1``, the inverse of its diagonal Cholesky block, as
-    ``_packing`` lays it out: the full block ``(k, m - h, h)`` and the
-    packed diagonal triangles ``(m (m + 1) / 2 - h (m - h), k)``.  Per
-    ring size ``b``, a part of the stack holds the ring's grid numbers
-    ``(k, b)`` and the ring block ``Y = L11^-1 F12 = L21^H``
-    ``(k, m, b)``.  A leaf's ``F12`` holds only stencil entries, so a
-    part of leaves keeps instead, per stack of translates, the gather of
-    them from ``entries``, the ``Stencil``'s block, and ``ring_blocks``
-    rebuilds its ``Y`` by the product the factorization ran (8.0 of the
-    45.5 MiB the one_soliton factor held at n = 257).  ``L.nnz`` counts
-    every block, stored or rebuilt, without zeros; ``U = L^H`` shares them.
+    ``L11^-1``, the inverse of its diagonal Cholesky block, packed row by
+    row as one column of ``(m (m + 1) / 2, k)``; ``lower``, the flat
+    index of that triangle in an ``m x m`` square, is shared by every
+    stack of the same ``m``, and ``_inverse`` unpacks a band of fronts
+    to squares for each product.  Per ring size ``b``, a part of the
+    stack holds the ring's grid numbers ``(k, b)`` and the ring block
+    ``Y = L11^-1 F12 = L21^H`` ``(k, m, b)``.  A leaf's ``F12`` holds
+    only stencil entries, so a part of leaves keeps instead, per stack
+    of translates, the gather of them from ``entries``, the
+    ``Stencil``'s block, and ``ring_blocks`` rebuilds its ``Y`` by the
+    product the factorization ran (8.0 of the 45.2 MiB the one_soliton
+    factor held at n = 257).  ``L.nnz`` counts every block, stored or
+    rebuilt, without zeros; ``U = L^H`` shares them.
     """
 
     stacks: tuple
     L: SimpleNamespace
     U: SimpleNamespace
     entries: np.ndarray
+
+    def _inverse(self, s: int, c: slice) -> np.ndarray:
+        """``L11^-1`` of the fronts ``c`` of stack ``s`` as ``(c, m, m)``
+        squares, zero above the diagonal, unpacked from its triangles."""
+        own, lower, packed, _ = self.stacks[s]
+        X = np.zeros((c.stop - c.start, len(own) ** 2), dtype=complex)
+        X[:, lower] = packed[:, c].T
+        return X.reshape(len(X), len(own), len(own))
 
     def ring_blocks(self, s: int, p: int):
         """Part ``p`` of stack ``s`` in ``grid.bands`` of fronts, in front
@@ -389,25 +384,21 @@ class Cholesky:
         ``m + b`` values the solve gathers for it, or the ``m b`` entries
         of ``Y`` it rebuilds."""
         stack = self.stacks[s]
-        fronts, ring, Y = part = stack[4][p]
+        fronts, ring, Y = part = stack[3][p]
         m, b = len(stack[0]), ring.shape[1]
         stored = isinstance(Y, np.ndarray)
         for at in bands(fronts.stop - fronts.start, m + b if stored else m * b):
             c = slice(fronts.start + at.start, fronts.start + at.stop)
-            yield c, at, Y[at] if stored else self._rebuild(stack, part, c, at)
+            yield c, at, Y[at] if stored else self._rebuild(s, part, c, at)
 
-    def _rebuild(self, stack, part, c: slice, at: slice) -> np.ndarray:
-        """Ring blocks of the leaves ``c`` of a stack, rows ``at`` of its
-        part, by the product ``_factor_shape`` formed them with:
+    def _rebuild(self, s: int, part, c: slice, at: slice) -> np.ndarray:
+        """Ring blocks of the leaves ``c`` of stack ``s``, rows ``at`` of
+        its part, by the product ``_factor_shape`` formed them with:
         ``L11^-1`` from the stored inverse times ``F12`` gathered from
         ``entries`` by the stacks of translates that cover ``at``."""
-        own, (h, I, J, *_), block, packed, _ = stack
-        fronts, ring, kinds = part
+        own, (fronts, ring, kinds) = self.stacks[s][0], part
         m, b = len(own), ring.shape[1]
-        X = np.zeros((c.stop - c.start, m, m), dtype=complex)
-        X[:, h:, :h] = block[c]
-        X[:, I, J] = packed[:, c].T
-        F = np.zeros((len(X), m * b), dtype=complex)
+        F = np.zeros((c.stop - c.start, m * b), dtype=complex)
         for lo, hi, src, into, back in kinds[bisect_right(kinds, at.start, key=lambda k: k[0]) - 1:]:
             if lo >= at.stop:
                 break
@@ -415,7 +406,7 @@ class Cholesky:
             values = self.entries.take(src + own[0, fronts.start + lo:fronts.start + hi, None])
             np.conjugate(values[:, back:], out=values[:, back:])
             F[lo - at.start:hi - at.start, into] = values
-        return np.matmul(X, F.reshape(len(X), m, b))
+        return np.matmul(self._inverse(s, c), F.reshape(len(F), m, b))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``H^-1 b``: forward through the stacks in elimination order,
@@ -423,37 +414,26 @@ class Cholesky:
         parts its ring products, in ``grid.bands`` of fronts in front
         order, so only band-sized temporaries are held; the ring products
         are scattered into ``x`` in the order the fronts come.  A band
-        gathers its own nodes and writes them back after its step.  A
-        packed triangle is applied entry by entry, summed by rows
-        forward, by columns back."""
+        gathers its own nodes and writes them back after its step.  Its
+        triangles are unpacked to ``m x m`` squares, ``m^2`` entries a
+        front, and applied as ``X y`` forward and as ``conj(X^T conj(y))``
+        back, ``X^T`` a transposed view."""
         x = np.array(b, dtype=complex)
-        for s, (own, (h, _, J, rows, *_), block, packed, parts) in enumerate(self.stacks):
-            for c in bands(len(block), len(packed)):
-                y = x[own[:, c]]
-                below = (block[c] @ y[:h].T[..., None])[..., 0].T
-                t = y[J]
-                np.multiply(packed[:, c], t, out=t)
-                np.add.reduceat(t, rows, axis=0, out=y)
-                y[h:] += below
-                x[own[:, c]] = y
+        for s, (own, *_, parts) in enumerate(self.stacks):
+            for c in bands(own.shape[1], len(own) ** 2):
+                x[own[:, c]] = (self._inverse(s, c) @ x[own[:, c]].T[..., None])[..., 0].T
             for p, (_, ring, _) in enumerate(parts):
                 for c, at, Y in self.ring_blocks(s, p):
                     v = Y.transpose(0, 2, 1) @ x[own[:, c]].T.conj()[..., None]
                     np.subtract.at(x, ring[at].ravel(), v.conj().ravel())
         for s in reversed(range(len(self.stacks))):
-            own, (h, *_, by_col, I, cols), block, packed, parts = self.stacks[s]
+            own, *_, parts = self.stacks[s]
             for p, (_, ring, _) in enumerate(parts):
                 for c, at, Y in self.ring_blocks(s, p):
                     x[own[:, c]] -= (Y @ x[ring[at]][..., None])[..., 0].T
-            for c in bands(len(block), len(packed)):
-                y = x[own[:, c]]
-                t = y.conj()
-                p = packed[by_col, c]
-                p *= t[I]
-                np.add.reduceat(p, cols, axis=0, out=y)
-                y[:h] += (t[h:].T[:, None, :] @ block[c])[:, 0].T
-                np.conjugate(y, out=y)
-                x[own[:, c]] = y
+            for c in bands(own.shape[1], len(own) ** 2):
+                y = x[own[:, c]].T.conj()[..., None]
+                x[own[:, c]] = (self._inverse(s, c).transpose(0, 2, 1) @ y)[..., 0].T.conj()
         return x
 
 
@@ -480,7 +460,7 @@ def splu(H: Stencil) -> Cholesky:
     ``EllipticError``.
     """
     ny, nx = H.diag.shape
-    stacks, packing, stored, below = [], {}, 0, None
+    stacks, triangles, stored, below = [], {}, 0, None
     for origin, kind, row, kids, kinds in reversed(_plan(nx, ny)):
         left = [None] * len(kinds)
         # a child stack's panels are dropped once its last parent stack is done
@@ -488,13 +468,11 @@ def splu(H: Stencil) -> Cholesky:
                           if kid >= 0)
         for m in sorted({len(own) for _, own, *_ in kinds}):
             members = [s for s, (_, own, *_) in enumerate(kinds) if len(own) == m]
-            if m not in packing:
-                packing[m] = _packing(m)
-            tables = packing[m]
-            h, count = tables[0], sum(len(kinds[s][0]) for s in members)
+            if m not in triangles:
+                triangles[m] = np.flatnonzero(np.tri(m, dtype=bool))
+            lower, count = triangles[m], sum(len(kinds[s][0]) for s in members)
             own_at = np.empty((count, m), dtype=int)
-            block = np.empty((count, m - h, h), dtype=complex)
-            packed = np.empty((len(tables[1]), count), dtype=complex)
+            packed = np.empty((len(lower), count), dtype=complex)
             parts, at = [], 0
             for b in sorted({len(kinds[s][2]) for s in members}):
                 group = [s for s in members if len(kinds[s][2]) == b]
@@ -512,8 +490,8 @@ def splu(H: Stencil) -> Cholesky:
                     panels = [np.empty((len(fronts), hi - lo, hi), dtype=complex)
                               for lo, hi in zip(halves[:-1], halves[1:])]
                     children = kids[fronts[0]] if kids[fronts[0], 0] >= 0 else ()
-                    gather = _factor_shape(H.entries, own, ring, shift, tables, below, children,
-                                           panels, halves, block[rows], packed[:, rows],
+                    gather = _factor_shape(H.entries, own, ring, shift, lower, below, children,
+                                           panels, halves, packed[:, rows],
                                            None if leaves else Y[local])
                     if leaves:
                         Y.append((local.start, local.stop, *gather))
@@ -525,8 +503,8 @@ def splu(H: Stencil) -> Cholesky:
                     at += len(fronts)
                 parts.append((slice(start, at), ring_at, tuple(Y) if leaves else Y))
                 stored += count * m * b
-            stacks.append((np.ascontiguousarray(own_at.T), tables, block, packed, parts))
-            stored += block.size + packed.size
+            stacks.append((np.ascontiguousarray(own_at.T), lower, packed, parts))
+            stored += packed.size
         below = origin, kind, row, left
     entries = SimpleNamespace(nnz=stored)
     return Cholesky(tuple(stacks), entries, entries, H.entries)
@@ -559,8 +537,8 @@ def _landing(below, kid: int, found: np.ndarray, order: np.ndarray):
 
 
 def _invert_lower(L: np.ndarray) -> np.ndarray:
-    """Inverses ``X`` of a stack of lower triangles, by halves as
-    ``_packing`` splits them.  The two diagonal triangles, of orders
+    """Inverses ``X`` of a stack of lower triangles, by halves, zero
+    above the diagonal.  The two diagonal triangles, of orders
     ``h = m // 2`` and ``m - h``, are inverted as one stack, the smaller
     one bordered by a unit diagonal entry, and the block below them is
     ``-X22 L21 X11``.  A triangle of at most 8 rows is inverted one row
@@ -586,17 +564,16 @@ def _invert_lower(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _factor_shape(entries, own, ring, shift, tables, below, kids, panels, halves,
-                  block, packed, Y) -> tuple:
+def _factor_shape(entries, own, ring, shift, lower, below, kids, panels, halves, packed, Y) -> tuple:
     """Factor a stack of translated fronts in ``grid.bands`` of ``_STACK``
     frontal entries.
 
     ``entries`` is the ``Stencil``'s block, ``own`` and ``ring`` are the
     first front's nodes, ``shift`` each front's node offset from it, and
     ``kids`` its children in ``below``, whose Schur complements
-    ``_landing`` adds in.  Writes each front's inverse triangle into
-    ``block`` and the columns of ``packed``, as ``tables`` lays it out,
-    its ring block into ``Y``, and the lower triangle of the Schur
+    ``_landing`` adds in.  Writes each front's inverse triangle into its
+    column of ``packed``, the entries at the flat index ``lower`` of the
+    square, its ring block into ``Y``, and the lower triangle of the Schur
     complement it leaves on its ring into ``panels``: the rows between
     two of ``halves``, against every column up to the last of them.
     With ``Y`` None the ring blocks are formed one batch at a time and
@@ -606,7 +583,6 @@ def _factor_shape(entries, own, ring, shift, tables, below, kids, panels, halves
     """
     _, ny, nx = entries.shape
     m, b = len(own), len(ring)
-    h, I, J = tables[:3]
     front = np.concatenate([own, ring])
     order = np.argsort(front)
     # stencil entries of the own rows; those toward a child's nodes were
@@ -636,8 +612,7 @@ def _factor_shape(entries, own, ring, shift, tables, below, kids, panels, halves
             raise EllipticError("Cholesky factorization met a non-positive pivot") from exc
         X = _invert_lower(L11)
         R = np.matmul(X, F[:, :m, m:], out=None if Y is None else Y[part])
-        block[part] = X[:, h:, :h]
-        packed[:, part] = X[:, I, J].T
+        packed[:, part] = X.reshape(len(X), -1)[:, lower].T
         for panel, lo, hi in zip(panels, halves[:-1], halves[1:]):
             out = panel[part]
             np.matmul(R[:, :, lo:hi].conj().transpose(0, 2, 1), R[:, :, :hi], out=out)

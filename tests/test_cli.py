@@ -463,6 +463,14 @@ class TestUsage:
                           "half_plane_pseudosphere", "--n", "33")
         assert code == EXIT_PASS
 
+    def test_thread_cap_defaults_to_one_and_yields_to_the_shell(self, monkeypatch):
+        monkeypatch.delenv("MINDING_LAB_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        cli._apply_thread_cap()
+        assert os.environ["OMP_NUM_THREADS"] == "1"
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
     def test_cli_import_loads_no_numpy(self):
         # numpy sizes its BLAS thread pool when it is first imported, so
         # the MINDING_LAB_THREADS cap only reaches it if importing the

@@ -1,5 +1,6 @@
 """Catalog charts and the least-squares conformal flattener."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -43,31 +44,17 @@ def part_ring_blocks(factor, s, p):
     return np.concatenate([Y for *_, Y in factor.ring_blocks(s, p)])
 
 
-def whole_stack_solve(factor, b):
-    """``elliptic.Cholesky.solve`` with each stack's triangles and ring
-    products applied to all of its fronts at once."""
-    x = np.array(b, dtype=complex)
-    for s, (own, (h, _, J, rows, *_), block, packed, parts) in enumerate(factor.stacks):
-        y = x[own]
-        below = (block @ y[:h].T[..., None])[..., 0].T
-        np.add.reduceat(packed * y[J], rows, axis=0, out=y)
-        y[h:] += below
-        x[own] = y
-        for p, (fronts, ring, _) in enumerate(parts):
-            Y = part_ring_blocks(factor, s, p)
-            v = Y.transpose(0, 2, 1) @ y[:, fronts].T.conj()[..., None]
-            np.subtract.at(x, ring.ravel(), v.conj().ravel())
-    for s in reversed(range(len(factor.stacks))):
-        own, (h, *_, by_col, I, cols), block, packed, parts = factor.stacks[s]
-        y = x[own]
-        for p, (fronts, ring, _) in enumerate(parts):
-            y[:, fronts] -= (part_ring_blocks(factor, s, p) @ x[ring][..., None])[..., 0].T
-        t = y.conj()
-        np.add.reduceat(packed[by_col] * t[I], cols, axis=0, out=y)
-        y[:h] += (t[h:].T[:, None, :] @ block)[:, 0].T
-        np.conjugate(y, out=y)
-        x[own] = y
-    return x
+def flatten_system(metric):
+    """The system ``H`` and right side ``b``, of grid shape, that
+    ``flatten_conformal`` hands ``spsolve``, and the pinned length ``L``."""
+    g = metric.grid
+    k1, k2 = conformal._triangle_rows(metric)
+    L = float(np.trapezoid(np.sqrt(metric.E[0, :]), dx=g.dx))
+    pins = np.zeros(g.shape, dtype=complex)
+    pins[0, -1] = L
+    b = -conformal._gradient(k1, k2, pins)
+    b[0, [0, -1]] = 0.0, L
+    return conformal.NormalEquations.assemble(k1, k2), b, L
 
 
 def random_gradient_operands(ny, nx):
@@ -539,15 +526,16 @@ class TestFlattenKernel:
 
     def test_flatten_working_memory(self):
         # one_soliton's flatten system at n = 129: besides the factor's
-        # own arrays, the solve and its correction take 8.86 N complex
-        # entries at their peak, the update stack and the frontal
-        # matrices included, in bands of grid.bands and before them
-        # alike; a factor that gathered from a (7, N) table of stencil
-        # entries, with a gradient over both triangle orientations at
-        # once, took 15.8 N
+        # own arrays, the solve, its correction and the backward-error
+        # gate take 9.10 N complex entries at their peak, the update stack
+        # and the frontal matrices included (8.87 N when the factor stored
+        # its inverse triangles in three parts, whose index tables held
+        # 0.39 N more); a factor that gathered from a (7, N) table of
+        # stencil entries, with a gradient over both triangle orientations
+        # at once, took 15.8 N
         c = 10.0
         g, metric = soliton_metric(129)
-        H = conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
+        H, b, _ = flatten_system(metric)
         held = {}
 
         def walk(x):
@@ -562,26 +550,27 @@ class TestFlattenKernel:
         # the stored blocks and the leaves' rebuilt ring blocks are
         # 16 L.nnz bytes; the rest held are index arrays
         rebuilt = sum(Y.nbytes for s, stack in enumerate(factor.stacks)
-                      for p in range(len(stack[4])) for *_, Y in factor.ring_blocks(s, p)
+                      for p in range(len(stack[3])) for *_, Y in factor.ring_blocks(s, p)
                       if Y.base is None)
         assert rebuilt > 0
         assert sum(held.values()) + rebuilt > 16 * factor.L.nnz
         del factor
-        b = np.ones(H.diag.size, dtype=complex)
         tracemalloc.start()
         try:
-            conformal.spsolve(H, b)
+            conformal.spsolve(H, b.ravel())
             rise = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rise <= sum(held.values()) + c * 16 * H.diag.size
 
     def test_solve_working_memory(self):
-        # one solve of one_soliton's flatten system at n = 129 rises 1.17 N
+        # one solve of one_soliton's flatten system at n = 129 rises 1.04 N
         # complex entries beyond its result in bands of grid.bands, the
-        # leaves' rebuilt ring blocks included (1.75 N in chunks of at
-        # least two fronts); applied to a whole stack at a time, the
-        # packed triangles and ring products rose 3.7 N
+        # leaves' rebuilt ring blocks and the root front's unpacked
+        # 129 x 129 inverse included (1.17 N when the triangles were
+        # applied packed, 1.75 N in chunks of at least two fronts);
+        # applied to a whole stack at a time, the packed triangles and
+        # ring products rose 3.7 N
         g, metric = soliton_metric(129)
         H = conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
         factor = elliptic.splu(H)
@@ -596,17 +585,18 @@ class TestFlattenKernel:
 
     @pytest.mark.parametrize("band", [1, 300, None])
     def test_banded_solve_matches_the_whole_stack_solve(self, monkeypatch, band):
-        # a band of one front hands BLAS unit-stride vectors, which it
-        # rounds differently from a whole stack's strided ones, and numpy
-        # forms a large whole-stack product in place in its temporary
-        # operand; measured at most 1.6e-15 relative
+        # 2^30 entries make one band of each stack and part; a band of one
+        # front hands BLAS unit-stride vectors, which it rounds differently
+        # from a whole stack's strided ones; measured at most 1.5e-15 relative
         g, metric = soliton_metric(129)
         H = conformal.NormalEquations.assemble(*conformal._triangle_rows(metric))
         factor = elliptic.splu(H)
+        b = np.array([1.0, 1.0j]) @ np.random.default_rng(7).standard_normal((2, H.diag.size))
+        with monkeypatch.context() as whole:
+            whole.setattr(grid, "BAND", 1 << 30)
+            want = factor.solve(b)
         if band is not None:
             monkeypatch.setattr(grid, "BAND", band)
-        b = np.array([1.0, 1.0j]) @ np.random.default_rng(7).standard_normal((2, H.diag.size))
-        want = whole_stack_solve(factor, b)
         assert np.max(np.abs(factor.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("ny, nx", [(9, 13), (100, 100), (257, 129)])
@@ -655,19 +645,12 @@ class TestFlattenBackwardError:
     @staticmethod
     def backward_error(metric, solve):
         g = metric.grid
-        k1, k2 = conformal._triangle_rows(metric)
-        H = conformal.NormalEquations.assemble(k1, k2)
-        # the right side and the pins as flatten_conformal sets them
-        L = float(np.trapezoid(np.sqrt(metric.E[0, :]), dx=g.dx))
-        pins = np.zeros(g.shape, dtype=complex)
-        pins[0, -1] = L
-        b = -conformal._gradient(k1, k2, pins)
-        b[0, [0, -1]] = 0.0, L
+        H, b, L = flatten_system(metric)
         z = solve(H, b.ravel()).reshape(g.shape)
         z[0, [0, -1]] = 0.0, L
         free = np.ones(g.shape, dtype=bool)
         free[0, [0, -1]] = False
-        r = conformal._gradient(k1, k2, z)[free]
+        r = conformal._gradient(H.k1, H.k2, z)[free]
         norm_H = np.abs(stencil_matrix(H)).sum(axis=1).A.ravel()[free.ravel()].max()
         scale = norm_H * np.abs(z[free]).max() + np.abs(b[free]).max()
         return np.abs(r).max() / scale / np.finfo(float).eps
@@ -680,6 +663,39 @@ class TestFlattenBackwardError:
         metric = catalog_chart("flat_plane", n)[0] if source == "flat_plane" else soliton_metric(n)[1]
         assert self.backward_error(metric, conformal.spsolve) <= 0.5
         assert self.backward_error(metric, lambda H, b: elliptic.splu(H).solve(b)) > 0.5
+
+    @pytest.mark.parametrize("source", ["flat_plane", "one_soliton"])
+    def test_the_gate_measures_what_the_oracle_does(self, monkeypatch, source):
+        # spsolve's own gate, its row sums in numpy, against the scipy
+        # matrix's; measured equal to 2.2e-16 relative
+        metric = catalog_chart(source, 65)[0] if source == "flat_plane" else soliton_metric(65)[1]
+        seen, measure = [], conformal._backward_error
+
+        def capture(H, z, b):
+            seen.append(measure(H, z, b))
+            return seen[-1]
+
+        monkeypatch.setattr(conformal, "_backward_error", capture)
+        want = self.backward_error(metric, conformal.spsolve)
+        (got,) = seen
+        assert got / np.finfo(float).eps == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("error", [1e-12, np.nan], ids=["off_by_1e-12", "nan"])
+    def test_a_perturbed_solve_fails_the_flatten_stage(self, capsys, monkeypatch, error):
+        # every solve off by 1e-12: the correcting step cancels the first
+        # solve's error but not the second's, which leaves an anisotropy of
+        # 5.4e-11 under its 1e-3 gate and a backward error of 535 eps; a
+        # non-finite solution fails the gate too
+        from minding_lab.cli import EXIT_SOLVER, main
+
+        solve = elliptic.Cholesky.solve
+        monkeypatch.setattr(elliptic.Cholesky, "solve",
+                            lambda self, b: solve(self, b) + error * np.cos(np.arange(len(b))))
+        code = main(["flatten", "--catalog", "flat_plane", "--n", "33"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_SOLVER
+        assert report["failed_stage"] == "flatten" and report["solver_error"] is True
+        assert "backward error" in report["stages"][-1]["error"]
 
 
 class TestImageResampling:

@@ -462,32 +462,29 @@ def part_ring_blocks(factor, s, p):
 
 def elimination_order_solve(factor, b):
     """``factor.solve`` as it ran with the unknowns renumbered in
-    elimination order, each stack's own nodes one slice of ``x``."""
+    elimination order, each stack's own nodes one slice of ``x``, and
+    each stack's triangles and ring products applied to all of its
+    fronts at once."""
     order = np.concatenate([own.ravel() for own, *_ in factor.stacks])
     where = np.empty_like(order)
     where[order] = np.arange(len(order))
     at = np.cumsum([0] + [own.size for own, *_ in factor.stacks])
-    stacks = [(slice(at[g], at[g + 1]), tables, block, packed,
+    stacks = [(slice(at[g], at[g + 1]), factor._inverse(g, slice(0, stack[0].shape[1])),
                [(fronts, where[ring], part_ring_blocks(factor, g, p))
-                for p, (fronts, ring, _) in enumerate(parts)])
-              for g, (_, tables, block, packed, parts) in enumerate(factor.stacks)]
+                for p, (fronts, ring, _) in enumerate(stack[3])])
+              for g, stack in enumerate(factor.stacks)]
     x = np.asarray(b, dtype=complex)[order]
-    for own, (h, _, J, rows, *_), block, packed, parts in stacks:
-        y = x[own].reshape(len(rows), -1)
-        below = (block @ y[:h].T[..., None])[..., 0].T
-        np.add.reduceat(packed * y[J], rows, axis=0, out=y)
-        y[h:] += below
+    for own, X, parts in stacks:
+        y = x[own].reshape(X.shape[1], -1)
+        y[:] = (X @ y.T[..., None])[..., 0].T
         for fronts, ring, Y in parts:
             v = Y.transpose(0, 2, 1) @ y[:, fronts].T.conj()[..., None]
             np.subtract.at(x, ring.ravel(), v.conj().ravel())
-    for own, (h, *_, by_col, I, cols), block, packed, parts in reversed(stacks):
-        y = x[own].reshape(len(cols), -1)
+    for own, X, parts in reversed(stacks):
+        y = x[own].reshape(X.shape[1], -1)
         for fronts, ring, Y in parts:
             y[:, fronts] -= (Y @ x[ring][..., None])[..., 0].T
-        t = y.conj()
-        np.add.reduceat(packed[by_col] * t[I], cols, axis=0, out=y)
-        y[:h] += (t[h:].T[:, None, :] @ block)[:, 0].T
-        np.conjugate(y, out=y)
+        y[:] = (X.transpose(0, 2, 1) @ y.T.conj()[..., None])[..., 0].T.conj()
     out = np.empty_like(x)
     out[order] = x
     return out
@@ -614,9 +611,9 @@ class TestNestedDissection:
         # the ring blocks, stored or a leaf's rebuilt, are all a factor
         # has of its fronts
         factor = elliptic.splu(self.random_stencil(nx, ny, 5))
-        stored = sum(block.nbytes + packed.nbytes for _, _, block, packed, _ in factor.stacks)
+        stored = sum(packed.nbytes for _, _, packed, _ in factor.stacks)
         ring = [part_ring_blocks(factor, s, p) for s, stack in enumerate(factor.stacks)
-                for p in range(len(stack[4]))]
+                for p in range(len(stack[3]))]
         assert any(not isinstance(Y, np.ndarray) for *_, parts in factor.stacks
                    for _, _, Y in parts)
         assert stored + sum(Y.nbytes for Y in ring) == 16 * factor.L.nnz

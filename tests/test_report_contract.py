@@ -21,7 +21,10 @@ this test although no verdict moves, and regenerates the goldens.
 A change that sets out to alter a report regenerates the goldens, and
 says so, with
 
-    PYTHONPATH=src python3 tests/test_report_contract.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/test_report_contract.py
+
+on one BLAS thread, as the CLI and ``conftest.py`` run: the script loads
+numpy itself, before the CLI could set it.
 
 which rewrites a golden only when it is new or a leaf of it moved, and
 prints, under each golden it rewrites, every leaf that moved: its JSON
