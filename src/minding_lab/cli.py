@@ -292,13 +292,15 @@ def _source_kind(config: PipelineConfig) -> str:
                 if getattr(config, name) is not None)
 
 
-def _load_source(config: PipelineConfig):
+def _load_source(config: PipelineConfig, image_n: bool = False):
     """The source at its own link: an ``AngleField``, ``ChebyshevSurface``,
     ``MetricField``, log-factor ``ScalarField``, or a chart's catalog
     ``(metric, chart, extras)``.  Each imports only what its kind needs,
     before ``fieldio``, so no module loads onto a heap a file has grown.
     A file missing a channel its kind reads, or holding a NaN or an
-    infinity in one, is a usage error naming the file and the channel."""
+    infinity in one, is a usage error naming the file and the channel;
+    so is one under 9 nodes a side, or, with ``image_n`` (a factor gated
+    on the ``--n`` image grid), under ``--n``."""
     if config.catalog == "one_soliton":
         from minding_lab.chebyshev import one_soliton_angle
         from minding_lab.grid import Grid2D
@@ -327,6 +329,10 @@ def _load_source(config: PipelineConfig):
             raise ConfigError(f"{path}: no {c!r} channel")
         if not np.isfinite(channels[c]).all():
             raise ConfigError(f"{path}: {c!r} channel has a non-finite sample")
+    if min(grid.shape) < 9:
+        raise ConfigError(f"{path}: {grid.nx} x {grid.ny} nodes, fewer than 9 on a side")
+    if image_n and min(grid.shape) < config.n:
+        raise ConfigError(f"{path}: {grid.nx} x {grid.ny} nodes, coarser than --n {config.n}")
     if kind == "factor":
         return ScalarField(grid, channels["u"])
     if kind == "metric":
@@ -339,9 +345,9 @@ def _load_source(config: PipelineConfig):
     return ChebyshevSurface(f, N, theta)
 
 
-def _surface(run: _Run):
+def _surface(run: _Run, image_n: bool = False):
     """The embedded surface: an angle source synthesized, a file as read."""
-    source = _load_source(run.config)
+    source = _load_source(run.config, image_n)
     return _synthesis_stages(run, source) if _source_kind(run.config) == "angle" else source
 
 
@@ -572,9 +578,9 @@ def cmd_verify_minding(run: _Run) -> None:
         run.store("chart.json", chart.grid, chart.X.values, chart.Y.values, chart.h.values)
         h = chart.h
     elif kind == "metric":
-        h = _flatten_stages(run, _load_source(run.config))
+        h = _flatten_stages(run, _load_source(run.config, image_n=True))
     else:
-        surface = _surface(run)
+        surface = _surface(run, image_n=True)
         if kind == "angle":
             _store_surface(run, surface)
         metric = _embedded_metric_stages(run, surface)

@@ -11,13 +11,10 @@ in node-major order (x fastest, components interleaved per node):
 ``k`` at node ``(i, j)``.  The payload carries the IEEE bits themselves,
 so every value survives a write/read cycle bit for bit (NaN payloads,
 -0.0, subnormals and infinities included) and the file stays standard
-JSON.  The reader also takes ``values`` as a flat list of numbers and
-nulls (null reads as NaN) in the same order, the form of hand-written
-files and of files saved before the binary payload.
-The reader takes exactly these eight keys, integer node counts and
-distinct string component names, and refuses anything else: a payload
-outside the base64 alphabet, badly padded or of the wrong length, or a
-list holding anything but numbers and nulls.
+JSON.  The reader takes exactly these eight keys, integer node counts,
+distinct string component names and a base64 payload string, and
+refuses anything else: a payload that is not a string, or one outside
+the base64 alphabet, badly padded or of the wrong length.
 Both directions hold about one payload at a time.  The writer streams
 the bytes ``json.dumps`` gives the document, the payload's text a slice
 at a time; the reader decodes the payload string a slice at a time
@@ -89,7 +86,6 @@ def write_field(path: str | Path, grid: Grid2D, channels: dict[str, np.ndarray])
 _HEADER_INTS = ("nx", "ny")
 _HEADER_REALS = ("x0", "y0", "dx", "dy")
 _KEYS = frozenset(_HEADER_INTS + _HEADER_REALS + ("components", "values"))
-_VALUE_TYPES = frozenset({float, int, type(None)})
 
 
 def _header(doc) -> tuple[Grid2D, list[str]]:
@@ -151,28 +147,22 @@ def _decoded_slices(text: str, size: int) -> np.ndarray | None:
 
 
 def _values(values, size: int) -> np.ndarray:
-    """The ``size`` float64 values of a payload string or a value list."""
-    if type(values) is str:
-        # slices where they decode, else the whole string in one call,
-        # which returns its value or raises its error
-        flat = _decoded_slices(values, size)
-        if flat is None:
-            # validate=True refuses characters outside the alphabet and bad
-            # padding; non-ASCII text raises ValueError
-            raw = base64.b64decode(values, validate=True)
-            if len(raw) != 8 * size:
-                raise GridError(f"expected {size} values ({8 * size} bytes), "
-                                f"got {len(raw)} bytes")
-            flat = np.frombuffer(raw, dtype="<f8")
-        # frombuffer is read-only; both are little-endian: to native float64
-        return flat.astype(np.float64, copy=not flat.flags.writeable)
-    # a bool or a numeric string would cast like a number
-    if type(values) is not list or not set(map(type, values)) <= _VALUE_TYPES:
-        raise GridError("values must be a base64 string or a flat list of numbers and nulls")
-    flat = np.array(values, dtype=float)  # null -> NaN
-    if flat.size != size:
-        raise GridError(f"expected {size} values, got {flat.size}")
-    return flat
+    """The ``size`` float64 values of a base64 payload string."""
+    if type(values) is not str:
+        raise GridError(f"values must be a base64 string, got {type(values).__name__}")
+    # slices where they decode, else the whole string in one call,
+    # which returns its value or raises its error
+    flat = _decoded_slices(values, size)
+    if flat is None:
+        # validate=True refuses characters outside the alphabet and bad
+        # padding; non-ASCII text raises ValueError
+        raw = base64.b64decode(values, validate=True)
+        if len(raw) != 8 * size:
+            raise GridError(f"expected {size} values ({8 * size} bytes), "
+                            f"got {len(raw)} bytes")
+        flat = np.frombuffer(raw, dtype="<f8")
+    # frombuffer is read-only; both are little-endian: to native float64
+    return flat.astype(np.float64, copy=not flat.flags.writeable)
 
 
 def read_field(path: str | Path) -> tuple[Grid2D, dict[str, np.ndarray]]:

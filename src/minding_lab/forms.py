@@ -15,18 +15,18 @@ The frame W = (f_x, f_y, N) of a conformal (isothermic) immersion with
          [-h_y/h,  h_x/h, -m/h^2  ],           [ h_x/h,  h_y/h, -n/h^2],
          [ ell,    m,      0      ]]           [ m,      n,      0    ]]
 
-and the flatness of ambient space makes A_y - B_x = AB - BA.
+and the flatness of ambient space makes A_y - B_x = AB - BA, which
+``weak.frame_weak_compatibility`` checks in weak form.
 ``isothermic_connection`` writes each one's eight entries but (2, 2),
 row by row through one slot table, into the array its field then
 takes over.
 
 Fields and forms enter as samples; ``FrameField`` is a ``grid.Field``
 with a 3 x 3 matrix at each node, and ``SecondForm`` runs the same
-shape and finiteness check on each coefficient.  Curvatures and
-residuals are returned as plain arrays holding only the nodes their
-stencils define: every node for the determinant formula, the interior
-for the isothermic one, and the core two nodes in for the zero-curvature
-residual.  ``normal_and_second_form`` works in bands of rows, each read
+shape and finiteness check on each coefficient.  Curvatures are
+returned as plain arrays holding only the nodes their stencils define:
+every node for the determinant formula, the interior for the isothermic
+one.  ``normal_and_second_form`` works in bands of rows, each read
 with the halo its stencils need, so it holds band-sized temporaries
 and returns bitwise what one whole-grid pass returns.
 """
@@ -59,8 +59,6 @@ __all__ = [
     "induced_metric",
     "normal_and_second_form",
     "isothermic_connection",
-    "zero_curvature_residual",
-    "zero_curvature_entries",
     "gauss_curvature_from_forms",
     "gauss_curvature_isothermic",
 ]
@@ -103,18 +101,12 @@ class MetricField:
 
 @dataclass(frozen=True)
 class SecondForm:
-    """Second-form coefficients ell, m, n on one grid.
-
-    ``m_asymmetry`` records the max difference between the two
-    cross-derivative estimates of m when the form was measured from an
-    immersion; it is zero for analytically prescribed forms.
-    """
+    """Second-form coefficients ell, m, n on one grid."""
 
     grid: Grid2D
     ell: np.ndarray
     m: np.ndarray
     n: np.ndarray
-    m_asymmetry: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("ell", "m", "n"):
@@ -171,7 +163,6 @@ def normal_and_second_form(f: VectorField3) -> tuple[VectorField3, SecondForm]:
     ny = grid.ny
     N = np.empty(f.values.shape)
     ell, m, n = (np.empty(grid.shape) for _ in range(3))
-    asymmetry = []
     dot = lambda a, b: np.einsum("jki,jki->jk", a, b)
     for rows in bands(ny, grid.nx):
         j0, j1 = rows.start, rows.stop
@@ -195,10 +186,8 @@ def normal_and_second_form(f: VectorField3) -> tuple[VectorField3, SecondForm]:
         m2 = -dot(N_y, f_x)
         n[j0:j1] = -dot(N_y, f_y)
         m[j0:j1] = 0.5 * (m1 + m2)
-        asymmetry.append(np.abs(m1 - m2).max())
         N[j0:j1] = N_ab[band]
-    second = SecondForm(grid, ell, m, n, m_asymmetry=float(np.max(asymmetry)))
-    return VectorField3(grid, _frozen(N)), second
+    return VectorField3(grid, _frozen(N)), SecondForm(grid, ell, m, n)
 
 
 def isothermic_connection(h: ScalarField, second: SecondForm) -> tuple[FrameField, FrameField]:
@@ -221,36 +210,6 @@ def isothermic_connection(h: ScalarField, second: SecondForm) -> tuple[FrameFiel
     for r, c, entry in zip(*_ROW_BY_ROW, (hy, -hx, -m / h2, hx, hy, -n / h2, m, n)):
         B[..., r, c] = entry
     return A, FrameField(h.grid, _frozen(B))
-
-
-def zero_curvature_residual(A, B, grid: Grid2D) -> np.ndarray:
-    """Entrywise max of A_y - B_x - (AB - BA) per node of the core two
-    nodes in from the edge, shape ``(ny - 4, nx - 4)``.
-
-    Vanishes exactly when the first-order frame system W_x = W A,
-    W_y = W B is integrable.
-
-    Two rings are left out, not one: connection samples are usually
-    assembled from on-grid derivatives, whose boundary values come from
-    one-sided stencils with a different error constant.  Differencing
-    across that ring mixes the constants and drops an order, so the
-    first interior ring of the raw residual is only O(h) accurate.
-    """
-    return np.abs(zero_curvature_entries(A, B, grid)).max(axis=(2, 3))
-
-
-def zero_curvature_entries(A, B, grid: Grid2D) -> np.ndarray:
-    """Raw entries of A_y - B_x - (AB - BA) on the core two nodes in,
-    shape ``(ny - 4, nx - 4, 3, 3)``; see zero_curvature_residual for
-    why two.  Accepts FrameField or bare arrays.
-    """
-    A = _as_matrices(A, grid, "A")
-    B = _as_matrices(B, grid, "B")
-    if grid.nx < 5 or grid.ny < 5:
-        raise GridError("zero-curvature check needs at least a 5x5 grid")
-    A_y = fd_partial(A, grid, "y")
-    B_x = fd_partial(B, grid, "x")
-    return (A_y - B_x - (A @ B - B @ A))[2:-2, 2:-2]
 
 
 def gauss_curvature_from_forms(metric: MetricField, second: SecondForm) -> np.ndarray:

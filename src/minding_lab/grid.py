@@ -19,9 +19,9 @@ defined everywhere.
 Every second difference along one axis goes through ``_second_values``,
 the five-point Laplacian's included; the Laplacian is defined on the
 interior nodes only and returns those.  Integrals are tensor-product
-trapezoid sums of sample arrays over the whole grid or over a box of
-its nodes given as unit-step row and column slices; a box whose edge
-nodes are zero integrates, up to rounding, as its zero extension."""
+trapezoid sums of sample arrays over a box of the grid's nodes given as
+unit-step row and column slices; a box whose edge nodes are zero
+integrates, up to rounding, as its zero extension."""
 
 from __future__ import annotations
 
@@ -332,20 +332,18 @@ def fd_laplacian(values: np.ndarray, grid: Grid2D) -> np.ndarray:
             + _second_values(values[:, 1:-1], grid, "y")[1:-1])
 
 
-def quadrature(values: np.ndarray, grid: Grid2D, box: tuple[slice, slice] | None = None) -> float:
-    """Tensor-product trapezoid integral over the full grid rectangle.
+def quadrature(values: np.ndarray, grid: Grid2D, box: tuple[slice, slice]) -> float:
+    """Tensor-product trapezoid integral over a box of the grid.
 
-    A field whose support extends past the rectangle is integrated over
-    the rectangle only; the truncation is the caller's responsibility.
-
-    With ``box``, unit-step ``(rows, cols)`` slices such as
+    ``box`` is unit-step ``(rows, cols)`` slices such as
     ``TestFunction.node_box`` returns, ``values`` holds the samples at
-    ``grid[box]`` and the result is the trapezoid over the box's own
+    ``grid[box]``, and the result is the trapezoid over the box's own
     rectangle with the grid's spacings.  For samples that vanish on the
     box's edge nodes that is, up to rounding, the full-grid integral of
-    their zero extension.
+    their zero extension; ``(slice(None), slice(None))`` is the whole
+    grid.
     """
-    rows, cols = box if box is not None else (slice(None), slice(None))
+    rows, cols = box
     (j0, j1, sj), (i0, i1, si) = rows.indices(grid.ny), cols.indices(grid.nx)
     if (sj, si) != (1, 1):
         raise GridError(f"box slices must have step 1, got steps {sj} and {si}")

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from minding_lab.grid import Grid2D, GridError, fd_partial
+from minding_lab.grid import Grid2D, GridError, fd_partial, quadrature
 from minding_lab import forms
 from minding_lab.chebyshev import (
     AngleField,
@@ -23,6 +23,7 @@ from minding_lab.chebyshev import (
     one_soliton_angle,
     sine_gordon_residual,
 )
+from minding_lab.weak import bump_lattice, frame_weak_compatibility
 
 SOLITON = dict(x0=-1.0, x1=-0.25, y0=-1.0, y1=-0.25)
 
@@ -460,30 +461,44 @@ class TestCorollaryConditions:
 
 
 class TestZeroCurvatureIdentity:
+    """The zero-curvature identity A_y - B_x = AB - BA of the Chebyshev
+    connection, in weak form: entry (p, q) of ``frame_weak_compatibility``
+    pairs entry (p, q) of A_y - B_x - (AB - BA) with each bump."""
+
     def test_compatible_connection_residual_small(self):
+        # measured 13.0 h^2
         g = soliton_grid(65)
         A, B = fd_connection(one_soliton_angle(g))
-        zc = forms.zero_curvature_residual(A, B, g)
-        assert zc.max() <= 50 * g.h**2
+        assert frame_weak_compatibility(A, B, g, bump_lattice(g)).max_abs() <= 50 * g.h**2
 
     def test_residual_entries_carry_the_wave_equation(self):
         # the commutator identity concentrates the angle equation in the
         # off-diagonal (1,2)/(2,1) entries, scaled by 1/sin(theta); the
-        # (3,1) entry cancels identically
-        g = soliton_grid(65)
-        th = one_soliton_angle(g)
+        # (3,1) entry cancels identically.  This angle solves no
+        # sine-Gordon equation: its pairings read 0.008 to 0.37, and the
+        # entries match them to 4.4 h^2
+        g = Grid2D.from_bounds(0, 1, 0, 1, 65, 65)
+        X, Y = g.mesh()
+        th = AngleField(g, 1.2 + 0.4 * np.sin(2 * X) * np.cos(3 * Y))
         A, B = fd_connection(th)
-        R = forms.zero_curvature_entries(A, B, g)
-        # R holds the core two nodes in, the residual the interior
-        sg = (sine_gordon_residual(th) / np.sin(th.values[1:-1, 1:-1]))[1:-1, 1:-1]
-        tol = 50 * g.h**2
-        assert np.abs(R[..., 0, 1] - sg).max() <= tol
-        assert np.abs(R[..., 1, 0] + sg).max() <= tol
-        assert np.abs(R[..., 2, 0]).max() <= tol
+        tests = bump_lattice(g)
+        r = frame_weak_compatibility(A, B, g, tests).residuals
+        sg = np.zeros(g.shape)
+        sg[1:-1, 1:-1] = sine_gordon_residual(th) / np.sin(th.values[1:-1, 1:-1])
+        tol = 10 * g.h**2
+        for v, r01, r10, r20 in zip(tests, r[1::9], r[3::9], r[6::9], strict=True):
+            box = v.node_box(g)
+            paired = quadrature(sg[box] * v.value(X[box], Y[box]), g, box)
+            assert abs(r01 - paired) <= tol
+            assert abs(r10 + paired) <= tol
+            assert abs(r20) <= tol
 
     def test_incompatible_angle_lights_up_offdiagonal(self):
-        # constant angle c has residual magnitude |0 - sin c|/sin c = 1
+        # constant angle c has residual entry |0 - sin c|/sin c = 1, so
+        # each (1,2) pairing is minus the bump's integral
         g = Grid2D.from_bounds(0, 1, 0, 1, 33, 33)
         A, B = fd_connection(constant_angle(g, 1.0))
-        R = forms.zero_curvature_entries(A, B, g)
-        assert np.abs(R[..., 0, 1] + 1.0).max() <= 1e-12
+        tests = bump_lattice(g)
+        entry = frame_weak_compatibility(A, B, g, tests).residuals[1::9]
+        for v, r01 in zip(tests, entry, strict=True):
+            assert abs(r01 + v.exact_integral()) <= g.h**2

@@ -1,5 +1,6 @@
 """Command driver: exit codes, reports, artifacts, determinism."""
 
+import base64
 import json
 import math
 import os
@@ -138,7 +139,8 @@ class TestVerifyControls:
         write_field(path, g, {
             "E": np.ones(g.shape), "F": np.full(g.shape, 0.5), "G": np.ones(g.shape),
         })
-        code, report = run_cli(capsys, "verify-minding", "--metric-file", str(path))
+        # --n no finer than the file's 33 nodes, which verify-minding refuses
+        code, report = run_cli(capsys, "verify-minding", "--metric-file", str(path), "--n", "33")
         assert code == EXIT_TOLERANCE
         assert report["failed_stage"] == "curvature"
 
@@ -552,9 +554,9 @@ class TestUsage:
     def test_factor_file_float_overflow(self, capsys, tmp_path):
         path = tmp_path / "u.json"
         write_factor(path, 0.0, n=17)
-        # the list form: an integer no float can hold
+        # an integer no float can hold
         doc = json.loads(path.read_text())
-        doc["values"] = [10**400] + [0.0] * (17 * 17 - 1)
+        doc["dx"] = 10**400
         path.write_text(json.dumps(doc))
         assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
@@ -564,7 +566,9 @@ class TestUsage:
         lambda doc: doc.update(components=[doc["components"]]),
         lambda doc: doc.update(components="u"),
         lambda doc: doc.update(note="extra"),
-    ], ids=["float_nx", "nested_name", "string_components", "unknown_key"])
+        # the file's own values, as a list: the payload is base64 only
+        lambda doc: doc.update(values=np.frombuffer(base64.b64decode(doc["values"])).tolist()),
+    ], ids=["float_nx", "nested_name", "string_components", "unknown_key", "list_values"])
     def test_malformed_factor_file(self, capsys, tmp_path, mutate):
         path = tmp_path / "u.json"
         write_factor(path, 0.0, n=17)
@@ -657,6 +661,61 @@ class TestNonFiniteSourceFile:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err == f"error: {path}: {channel!r} channel has a non-finite sample\n"
+
+
+class TestSmallSourceFile:
+    """A file grid under 9 nodes a side, the floor of ``--n``, is a usage
+    error under every command that takes the file; the channel checks
+    come first."""
+
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (4, 4), (9, 8)])
+    @pytest.mark.parametrize("command, flag", ACCEPTED_FILES)
+    def test_exits_2_naming_file(self, capsys, tmp_path, command, flag, nx, ny):
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, nx, ny)
+        path = tmp_path / f"{flag}.json"
+        write_field(path, g, {c: np.full(g.shape, 1.0) for c in SOURCE_FILES[flag][1]})
+        code = main([command, f"--{flag.replace('_', '-')}", str(path), "--n", "9"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {nx} x {ny} nodes, fewer than 9 on a side\n"
+
+    def test_non_finite_sample_reported_first(self, capsys, tmp_path):
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 4, 4)
+        path = tmp_path / "u.json"
+        write_field(path, g, {"u": np.full(g.shape, np.nan)})
+        assert main(["liouville-check", "--factor-file", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: 'u' channel has a non-finite sample\n"
+
+
+class TestImageGridFinerThanFile:
+    """verify-minding gates its factor on the ``--n`` image grid, so a
+    ``--n`` above a file's smaller node count is a usage error there."""
+
+    def test_boosted_soliton_file_under_the_default_n(self, capsys, tmp_path):
+        # at 65 nodes it passes at --n 65 (TestRescaleGate) and once read
+        # 1.049e-3 against 5.483e-4 at rescale under --n 129
+        g = Grid2D.from_bounds(-1.0, -0.25, -1.0, -0.25, 65, 65)
+        X, Y = g.mesh()
+        path = tmp_path / "theta.json"
+        write_field(path, g, {"theta": 4.0 * np.arctan(np.exp(1.5 * X + Y / 1.5))})
+        code = main(["verify-minding", "--theta-file", str(path), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: 65 x 65 nodes, coarser than --n 129\n"
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["theta_file", "surface_file", "metric_file"])
+    def test_exits_2_naming_file(self, capsys, tmp_path, flag):
+        g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 17, 9)
+        path = tmp_path / f"{flag}.json"
+        write_field(path, g, {c: np.full(g.shape, 1.0) for c in SOURCE_FILES[flag][1]})
+        code = main(["verify-minding", f"--{flag.replace('_', '-')}", str(path), "--n", "17"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: 17 x 9 nodes, coarser than --n 17\n"
 
 
 class TestNonFiniteMeasurement:

@@ -219,31 +219,35 @@ class TestBands:
         assert bands(10**4, 1)[0] == slice(0, 3000)
 
 
+# the box of quadrature's whole grid
+WHOLE = (slice(None), slice(None))
+
+
 class TestQuadrature:
     def test_exact_for_bilinear(self):
         g = Grid2D.from_bounds(0, 2, 0, 3, 5, 4)
         f = ScalarField.from_function(g, lambda x, y: 2.0 + x * y)
         # integral of 2 + x*y over [0,2]x[0,3] is 12 + (2^2/2)(3^2/2) = 21
-        assert quadrature(f.values, g) == pytest.approx(21.0, abs=1e-12)
+        assert quadrature(f.values, g, WHOLE) == pytest.approx(21.0, abs=1e-12)
 
     def test_bump_integral_pi_over_3(self):
         g = Grid2D.from_bounds(-1.2, 1.2, -1.2, 1.2, 97, 97)
         bump = TestFunction(0.0, 0.0, 1.0)
-        q = quadrature(bump.value(*g.mesh()), g)
+        q = quadrature(bump.value(*g.mesh()), g, WHOLE)
         assert abs(q - math.pi / 3.0) < 10 * g.h**2
 
     def test_bump_truncated_when_support_leaves_grid(self):
         g = Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, 65, 65)
         bump = TestFunction(0.95, 0.5, 0.3)
         assert not bump.supported_inside(g)
-        assert quadrature(bump.value(*g.mesh()), g) < bump.exact_integral()
+        assert quadrature(bump.value(*g.mesh()), g, WHOLE) < bump.exact_integral()
 
     def test_rejects_nan(self):
         g = Grid2D.from_bounds(0, 1, 0, 1, 4, 4)
         values = np.ones(g.shape)
         values[1, 2] = np.nan
         with pytest.raises(GridError, match="finite"):
-            quadrature(values, g)
+            quadrature(values, g, WHOLE)
 
 
 def _zero_edges(values):
@@ -297,8 +301,8 @@ class TestBoxQuadrature:
         grid, rows, cols, values = case
         padded = np.zeros(grid.shape)
         padded[rows, cols] = values
-        error = abs(quadrature(values, grid, (rows, cols)) - quadrature(padded, grid))
-        assert error <= 1e-14 * quadrature(np.abs(padded), grid)
+        error = abs(quadrature(values, grid, (rows, cols)) - quadrature(padded, grid, WHOLE))
+        assert error <= 1e-14 * quadrature(np.abs(padded), grid, WHOLE)
 
     def test_box_samples_must_have_the_box_shape(self):
         g = Grid2D(0.0, 0.0, 9, 7, 0.5, 0.25)
@@ -312,7 +316,7 @@ class TestBoxQuadrature:
             # a step of two picks three of six rows
             quadrature(ones, g, (slice(0, 6, 2), slice(2, 5)))
         with pytest.raises(GridError, match=r"samples must have shape \(7, 9\), got \(3, 3\)"):
-            quadrature(ones, g)
+            quadrature(ones, g, WHOLE)
 
     def test_stepped_box_is_refused(self):
         # samples shaped like the unit-step box must not integrate as it

@@ -4,12 +4,15 @@ Runs every command in process under ``sys.setprofile``, on every source
 kind at n = 65 and on a factor whose e^{2u} overflows.  Every ``def`` in
 ``src/minding_lab`` must be entered, or named in ``ALLOWED`` with the
 reason it stays; an allowed name that a command now enters, or that no
-longer exists, fails too.  Lambdas, comprehensions and class bodies
-are not ``def``s.
+longer exists, fails too, and so does a reason that cites a perfbench
+script which does not use the name.  Lambdas, comprehensions and class
+bodies are not ``def``s.
 """
 
 import contextlib
+import importlib.util
 import io
+import re
 import sys
 import types
 from pathlib import Path
@@ -33,12 +36,11 @@ ALLOWED = {
     ], "perfbench/audit.py runs it for the identity-audit workload"),
     "elliptic.Stencil.nnz": "perfbench/spantrace.py reads the flatten system's nonzeros",
     "developing.u_from_phi": "perfbench/spantrace.py pins it; the exponent oracle of the tests",
-    **dict.fromkeys(["forms.zero_curvature_residual", "forms.zero_curvature_entries"],
-                    "the isothermic frame's pointwise check, decided with that frame"),
     "grid.Grid2D.refined": "the finer grid of a planned convergence command",
     "grid.TestFunction.exact_integral": "the closed form the quadrature tests check against",
 }
 N = "65"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def package_defs() -> dict:
@@ -80,27 +82,35 @@ def commands(tmp: Path):
     yield ["liouville-check", "--factor-file", str(overflow)]
 
 
-@pytest.fixture(scope="module")
-def reach(tmp_path_factory):
-    """(every def's dotted name, the dotted names the commands enter)."""
+def entered_defs(calls) -> set:
+    """The dotted names of the package ``def``s entered while each of
+    ``calls`` runs under ``sys.setprofile``, its output discarded."""
     entered = set()
 
     def hook(frame, event, arg):
         if event == "call":
             entered.add(frame.f_code)
 
-    for argv in commands(tmp_path_factory.mktemp("reach")):
-        if argv[0] != "export-plots":
-            argv += ["--n", N]
+    for call in calls:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             sys.setprofile(hook)
             try:
-                cli.main(argv)
+                call()
             finally:
                 sys.setprofile(None)
-    defs = package_defs()
     keys = {(c.co_filename, c.co_firstlineno, c.co_name) for c in entered}
-    return set(defs.values()), {name for key, name in defs.items() if key in keys}
+    return {name for key, name in package_defs().items() if key in keys}
+
+
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    """(every def's dotted name, the dotted names the commands enter)."""
+    calls = []
+    for argv in commands(tmp_path_factory.mktemp("reach")):
+        if argv[0] != "export-plots":
+            argv += ["--n", N]
+        calls.append(lambda argv=argv: cli.main(argv))
+    return set(package_defs().values()), entered_defs(calls)
 
 
 def test_every_def_is_entered_or_allowed(reach):
@@ -112,3 +122,17 @@ def test_allow_list_names_only_unreached_defs(reach):
     defs, entered = reach
     assert sorted(set(ALLOWED) - defs) == [], "allowed but no longer defined"
     assert sorted(set(ALLOWED) & entered) == [], "allowed but entered by a command"
+
+
+def test_allowed_reasons_hold():
+    # a name kept for perfbench/audit.py is entered by its checks, at
+    # n = 65; one kept for perfbench/spantrace.py is named in its text
+    spec = importlib.util.spec_from_file_location("audit", PERFBENCH / "audit.py")
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    cited = lambda script: {name for name, why in ALLOWED.items() if script in why}
+    entered = entered_defs([lambda: audit.run_checks(65, 1)])
+    assert sorted(cited("perfbench/audit.py") - entered) == []
+    text = (PERFBENCH / "spantrace.py").read_text()
+    assert sorted(name for name in cited("perfbench/spantrace.py")
+                  if not re.search(rf"\b{name.rsplit('.', 1)[1]}\b", text)) == []

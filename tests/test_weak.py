@@ -19,6 +19,10 @@ from minding_lab.weak import (
 )
 
 
+# the box of quadrature's whole grid
+WHOLE = (slice(None), slice(None))
+
+
 def unit_grid(n=65):
     return Grid2D.from_bounds(0.0, 1.0, 0.0, 1.0, n, n)
 
@@ -194,7 +198,7 @@ class TestLiouvilleResidual:
         for v, a, b in zip(tests, base.residuals, moved.residuals):
             vals = v.value(*g.mesh())
             expect = quadrature(
-                (np.exp(2 * (u.values + 0.37)) - np.exp(2 * u.values)) * vals, g
+                (np.exp(2 * (u.values + 0.37)) - np.exp(2 * u.values)) * vals, g, WHOLE
             )
             assert (b - a) == pytest.approx(expect, abs=1e-13)
 
@@ -244,6 +248,14 @@ class TestFrameWeak:
         finally:
             tracemalloc.stop()
         assert peak <= 35 * 8 * n * n
+
+    def test_bare_connection_arrays_validated(self):
+        g = unit_grid(33)
+        Z = np.zeros(g.shape + (3, 3))
+        with pytest.raises(GridError, match="A must be sampled as"):
+            frame_weak_compatibility(np.zeros((3, 3)), Z, g, bump_lattice(g))
+        with pytest.raises(GridError, match="B must be sampled as"):
+            frame_weak_compatibility(Z, Z[:, :, :2], g, bump_lattice(g))
 
     def test_connection_grid_validation(self):
         g, A, B = half_plane_connection(33)
@@ -315,8 +327,8 @@ def ref_mixed_partials(W, tests):
             worst = 0.0
             for p in range(3):
                 for q in range(3):
-                    r = (-quadrature(Wx[:, :, p, q] * gy, grid)
-                         + quadrature(Wy[:, :, p, q] * gx, grid))
+                    r = (-quadrature(Wx[:, :, p, q] * gy, grid, WHOLE)
+                         + quadrature(Wy[:, :, p, q] * gx, grid, WHOLE))
                     worst = max(worst, abs(r))
             residuals.append(worst)
         return residuals
@@ -325,7 +337,7 @@ def ref_mixed_partials(W, tests):
     residuals = []
     for v in tests:
         gx, gy = v.grad(*grid.mesh())
-        r = -quadrature(Wx * gy, grid) + quadrature(Wy * gx, grid)
+        r = -quadrature(Wx * gy, grid, WHOLE) + quadrature(Wy * gx, grid, WHOLE)
         residuals.append(r)
     return residuals
 
@@ -339,9 +351,9 @@ def ref_product_rule(P, L, tests, axis):
         gx, gy = v.grad(*grid.mesh())
         dv = gx if axis == "x" else gy
         r = (
-            -quadrature(P.values * L.values * dv, grid)
-            - quadrature(Pd * L.values * vals, grid)
-            + quadrature(L.values * (Pd * vals + P.values * dv), grid)
+            -quadrature(P.values * L.values * dv, grid, WHOLE)
+            - quadrature(Pd * L.values * vals, grid, WHOLE)
+            + quadrature(L.values * (Pd * vals + P.values * dv), grid, WHOLE)
         )
         residuals.append(r)
     return residuals
@@ -356,7 +368,7 @@ def ref_liouville(u, tests):
     for v in tests:
         vals = v.value(*grid.mesh())
         gx, gy = v.grad(*grid.mesh())
-        r = quadrature(ux * gx + uy * gy, grid) + quadrature(source * vals, grid)
+        r = quadrature(ux * gx + uy * gy, grid, WHOLE) + quadrature(source * vals, grid, WHOLE)
         residuals.append(r)
     return residuals
 
@@ -370,9 +382,9 @@ def ref_frame_entry(A, B, grid, p, q, tests):
         vals = w.value(*grid.mesh())
         gx, gy = w.grad(*grid.mesh())
         r = (
-            -quadrature(a * gy, grid)
-            + quadrature(b * gx, grid)
-            - quadrature(commutator * vals, grid)
+            -quadrature(a * gy, grid, WHOLE)
+            + quadrature(b * gx, grid, WHOLE)
+            - quadrature(commutator * vals, grid, WHOLE)
         )
         residuals.append(r)
     return residuals
